@@ -286,6 +286,7 @@ class ComputingElement:
         self.monitor_hook = monitor_hook
         self.wns = [WorkerNode(i) for i in range(record.wn_count)]
         self.queue: deque = deque()
+        self.queued_cpu_s = Fraction(0)  # exact sum of cpu_total_s over the queue
         self.running: dict[str, FabricJob] = {}
         self.fail_next_execs = 0  # scenario-driven failure injection
 
@@ -308,6 +309,7 @@ class ComputingElement:
             raise AuthorizationDenied(denial)
         job.cpu_total_s = job.profile.runtime_s(job.description.events, self.record.cpu_mhz)
         self.queue.append(job)
+        self.queued_cpu_s += job.cpu_total_s
         self.record.jobs_queued += 1
         self.kernel.emit(self.ce_id, "enqueued", job=job.job_id,
                          depth=self.record.jobs_queued)
@@ -319,6 +321,7 @@ class ComputingElement:
             if wn is None:
                 return
             job = self.queue.popleft()
+            self.queued_cpu_s -= job.cpu_total_s
             self.record.jobs_queued -= 1
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
@@ -383,9 +386,10 @@ class ComputingElement:
     # -- load tap for the information index ---------------------------
 
     def ett_components(self) -> tuple:
+        """Running jobs' remaining CPU seconds, one term per node at most,
+        and the queue's backlog as the single maintained term."""
         running = [job.remaining_cpu_s() for job in self.running.values()]
-        queued = [job.cpu_total_s for job in self.queue]
-        return running, queued
+        return running, [self.queued_cpu_s]
 
 
 class Fabric:

@@ -13,7 +13,10 @@ arriving job would see:
            + sum of estimated CPU seconds of queued jobs) / wn_count
 
 computed exactly (Fractions), with per-job CPU estimates scaled by the
-element's clock.
+element's clock.  The running term is summed over the running jobs only,
+at most one per worker node; the queued term is maintained by the element
+itself, added on enqueue and subtracted when a job leaves the queue, so
+an estimate costs the same however deep the queue is.
 """
 from __future__ import annotations
 
@@ -107,7 +110,9 @@ class InformationIndex:
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
         """`tap.ett_components()` must return (running remaining CPU s,
-        queued estimated CPU s) as two lists of Fractions."""
+        queued estimated CPU s) as two lists of Fractions.  A computing
+        element lists one term per running job and a single queued term,
+        the backlog it maintains as jobs join and leave its queue."""
         self._load_taps[ce_id] = tap
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:

@@ -505,7 +505,9 @@ class JobDescription:
 
     `extras` keeps unknown attributes as their verbatim source text, in
     declaration order, so files round-trip through this type unchanged in
-    meaning."""
+    meaning.  Their parsed expressions are kept beside them, keyed by that
+    text: `parse_jdl` fills them in, and a hand-built description parses
+    each extra on first read."""
 
     executable: str
     virtual_organisation: str
@@ -521,6 +523,8 @@ class JobDescription:
     events: int = 1
     job_seed: int = 0
     extras: dict = field(default_factory=dict)
+    _extra_exprs: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def job_profile(self) -> str:
@@ -532,20 +536,23 @@ class JobDescription:
     def input_lfns(self) -> tuple:
         return tuple(strip_lfn_prefix(x) for x in self.input_data)
 
-    def extra_string(self, name: str) -> str | None:
+    def _extra_expr(self, name: str) -> Expr | None:
         raw = self.extras.get(name)
         if raw is None:
             return None
-        expr = parse_expr(raw)
+        expr = self._extra_exprs.get(raw)
+        if expr is None:
+            expr = self._extra_exprs[raw] = parse_expr(raw)
+        return expr
+
+    def extra_string(self, name: str) -> str | None:
+        expr = self._extra_expr(name)
         if isinstance(expr, Lit) and isinstance(expr.value, str):
             return expr.value
         return None
 
     def extra_int(self, name: str) -> int | None:
-        raw = self.extras.get(name)
-        if raw is None:
-            return None
-        expr = parse_expr(raw)
+        expr = self._extra_expr(name)
         if isinstance(expr, Lit) and isinstance(expr.value, int):
             return expr.value
         return None
@@ -665,7 +672,9 @@ def parse_jdl(text: str) -> JobDescription:
 
     for name in order:
         if name in seen:  # whatever was not consumed above
-            jd.extras[name] = seen[name][1].strip()
+            expr, raw, _tok = seen[name]
+            jd.extras[name] = raw = raw.strip()
+            jd._extra_exprs[raw] = expr
 
     if jd.input_data and jd.replica_catalog is None:
         raise JdlError("InputData requires a ReplicaCatalog")

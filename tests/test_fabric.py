@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from deskgrid.broker import DONE_FAILED
 from deskgrid.fabric import (AuthorizationDenied, ComputingElement, FabricJob,
                              Network, NoRoute, Site, build_outputs,
                              builtin_profiles, content_checksum,
                              data_file_name)
+from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.simcore import Kernel
@@ -13,6 +17,13 @@ from deskgrid.units import KB, MB
 from deskgrid.vomgmt import VoManager
 
 PROFILES = builtin_profiles()
+
+CMKIN_TEXT = (
+    'Executable = "cmkin";\n'
+    'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
+    'VirtualOrganisation = "datatag";\n'
+    "Events = 250;\nJobSeed = {seed};\n"
+)
 
 
 def jd_text(profile="cmkin", events=50, seed=101, extra=""):
@@ -265,3 +276,88 @@ def test_remaining_cpu_and_ett_components():
     assert j1.remaining_cpu_s() == 100  # 125 s total, a fifth done
     assert sorted(running) == [100, 125]
     assert queued == [125]
+
+
+def test_queued_backlog_follows_enqueue_and_both_dispatch_outcomes():
+    kernel, ce, proxy = harness(wn_count=1, lifetime_s=100)
+    j1, _ = make_job("j1", proxy, events=1000)
+    j2, _ = make_job("j2", proxy, events=250)
+    j3, _ = make_job("j3", proxy, events=50)
+    for job in (j1, j2, j3):
+        ce.enqueue(job)
+    assert ce.queued_cpu_s == 125 + 25  # j1 started at once
+    ce.execute(j1)
+    kernel.run_until(500)  # past the proxy lifetime
+    ce.finish(j1)  # j2 and j3 leave the queue refused
+    assert ce.queued_cpu_s == 0 and not ce.queue
+
+
+def test_validate_reports_a_drifted_queued_backlog(mini):
+    ce = mini.fabric.ces["ce_beta"]
+    ce.queued_cpu_s += 1
+    assert mini.validate() == ["ce_beta: queued CPU backlog drifted"]
+
+
+def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
+    """Oracle for the maintained queue backlog: at every match, every
+    candidate's ETT equals a rescan of its running jobs and queue, and the
+    grid's books are clean.  The run mixes four production requests at
+    random times over both brokers, exec failures, and short-lived proxies
+    whose jobs are queued and then refused when a node frees up."""
+    grid = load_topology(default_topology_path(), seed=13)
+    rng = random.Random(13)
+    operator = "/O=grid/OU=datatag/CN=factory operator"
+    matches, problems = [], []
+
+    def rescanned_ett(ce_id):
+        ce = grid.fabric.ces[ce_id]
+        backlog = (sum((j.remaining_cpu_s() for j in ce.running.values()), Fraction(0))
+                   + sum((j.cpu_total_s for j in ce.queue), Fraction(0)))
+        return backlog / ce.record.wn_count
+
+    def oracle(record, result):
+        matches.append(record.job_id)
+        for ce_id, _value in result.candidates:
+            if grid.info.estimated_traversal_time(ce_id) != rescanned_ett(ce_id):
+                problems.append((record.job_id, ce_id))
+        problems.extend(grid.validate())
+
+    for rb in grid.brokers.values():
+        rb.match_observers.append(oracle)
+    proxy = grid.vo.create_proxy(operator, "datatag", 0, lifetime_s=500_000)
+    for n in range(4):
+        per_job = rng.randint(150, 350)
+        request = grid.refdb.create_request(f"oracle{n}", "CMKIN",
+                                            per_job * rng.randint(20, 40) - rng.randint(0, 9),
+                                            per_job, rng.choice(("rb_pisa", "rb_milano")))
+        grid.production.declare(request.assignment_id)
+        grid.production.create(request.assignment_id)
+        grid.kernel.schedule("user-command",
+                             partial(grid.production.submit, request.assignment_id, proxy),
+                             rng.randint(0, 300))
+    for ce_id in rng.sample(sorted(grid.fabric.ces), 4):
+        grid.fabric.ces[ce_id].fail_next_execs = rng.randint(1, 3)
+
+    doomed = []
+
+    def submit_short_lived():
+        short = grid.vo.create_proxy(operator, "datatag", grid.kernel.now_ms,
+                                     lifetime_s=30)
+        rb = grid.brokers["rb_pisa"]
+        visible = grid.info.query(rb.flavor, "datatag")
+        deepest = max(visible, key=lambda ce: (ce.jobs_queued, ce.ce_id))
+        doomed.append((rb, rb.submit(CMKIN_TEXT.format(seed=len(doomed) + 1), short,
+                                     pinned_ce=deepest.ce_id)))
+
+    for at in sorted(rng.randint(300, 600) for _ in range(6)):
+        grid.kernel.schedule("user-command", submit_short_lived, at)
+    grid.kernel.run_to_completion()
+
+    assert len(matches) >= 100
+    assert problems == []
+    assert grid.validate() == []
+    reasons = [rb.jobs[job_id].reason for rb, job_id in doomed]
+    assert "AuthorizationDenied(ProxyExpired)" in reasons
+    failed = [r for _rb, r in grid.all_jobs() if r.outcome() == DONE_FAILED]
+    assert failed
+    assert all(ce.queued_cpu_s == 0 for ce in grid.fabric.ces.values())

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import random
 
@@ -263,3 +264,62 @@ def test_rank_expression_evaluates_against_published_figures():
     jd = parse_jdl(fixture_text("rank_idle.jdl"))
     value = evaluate(jd.rank, {"EstimatedTraversalTime": 62.5})
     assert value == -62.5
+
+
+# -- extras ---------------------------------------------------------------
+
+#: sha256 of `parse_jdl(f).text()` per shipped description, as rendered
+#: when extras were kept as text only
+TEXT_DIGESTS = {
+    "atlas_100.jdl": "45d2cfdd5a143dc58d24f39ebbf33ae957d2f199449b59c87f506275ba529d1d",
+    "awkward.jdl": "8f5947a7c8f6b1406ee1293593ad0a64c61b0a5c8ab41e94280b4b3a53683427",
+    "cms_gen_small.jdl": "84d1ef86ee61868992f001e3e075993a6517f36555627c5c42bbfe9c8b975651",
+    "data_driven.jdl": "5cd1702226ec6d1bea82c68ee8252ca692d7e20c73c2421ac5f386550c537edc",
+    "minimal.jdl": "6032550e0df0c69b29b8529e4882eec1e2d429c5aeeabb314038bfe26edd5b76",
+    "rank_idle.jdl": "e3edcb621bd0a43231e2f3b37905bbd693f9b6eb17010c73d072a458807ac550",
+}
+
+
+@pytest.fixture
+def counted_parse_expr(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_expr(text)
+
+    monkeypatch.setattr(jdl, "parse_expr", counting)
+    return calls
+
+
+def factory_description(grid):
+    request = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
+                                        default_se="se_beta")
+    grid.production.declare(request.assignment_id)
+    return grid.production.create(request.assignment_id)[1]
+
+
+def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
+    jd = parse_jdl(factory_description(mini))
+    assert jd.production_tag() == ("jpsi", 2)
+    assert jd.extra_string("DefaultSE") == "se_beta"
+    assert jd.extra_int("Dataset") is None and jd.extra_string("JobIndex") is None
+    assert counted_parse_expr == []
+
+
+def test_hand_built_extras_parse_once_and_agree(mini, counted_parse_expr):
+    parsed = parse_jdl(factory_description(mini))
+    built = jdl.JobDescription(executable="cmkin", virtual_organisation="testvo",
+                               requirements=Lit(True), extras=dict(parsed.extras))
+    for _read in range(2):
+        assert built.production_tag() == parsed.production_tag()
+        assert built.extra_string("DefaultSE") == parsed.extra_string("DefaultSE")
+    assert sorted(counted_parse_expr) == ['"jpsi"', '"se_beta"', "2"]
+    built.extras["JobIndex"] = "3"  # a changed extra is parsed afresh
+    assert built.production_tag() == ("jpsi", 3)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
+def test_text_rendering_is_unchanged(name):
+    rendered = parse_jdl(fixture_text(name)).text()
+    assert hashlib.sha256(rendered.encode()).hexdigest() == TEXT_DIGESTS[name]
