@@ -312,7 +312,7 @@ class ResourceBroker:
             self._fail(record, "NoRoute")
 
     def _stage_next(self, record: JobRecord, index: int) -> None:
-        if record.outcome() != RUNNING and record.state != RUNNING:
+        if record.state != RUNNING:
             return
         lfns = sorted(record.chosen_replicas)
         if index >= len(lfns):

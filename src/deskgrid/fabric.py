@@ -11,6 +11,9 @@ are (name, size, checksum) triples fully determined by the workload
 profile, dataset, job index and event count, so reruns anywhere agree
 byte-for-byte on what they claim to have produced.
 
+A running job's monitor points, every `monitor_every_events` events, are
+never scheduled: `FabricJob.monitor_count` works out which lie behind now.
+
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
 explicit link falls back to the topology's default WAN parameters when
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -240,8 +243,6 @@ class Site:
     site_id: str
     region: str               # EU or US
     outbound: bool = True     # worker nodes may open outbound connections
-    ce_ids: list = field(default_factory=list)
-    se_ids: list = field(default_factory=list)
 
     @property
     def endpoint(self) -> str:
@@ -266,24 +267,43 @@ class FabricJob:
     on_auth_denied: Callable[[vomgmt.Denial], None]
     on_exec_complete: Callable[[list, int], None]
     cpu_total_s: Fraction = Fraction(0)
-    events_done: int = 0
+    events_done: int = 0               # every event, once execution has ended
+    kernel: "Kernel | None" = None     # set when execution starts, with
+    start_ms: int = 0
+    start_seq: int = 0                 # ... the seq of its job-finish event
+
+    def monitor_count(self) -> int:
+        """Events done at the last monitor point reached so far.
+
+        Point k lies at start_ms + floor(1000*R*k/E + 1/2) for runtime
+        R = p/q, so points up to ms T have 2000*p*k < (2*(T - start_ms) + 1)*q*E.
+        A point on T itself is reached only by reads outside delivery and by
+        events queued from this job's job-finish on (it would sit just before)."""
+        if self.kernel is None:
+            return 0
+        events, step = self.description.events, self.profile.monitor_every_events
+        seq = self.kernel.delivering_seq
+        bound = 2 * (self.kernel.now_ms - self.start_ms)
+        bound += 1 if seq is None or seq >= self.start_seq else -1
+        runtime = self.cpu_total_s
+        reached = (bound * runtime.denominator * events - 1) // (2000 * runtime.numerator * step)
+        return step * max(0, min(reached, (events - 1) // step))
 
     def remaining_cpu_s(self) -> Fraction:
-        done = Fraction(self.events_done, self.description.events)
-        return self.cpu_total_s * (1 - done)
+        done = max(self.events_done, self.monitor_count())
+        return self.cpu_total_s * (1 - Fraction(done, self.description.events))
 
 
 class ComputingElement:
     """One batch queue over identical worker nodes, FIFO, work-conserving:
     a free node with a non-empty queue dispatches in the same instant."""
 
-    def __init__(self, record, site: Site, kernel: Kernel, vo: vomgmt.VoManager,
-                 monitor_hook: "Callable | None" = None):
+    def __init__(self, record, site: Site, kernel: Kernel, vo: vomgmt.VoManager):
         self.record = record
         self.site = site
         self.kernel = kernel
         self.vo = vo
-        self.monitor_hook = monitor_hook
+        self.monitor_hook: "Callable | None" = None  # (job_id, events_done, outbound)
         self.wns = [WorkerNode(i) for i in range(record.wn_count)]
         self.queue: deque = deque()
         self.queued_cpu_s = Fraction(0)  # exact sum of cpu_total_s over the queue
@@ -341,27 +361,23 @@ class ComputingElement:
     def execute(self, job: FabricJob) -> None:
         if job.job_id not in self.running:
             raise FabricError(f"{job.job_id} is not running on {self.ce_id}")
-        events = job.description.events
-        runtime = job.profile.runtime_s(events, self.record.cpu_mhz)
-        start = self.kernel.now()
-        step = job.profile.monitor_every_events
-        for k in range(step, events, step):
-            at = start + runtime * Fraction(k, events)
-            self.kernel.schedule("monitor-tick", partial(self._tick, job, k), at)
         self.kernel.emit(self.ce_id, "exec-start", job=job.job_id,
-                         events=events, runtime_s=fmt_quantity(runtime))
-        self.kernel.schedule("job-finish", partial(self._exec_done, job), start + runtime)
+                         events=job.description.events,
+                         runtime_s=fmt_quantity(job.cpu_total_s))
+        finish = self.kernel.schedule("job-finish", partial(self._exec_done, job),
+                                      self.kernel.now() + job.cpu_total_s)
+        job.kernel, job.start_ms, job.start_seq = self.kernel, self.kernel.now_ms, finish.seq
 
     def _tick(self, job: FabricJob, events_done: int) -> None:
-        if job.job_id not in self.running:
-            return
-        job.events_done = events_done
         if self.monitor_hook is not None:
             self.monitor_hook(job.job_id, events_done, self.site.outbound)
 
     def _exec_done(self, job: FabricJob) -> None:
         if job.job_id not in self.running:
             return
+        last = job.monitor_count()
+        if last:  # the journal's last monitor point, sent once
+            self._tick(job, last)
         job.events_done = job.description.events
         exit_code = 0
         if self.fail_next_execs > 0:
@@ -402,22 +418,15 @@ class Fabric:
         self.sites: dict[str, Site] = {}
         self.ces: dict[str, ComputingElement] = {}
         self.profiles: dict[str, WorkloadProfile] = builtin_profiles()
-        self.monitor_hook: "Callable | None" = None
 
     def add_site(self, site: Site) -> None:
         self.sites[site.site_id] = site
 
     def add_ce(self, record) -> ComputingElement:
         site = self.sites[record.site_id]
-        ce = ComputingElement(record, site, self.kernel, self.vo,
-                              monitor_hook=self._tick_fanout)
+        ce = ComputingElement(record, site, self.kernel, self.vo)
         self.ces[record.ce_id] = ce
-        site.ce_ids.append(record.ce_id)
         return ce
-
-    def _tick_fanout(self, job_id: str, events_done: int, outbound: bool) -> None:
-        if self.monitor_hook is not None:
-            self.monitor_hook(job_id, events_done, outbound)
 
     def set_profile(self, profile: WorkloadProfile) -> None:
         profile.validate()
@@ -425,6 +434,3 @@ class Fabric:
 
     def profile_for(self, jd: JobDescription) -> WorkloadProfile:
         return self.profiles.get(jd.job_profile, self.profiles["custom"])
-
-    def site_endpoint(self, site_id: str) -> str:
-        return self.sites[site_id].endpoint

@@ -4,7 +4,7 @@ Building a Grid from a parsed topology is where cross-references are
 checked (dangling sites, elements or brokers fail with the offending
 file line), VO mapfiles get their first sync, computing elements are
 published to the information index with live load taps, and the
-production layer is hooked into broker transitions and monitor ticks.
+production layer is hooked into broker transitions and job monitors.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ class Grid:
         default_vo = config.vos[0].name if config.vos else ""
         self.production = prod_mod.ProductionManager(
             self.kernel, self.refdb, self.bossdb, self.brokers, self.datagrid,
-            self._site_of_ce, default_vo)
-        self.fabric.monitor_hook = self.production.on_monitor_tick
+            self.fabric, default_vo)
+        for ce in self.fabric.ces.values():
+            ce.monitor_hook = self.production.on_monitor_tick
         for rb in self.brokers.values():
             rb.transition_observers.append(self.production.on_job_transition)
 
@@ -87,7 +88,6 @@ class Grid:
                                       se_cfg.capacity_bytes)
             se_records[se_cfg.se_id] = record
             self.datagrid.add_se(record)
-            self.fabric.sites[se_cfg.site_id].se_ids.append(se_cfg.se_id)
 
         close_ces: dict[str, list] = {se_id: [] for se_id in se_records}
         for ce_cfg in config.ces:
@@ -165,10 +165,6 @@ class Grid:
     def _next_job_id(self) -> str:
         self._job_seq += 1
         return f"j{self._job_seq}"
-
-    def _site_of_ce(self, ce_id):
-        ce = self.fabric.ces.get(ce_id)
-        return None if ce is None else ce.site
 
     # -- user session helpers ------------------------------------------
 

@@ -9,17 +9,19 @@ their generator ntuple and the replica catalogue), submit hands them to a
 resource broker all-or-nothing under the caller's proxy and opens one
 bookkeeping record per job.
 
-Bookkeeping follows the journal model: while a job runs, its monitor
-ticks update events_done -- but only if the worker node has outbound
-connectivity; when it ends, the final status, exit status and output file
-are always recorded (the journal travels back with the sandbox).
-events_done never goes backwards: a regressive update is logged and
-ignored.
+Bookkeeping follows the journal model: while a job runs, events_done is
+the count at its last monitor point, worked out from the fabric when the
+record is read -- but only if the worker node has outbound connectivity;
+when it ends, the final status, exit status and output file are always
+recorded (the journal travels back with the sandbox), and a failed job
+keeps the count of its last monitor point.  events_done never goes
+backwards: a regressive update is logged and ignored.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import broker as broker_mod
 from .vomgmt import Proxy
@@ -43,7 +45,7 @@ BOSS_FAILED = "failed"
 JOB_SEED_BASE = 2000
 
 
-def job_seed_for(dataset: str, index: int) -> int:
+def job_seed_for(index: int) -> int:
     return JOB_SEED_BASE + index - 1
 
 
@@ -111,6 +113,8 @@ class BossJobRecord:
     status: str = BOSS_SUBMITTED
     exit_status: "int | None" = None
     events_done: int = 0
+    #: live monitor count while the job runs on a connected worker node
+    monitor: "Callable[[], int] | None" = field(default=None, repr=False, compare=False)
 
 
 class RefDb:
@@ -233,27 +237,11 @@ class BossDb:
         lines = [self.HEADER]
         for r in rows:
             exit_status = "-" if r.exit_status is None else str(r.exit_status)
+            events_done = r.events_done if r.monitor is None else r.monitor()
             lines.append(f"{r.boss_id}\t{r.status}\t{exit_status}"
                          f"\t{r.input_file}\t{r.output_file}"
-                         f"\t{r.events_declared}\t{r.events_done}")
+                         f"\t{r.events_declared}\t{events_done}")
         return "".join(line + "\n" for line in lines)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Which keys of a job's monitoring stream feed its bookkeeping record,
-    and when: `runtime_keys` are applied from monitor ticks as they arrive,
-    `final_keys` from the journal at the end."""
-
-    job_type: str
-    runtime_keys: tuple = ("events_done",)
-    final_keys: tuple = ("exit_status", "output_file", "events_done")
-
-
-FILTERS = {
-    "cmkin": FilterSpec("cmkin"),
-    "cmsim": FilterSpec("cmsim"),
-}
 
 
 class ProductionManager:
@@ -261,13 +249,13 @@ class ProductionManager:
     bookkeeping database in step with the running jobs."""
 
     def __init__(self, kernel, refdb: RefDb, boss: BossDb, brokers: dict,
-                 datagrid, site_of_ce, default_vo: str):
+                 datagrid, fabric, default_vo: str):
         self.kernel = kernel
         self.refdb = refdb
         self.boss = boss
         self.brokers = brokers
         self.datagrid = datagrid
-        self.site_of_ce = site_of_ce  # ce_id -> Site
+        self.fabric = fabric
         self.default_vo = default_vo
 
     # -- assignment steps ---------------------------------------------
@@ -277,7 +265,7 @@ class ProductionManager:
         if request.status != REQ_NEW:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
         request.status = REQ_DECLARED
-        seeds = [job_seed_for(request.dataset, n) for n in range(1, request.job_count + 1)]
+        seeds = [job_seed_for(n) for n in range(1, request.job_count + 1)]
         workspace = {
             "assignment": assignment_id,
             "dataset": request.dataset,
@@ -309,7 +297,7 @@ class ProductionManager:
 
     def _job_text(self, request: ProductionRequest, index: int, events: int) -> str:
         dataset = request.dataset
-        seed = job_seed_for(dataset, index)
+        seed = job_seed_for(index)
         lines = [
             f"# factory job {index}/{request.job_count} of assignment {request.assignment_id}",
             f'Executable = "{request.step.lower()}";',
@@ -392,25 +380,23 @@ class ProductionManager:
 
     def on_monitor_tick(self, job_id: str, events_done: int, outbound: bool) -> None:
         record = self.boss.for_scheduler_job(job_id)
-        if record is None:
-            return
-        if not outbound:
+        if record is None or not outbound:
             return  # nothing phones home from an isolated worker node
         if record.status == BOSS_SUBMITTED:
             record.status = BOSS_RUNNING
-        spec = FILTERS[record.job_type]
-        if "events_done" in spec.runtime_keys:
-            self.boss.update_events_done(record.boss_id, events_done)
+        self.boss.update_events_done(record.boss_id, events_done)
 
     def on_job_transition(self, job_record, old_state: str, new_state: str) -> None:
         record = self.boss.for_scheduler_job(job_record.job_id)
         if record is None:
             return
         if new_state == broker_mod.RUNNING:
-            site = self.site_of_ce(job_record.matched_ce)
-            if site is not None and site.outbound:
+            ce = self.fabric.ces.get(job_record.matched_ce)
+            if ce is not None and ce.site.outbound:
                 record.status = BOSS_RUNNING
+                record.monitor = lambda: ce.running[job_record.job_id].monitor_count()
             return
+        record.monitor = None
         if new_state == broker_mod.DONE_OK:
             record.status = BOSS_FINISHED
             record.exit_status = 0

@@ -3,9 +3,10 @@
 A single priority queue keyed by (fire time, insertion sequence) drives the
 whole simulation.  Ties on the fire time are delivered in insertion order,
 which is what makes runs reproducible: there is no wall clock, no thread,
-and no iteration over unordered containers anywhere in the hot path.  Time
-is integer milliseconds internally; scheduling accepts seconds in any exact
-form (int, float, decimal string, Fraction).
+and no iteration over unordered containers anywhere in the hot path
+(`delivering_seq` tells state worked out in closed form where it stands
+in that order).  Time is integer milliseconds internally; scheduling
+accepts seconds in any exact form (int, float, decimal string, Fraction).
 
 The kernel also owns the append-only trace and the seeded random generator.
 Components that need randomness ask for a named sub-stream so that adding a
@@ -60,6 +61,8 @@ class Kernel:
         self._seq = 0
         self._heap: list[tuple[int, int, SimEvent]] = []
         self.trace: list[TraceEntry] = []
+        #: seq of the event being delivered; None between deliveries
+        self.delivering_seq: "int | None" = None
 
     # -- clock ---------------------------------------------------------
 
@@ -110,13 +113,17 @@ class Kernel:
                 f"now is {millis_to_text(self._now_ms)}"
             )
         delivered = 0
-        while self._heap and self._heap[0][0] <= target_ms:
-            at_ms, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now_ms = at_ms
-            delivered += 1
-            event.payload()
+        try:
+            while self._heap and self._heap[0][0] <= target_ms:
+                at_ms, seq, event = heapq.heappop(self._heap)
+                if event.cancelled:
+                    continue
+                self._now_ms = at_ms
+                self.delivering_seq = seq
+                delivered += 1
+                event.payload()
+        finally:
+            self.delivering_seq = None
         self._now_ms = target_ms
         return delivered
 

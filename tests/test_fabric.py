@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -6,8 +7,8 @@ import pytest
 
 from deskgrid.broker import DONE_FAILED
 from deskgrid.fabric import (AuthorizationDenied, ComputingElement, FabricJob,
-                             Network, NoRoute, Site, build_outputs,
-                             builtin_profiles, content_checksum,
+                             Network, NoRoute, Site, WorkloadProfile,
+                             build_outputs, builtin_profiles, content_checksum,
                              data_file_name)
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
@@ -223,17 +224,34 @@ def test_dispatch_recheck_denies_job_that_waited_too_long():
     assert ce.record.jobs_running == 0 and not ce.queue
 
 
+def progress_around(kernel, job, instants) -> list:
+    """The job's monitor count 1 ms before, at and 1 ms after each instant
+    (seconds), read outside event delivery."""
+    seen = []
+    for at in instants:
+        for offset_ms in (-1, 0, 1):
+            kernel.run_until(at + Fraction(offset_ms, 1000))
+            seen.append(job.monitor_count())
+    return seen
+
+
 def test_monitor_tick_counts():
     kernel, ce, proxy = harness()
-    ticks = []
-    ce.monitor_hook = lambda job_id, done, outbound: ticks.append((kernel.now(), done))
+    sent = []
+    ce.monitor_hook = lambda job_id, done, outbound: sent.append((kernel.now(), done))
     job, _ = make_job("j1", proxy, events=25)
     ce.enqueue(job)
     ce.execute(job)
-    kernel.run_to_completion()
+    assert kernel.pending_count() == 1  # job-finish only
     # 25 events, report every 10: progress at 10 and 20, never at the end
     runtime = Fraction(25, 2)
-    assert ticks == [(runtime * Fraction(10, 25), 10), (runtime * Fraction(20, 25), 20)]
+    points = [runtime * Fraction(10, 25), runtime * Fraction(20, 25)]
+    assert points == [5, 10]
+    assert progress_around(kernel, job, points + [runtime]) == [0, 10, 10,
+                                                               10, 20, 20,
+                                                               20, 20, 20]
+    kernel.run_to_completion()
+    assert sent == [(runtime, 20)]  # the last point, sent once when execution ends
 
 
 def test_monitor_single_tick_for_twenty_events():
@@ -243,8 +261,102 @@ def test_monitor_single_tick_for_twenty_events():
     job, _ = make_job("j1", proxy, events=20)
     ce.enqueue(job)
     ce.execute(job)
+    assert progress_around(kernel, job, [5, 10]) == [0, 10, 10, 10, 10, 10]
     kernel.run_to_completion()
     assert ticks == [10]
+
+
+def test_monitor_count_matches_scheduled_points():
+    """Oracle: schedule every monitor point as an event, the way the
+    count is defined, and compare what readers see with the closed form.
+    Readers sit on random instants around the points, some scheduled
+    before execution starts and some after, plus reads between runs; the
+    last point, sent when execution ends, counts every point."""
+    rng = random.Random(7)
+    for trial in range(60):
+        kernel, ce, proxy = harness(cpu_mhz=rng.choice((700, 1000, 1400, 2333)))
+        events = rng.randint(1, 400)
+        step = rng.randint(1, 40)
+        per_event = Fraction(rng.randint(1, 5000), rng.choice((1000, 7000, 100_000, 10**7)))
+        profile = WorkloadProfile("p", per_event, Fraction(KB), monitor_every_events=step)
+        jd = parse_jdl(jd_text(events=events))
+        job = FabricJob("j1", proxy, jd, profile, on_dispatched=lambda wn: None,
+                        on_auth_denied=lambda denial: None,
+                        on_exec_complete=lambda outputs, code: None)
+        start = Fraction(rng.randint(0, 50), 1000)
+        runtime = profile.runtime_s(events, ce.record.cpu_mhz)
+        probes = sorted(rng.randint(0, int(runtime * 1000) + 1) for _ in range(12))
+        seen, expected, sent = [], [0], []
+        ce.monitor_hook = lambda job_id, done, outbound: sent.append(done)
+
+        def read(tag):
+            seen.append((tag, kernel.now_ms, job.monitor_count(), expected[0]))
+
+        for ms in probes[:6]:  # scheduled before execution starts
+            kernel.schedule("user-command", partial(read, "early"),
+                            start + Fraction(ms, 1000))
+        kernel.run_until(start)
+        ce.enqueue(job)
+        ce.execute(job)
+        for k in range(step, events, step):
+            kernel.schedule("monitor-tick", partial(expected.__setitem__, 0, k),
+                            start + runtime * Fraction(k, events))
+        for ms in probes[6:]:  # scheduled after it
+            kernel.schedule("user-command", partial(read, "late"),
+                            start + Fraction(ms, 1000))
+        for ms in probes:
+            kernel.run_until(start + Fraction(ms, 1000))
+            read("between")
+        assert [row for row in seen if row[2] != row[3]] == [], trial
+        kernel.run_to_completion()  # execution ends after every point
+        assert sent == ([step * ((events - 1) // step)] if events > step else []), trial
+
+
+def test_a_billion_events_cost_one_event():
+    kernel, ce, proxy = harness()
+    job, _ = make_job("j1", proxy, events=10**9)
+    ce.enqueue(job)
+    ce.execute(job)
+    assert kernel.pending_count() <= 2
+    kernel.run_until(job.cpu_total_s / 4)
+    assert job.monitor_count() == 10**9 // 4
+    assert job.remaining_cpu_s() == job.cpu_total_s * Fraction(3, 4)
+    t0 = time.perf_counter()
+    delivered = kernel.run_to_completion()
+    assert delivered == 1 and time.perf_counter() - t0 < 0.5
+
+
+BLIP_TEXT = (
+    'Executable = "blip";\n'
+    'Requirements = true;\n'
+    'VirtualOrganisation = "testvo";\n'
+    "Events = 1000;\nJobSeed = 1;\n"
+)
+
+
+def test_monitor_points_on_the_read_instant_count_for_later_events_only(mini, alice):
+    """A job of 1000 events of 10 us reports every 10 events; at 2 GHz its
+    points 10..90 round onto its exec-start ms.  A match event scheduled
+    before that start but delivered in its ms does not see them; a match
+    scheduled after the start, in the same ms, does."""
+    mini.fabric.set_profile(WorkloadProfile("blip", Fraction(1, 100_000), Fraction(KB)))
+    rb = mini.brokers["rb_test"]
+    rb.brokering_delay_s = Fraction(1, 50)
+    mini.submit(BLIP_TEXT, "rb_test", pinned_ce="ce_beta")  # matched at 20 ms
+    mini.kernel.run_until(Fraction(51, 1000))
+    early = mini.submit(BLIP_TEXT, "rb_test")  # matched at 71 ms
+    mini.kernel.run_until(Fraction(71, 1000))
+    starts = [(e.time_ms, e.actor) for e in mini.kernel.trace if e.action == "exec-start"]
+    assert starts == [(71, "ce_beta")]
+    late = mini.submit(BLIP_TEXT, "rb_glue")  # matched at 71 ms, after the start
+    mini.kernel.run_until(Fraction(71, 1000))
+    assert rb.jobs[early].match_result.candidates == [
+        ("ce_alpha", 0), ("ce_beta", Fraction(-1, 200))]  # nothing done
+    assert mini.brokers["rb_glue"].jobs[late].match_result.candidates == [
+        ("ce_beta", Fraction(-91, 20000))]  # 90 of 1000 done
+    # outside delivery every point up to now has been reached; the late
+    # job (5 ms) waits in the queue behind it
+    assert mini.info.estimated_traversal_time("ce_beta") == Fraction(91 + 100, 20000)
 
 
 def test_fail_next_execs_injection():

@@ -9,11 +9,15 @@ digests and says why.
 """
 import hashlib
 import importlib.resources
+import pathlib
+from fractions import Fraction
 
 import pytest
 
 from deskgrid.cli import dispatch
-from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.grid import Grid, default_topology_path, load_topology
+from deskgrid.scenario import parse_scenario, run_scenario
+from deskgrid.topology import parse_topology
 
 GOLDEN = {
     # scenario: (seed, trace, bossdb, rc)
@@ -54,3 +58,113 @@ def scenario_digests(name: str, seed: int) -> tuple:
 def test_shipped_scenario_digests_are_pinned(name):
     seed, *pinned = GOLDEN[name]
     assert scenario_digests(name, seed) == tuple(pinned)
+
+
+# -- monitor points read at, just before and just after their instants --
+
+# Shipped testbed, seed 5, with lisbon made isolated: the shipped isolated
+# sites are Condor pools no broker can see.  24 CMKIN jobs start at 51 ms
+# (bologna's two at 21 ms); their monitor points fall at
+#   1400 MHz (karlsruhe, milano, sandiego): 3622, 7194, 10765, ... ms
+#   2000 MHz (batavia, geneva):             2551, 5051, 7551, ... ms
+#   800 MHz (lisbon isolated, valencia):    6301, 12551, ... ms
+# Boss queries and `run --until` land on those instants and 1 ms either
+# side.  Three small requests are submitted at 7.193, 7.194 and 7.195 s,
+# so their matches read the traversal time of every running job there;
+# the first of them to finish on ce_geneva (j26, exec-complete at
+# 107.244 s) is the one that fails, and its record keeps 390 events.
+MONITOR_SCENARIO = """\
+at 0 proxy init --user "/O=grid/OU=datatag/CN=factory operator" --vo datatag --lifetime 1000000
+at 0 refdb request --dataset gold --step CMKIN --events 23990 --per-job 1000 --rb rb_pisa
+at 0 impala declare 1
+at 0 impala create 1
+at 0 impala submit 1
+at 2.551 boss query --dataset gold
+at 3.621 boss query --dataset gold
+at 3.622 boss query --dataset gold
+at 3.623 boss query --dataset gold
+at 3.623 run --until 6.300
+at 6.300 boss query
+at 6.300 run --until 6.301
+at 6.301 boss query
+at 6.301 run --until 6.302
+at 6.302 boss query
+at 7 refdb request --dataset tin --step CMKIN --events 800 --per-job 400 --rb rb_milano
+at 7 refdb request --dataset lead --step CMKIN --events 800 --per-job 400 --rb rb_milano
+at 7 refdb request --dataset zinc --step CMKIN --events 800 --per-job 400 --rb rb_pisa
+at 7 impala declare 2
+at 7 impala declare 3
+at 7 impala declare 4
+at 7 impala create 2
+at 7 impala create 3
+at 7 impala create 4
+at 7.193 impala submit 2
+at 7.194 impala submit 3
+at 7.195 impala submit 4
+at 7.195 run --until 10.765
+at 10.765 boss query --status running
+at 107.243 boss query --dataset tin
+at 107.244 boss query --dataset tin
+at 107.245 boss query --dataset tin
+at 107.295 boss query --dataset tin
+at 250.050 boss query --dataset gold
+at 250.051 boss query --dataset gold
+at 250.052 boss query --dataset gold
+at 2000 refdb summary 1
+at 2000 refdb summary 2
+at 2000 refdb summary 3
+at 2000 refdb summary 4
+at 2000 boss query
+at 2000 rc dump
+"""
+#: monitor-point instants (ms) the scenario reads exactly
+MONITOR_INSTANTS = (2551, 3622, 6301, 7194, 10765, 250051)
+MONITOR_GOLDEN = (  # trace, every step's output and BossDb dump, catalogue
+    "78ab3e12263cbb8a219ca58d110d38a0a21f22d3bed06e500e642b9d007d4192",
+    "3f960c02fac27840955c14e570e7ef79a6dbae53f6d87460944e00231eb83548",
+    "7fc82da8362a63c28e526717aae3a2c8229bb51d8829c020d2e7cfd1a4deea36")
+
+
+def monitor_grid() -> Grid:
+    text = pathlib.Path(default_topology_path()).read_text()
+    text = text.replace("[site lisbon]\n", "[site lisbon]\noutbound = false\n")
+    grid = Grid(parse_topology(text, "worldgrid-lisbon-isolated"), seed=5)
+    grid.fabric.ces["ce_geneva"].fail_next_execs = 1
+    return grid
+
+
+def monitor_points(grid) -> dict:
+    """Instant (ms) -> (ce, events done) of every monitor point of every
+    started job, from the exec-start entries of the trace: point k of a
+    job of E events and runtime R started at S falls at S + R*k/E rounded
+    half-up to the ms."""
+    points: dict = {}
+    for entry in grid.kernel.trace:
+        if entry.action != "exec-start":
+            continue
+        ce = grid.fabric.ces[entry.actor]
+        events = entry.detail["events"]
+        runtime = grid.fabric.profiles["cmkin"].runtime_s(events, ce.record.cpu_mhz)
+        for k in range(10, events, 10):
+            at = entry.time_ms + int(runtime * k * 1000 / events + Fraction(1, 2))
+            points.setdefault(at, []).append((ce.ce_id, k))
+    return points
+
+
+def test_monitor_reads_at_and_beside_their_instants_are_pinned():
+    grid = monitor_grid()
+    steps = hashlib.sha256()
+    for step in parse_scenario(MONITOR_SCENARIO, "monitor.scn"):
+        [(_step, code, text)] = run_scenario(grid, [step], dispatch)
+        assert code == 0, text
+        if step.argv[0] != "run":  # `run` reports how many events it delivered
+            steps.update(text.encode())
+        steps.update(grid.bossdb.dump().encode())
+    grid.kernel.run_to_completion()
+    points = monitor_points(grid)
+    assert all(at in points for at in MONITOR_INSTANTS)
+    assert ("ce_lisbon", 10) in points[6301] and ("ce_valencia", 10) in points[6301]
+    failed = grid.bossdb.get(26)
+    assert (failed.status, failed.events_done) == ("failed", 390)
+    assert (_sha(grid.kernel.export_trace()), steps.hexdigest(),
+            _sha(grid.datagrid.rc.dump())) == MONITOR_GOLDEN

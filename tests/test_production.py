@@ -42,8 +42,12 @@ def test_split_fills_jobs_and_puts_the_remainder_last():
 
 
 def test_job_seeds_count_up_from_the_base():
-    assert [job_seed_for("jpsi", n) for n in (1, 2, 3)] == [2000, 2001, 2002]
-    assert job_seed_for("other", 1) == 2000  # seeds restart per assignment
+    assert [job_seed_for(n) for n in (1, 2, 3)] == [2000, 2001, 2002]
+    grid, _proxy = grid_with_factory()
+    for dataset in ("jpsi", "other"):  # seeds restart per assignment
+        request = grid.refdb.create_request(dataset, "CMKIN", 500, 250, "rb_test")
+        workspace = grid.production.declare(request.assignment_id)
+        assert [job["seed"] for job in workspace["jobs"]] == [2000, 2001]
 
 
 def test_request_validation():
@@ -208,8 +212,8 @@ def test_transition_hook_maps_scheduler_states_to_boss_states():
 def test_running_status_respects_site_isolation():
     grid, _proxy = grid_with_factory()
     record = grid.bossdb.open_record("j1", "cmkin", "jpsi", 250)
-    grid.production.site_of_ce = lambda ce_id: SimpleNamespace(outbound=False)
-    job = SimpleNamespace(job_id="j1", matched_ce="ce_dark", registered_lfns=[])
+    grid.fabric.sites["alpha"].outbound = False
+    job = SimpleNamespace(job_id="j1", matched_ce="ce_alpha", registered_lfns=[])
     grid.production.on_job_transition(job, "SCHEDULED", broker_mod.RUNNING)
     assert record.status == "submitted"  # nothing heard back yet
 
