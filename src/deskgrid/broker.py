@@ -26,7 +26,7 @@ from typing import Callable
 from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import jdl
-from .units import fmt_quantity
+from .units import fmt_quantity, to_millis
 from .vomgmt import Denial, Proxy
 
 #: parse failures surface to submitters unchanged
@@ -177,7 +177,7 @@ class ResourceBroker:
                          user=proxy.user_dn, profile=description.job_profile)
         self._move(record, WAITING)
         self.kernel.schedule("user-command", lambda: self._process(record),
-                             self.kernel.now() + Fraction(self.brokering_delay_s))
+                             self.kernel.now_ms + to_millis(self.brokering_delay_s))
         return job_id
 
     def _process(self, record: JobRecord) -> None:

@@ -142,6 +142,8 @@ def _build_parser() -> _Parser:
     return top
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
 _COMMANDS = ("topo load|validate", "vo sync [--site S]",
              "proxy init --user DN --vo VO [--lifetime S]",
              "submit FILE.jdl --rb RB [--ce CE]", "status [JOB...]",
@@ -181,7 +183,7 @@ def _job_line(record) -> str:
 def dispatch(grid: Grid, argv, base_dir=None):
     """Run one command against a live grid; returns (exit_code, text)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         return 2, str(exc)
     try:

@@ -5,11 +5,12 @@ Everything a job does on the fabric is synthetic but exactly timed:
     runtime  = events * per_event_cpu_seconds_at_1ghz * (1000 / cpu_mhz)
     transfer = sum over hops of (latency + size / bandwidth)
 
-with all arithmetic in Fractions and a single rounding to milliseconds per
-scheduled instant.  File content is never materialised; a job's outputs
-are (name, size, checksum) triples fully determined by the workload
-profile, dataset, job index and event count, so reruns anywhere agree
-byte-for-byte on what they claim to have produced.
+with all arithmetic in Fractions and a single rounding of each duration
+to milliseconds, added to the kernel's integer-ms clock.  File content is
+never materialised; a job's outputs are (name, size, checksum) triples
+fully determined by the workload profile, dataset, job index and event
+count, so reruns anywhere agree byte-for-byte on what they claim to have
+produced.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
@@ -225,14 +226,14 @@ class Network:
         """Schedule a transfer; `on_done` runs at completion, after the
         trace entry is emitted."""
         duration = self.duration_s(size_bytes, self.hops(frm, to, lan_to))
-        finish_at = self.kernel.now() + duration
 
         def complete():
             self.kernel.emit("net", "transfer-complete", what=what, frm=frm,
                              to=to, bytes=size_bytes, secs=fmt_quantity(duration))
             on_done()
 
-        return self.kernel.schedule("transfer-complete", complete, finish_at)
+        return self.kernel.schedule("transfer-complete", complete,
+                                    self.kernel.now_ms + to_millis(duration))
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +366,7 @@ class ComputingElement:
                          events=job.description.events,
                          runtime_s=fmt_quantity(job.cpu_total_s))
         finish = self.kernel.schedule("job-finish", partial(self._exec_done, job),
-                                      self.kernel.now() + job.cpu_total_s)
+                                      self.kernel.now_ms + to_millis(job.cpu_total_s))
         job.kernel, job.start_ms, job.start_seq = self.kernel, self.kernel.now_ms, finish.seq
 
     def _tick(self, job: FabricJob, events_done: int) -> None:

@@ -40,10 +40,6 @@ class UnknownCE(InfoSysError):
     pass
 
 
-class UnknownSE(InfoSysError):
-    pass
-
-
 @dataclass
 class CERecord:
     ce_id: str

@@ -5,8 +5,9 @@ whole simulation.  Ties on the fire time are delivered in insertion order,
 which is what makes runs reproducible: there is no wall clock, no thread,
 and no iteration over unordered containers anywhere in the hot path
 (`delivering_seq` tells state worked out in closed form where it stands
-in that order).  Time is integer milliseconds internally; scheduling
-accepts seconds in any exact form (int, float, decimal string, Fraction).
+in that order).  Time is integer milliseconds: `schedule` takes an
+absolute ms instant, and seconds (in any exact form) appear only in
+`run_until` and the `now()` view.
 
 The kernel also owns the append-only trace and the seeded random generator.
 Components that need randomness ask for a named sub-stream so that adding a
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,11 +35,9 @@ class SimEvent:
     """One scheduled occurrence.  `payload` is an opaque zero-argument
     callable into the owning module; the kernel never inspects it."""
 
-    fire_at_ms: int
     seq: int
     kind: str
     payload: Callable[[], None]
-    cancelled: bool = False
 
 
 @dataclass
@@ -76,77 +76,61 @@ class Kernel:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, kind: str, payload: Callable[[], None], fire_at) -> SimEvent:
-        """Schedule `payload` at absolute time `fire_at` (seconds).
+    def schedule(self, kind: str, payload: Callable[[], None], at_ms: int) -> SimEvent:
+        """Schedule `payload` at the absolute instant `at_ms` (integer ms).
 
         Events scheduled for the same instant are delivered in the order
         they were scheduled.  Scheduling into the past raises PastTime.
         """
-        at_ms = to_millis(fire_at)
         if at_ms < self._now_ms:
             raise PastTime(
                 f"cannot schedule {kind} at {millis_to_text(at_ms)}, "
                 f"now is {millis_to_text(self._now_ms)}"
             )
-        event = SimEvent(at_ms, self._seq, kind, payload)
+        event = SimEvent(self._seq, kind, payload)
         self._seq += 1
         heapq.heappush(self._heap, (at_ms, event.seq, event))
         return event
 
-    def schedule_in(self, kind: str, payload: Callable[[], None], delay) -> SimEvent:
-        return self.schedule(kind, payload, self.now() + Fraction(to_millis(delay), 1000))
-
-    def cancel(self, event: SimEvent) -> None:
-        """Cancelled events are never delivered (lazy removal)."""
-        event.cancelled = True
-
     # -- running -------------------------------------------------------
 
     def run_until(self, t) -> int:
-        """Deliver every pending event with fire time <= t, including any
-        inserted during delivery, then advance the clock to t.  Returns the
-        number of events delivered."""
+        """Deliver every pending event with fire time <= t (seconds),
+        including any inserted during delivery, then advance the clock to
+        t.  Returns the number of events delivered."""
         target_ms = to_millis(t)
         if target_ms < self._now_ms:
             raise PastTime(
                 f"cannot run back to {millis_to_text(target_ms)}, "
                 f"now is {millis_to_text(self._now_ms)}"
             )
+        delivered = self._deliver_through(target_ms)
+        self._now_ms = target_ms
+        return delivered
+
+    def run_to_completion(self) -> int:
+        """Drain the queue entirely; the clock ends on the last event."""
+        return self._deliver_through(math.inf)
+
+    def _deliver_through(self, target_ms: "int | float") -> int:
+        """Deliver events in (instant, seq) order while the head's instant
+        is <= target_ms (math.inf drains the queue); the clock follows
+        each delivered event."""
+        heap = self._heap
         delivered = 0
         try:
-            while self._heap and self._heap[0][0] <= target_ms:
-                at_ms, seq, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
+            while heap and heap[0][0] <= target_ms:
+                at_ms, seq, event = heapq.heappop(heap)
                 self._now_ms = at_ms
                 self.delivering_seq = seq
                 delivered += 1
                 event.payload()
         finally:
             self.delivering_seq = None
-        self._now_ms = target_ms
         return delivered
 
-    def run_to_completion(self) -> int:
-        """Drain the queue entirely; the clock ends on the last event."""
-        delivered = 0
-        while True:
-            head = self._next_pending()
-            if head is None:
-                return delivered
-            delivered += self.run_until(Fraction(head, 1000))
-
-    def _next_pending(self) -> int | None:
-        while self._heap:
-            at_ms, _seq, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return at_ms
-        return None
-
     def pending_count(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     # -- trace ---------------------------------------------------------
 

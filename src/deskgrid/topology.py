@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .units import parse_rate, parse_size
+from .units import parse_amount, parse_rate, parse_size
 
 
 class ConfigError(Exception):
@@ -74,7 +74,6 @@ class SeCfg:
     se_id: str
     site_id: str
     capacity_bytes: int
-    close_ces: tuple
     line: int
 
 
@@ -302,7 +301,7 @@ def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
                 capacity = parse_size(cap)
             except ValueError as exc:
                 raise ConfigError(str(exc), path, lineno) from None
-            config.ses.append(SeCfg(args[0], site, capacity, (), header_line))
+            config.ses.append(SeCfg(args[0], site, capacity, header_line))
             _reject_leftovers(found, kind, args[0], path)
 
         elif kind == "link":
@@ -343,16 +342,10 @@ def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
                 fields["per_event_cpu_1ghz"] = _parse_seconds(value, path, lineno)
             if "output_per_event" in found:
                 value, lineno = found.pop("output_per_event")
-                try:
-                    fields["output_bytes_per_event"] = Fraction(parse_size(value))
-                except ValueError:
-                    # allow fractional per-event sizes like '1.8 MB'
-                    m = re.match(r"^\s*([0-9.]+)\s*(B|KB|MB|GB)?\s*$", value)
-                    if not m:
-                        raise ConfigError(f"bad size {value!r}", path, lineno) from None
-                    unit = {"B": 1, "KB": 1024, "MB": 1024 ** 2, "GB": 1024 ** 3}
-                    fields["output_bytes_per_event"] = (
-                        Fraction(m.group(1)) * unit[m.group(2) or "B"])
+                try:  # per-event sizes may be fractional, like '1.8 MB'
+                    fields["output_bytes_per_event"] = parse_amount(value)
+                except ValueError as exc:
+                    raise ConfigError(str(exc), path, lineno) from None
             if "monitor_every" in found:
                 value, lineno = found.pop("monitor_every")
                 fields["monitor_every_events"] = _parse_int(value, path, lineno, minimum=1)

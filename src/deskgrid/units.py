@@ -2,8 +2,11 @@
 
 Simulated time is kept as non-negative integer milliseconds everywhere
 inside the package; seconds (int, float, decimal string or Fraction) are
-accepted at the boundaries and converted exactly.  Sizes are integer bytes
-with KB/MB/GB meaning the 1024-based units.
+accepted at the boundaries and converted exactly.  A duration worked out
+in seconds is rounded once, half-up, and added to the ms clock: for a
+non-negative duration d, `now_ms + to_millis(d)` is the instant
+`to_millis(now_ms / 1000 + d)`.  Sizes are read exactly by `parse_amount`,
+with KB/MB/GB meaning the 1024-based units; stored sizes are integer bytes.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ MB = 1024 * KB
 GB = 1024 * MB
 
 _SIZE_UNITS = {"B": 1, "KB": KB, "MB": MB, "GB": GB}
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*(/s)?\s*$")
+_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*$")
 
 
 def as_fraction(value) -> Fraction:
@@ -51,12 +54,17 @@ def millis_to_text(ms: int) -> str:
     return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
+def parse_amount(text: str, *, where: str = "size") -> Fraction:
+    """'1.8 MB' / '50 KB' / '1024' -> exact Fraction bytes (binary units)."""
+    m = _SIZE_RE.match(text)
+    if not m:
+        raise ValueError(f"bad {where}: {text!r}")
+    return Fraction(m.group(1)) * _SIZE_UNITS[m.group(2) or "B"]
+
+
 def parse_size(text: str, *, where: str = "size") -> int:
     """'12 MB' / '50 KB' / '1024' -> integer bytes (binary units)."""
-    m = _SIZE_RE.match(text)
-    if not m or m.group(3):
-        raise ValueError(f"bad {where}: {text!r}")
-    amount = Fraction(m.group(1)) * _SIZE_UNITS[m.group(2) or "B"]
+    amount = parse_amount(text, where=where)
     if amount.denominator != 1:
         raise ValueError(f"bad {where}: {text!r} is not a whole number of bytes")
     return int(amount)
@@ -64,10 +72,10 @@ def parse_size(text: str, *, where: str = "size") -> int:
 
 def parse_rate(text: str, *, where: str = "rate") -> Fraction:
     """'10 MB/s' (or a bare bytes-per-second number) -> Fraction bytes/s."""
-    m = _SIZE_RE.match(text)
-    if not m:
-        raise ValueError(f"bad {where}: {text!r}")
-    rate = Fraction(m.group(1)) * _SIZE_UNITS[m.group(2) or "B"]
+    try:
+        rate = parse_amount(text.rstrip().removesuffix("/s"))
+    except ValueError:
+        raise ValueError(f"bad {where}: {text!r}") from None
     if rate <= 0:
         raise ValueError(f"bad {where}: {text!r} must be positive")
     return rate

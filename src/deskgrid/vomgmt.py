@@ -92,9 +92,6 @@ class VoManager:
         self._site_vos[site_id] = list(accept_vos)
         self._mapfiles.setdefault(site_id, {})
 
-    def site_ids(self) -> list[str]:
-        return list(self._site_vos)
-
     # -- proxies -------------------------------------------------------
 
     def create_proxy(self, user_dn: str, vo: str, now_ms: int,

@@ -8,7 +8,6 @@ share a module-scoped fixture instead of repeating it.
 import importlib.resources
 import random
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -127,8 +126,7 @@ def test_criterion_02_default_rank_is_argmin_ett():
     proxy = grid.vo.create_proxy(MARIA, "datatag", grid.kernel.now_ms,
                                  lifetime_s=200_000)
     rng = grid.kernel.substream("acceptance-randomized-arrivals")
-    arrivals = sorted(Fraction(rng.randrange(0, 20_000_000), 1000)
-                      for _ in range(1000))
+    arrivals = sorted(rng.randrange(0, 20_000_000) for _ in range(1000))
     for n, at in enumerate(arrivals):
         text = cmkin_text(rng.randrange(10, 400), seed=n + 1)
         grid.kernel.schedule("user-command",

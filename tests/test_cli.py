@@ -1,6 +1,7 @@
 import pytest
 
 from deskgrid.cli import dispatch, main
+from deskgrid.production import BossDb
 from deskgrid.scenario import ScenarioError, parse_scenario
 
 from conftest import CMKIN_SMALL, MINI_TOPOLOGY
@@ -103,6 +104,24 @@ def test_factory_chain_through_the_front_end(mini):
     assert boss.splitlines()[0].startswith("boss_id\t")
     assert boss.count("finished") == 2
     assert "status=COMPLETE" in ok(mini, ["refdb", "dump"])
+
+
+def test_consecutive_commands_do_not_share_options(mini):
+    # one parser serves every dispatch; options given to one command must
+    # not stay set for the next
+    ok(mini, ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo"])
+    ok(mini, ["refdb", "request", "--dataset", "jpsi", "--step", "CMKIN",
+              "--events", "500", "--per-job", "250", "--rb", "rb_test"])
+    for step in ("declare", "create", "submit"):
+        ok(mini, ["impala", step, "1"])
+    assert ok(mini, ["boss", "query", "--status", "finished"]).splitlines() == [
+        BossDb.HEADER]
+    rows = ok(mini, ["boss", "query"]).splitlines()
+    assert len(rows) == 3 and "finished" not in "".join(rows)
+    assert ok(mini, ["run", "--until", "1"]).endswith("now 1.000")
+    ok(mini, ["run"])
+    assert mini.kernel.pending_count() == 0
+    assert ok(mini, ["boss", "query"]).count("finished") == 2
 
 
 def test_assert_job_state_failure_path(mini, tmp_path):

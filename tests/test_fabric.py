@@ -14,7 +14,7 @@ from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.simcore import Kernel
-from deskgrid.units import KB, MB
+from deskgrid.units import KB, MB, to_millis
 from deskgrid.vomgmt import VoManager
 
 PROFILES = builtin_profiles()
@@ -283,7 +283,7 @@ def test_monitor_count_matches_scheduled_points():
         job = FabricJob("j1", proxy, jd, profile, on_dispatched=lambda wn: None,
                         on_auth_denied=lambda denial: None,
                         on_exec_complete=lambda outputs, code: None)
-        start = Fraction(rng.randint(0, 50), 1000)
+        start_ms = rng.randint(0, 50)
         runtime = profile.runtime_s(events, ce.record.cpu_mhz)
         probes = sorted(rng.randint(0, int(runtime * 1000) + 1) for _ in range(12))
         seen, expected, sent = [], [0], []
@@ -293,19 +293,17 @@ def test_monitor_count_matches_scheduled_points():
             seen.append((tag, kernel.now_ms, job.monitor_count(), expected[0]))
 
         for ms in probes[:6]:  # scheduled before execution starts
-            kernel.schedule("user-command", partial(read, "early"),
-                            start + Fraction(ms, 1000))
-        kernel.run_until(start)
+            kernel.schedule("user-command", partial(read, "early"), start_ms + ms)
+        kernel.run_until(Fraction(start_ms, 1000))
         ce.enqueue(job)
         ce.execute(job)
         for k in range(step, events, step):
             kernel.schedule("monitor-tick", partial(expected.__setitem__, 0, k),
-                            start + runtime * Fraction(k, events))
+                            start_ms + to_millis(runtime * Fraction(k, events)))
         for ms in probes[6:]:  # scheduled after it
-            kernel.schedule("user-command", partial(read, "late"),
-                            start + Fraction(ms, 1000))
+            kernel.schedule("user-command", partial(read, "late"), start_ms + ms)
         for ms in probes:
-            kernel.run_until(start + Fraction(ms, 1000))
+            kernel.run_until(Fraction(start_ms + ms, 1000))
             read("between")
         assert [row for row in seen if row[2] != row[3]] == [], trial
         kernel.run_to_completion()  # execution ends after every point
@@ -446,7 +444,7 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
         grid.production.create(request.assignment_id)
         grid.kernel.schedule("user-command",
                              partial(grid.production.submit, request.assignment_id, proxy),
-                             rng.randint(0, 300))
+                             1000 * rng.randint(0, 300))
     for ce_id in rng.sample(sorted(grid.fabric.ces), 4):
         grid.fabric.ces[ce_id].fail_next_execs = rng.randint(1, 3)
 
@@ -462,7 +460,7 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
                                      pinned_ce=deepest.ce_id)))
 
     for at in sorted(rng.randint(300, 600) for _ in range(6)):
-        grid.kernel.schedule("user-command", submit_short_lived, at)
+        grid.kernel.schedule("user-command", submit_short_lived, 1000 * at)
     grid.kernel.run_to_completion()
 
     assert len(matches) >= 100

@@ -175,3 +175,11 @@ def test_new_profile_needs_both_per_event_figures():
     text = MINI_TOPOLOGY + "\n[profile digi]\nper_event_cpu_1ghz = 1\n"
     message = err(text)
     assert "new profile digi needs" in message
+
+
+@pytest.mark.parametrize("size", ["1.2.3 MB", ". KB"])
+def test_malformed_per_event_size_is_a_config_error(size):
+    text = MINI_TOPOLOGY + (
+        f"\n[profile digi]\nper_event_cpu_1ghz = 1\noutput_per_event = {size}\n")
+    line = text.splitlines().index(f"output_per_event = {size}") + 1
+    assert err(text) == f"<t>:{line}: bad size: {size!r}"

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from deskgrid.units import (GB, KB, MB, as_fraction, fmt_quantity,
-                            millis_to_text, parse_rate, parse_size, to_millis)
+                            millis_to_text, parse_amount, parse_rate,
+                            parse_size, to_millis)
 
 
 def test_as_fraction_reads_floats_by_decimal_repr():
@@ -52,11 +53,23 @@ def test_parse_size_rejects_rates_and_fractional_bytes():
         parse_size("fast")
 
 
+def test_parse_amount_is_exact_and_strict():
+    assert parse_amount("1.8 MB") == Fraction(9, 5) * MB
+    assert parse_amount("0.3 B") == Fraction(3, 10)
+    assert parse_amount("1.5 KB") == 1536
+    for text in ("1.2.3 MB", ". KB", "10 MB/s", "", "MB"):
+        with pytest.raises(ValueError):
+            parse_amount(text)
+
+
 def test_parse_rate():
     assert parse_rate("10 MB/s") == Fraction(10 * MB)
     assert parse_rate("2048") == Fraction(2048)
+    assert parse_rate("1.5 KB /s") == Fraction(1536)
     with pytest.raises(ValueError):
         parse_rate("0 MB/s")
+    with pytest.raises(ValueError, match=r"^bad rate: '10 MB/s/s'$"):
+        parse_rate("10 MB/s/s")
 
 
 def test_fmt_quantity_stable_tokens():
