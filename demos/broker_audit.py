@@ -31,9 +31,9 @@ def main():
             print(f"    ... {len(result.candidates) - 4} more")
 
     rb.match_observers.append(audit)
-    proxy = grid.proxy_init("/O=grid/OU=datatag/CN=Maria Rossi", "datatag")
+    grid.proxy_init("/O=grid/OU=datatag/CN=Maria Rossi", "datatag")
     for n in range(6):
-        rb.submit(JOB % (n + 1), proxy)
+        grid.submit(JOB % (n + 1), "rb_pisa")
     grid.kernel.run_to_completion()
 
     print()

@@ -29,9 +29,6 @@ from . import jdl
 from .units import fmt_quantity, to_millis
 from .vomgmt import Denial, Proxy
 
-#: parse failures surface to submitters unchanged
-ParseError = jdl.JdlError
-
 SUBMITTED = "SUBMITTED"
 WAITING = "WAITING"
 MATCHED = "MATCHED"
@@ -160,11 +157,11 @@ class ResourceBroker:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, jdl_text: str, proxy: Proxy, pinned_ce: "str | None" = None) -> str:
-        """Parse, admit and queue one job; returns its id.  The match runs
-        as a separate event in the same simulated instant (plus the
+    def submit(self, description: jdl.JobDescription, proxy: Proxy,
+               pinned_ce: "str | None" = None) -> str:
+        """Admit and queue one described job; returns its id.  The match
+        runs as a separate event in the same simulated instant (plus the
         brokering delay, zero by default)."""
-        description = jdl.parse_jdl(jdl_text)
         if not proxy.valid_at(self.kernel.now_ms):
             raise ProxyExpired(f"{proxy.user_dn}: proxy expired")
         job_id = self.job_id_source()

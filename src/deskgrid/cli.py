@@ -309,8 +309,8 @@ def _run_command(grid: Grid, args, base_dir):
             workspace = grid.production.declare(aid)
             return 0, f"assignment {aid} declared jobs={len(workspace['jobs'])}"
         if args.impala_command == "create":
-            texts = grid.production.create(aid)
-            return 0, f"assignment {aid} created jobs={len(texts)}"
+            descriptions = grid.production.create(aid)
+            return 0, f"assignment {aid} created jobs={len(descriptions)}"
         if grid.current_proxy is None:
             return 1, "error: no proxy; run proxy init first"
         boss_ids = grid.production.submit(aid, grid.current_proxy)

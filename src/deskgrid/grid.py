@@ -14,6 +14,7 @@ from . import broker as broker_mod
 from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import infosys
+from . import jdl
 from . import production as prod_mod
 from . import topology
 from . import vomgmt
@@ -179,12 +180,15 @@ class Grid:
         return proxy
 
     def submit(self, jdl_text: str, rb_id: str, pinned_ce=None) -> str:
+        """Submit one description file under the current proxy.  This is
+        where a user's text is parsed; brokers take typed descriptions."""
         rb = self.brokers.get(rb_id)
         if rb is None:
             raise broker_mod.BrokerError(f"unknown resource broker {rb_id!r}")
         if self.current_proxy is None:
             raise broker_mod.BrokerError("no proxy; run proxy init first")
-        return rb.submit(jdl_text, self.current_proxy, pinned_ce=pinned_ce)
+        return rb.submit(jdl.parse_jdl(jdl_text), self.current_proxy,
+                         pinned_ce=pinned_ce)
 
     def find_job(self, job_id: str) -> tuple:
         for rb in self.brokers.values():

@@ -3,11 +3,11 @@
 A production request asks for N events of one step (CMKIN generation or
 CMSIM detector simulation) split into ceil(N / events_per_job) jobs, the
 last one carrying the remainder.  The factory walks each assignment
-through declare -> create -> submit: create writes one description file
-per job (generation jobs carry no input data; simulation jobs each name
-their generator ntuple and the replica catalogue), submit hands them to a
-resource broker all-or-nothing under the caller's proxy and opens one
-bookkeeping record per job.
+through declare -> create -> submit: create builds one typed job
+description per job (generation jobs carry no input data; simulation jobs
+each name their generator ntuple and the replica catalogue), submit hands
+them to a resource broker all-or-nothing under the caller's proxy and
+opens one bookkeeping record per job.
 
 Bookkeeping follows the journal model: while a job runs, events_done is
 the count at its last monitor point, worked out from the fabric when the
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import broker as broker_mod
+from . import jdl
 from .vomgmt import Proxy
 
 STEP_CMKIN = "CMKIN"
@@ -43,6 +44,9 @@ BOSS_FAILED = "failed"
 
 #: seed given to job n of any dataset
 JOB_SEED_BASE = 2000
+
+#: every factory job asks for an element that publishes the CMS software
+JOB_REQUIREMENTS = jdl.MemberCall(jdl.Lit("CMS"), jdl.Attr("RunTimeEnvironment"))
 
 
 def job_seed_for(index: int) -> int:
@@ -83,7 +87,7 @@ class ProductionRequest:
     rb_id: str
     default_se: "str | None" = None
     status: str = REQ_NEW
-    jdl_texts: list = field(default_factory=list)
+    descriptions: list = field(default_factory=list)  # jdl.JobDescription
     scheduler_jobs: list = field(default_factory=list)  # broker job ids
     boss_ids: list = field(default_factory=list)
     summary: "dict | None" = None
@@ -287,36 +291,32 @@ class ProductionManager:
                 raise MissingUpstream(
                     f"assignment {assignment_id} wants {request.job_count} inputs, "
                     f"upstream produced {upstream.job_count}")
-        texts = [self._job_text(request, n, events)
-                 for n, events in enumerate(request.split_events(), start=1)]
-        request.jdl_texts = texts
+        descriptions = [self._job_description(request, n, events)
+                        for n, events in enumerate(request.split_events(), start=1)]
+        request.descriptions = descriptions
         request.status = REQ_CREATED
         self.kernel.emit("factory", "created", assignment=assignment_id,
-                         jobs=len(texts))
-        return texts
+                         jobs=len(descriptions))
+        return descriptions
 
-    def _job_text(self, request: ProductionRequest, index: int, events: int) -> str:
+    def _job_description(self, request: ProductionRequest, index: int,
+                         events: int) -> jdl.JobDescription:
         dataset = request.dataset
-        seed = job_seed_for(index)
-        lines = [
-            f"# factory job {index}/{request.job_count} of assignment {request.assignment_id}",
-            f'Executable = "{request.step.lower()}";',
-            'StdOutput = "std.out";',
-            'StdError = "std.err";',
-            f'InputSandbox = {{"{dataset}_{index}.cards"}};',
-            'Requirements = Member("CMS", other.RunTimeEnvironment);',
-            f'VirtualOrganisation = "{self.default_vo}";',
-            f"Events = {events};",
-            f"JobSeed = {seed};",
-            f'Dataset = "{dataset}";',
-            f"JobIndex = {index};",
-        ]
-        if request.step == STEP_CMSIM:
-            lines.insert(6, f'InputData = {{"lfn:{dataset}_{index}.ntpl"}};')
-            lines.insert(7, f'ReplicaCatalog = "{self.datagrid.rc.catalog_id}";')
+        extras = {"Dataset": jdl.expr_text(jdl.Lit(dataset)),
+                  "JobIndex": jdl.expr_text(jdl.Lit(index))}
         if request.default_se is not None:
-            lines.append(f'DefaultSE = "{request.default_se}";')
-        return "".join(line + "\n" for line in lines)
+            extras["DefaultSE"] = jdl.expr_text(jdl.Lit(request.default_se))
+        simulation = request.step == STEP_CMSIM
+        return jdl.JobDescription(
+            executable=request.step.lower(),
+            virtual_organisation=self.default_vo,
+            requirements=JOB_REQUIREMENTS,
+            input_sandbox=(f"{dataset}_{index}.cards",),
+            input_data=(f"lfn:{dataset}_{index}.ntpl",) if simulation else (),
+            replica_catalog=self.datagrid.rc.catalog_id if simulation else None,
+            events=events,
+            job_seed=job_seed_for(index),
+            extras=extras)
 
     def submit(self, assignment_id: int, proxy: Proxy) -> list:
         """Submit every job of the assignment; refuses as a whole when the
@@ -330,13 +330,12 @@ class ProductionManager:
         if rb is None:
             raise ProductionError(f"unknown resource broker {request.rb_id!r}")
         job_type = request.step.lower()
-        for index, (text, events) in enumerate(
-                zip(request.jdl_texts, request.split_events()), start=1):
-            job_id = rb.submit(text, proxy)
+        for index, description in enumerate(request.descriptions, start=1):
+            job_id = rb.submit(description, proxy)
             input_file = (f"{request.dataset}_{index}.ntpl"
                           if request.step == STEP_CMSIM else "-")
             record = self.boss.open_record(job_id, job_type, request.dataset,
-                                           events, input_file=input_file)
+                                           description.events, input_file=input_file)
             request.scheduler_jobs.append(job_id)
             request.boss_ids.append(record.boss_id)
         request.status = REQ_SUBMITTED
@@ -382,8 +381,6 @@ class ProductionManager:
         record = self.boss.for_scheduler_job(job_id)
         if record is None or not outbound:
             return  # nothing phones home from an isolated worker node
-        if record.status == BOSS_SUBMITTED:
-            record.status = BOSS_RUNNING
         self.boss.update_events_done(record.boss_id, events_done)
 
     def on_job_transition(self, job_record, old_state: str, new_state: str) -> None:

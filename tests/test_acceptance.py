@@ -130,7 +130,7 @@ def test_criterion_02_default_rank_is_argmin_ett():
     for n, at in enumerate(arrivals):
         text = cmkin_text(rng.randrange(10, 400), seed=n + 1)
         grid.kernel.schedule("user-command",
-                             lambda t=text: rb.submit(t, proxy), at)
+                             lambda t=text: rb.submit(jdl.parse_jdl(t), proxy), at)
     grid.kernel.run_to_completion()
     assert len(matches) >= 1000
     assert violations == []
@@ -234,11 +234,13 @@ def test_criterion_08_authorization_refusals():
     blocker_proxy = grid.proxy_init(MARIA, "datatag")
     rb = grid.brokers["rb_pisa"]
     for n in range(3):
-        rb.submit(cmkin_text(40, seed=n + 1), blocker_proxy, pinned_ce="ce_bologna")
+        rb.submit(jdl.parse_jdl(cmkin_text(40, seed=n + 1)), blocker_proxy,
+                  pinned_ce="ce_bologna")
     victim_proxy = grid.vo.create_proxy(MARIA, "datatag", grid.kernel.now_ms,
                                         lifetime_s=11)
     grid.kernel.run_until(10)
-    victim = rb.submit(cmkin_text(40, seed=9), victim_proxy, pinned_ce="ce_bologna")
+    victim = rb.submit(jdl.parse_jdl(cmkin_text(40, seed=9)), victim_proxy,
+                       pinned_ce="ce_bologna")
     grid.kernel.run_until(10)
     assert rb.jobs[victim].state == "SCHEDULED"  # admitted, queued, waiting
     grid.kernel.run_to_completion()

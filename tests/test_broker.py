@@ -7,6 +7,7 @@ from deskgrid.broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED,
                              AlreadyCleared, BrokerError, NotDone,
                              ProxyExpired, UnknownJob)
 from deskgrid.grid import Grid
+from deskgrid.jdl import parse_jdl
 from deskgrid.topology import parse_topology
 from deskgrid.units import GB
 
@@ -161,7 +162,7 @@ def test_foreign_catalogue_never_matches(mini, alice):
 def test_expired_proxy_is_refused_at_the_door(mini, alice):
     mini.kernel.run_until(43200)
     with pytest.raises(ProxyExpired):
-        mini.brokers["rb_test"].submit(CMKIN_SMALL, alice)
+        mini.brokers["rb_test"].submit(parse_jdl(CMKIN_SMALL), alice)
 
 
 def test_queue_wait_outliving_the_proxy_aborts_at_dispatch(mini, alice):
@@ -169,8 +170,8 @@ def test_queue_wait_outliving_the_proxy_aborts_at_dispatch(mini, alice):
                                  mini.kernel.now_ms, lifetime_s=60)
     rb = mini.brokers["rb_test"]
     long_job = CMKIN_SMALL.replace("Events = 50", "Events = 1000")
-    j1 = rb.submit(long_job, alice, pinned_ce="ce_beta")
-    j2 = rb.submit(CMKIN_SMALL, short, pinned_ce="ce_beta")
+    j1 = rb.submit(parse_jdl(long_job), alice, pinned_ce="ce_beta")
+    j2 = rb.submit(parse_jdl(CMKIN_SMALL), short, pinned_ce="ce_beta")
     mini.kernel.run_until(0)
     assert rb.jobs[j1].state == RUNNING
     assert rb.jobs[j2].state == SCHEDULED  # queued behind j1 on the only node
@@ -203,7 +204,7 @@ def test_full_lifecycle_and_output_retrieval(mini, alice, tmp_path):
 
 def test_run_job_requires_a_match_first(mini, alice):
     rb = mini.brokers["rb_test"]
-    job_id = rb.submit(CMKIN_SMALL, alice)
+    job_id = rb.submit(parse_jdl(CMKIN_SMALL), alice)
     with pytest.raises(BrokerError):
         rb.run_job(job_id)
     with pytest.raises(UnknownJob):

@@ -106,6 +106,19 @@ def test_factory_chain_through_the_front_end(mini):
     assert "status=COMPLETE" in ok(mini, ["refdb", "dump"])
 
 
+def test_dataset_names_need_no_escaping_by_the_user(mini):
+    ok(mini, ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo"])
+    ok(mini, ["refdb", "request", "--dataset", 'j"psi', "--step", "CMKIN",
+              "--events", "500", "--per-job", "250", "--rb", "rb_test"])
+    for verb in ("declare", "create", "submit"):
+        ok(mini, ["impala", verb, "1"])
+    ok(mini, ["run"])
+    ok(mini, ["refdb", "summary", "1"])
+    assert ok(mini, ["assert", "refdb-status", "1", "COMPLETE"]) == \
+        "assignment 1 is COMPLETE"
+    assert 'j"psi_1.ntpl' in ok(mini, ["rc", "dump"])
+
+
 def test_consecutive_commands_do_not_share_options(mini):
     # one parser serves every dispatch; options given to one command must
     # not stay set for the next

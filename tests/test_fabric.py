@@ -456,8 +456,8 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
         rb = grid.brokers["rb_pisa"]
         visible = grid.info.query(rb.flavor, "datatag")
         deepest = max(visible, key=lambda ce: (ce.jobs_queued, ce.ce_id))
-        doomed.append((rb, rb.submit(CMKIN_TEXT.format(seed=len(doomed) + 1), short,
-                                     pinned_ce=deepest.ce_id)))
+        doomed.append((rb, rb.submit(parse_jdl(CMKIN_TEXT.format(seed=len(doomed) + 1)),
+                                     short, pinned_ce=deepest.ce_id)))
 
     for at in sorted(rng.randint(300, 600) for _ in range(6)):
         grid.kernel.schedule("user-command", submit_short_lived, 1000 * at)

@@ -300,7 +300,7 @@ def factory_description(grid):
 
 
 def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
-    jd = parse_jdl(factory_description(mini))
+    jd = parse_jdl(factory_description(mini).text())
     assert jd.production_tag() == ("jpsi", 2)
     assert jd.extra_string("DefaultSE") == "se_beta"
     assert jd.extra_int("Dataset") is None and jd.extra_string("JobIndex") is None
@@ -308,7 +308,7 @@ def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
 
 
 def test_hand_built_extras_parse_once_and_agree(mini, counted_parse_expr):
-    parsed = parse_jdl(factory_description(mini))
+    parsed = parse_jdl(factory_description(mini).text())
     built = jdl.JobDescription(executable="cmkin", virtual_organisation="testvo",
                                requirements=Lit(True), extras=dict(parsed.extras))
     for _read in range(2):

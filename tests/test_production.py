@@ -105,9 +105,9 @@ def test_generated_descriptions_parse_with_factory_bookkeeping():
     request = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
                                         default_se="se_beta")
     grid.production.declare(request.assignment_id)
-    texts = grid.production.create(request.assignment_id)
-    assert len(texts) == 2
-    jd = parse_jdl(texts[1])
+    descriptions = grid.production.create(request.assignment_id)
+    assert len(descriptions) == 2
+    jd = parse_jdl(descriptions[1].text())
     assert jd.job_profile == "cmkin"
     assert jd.production_tag() == ("jpsi", 2)
     assert jd.job_seed == 2001 and jd.events == 250
@@ -123,10 +123,60 @@ def test_simulation_descriptions_name_their_input_tuples():
     grid.production.post_summary(gen.assignment_id)
     sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
     grid.production.declare(sim.assignment_id)
-    texts = grid.production.create(sim.assignment_id)
-    jd = parse_jdl(texts[0])
+    descriptions = grid.production.create(sim.assignment_id)
+    jd = parse_jdl(descriptions[0].text())
     assert jd.input_data == ("lfn:jpsi_1.ntpl",)
     assert jd.replica_catalog == "rc_test"
+
+
+#: the description files the factory used to write for a 2-job CMKIN
+#: request with a default SE, then for the CMSIM request on its output
+FACTORY_FILES = {
+    "CMKIN": [
+        '# factory job 1/2 of assignment 1\nExecutable = "cmkin";\nStdOutput = "std.out";\n'
+        'StdError = "std.err";\nInputSandbox = {"jpsi_1.cards"};\n'
+        'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
+        'VirtualOrganisation = "testvo";\nEvents = 250;\nJobSeed = 2000;\n'
+        'Dataset = "jpsi";\nJobIndex = 1;\nDefaultSE = "se_beta";\n',
+        '# factory job 2/2 of assignment 1\nExecutable = "cmkin";\nStdOutput = "std.out";\n'
+        'StdError = "std.err";\nInputSandbox = {"jpsi_2.cards"};\n'
+        'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
+        'VirtualOrganisation = "testvo";\nEvents = 250;\nJobSeed = 2001;\n'
+        'Dataset = "jpsi";\nJobIndex = 2;\nDefaultSE = "se_beta";\n',
+    ],
+    "CMSIM": [
+        '# factory job 1/2 of assignment 2\nExecutable = "cmsim";\nStdOutput = "std.out";\n'
+        'StdError = "std.err";\nInputSandbox = {"jpsi_1.cards"};\n'
+        'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
+        'InputData = {"lfn:jpsi_1.ntpl"};\nReplicaCatalog = "rc_test";\n'
+        'VirtualOrganisation = "testvo";\nEvents = 250;\nJobSeed = 2000;\n'
+        'Dataset = "jpsi";\nJobIndex = 1;\n',
+        '# factory job 2/2 of assignment 2\nExecutable = "cmsim";\nStdOutput = "std.out";\n'
+        'StdError = "std.err";\nInputSandbox = {"jpsi_2.cards"};\n'
+        'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
+        'InputData = {"lfn:jpsi_2.ntpl"};\nReplicaCatalog = "rc_test";\n'
+        'VirtualOrganisation = "testvo";\nEvents = 250;\nJobSeed = 2001;\n'
+        'Dataset = "jpsi";\nJobIndex = 2;\n',
+    ],
+}
+
+
+def test_built_descriptions_equal_the_files_the_factory_used_to_write():
+    grid, proxy = grid_with_factory()
+    gen = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
+                                    default_se="se_beta")
+    grid.production.declare(gen.assignment_id)
+    built = {"CMKIN": grid.production.create(gen.assignment_id)}
+    grid.production.submit(gen.assignment_id, proxy)
+    grid.kernel.run_to_completion()
+    grid.production.post_summary(gen.assignment_id)
+    sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
+    grid.production.declare(sim.assignment_id)
+    built["CMSIM"] = grid.production.create(sim.assignment_id)
+    for step, files in FACTORY_FILES.items():
+        assert built[step] == [parse_jdl(text) for text in files]
+        for jd in built[step]:
+            assert parse_jdl(jd.text()) == jd
 
 
 def test_submit_is_all_or_nothing_on_proxy_validity():
@@ -180,6 +230,9 @@ def test_monitor_ticks_feed_the_record_only_from_connected_sites():
     record = grid.bossdb.open_record("j1", "cmkin", "jpsi", 250)
     grid.production.on_monitor_tick("j1", 50, outbound=False)
     assert record.status == "submitted" and record.events_done == 0
+    # a job reports progress only once it runs
+    job = SimpleNamespace(job_id="j1", matched_ce="ce_alpha")
+    grid.production.on_job_transition(job, "SCHEDULED", broker_mod.RUNNING)
     grid.production.on_monitor_tick("j1", 50, outbound=True)
     assert record.status == "running" and record.events_done == 50
     grid.production.on_monitor_tick("unknown-job", 10, outbound=True)  # ignored
