@@ -14,11 +14,14 @@ submission event: candidates of the broker's own schema flavor are
 filtered by VO authorization, the job's requirement expression and -- for
 data-driven jobs -- the presence of every input file on a storage element
 close to the element; the survivor with the highest rank wins (default
-rank is minus the estimated traversal time, exact), ties on rank go to
-the smallest element id, and replica ties to the smallest (se, path).
+rank is minus the estimated traversal time, compared exactly as integer
+pairs), ties on rank go to the smallest element id, and replica ties to
+the smallest (se, path).  A requirement that does not read the ETT is
+evaluated once per element's advertised attributes and then reused.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -26,7 +29,7 @@ from typing import Callable
 from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import jdl
-from .units import fmt_quantity, to_millis
+from .units import fmt_quantity, fmt_ratio, to_millis
 from .vomgmt import Denial, Proxy
 
 SUBMITTED = "SUBMITTED"
@@ -85,10 +88,25 @@ class IllegalTransition(BrokerError):
 class MatchResult:
     """Audit record of one match: every surviving candidate with its rank
     value (None when the rank evaluated to something unusable, which sorts
-    below every ranked element), in choice order."""
+    below every ranked element), in choice order.  Under the default rank,
+    `table` holds minus the ETT times `denominator`, as ints, and
+    `candidates` reads those as exact Fractions."""
 
-    candidates: list
+    table: list
     chosen: "str | None"
+    denominator: "int | None" = None
+
+    @property
+    def candidates(self) -> list:
+        if self.denominator is None:
+            return list(self.table)
+        return [(ce_id, Fraction(value, self.denominator)) for ce_id, value in self.table]
+
+    def shown(self, value) -> str:
+        """A rank value as the trace renders it."""
+        if self.denominator is None:
+            return fmt_quantity(value)
+        return fmt_ratio(value, self.denominator)
 
 
 @dataclass
@@ -131,6 +149,7 @@ class ResourceBroker:
         self._fabric_jobs: dict[str, fabric_mod.FabricJob] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
+        self._requirement_memo: dict = {}  # requirement -> {advertised: satisfied}
 
     @property
     def endpoint(self) -> str:
@@ -184,11 +203,11 @@ class ResourceBroker:
 
     # -- match-making --------------------------------------------------
 
-    def _match_env(self, ce, ett: Fraction) -> dict:
+    def _match_env(self, ce, ett: tuple) -> dict:
         return {
             "RunTimeEnvironment": ce.run_time_environment,
             "LRMSType": ce.lrms,
-            "EstimatedTraversalTime": float(ett),
+            "EstimatedTraversalTime": ett[0] / ett[1],
             "CEId": ce.ce_id,
             "CloseSE": ce.close_ses,
         }
@@ -198,10 +217,14 @@ class ResourceBroker:
         if record.state != WAITING:
             raise BrokerError(f"{job_id}: match requires WAITING, not {record.state}")
         description = record.description
+        requirements, rank = description.requirements, description.rank
         lfns = description.input_lfns
         catalog_ok = (not lfns
                       or description.replica_catalog == self.datagrid.rc.catalog_id)
+        memo = ({} if jdl.reads_attribute(requirements, "EstimatedTraversalTime")
+                else self._requirement_memo.setdefault(requirements, {}))
 
+        by_ett = []    # (ETT numerator, denominator, ce record): default rank
         scored = []    # (rank value, ce record)
         demoted = []   # rank unusable
         for ce in self.info.query(self.flavor, description.virtual_organisation):
@@ -213,24 +236,31 @@ class ResourceBroker:
                 continue
             if lfns and not self._holds_inputs(ce, lfns):
                 continue
-            ett = self.info.estimated_traversal_time(ce.ce_id)
-            env = self._match_env(ce, ett)
-            if not jdl.requirement_satisfied(description.requirements, env):
+            ett = self.info.ett_ratio(ce.ce_id)
+            advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
+            if advertised not in memo:
+                memo[advertised] = jdl.requirement_satisfied(requirements,
+                                                             self._match_env(ce, ett))
+            if not memo[advertised]:
                 continue
-            if description.rank is None:
-                scored.append((-ett, ce))
+            if rank is None:
+                by_ett.append((*ett, ce))
                 continue
-            value = jdl.evaluate(description.rank, env)
+            value = jdl.evaluate(rank, self._match_env(ce, ett))
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 scored.append((value, ce))
             else:
                 demoted.append(ce)  # unusable rank sorts below everything
 
+        denominator = None
+        if by_ett:  # minus the ETTs, all over one denominator: exact ints
+            denominator = math.lcm(*(d for _n, d, _ce in by_ett))
+            scored = [(-n * (denominator // d), ce) for n, d, ce in by_ett]
         scored.sort(key=lambda pair: (-pair[0], pair[1].ce_id))
         demoted.sort(key=lambda ce: ce.ce_id)
         ordered = [(ce.ce_id, value) for value, ce in scored]
         ordered += [(ce.ce_id, None) for ce in demoted]
-        result = MatchResult(candidates=ordered, chosen=ordered[0][0] if ordered else None)
+        result = MatchResult(ordered, ordered[0][0] if ordered else None, denominator)
         record.match_result = result
 
         if result.chosen is None:
@@ -247,9 +277,9 @@ class ResourceBroker:
             close = [rep for rep in self.datagrid.lookup(lfn)
                      if rep[0] in chosen_ce.close_ses]
             record.chosen_replicas[lfn] = min(close)
-        table = "|".join(f"{ce_id}:{fmt_quantity(value)}" for ce_id, value in ordered)
+        table = "|".join(f"{ce_id}:{result.shown(value)}" for ce_id, value in ordered)
         self.kernel.emit(self.rb_id, "matched", job=job_id, ce=result.chosen,
-                         rank=fmt_quantity(ordered[0][1]), candidates=table)
+                         rank=result.shown(ordered[0][1]), candidates=table)
         self._move(record, MATCHED)
         for observer in self.match_observers:
             observer(record, result)

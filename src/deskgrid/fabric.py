@@ -23,6 +23,7 @@ configured, otherwise there is no route.  Links are not contended.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,9 +291,11 @@ class FabricJob:
         reached = (bound * runtime.denominator * events - 1) // (2000 * runtime.numerator * step)
         return step * max(0, min(reached, (events - 1) // step))
 
+    def events_left(self) -> int:
+        return self.description.events - max(self.events_done, self.monitor_count())
+
     def remaining_cpu_s(self) -> Fraction:
-        done = max(self.events_done, self.monitor_count())
-        return self.cpu_total_s * (1 - Fraction(done, self.description.events))
+        return self.cpu_total_s * Fraction(self.events_left(), self.description.events)
 
 
 class ComputingElement:
@@ -307,7 +310,11 @@ class ComputingElement:
         self.monitor_hook: "Callable | None" = None  # (job_id, events_done, outbound)
         self.wns = [WorkerNode(i) for i in range(record.wn_count)]
         self.queue: deque = deque()
-        self.queued_cpu_s = Fraction(0)  # exact sum of cpu_total_s over the queue
+        # CPU is counted in units of 1/(cpu_den * cpu_mhz) s, cpu_den being
+        # the lcm of the per-event CPU denominators of the profiles seen
+        # here, so every job's CPU is a whole number of units
+        self.cpu_den = 1
+        self.queued_units = 0  # CPU of the queued jobs, kept as they come and go
         self.running: dict[str, FabricJob] = {}
         self.fail_next_execs = 0  # scenario-driven failure injection
 
@@ -329,8 +336,13 @@ class ComputingElement:
             self.kernel.emit(self.ce_id, "enqueue-denied", job=job.job_id, reason=str(denial))
             raise AuthorizationDenied(denial)
         job.cpu_total_s = job.profile.runtime_s(job.description.events, self.record.cpu_mhz)
+        den = job.profile.per_event_cpu_1ghz.denominator
+        if self.cpu_den % den:
+            grown = math.lcm(self.cpu_den, den)
+            self.queued_units *= grown // self.cpu_den
+            self.cpu_den = grown
         self.queue.append(job)
-        self.queued_cpu_s += job.cpu_total_s
+        self.queued_units += job.description.events * self._units_per_event(job.profile)
         self.record.jobs_queued += 1
         self.kernel.emit(self.ce_id, "enqueued", job=job.job_id,
                          depth=self.record.jobs_queued)
@@ -342,7 +354,7 @@ class ComputingElement:
             if wn is None:
                 return
             job = self.queue.popleft()
-            self.queued_cpu_s -= job.cpu_total_s
+            self.queued_units -= job.description.events * self._units_per_event(job.profile)
             self.record.jobs_queued -= 1
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
@@ -402,9 +414,26 @@ class ComputingElement:
 
     # -- load tap for the information index ---------------------------
 
+    def _units_per_event(self, profile: WorkloadProfile) -> int:
+        """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""
+        per_event = profile.per_event_cpu_1ghz
+        return 1000 * per_event.numerator * (self.cpu_den // per_event.denominator)
+
+    def cpu_backlog(self) -> tuple:
+        """(units, units per second): the CPU left in the running jobs, at
+        most one per node, plus the queue's maintained backlog."""
+        units = self.queued_units
+        for job in self.running.values():
+            units += job.events_left() * self._units_per_event(job.profile)
+        return units, self.cpu_den * self.record.cpu_mhz
+
+    @property
+    def queued_cpu_s(self) -> Fraction:
+        return Fraction(self.queued_units, self.cpu_den * self.record.cpu_mhz)
+
     def ett_components(self) -> tuple:
-        """Running jobs' remaining CPU seconds, one term per node at most,
-        and the queue's backlog as the single maintained term."""
+        """Running jobs' remaining CPU seconds and the queue's backlog, as
+        Fractions; a view for readers outside the match path."""
         running = [job.remaining_cpu_s() for job in self.running.values()]
         return running, [self.queued_cpu_s]
 

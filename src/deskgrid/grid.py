@@ -216,7 +216,8 @@ class Grid:
                 problems.append(f"{ce_id}: published running count drifted")
             if record.jobs_queued != len(ce.queue):
                 problems.append(f"{ce_id}: published queue depth drifted")
-            if ce.queued_cpu_s != sum(job.cpu_total_s for job in ce.queue):
+            rescanned = sum(job.cpu_total_s for job in ce.queue)  # in seconds
+            if ce.queued_units != rescanned * ce.cpu_den * ce.record.cpu_mhz:
                 problems.append(f"{ce_id}: queued CPU backlog drifted")
         for se_id, store in self.datagrid.ses.items():
             held = sum(pf.size_bytes for pf in store.files.values())

@@ -12,11 +12,12 @@ arriving job would see:
     ETT = (sum of remaining CPU seconds of running jobs
            + sum of estimated CPU seconds of queued jobs) / wn_count
 
-computed exactly (Fractions), with per-job CPU estimates scaled by the
-element's clock.  The running term is summed over the running jobs only,
-at most one per worker node; the queued term is maintained by the element
-itself, added on enqueue and subtracted when a job leaves the queue, so
-an estimate costs the same however deep the queue is.
+computed exactly in integers: each element counts CPU in a unit of its
+own in which every job's CPU is whole, so ETT is an integer pair.  The
+running term is summed over the running jobs only, at most one per
+worker node; the queued term is maintained by the element itself, added
+on enqueue and subtracted when a job leaves the queue, so an estimate
+costs the same however deep the queue is.
 """
 from __future__ import annotations
 
@@ -105,10 +106,9 @@ class InformationIndex:
         self.ses[record.se_id] = record
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
-        """`tap.ett_components()` must return (running remaining CPU s,
-        queued estimated CPU s) as two lists of Fractions.  A computing
-        element lists one term per running job and a single queued term,
-        the backlog it maintains as jobs join and leave its queue."""
+        """`tap.cpu_backlog()` must return the remaining CPU of the running
+        jobs plus the estimated CPU of the queue as a pair of ints (units,
+        units per second)."""
         self._load_taps[ce_id] = tap
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:
@@ -119,17 +119,21 @@ class InformationIndex:
                 if flavor in ce.schema_flavors and vo in ce.authorized_vos]
         return sorted(hits, key=lambda ce: ce.ce_id)
 
-    def estimated_traversal_time(self, ce_id: str) -> Fraction:
-        """ETT in seconds; an element with no load tap is idle."""
+    def ett_ratio(self, ce_id: str) -> tuple:
+        """ETT in seconds as an exact pair of ints (numerator, denominator
+        > 0), not reduced; an element with no load tap is idle."""
         record = self.ces.get(ce_id)
         if record is None:
             raise UnknownCE(ce_id)
         tap = self._load_taps.get(ce_id)
         if tap is None:
-            return Fraction(0)
-        running, queued = tap.ett_components()
-        total = sum(running, Fraction(0)) + sum(queued, Fraction(0))
-        return total / record.wn_count
+            return 0, 1
+        units, per_second = tap.cpu_backlog()
+        return units, per_second * record.wn_count
+
+    def estimated_traversal_time(self, ce_id: str) -> Fraction:
+        """ETT in seconds, exact."""
+        return Fraction(*self.ett_ratio(ce_id))
 
     def closeness_errors(self) -> list[str]:
         """CE<->SE closeness must be declared on both sides."""

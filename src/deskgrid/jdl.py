@@ -26,7 +26,7 @@ through tools that do not understand them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
 
 
@@ -83,6 +83,13 @@ def _is_number(v) -> bool:
 @dataclass(frozen=True)
 class Lit:
     value: "bool | int | float | str"
+
+    def __eq__(self, other):  # `true` is not `1`, though True == 1
+        return (isinstance(other, Lit) and type(self.value) is type(other.value)
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)
@@ -483,6 +490,16 @@ def requirement_satisfied(expr: Expr, env: Mapping[str, Value] | None = None) ->
     """True iff the requirement evaluates to boolean true; UNDEFINED and
     non-boolean results do not match."""
     return evaluate(expr, env) is True
+
+
+def reads_attribute(expr: Expr, name: str) -> bool:
+    """Whether `expr` refers to other.<name> anywhere."""
+    if isinstance(expr, Attr):
+        return expr.name == name
+    if isinstance(expr, tuple):
+        return any(reads_attribute(item, name) for item in expr)
+    return not isinstance(expr, (Lit, str)) and any(
+        reads_attribute(getattr(expr, f.name), name) for f in fields(expr))
 
 
 # --------------------------------------------------------------------------

@@ -94,3 +94,11 @@ def fmt_quantity(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def fmt_ratio(numerator: int, denominator: int) -> str:
+    """`fmt_quantity(Fraction(numerator, denominator))` without building the
+    Fraction; int true division is correctly rounded, as `float(Fraction)` is."""
+    if numerator % denominator == 0:
+        return str(numerator // denominator)
+    return repr(numerator / denominator)

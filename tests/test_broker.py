@@ -1,3 +1,6 @@
+import cProfile
+import dataclasses
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,7 @@ from deskgrid.broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED,
                              AlreadyCleared, BrokerError, NotDone,
                              ProxyExpired, UnknownJob)
 from deskgrid.grid import Grid
-from deskgrid.jdl import parse_jdl
+from deskgrid.jdl import parse_expr, parse_jdl
 from deskgrid.topology import parse_topology
 from deskgrid.units import GB
 
@@ -267,3 +270,163 @@ def test_missing_route_fails_the_running_job():
     grid.kernel.run_to_completion()
     record = grid.brokers["rb_test"].jobs[job_id]
     assert record.state == DONE_FAILED and record.reason == "NoRoute"
+
+
+# -- requirement results reused across jobs ---------------------------
+
+def with_requirements(text: str) -> str:
+    return CMKIN_SMALL.replace('Member("CMS", other.RunTimeEnvironment)', text)
+
+
+def candidates_of(grid, job_id, rb="rb_test"):
+    return [ce_id for ce_id, _v in grid.brokers[rb].jobs[job_id].match_result.candidates]
+
+
+def test_reused_requirement_results_follow_a_republished_record(mini, alice):
+    """Results are reused per advertised attributes, not per element id:
+    republishing an element with other tags changes the next match."""
+    atlas = with_requirements('Member("ATLAS-3.2.1", other.RunTimeEnvironment)')
+    first = mini.submit(atlas, "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(mini, first) == ["ce_alpha"]
+    beta = mini.info.ces["ce_beta"]
+    mini.info.publish_ce(dataclasses.replace(
+        beta, run_time_environment=("CMS", "ATLAS-3.2.1")))
+    second = mini.submit(atlas, "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(mini, second) == ["ce_beta", "ce_alpha"]  # beta idle
+    mini.info.publish_ce(beta)
+    third = mini.submit(atlas, "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(mini, third) == ["ce_alpha"]
+
+
+def test_a_requirement_on_the_traversal_time_is_evaluated_at_each_match(mini, alice):
+    """Each job of 50 cmkin events adds 12.5 s to either element's ETT."""
+    short = with_requirements(
+        'Member("CMS", other.RunTimeEnvironment) && other.EstimatedTraversalTime < 10')
+    jobs = [mini.submit(short, "rb_test") for _ in range(3)]
+    mini.kernel.run_until(0)
+    assert candidates_of(mini, jobs[0]) == ["ce_alpha", "ce_beta"]
+    assert candidates_of(mini, jobs[1]) == ["ce_beta"]
+    assert candidates_of(mini, jobs[2]) == []
+    assert mini.brokers["rb_test"].jobs[jobs[2]].reason == "NoMatchingResources"
+
+
+def test_true_and_one_are_different_requirements(mini, alice):
+    """`true == 1` in Python, but only `true` is a satisfied requirement,
+    so the two must not share reused results."""
+    assert parse_expr("true") != parse_expr("1")
+    assert parse_expr("{1, true}") != parse_expr("{true, 1}")
+    yes = mini.submit(with_requirements("true"), "rb_test")
+    no = mini.submit(with_requirements("1"), "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(mini, yes) == ["ce_alpha", "ce_beta"]
+    assert mini.brokers["rb_test"].jobs[no].reason == "NoMatchingResources"
+
+
+# -- exact ranking -----------------------------------------------------
+
+PAIR_TOPOLOGY = """\
+[general]
+replica_catalog = rc_pair
+default_wan_bandwidth = 10 MB/s
+default_wan_latency = 0.05
+
+[vo testvo]
+/C=XX/CN=alice
+
+[site one]
+region = EU
+accept_vos = testvo
+
+[ce ce_a]
+site = one
+lrms = PBS
+flavors = EDG
+wn_count = {wn_a}
+cpu_mhz = {mhz_a}
+tags = CMS
+close_ses = se_one
+
+[ce ce_b]
+site = one
+lrms = PBS
+flavors = EDG
+wn_count = {wn_b}
+cpu_mhz = {mhz_b}
+tags = CMS
+close_ses = se_one
+
+[se se_one]
+site = one
+capacity = 1 GB
+
+[broker rb_test]
+flavor = EDG
+"""
+
+BLIP = """\
+Executable = "blip";
+Requirements = true;
+VirtualOrganisation = "testvo";
+Events = {events};
+JobSeed = 1;
+"""
+
+
+def loaded_pair(mhz_a, wn_a, events_a, mhz_b, wn_b, events_b):
+    """Two elements, each running one job of 1 CPU s per event at 1 GHz
+    (the fallback profile), then one more job matched between them."""
+    grid = Grid(parse_topology(PAIR_TOPOLOGY.format(mhz_a=mhz_a, wn_a=wn_a, mhz_b=mhz_b,
+                                                    wn_b=wn_b), "<pair>"), seed=1)
+    grid.proxy_init("/C=XX/CN=alice", "testvo")
+    grid.submit(BLIP.format(events=events_a), "rb_test", pinned_ce="ce_a")
+    grid.submit(BLIP.format(events=events_b), "rb_test", pinned_ce="ce_b")
+    grid.kernel.run_until(0)
+    job_id = grid.submit(BLIP.format(events=1), "rb_test")
+    grid.kernel.run_until(0)
+    return grid, grid.brokers["rb_test"].jobs[job_id]
+
+
+def test_ranks_closer_than_one_double_apart_order_exactly():
+    """ETT = 1000 * events / cpu_mhz.  The two differ by 1000/(999983 *
+    999979) s, about 1e-9 s at 1e8 s: the same double, different rationals.
+    ce_b is faster by that much, so it wins despite its larger id."""
+    events_a, events_b = 99_998_050_004, 99_997_650_005
+    assert events_a * 999_979 - events_b * 999_983 == 1
+    _grid, record = loaded_pair(999_983, 1, events_a, 999_979, 1, events_b)
+    ett_a, ett_b = Fraction(1000 * events_a, 999_983), Fraction(1000 * events_b, 999_979)
+    assert float(ett_a) == float(ett_b) and ett_b < ett_a
+    assert record.matched_ce == "ce_b"
+    assert record.match_result.candidates == [("ce_b", -ett_b), ("ce_a", -ett_a)]
+
+
+def test_equal_ranks_on_different_denominators_tie_to_the_smaller_id():
+    """5 s each: 30 events on 2 nodes at 3 GHz, 5 events on 1 node at 1 GHz."""
+    grid, record = loaded_pair(3000, 2, 30, 1000, 1, 5)
+    assert record.matched_ce == "ce_a"
+    assert record.match_result.candidates == [("ce_a", -5), ("ce_b", -5)]
+    matched = [e for e in grid.kernel.trace if e.action == "matched"][-1]
+    assert matched.detail["candidates"] == "ce_a:-5|ce_b:-5"
+    assert matched.detail["rank"] == "-5"
+
+
+def test_a_default_rank_match_builds_no_fraction(mini, alice):
+    """Load both elements with running and queued jobs, then profile the
+    matches themselves: the default rank is integer arithmetic only."""
+    for _ in range(5):
+        mini.submit(CMKIN_SMALL, "rb_test")
+    mini.kernel.run_until(0)
+    rb = mini.brokers["rb_test"]
+    pending = [rb.submit(parse_jdl(CMKIN_SMALL), alice) for _ in range(3)]
+    profile = cProfile.Profile()
+    profile.enable()
+    for job_id in pending:
+        rb.match(job_id)
+    profile.disable()
+    assert all(len(rb.jobs[j].match_result.table) == 2 for j in pending)
+    built = [calls for (path, _line, name), (_cc, calls, *_rest)
+             in pstats.Stats(profile).stats.items()
+             if name == "__new__" and path.endswith("fractions.py")]
+    assert built == []

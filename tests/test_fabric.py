@@ -404,7 +404,7 @@ def test_queued_backlog_follows_enqueue_and_both_dispatch_outcomes():
 
 def test_validate_reports_a_drifted_queued_backlog(mini):
     ce = mini.fabric.ces["ce_beta"]
-    ce.queued_cpu_s += 1
+    ce.queued_units += 1
     assert mini.validate() == ["ce_beta: queued CPU backlog drifted"]
 
 
@@ -471,3 +471,61 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     failed = [r for _rb, r in grid.all_jobs() if r.outcome() == DONE_FAILED]
     assert failed
     assert all(ce.queued_cpu_s == 0 for ce in grid.fabric.ces.values())
+
+
+def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
+    """Oracle for the per-element CPU unit: cmkin jobs (1/2 s per event)
+    run and queue beside jobs of profiles registered mid-run, at 1/3 and
+    7/100000 s per event, so elements change their unit while they hold
+    work.  At every match, every candidate's ETT equals a Fraction rescan
+    and the grid's books are clean."""
+    grid = load_topology(default_topology_path(), seed=17)
+    rng = random.Random(17)
+    operator = "/O=grid/OU=datatag/CN=factory operator"
+    proxy = grid.vo.create_proxy(operator, "datatag", 0, lifetime_s=500_000)
+    rb = grid.brokers["rb_pisa"]
+    matches, problems, mixed = [], [], []
+
+    def rescanned_ett(ce):
+        backlog = (sum((j.remaining_cpu_s() for j in ce.running.values()), Fraction(0))
+                   + sum((j.cpu_total_s for j in ce.queue), Fraction(0)))
+        return backlog / ce.record.wn_count
+
+    def oracle(record, result):
+        matches.append(record.job_id)
+        for ce_id, _value in result.candidates:
+            ce = grid.fabric.ces[ce_id]
+            if grid.info.estimated_traversal_time(ce_id) != rescanned_ett(ce):
+                problems.append((record.job_id, ce_id))
+            held = [*ce.running.values(), *ce.queue]
+            if len({j.profile.per_event_cpu_1ghz.denominator for j in held}) > 1:
+                mixed.append(ce_id)
+        problems.extend(grid.validate())
+
+    rb.match_observers.append(oracle)
+    request = grid.refdb.create_request("mixed", "CMKIN", 250 * 300, 250, "rb_pisa")
+    grid.production.declare(request.assignment_id)
+    grid.production.create(request.assignment_id)
+    grid.production.submit(request.assignment_id, proxy)
+
+    custom = {"third": Fraction(1, 3), "tiny": Fraction(7, 100_000)}
+    for at, name in ((100, "third"), (200, "tiny")):
+        grid.kernel.schedule("user-command", partial(
+            grid.fabric.set_profile, WorkloadProfile(name, custom[name], Fraction(KB))),
+            1000 * at)
+    visible = [ce.ce_id for ce in grid.info.query(rb.flavor, "datatag")]
+    for seed in range(1, 41):
+        name = rng.choice(sorted(custom))
+        text = CMKIN_TEXT.replace('"cmkin"', f'"{name}"').format(seed=seed)
+        grid.kernel.schedule("user-command", partial(
+            rb.submit, parse_jdl(text), proxy, pinned_ce=rng.choice(visible)),
+            1000 * rng.randint(210, 700))
+    grid.kernel.run_to_completion()
+
+    assert len(matches) == 340
+    assert problems == []
+    assert len(set(mixed)) >= 5
+    assert max(ce.cpu_den for ce in grid.fabric.ces.values()) == 300_000
+    assert grid.validate() == []
+    assert all(rb.jobs[j].outcome() == "DONE_OK" for j in matches)
+    assert all(ce.queued_units == 0 for ce in grid.fabric.ces.values())

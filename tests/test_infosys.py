@@ -19,8 +19,9 @@ class FakeTap:
         self._r = [Fraction(x) for x in running]
         self._q = [Fraction(x) for x in queued]
 
-    def ett_components(self):
-        return self._r, self._q
+    def cpu_backlog(self):
+        total = sum(self._r + self._q, Fraction(0))
+        return total.numerator, total.denominator
 
 
 def test_ett_is_backlog_over_node_count():

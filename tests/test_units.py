@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deskgrid.units import (GB, KB, MB, as_fraction, fmt_quantity,
+from deskgrid.units import (GB, KB, MB, as_fraction, fmt_quantity, fmt_ratio,
                             millis_to_text, parse_amount, parse_rate,
                             parse_size, to_millis)
 
@@ -80,3 +82,16 @@ def test_fmt_quantity_stable_tokens():
     assert fmt_quantity(Fraction(125, 2)) == "62.5"
     assert fmt_quantity(3) == "3"
     assert fmt_quantity("x") == "x"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-2**200, max_value=2**200),
+       st.integers(min_value=1, max_value=2**200))
+@example(0, 7)
+@example(-25, 2)
+@example(-91, 20000)
+@example(2**64 + 1, 2**64)      # just above 1: rounds to 1.0, not the int 1
+@example(-(3 * 2**70), 3)        # divisible: an exact int beyond 2**64
+@example(10**17 + 1, 10)         # no double holds it exactly
+def test_fmt_ratio_renders_like_the_fraction(numerator, denominator):
+    assert fmt_ratio(numerator, denominator) == fmt_quantity(Fraction(numerator, denominator))
