@@ -146,7 +146,6 @@ class ResourceBroker:
         self.job_id_source = job_id_source
         self.brokering_delay_s = brokering_delay_s
         self.jobs: dict[str, JobRecord] = {}
-        self._fabric_jobs: dict[str, fabric_mod.FabricJob] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
         self._requirement_memo: dict = {}  # requirement -> {advertised: satisfied}
@@ -309,11 +308,10 @@ class ResourceBroker:
             proxy=record.owner,
             description=record.description,
             profile=profile,
-            on_dispatched=lambda wn: self._on_dispatched(record),
+            on_dispatched=lambda: self._on_dispatched(record),
             on_auth_denied=lambda denial: self._on_auth_denied(record, denial),
             on_exec_complete=lambda outputs, code: self._on_exec_complete(record, outputs, code),
         )
-        self._fabric_jobs[job_id] = fabric_job
         self._move(record, SCHEDULED)
         try:
             ce.enqueue(fabric_job)
@@ -343,7 +341,8 @@ class ResourceBroker:
             return
         lfns = sorted(record.chosen_replicas)
         if index >= len(lfns):
-            self._ce_of(record).execute(self._fabric_jobs[record.job_id])
+            ce = self._ce_of(record)
+            ce.execute(ce.running[record.job_id])
             return
         lfn = lfns[index]
         se_id, path = record.chosen_replicas[lfn]
@@ -445,9 +444,10 @@ class ResourceBroker:
         self._release(record)
 
     def _release(self, record: JobRecord) -> None:
-        fabric_job = self._fabric_jobs.pop(record.job_id, None)
+        ce = self._ce_of(record)
+        fabric_job = ce.running.get(record.job_id)
         if fabric_job is not None:
-            self._ce_of(record).finish(fabric_job)
+            ce.finish(fabric_job)
 
     # -- user-facing reads and retrieval -------------------------------
 

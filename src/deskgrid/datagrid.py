@@ -68,7 +68,9 @@ class StorageElement:
     def store(self, path: str, size_bytes: int, checksum: int) -> PhysicalFile:
         if path in self.files:
             raise DuplicatePath(f"{self.se_id} already holds {path}")
-        if self.record.used_bytes + size_bytes > self.record.capacity_bytes:
+        if size_bytes < 0:
+            raise DataGridError(f"{self.se_id} cannot store {path} of negative size {size_bytes}")
+        if not self.room_for(size_bytes):
             raise SeFull(f"{self.se_id} cannot take {size_bytes} more bytes")
         pf = PhysicalFile(self.se_id, path, size_bytes, checksum)
         self.files[path] = pf

@@ -12,6 +12,11 @@ fully determined by the workload profile, dataset, job index and event
 count, so reruns anywhere agree byte-for-byte on what they claim to have
 produced.
 
+A computing element is the only record of its load: its FIFO queue, its
+running jobs, each holding the index of its worker node, and a heap of
+free node indices, so the lowest free node takes the next job.  The
+information index reads that load through a load tap; nothing copies it.
+
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
 
@@ -23,6 +28,7 @@ configured, otherwise there is no route.  Links are not contended.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -252,12 +258,6 @@ class Site:
 
 
 @dataclass
-class WorkerNode:
-    index: int
-    busy: "FabricJob | None" = None
-
-
-@dataclass
 class FabricJob:
     """The fabric-facing face of one job; the broker fills the callbacks."""
 
@@ -265,11 +265,12 @@ class FabricJob:
     proxy: vomgmt.Proxy
     description: JobDescription
     profile: WorkloadProfile
-    on_dispatched: Callable[["WorkerNode"], None]
+    on_dispatched: Callable[[], None]
     on_auth_denied: Callable[[vomgmt.Denial], None]
     on_exec_complete: Callable[[list, int], None]
     cpu_total_s: Fraction = Fraction(0)
     events_done: int = 0               # every event, once execution has ended
+    wn: int = -1                       # index of its worker node, once dispatched
     kernel: "Kernel | None" = None     # set when execution starts, with
     start_ms: int = 0
     start_seq: int = 0                 # ... the seq of its job-finish event
@@ -308,7 +309,7 @@ class ComputingElement:
         self.kernel = kernel
         self.vo = vo
         self.monitor_hook: "Callable | None" = None  # (job_id, events_done, outbound)
-        self.wns = [WorkerNode(i) for i in range(record.wn_count)]
+        self.free_wns = list(range(record.wn_count))  # a heap: the lowest index runs next
         self.queue: deque = deque()
         # CPU is counted in units of 1/(cpu_den * cpu_mhz) s, cpu_den being
         # the lcm of the per-event CPU denominators of the profiles seen
@@ -321,12 +322,6 @@ class ComputingElement:
     @property
     def ce_id(self) -> str:
         return self.record.ce_id
-
-    def _free_wn(self) -> "WorkerNode | None":
-        for wn in self.wns:
-            if wn.busy is None:
-                return wn
-        return None
 
     # -- queueing ------------------------------------------------------
 
@@ -343,19 +338,13 @@ class ComputingElement:
             self.cpu_den = grown
         self.queue.append(job)
         self.queued_units += job.description.events * self._units_per_event(job.profile)
-        self.record.jobs_queued += 1
-        self.kernel.emit(self.ce_id, "enqueued", job=job.job_id,
-                         depth=self.record.jobs_queued)
+        self.kernel.emit(self.ce_id, "enqueued", job=job.job_id, depth=len(self.queue))
         self.try_dispatch()
 
     def try_dispatch(self) -> None:
-        while self.queue:
-            wn = self._free_wn()
-            if wn is None:
-                return
+        while self.queue and self.free_wns:
             job = self.queue.popleft()
             self.queued_units -= job.description.events * self._units_per_event(job.profile)
-            self.record.jobs_queued -= 1
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
             if denial is not None:
@@ -363,11 +352,10 @@ class ComputingElement:
                                  reason=str(denial))
                 job.on_auth_denied(denial)
                 continue
-            wn.busy = job
-            self.record.jobs_running += 1
+            job.wn = heapq.heappop(self.free_wns)
             self.running[job.job_id] = job
-            self.kernel.emit(self.ce_id, "dispatched", job=job.job_id, wn=wn.index)
-            job.on_dispatched(wn)
+            self.kernel.emit(self.ce_id, "dispatched", job=job.job_id, wn=job.wn)
+            job.on_dispatched()
 
     # -- execution -----------------------------------------------------
 
@@ -402,13 +390,8 @@ class ComputingElement:
 
     def finish(self, job: FabricJob) -> None:
         """Release the worker node once every output leg is over."""
-        for wn in self.wns:
-            if wn.busy is job:
-                wn.busy = None
-                break
-        if job.job_id in self.running:
-            del self.running[job.job_id]
-            self.record.jobs_running -= 1
+        if self.running.pop(job.job_id, None) is not None:
+            heapq.heappush(self.free_wns, job.wn)
         self.kernel.emit(self.ce_id, "wn-freed", job=job.job_id)
         self.try_dispatch()
 

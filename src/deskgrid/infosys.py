@@ -1,6 +1,7 @@
 """Information index: published resource records and traversal estimates.
 
-Computing elements publish which information schema flavors they speak.
+Computing elements publish which information schema flavors they speak,
+and their static attributes; a record holds no load.
 A query is always for one flavor, so resources only ever surface to
 brokers of that flavor; Condor-managed elements cannot publish the EDG
 flavor at all (the publisher does not report the data that schema needs)
@@ -17,7 +18,8 @@ own in which every job's CPU is whole, so ETT is an integer pair.  The
 running term is summed over the running jobs only, at most one per
 worker node; the queued term is maintained by the element itself, added
 on enqueue and subtracted when a job leaves the queue, so an estimate
-costs the same however deep the queue is.
+costs the same however deep the queue is.  The element is the only
+record of its load; the index reads it through a load tap.
 """
 from __future__ import annotations
 
@@ -52,8 +54,6 @@ class CERecord:
     cpu_mhz: int
     authorized_vos: tuple
     close_ses: tuple
-    jobs_running: int = 0
-    jobs_queued: int = 0
     allow_condor_edg: bool = False
 
     def validate(self) -> None:
@@ -70,10 +70,6 @@ class CERecord:
             raise InvariantViolation(f"{self.ce_id}: wn_count must be at least 1")
         if self.cpu_mhz < 1:
             raise InvariantViolation(f"{self.ce_id}: cpu_mhz must be positive")
-        if not 0 <= self.jobs_running <= self.wn_count:
-            raise InvariantViolation(f"{self.ce_id}: jobs_running out of range")
-        if self.jobs_queued < 0:
-            raise InvariantViolation(f"{self.ce_id}: jobs_queued negative")
 
 
 @dataclass

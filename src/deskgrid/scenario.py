@@ -44,7 +44,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
             raise ScenarioError("expected: at <seconds> <command...>", path, lineno)
         try:
             at = as_fraction(words[1])
-        except (ValueError, TypeError, ZeroDivisionError):
+        except (ValueError, TypeError):
             raise ScenarioError(f"bad time {words[1]!r}", path, lineno) from None
         if at < last:
             raise ScenarioError(f"time {words[1]} goes backwards", path, lineno)

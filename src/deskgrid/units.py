@@ -27,7 +27,8 @@ def as_fraction(value) -> Fraction:
     """Exact rational view of a seconds-like value.
 
     Floats are read through their decimal repr so that 0.1 means 1/10,
-    not the nearest binary double.
+    not the nearest binary double.  A string with a zero denominator is
+    a ValueError, like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
@@ -38,7 +39,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as seconds")
 
 

@@ -101,7 +101,10 @@ class VoManager:
         if user_dn not in self._members[vo]:
             raise NotAVoMember(f"{user_dn} is not a member of {vo}")
         lifetime = DEFAULT_PROXY_LIFETIME_S if lifetime_s is None else lifetime_s
-        return Proxy(user_dn, vo, now_ms, to_millis(lifetime))
+        lifetime_ms = to_millis(lifetime)
+        if lifetime_ms <= 0:
+            raise VoError(f"proxy lifetime must be at least 1 ms, not {lifetime}s")
+        return Proxy(user_dn, vo, now_ms, lifetime_ms)
 
     # -- mapfiles ------------------------------------------------------
 

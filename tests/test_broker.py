@@ -251,7 +251,7 @@ def test_observers_see_every_move_and_matches_before_handoff(mini, alice):
     seen_at_match = []
     rb.match_observers.append(
         lambda record, result: seen_at_match.append(
-            (record.state, mini.fabric.ces[result.chosen].record.jobs_running)))
+            (record.state, len(mini.fabric.ces[result.chosen].running))))
     job_id = mini.submit(CMKIN_SMALL, "rb_test")
     mini.kernel.run_to_completion()
     assert seen_at_match == [(MATCHED, 0)]  # observed before the enqueue

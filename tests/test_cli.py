@@ -31,6 +31,31 @@ def test_domain_errors_exit_one(mini):
     assert code == 1 and "not a member" in text
 
 
+def test_a_zero_denominator_is_a_domain_error(mini):
+    for argv in (["run", "--until", "1/0"],
+                 ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo",
+                  "--lifetime", "1/0"]):
+        code, text = dispatch(mini, argv)
+        assert code == 1 and text.startswith("error: ") and "denominator" in text, argv
+
+
+def test_proxy_init_refuses_a_lifetime_that_is_not_positive(mini):
+    for lifetime in ("-5", "0"):
+        code, text = dispatch(mini, ["proxy", "init", "--user", "/C=XX/CN=alice",
+                                     "--vo", "testvo", "--lifetime", lifetime])
+        assert code == 1 and "lifetime" in text, lifetime
+    assert mini.current_proxy is None
+
+
+def test_rc_register_refuses_a_negative_size(mini):
+    code, text = dispatch(mini, ["rc", "register", "neg.dat", "se_beta", "-5"])
+    assert code == 1 and "negative" in text
+    assert mini.datagrid.store_of("se_beta").record.used_bytes == 0
+    code, _text = dispatch(mini, ["rc", "lookup", "neg.dat"])
+    assert code == 1
+    assert ok(mini, ["topo", "validate"]) == "ok"
+
+
 def test_topo_show_and_validate(mini):
     assert ok(mini, ["topo", "show"]).splitlines() == [
         "sites\t2", "ces\t2", "ces[EDG]\t2", "ces[GLUE]\t1",

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deskgrid.datagrid import (ChecksumMismatch, DataGrid, DuplicatePath,
-                               NoSuchPhysicalFile, SeFull, StorageElement,
-                               UnknownLfn, UnknownSe)
+from deskgrid.datagrid import (ChecksumMismatch, DataGrid, DataGridError,
+                               DuplicatePath, NoSuchPhysicalFile, SeFull,
+                               StorageElement, UnknownLfn, UnknownSe)
 from deskgrid.infosys import SERecord
 from deskgrid.units import KB, MB
 
@@ -35,7 +35,10 @@ def test_store_refuses_overflow_and_duplicates():
         se.store("b", 2 * MB, 2)
     with pytest.raises(DuplicatePath):
         se.store("a", 1, 3)
+    with pytest.raises(DataGridError):
+        se.store("c", -5, 4)
     assert se.record.used_bytes == 3 * MB  # failures change nothing
+    assert se.get("c") is None
 
 
 @settings(max_examples=50, deadline=None)

@@ -177,7 +177,7 @@ def make_job(job_id, proxy, profile="cmkin", events=50, log=None):
     rec = [] if log is None else log
     return FabricJob(
         job_id, proxy, jd, PROFILES[profile],
-        on_dispatched=lambda wn: rec.append(("run", job_id)),
+        on_dispatched=lambda: rec.append(("run", job_id)),
         on_auth_denied=lambda denial: rec.append(("denied", job_id, str(denial))),
         on_exec_complete=lambda outputs, code: rec.append(("done", job_id, code)),
     ), rec
@@ -198,7 +198,7 @@ def test_fifo_dispatch_and_work_conservation():
     ce.finish(jobs[0])
     # freeing the node starts the next job in the same instant
     assert kernel.now() == 25 and ("run", "j2") in log
-    assert ce.record.jobs_queued == 1 and ce.record.jobs_running == 1
+    assert len(ce.queue) == 1 and len(ce.running) == 1
 
 
 def test_enqueue_rejects_invalid_proxy():
@@ -221,7 +221,26 @@ def test_dispatch_recheck_denies_job_that_waited_too_long():
     kernel.run_until(500)  # j1 runs 500 s, past the proxy lifetime
     ce.finish(j1)
     assert ("denied", "j2", "ProxyExpired") in log
-    assert ce.record.jobs_running == 0 and not ce.queue
+    assert len(ce.running) == 0 and not ce.queue
+
+
+def test_the_lowest_free_node_takes_the_next_job():
+    kernel, ce, proxy = harness(wn_count=3)
+    jobs = {f"j{i}": make_job(f"j{i}", proxy)[0] for i in range(1, 8)}
+
+    def dispatched_nodes(*job_ids):
+        for job_id in job_ids:
+            ce.enqueue(jobs[job_id])
+        return [e.detail["wn"] for e in kernel.trace
+                if e.action == "dispatched" and e.detail["job"] in job_ids]
+
+    assert dispatched_nodes("j1", "j2", "j3") == [0, 1, 2]
+    ce.finish(jobs["j3"])  # node 2, then node 0
+    ce.finish(jobs["j1"])
+    assert dispatched_nodes("j4", "j5") == [0, 2]  # a FIFO free list gives 2, 0
+    ce.finish(jobs["j4"])  # node 0, then node 2
+    ce.finish(jobs["j5"])
+    assert dispatched_nodes("j6", "j7") == [0, 2]  # a LIFO free list gives 2, 0
 
 
 def progress_around(kernel, job, instants) -> list:
@@ -280,7 +299,7 @@ def test_monitor_count_matches_scheduled_points():
         per_event = Fraction(rng.randint(1, 5000), rng.choice((1000, 7000, 100_000, 10**7)))
         profile = WorkloadProfile("p", per_event, Fraction(KB), monitor_every_events=step)
         jd = parse_jdl(jd_text(events=events))
-        job = FabricJob("j1", proxy, jd, profile, on_dispatched=lambda wn: None,
+        job = FabricJob("j1", proxy, jd, profile, on_dispatched=lambda: None,
                         on_auth_denied=lambda denial: None,
                         on_exec_complete=lambda outputs, code: None)
         start_ms = rng.randint(0, 50)
@@ -410,10 +429,12 @@ def test_validate_reports_a_drifted_queued_backlog(mini):
 
 def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     """Oracle for the maintained queue backlog: at every match, every
-    candidate's ETT equals a rescan of its running jobs and queue, and the
-    grid's books are clean.  The run mixes four production requests at
-    random times over both brokers, exec failures, and short-lived proxies
-    whose jobs are queued and then refused when a node frees up."""
+    candidate's ETT equals a rescan of its running jobs and queue, every
+    element's free node indices and its running jobs' nodes partition its
+    nodes, and the grid's books are clean.  The run mixes four production
+    requests at random times over both brokers, exec failures, and
+    short-lived proxies whose jobs are queued and then refused when a node
+    frees up."""
     grid = load_topology(default_topology_path(), seed=13)
     rng = random.Random(13)
     operator = "/O=grid/OU=datatag/CN=factory operator"
@@ -430,6 +451,10 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
         for ce_id, _value in result.candidates:
             if grid.info.estimated_traversal_time(ce_id) != rescanned_ett(ce_id):
                 problems.append((record.job_id, ce_id))
+        for ce_id, ce in grid.fabric.ces.items():  # free and busy nodes partition them all
+            nodes = sorted([*ce.free_wns, *(job.wn for job in ce.running.values())])
+            if nodes != list(range(ce.record.wn_count)):
+                problems.append((record.job_id, ce_id, nodes))
         problems.extend(grid.validate())
 
     for rb in grid.brokers.values():
@@ -455,7 +480,8 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
                                      lifetime_s=30)
         rb = grid.brokers["rb_pisa"]
         visible = grid.info.query(rb.flavor, "datatag")
-        deepest = max(visible, key=lambda ce: (ce.jobs_queued, ce.ce_id))
+        deepest = max(visible, key=lambda ce: (len(grid.fabric.ces[ce.ce_id].queue),
+                                               ce.ce_id))
         doomed.append((rb, rb.submit(parse_jdl(CMKIN_TEXT.format(seed=len(doomed) + 1)),
                                      short, pinned_ce=deepest.ce_id)))
 

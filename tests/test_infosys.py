@@ -65,8 +65,6 @@ def test_record_validation_limits():
         index.publish_ce(ce(schema_flavors=()))
     with pytest.raises(InvariantViolation):
         index.publish_ce(ce(wn_count=0))
-    with pytest.raises(InvariantViolation):
-        index.publish_ce(ce(jobs_running=3))  # above wn_count
 
 
 def test_query_filters_by_flavor_and_vo_and_sorts():

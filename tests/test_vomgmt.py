@@ -1,7 +1,7 @@
 import pytest
 
 from deskgrid.vomgmt import (DEFAULT_PROXY_LIFETIME_S, Denial, NotAVoMember,
-                             UnknownSite, UnknownVo, VoManager)
+                             UnknownSite, UnknownVo, VoError, VoManager)
 
 
 def manager():
@@ -32,6 +32,14 @@ def test_default_lifetime_is_twelve_hours():
     proxy = vo.create_proxy("/C=XX/CN=bob", "testvo", 0)
     assert proxy.lifetime_ms == DEFAULT_PROXY_LIFETIME_S * 1000
     assert DEFAULT_PROXY_LIFETIME_S == 12 * 3600
+
+
+def test_proxy_lifetime_must_be_positive():
+    vo = manager()
+    for lifetime in (-5, 0, "0.0004"):  # the last rounds to 0 ms
+        with pytest.raises(VoError):
+            vo.create_proxy("/C=XX/CN=alice", "testvo", 0, lifetime_s=lifetime)
+    assert vo.create_proxy("/C=XX/CN=alice", "testvo", 0, lifetime_s="0.001").lifetime_ms == 1
 
 
 def test_proxy_refused_for_outsiders():
