@@ -330,7 +330,7 @@ class ResourceBroker:
         size = sum(size for _name, size in record.sandbox_in)
         try:
             self.fabric.network.transfer(
-                size, self.endpoint, ce.site.endpoint, lan_to=True,
+                size, self.endpoint, ce.site.endpoint,
                 what=f"input-sandbox:{record.job_id}",
                 on_done=lambda: self._stage_next(record, 0))
         except fabric_mod.NoRoute:
@@ -357,8 +357,7 @@ class ResourceBroker:
             self.fabric.network.transfer(
                 physical.size_bytes,
                 fabric_mod.endpoint("site", store.record.site_id),
-                ce.site.endpoint, lan_to=True,
-                what=f"stage:{lfn}",
+                ce.site.endpoint, what=f"stage:{lfn}",
                 on_done=lambda: self._stage_next(record, index + 1))
         except fabric_mod.NoRoute:
             self._fail(record, "NoRoute")
@@ -415,7 +414,7 @@ class ResourceBroker:
             self.fabric.network.transfer(
                 produced.size_bytes, ce.site.endpoint,
                 fabric_mod.endpoint("site", store.record.site_id),
-                lan_to=True, what=f"output-data:{produced.name}", on_done=landed)
+                what=f"output-data:{produced.name}", on_done=landed)
         except fabric_mod.NoRoute:
             self._return_sandbox(record, sandbox, DONE_FAILED, "NoRoute")
 
@@ -426,7 +425,7 @@ class ResourceBroker:
         size = sum(f.size_bytes for f in files)
         try:
             self.fabric.network.transfer(
-                size, ce.site.endpoint, self.endpoint, lan_to=False,
+                size, ce.site.endpoint, self.endpoint,
                 what=f"output-sandbox:{record.job_id}",
                 on_done=lambda: self._finalize(record, final_state, reason))
         except fabric_mod.NoRoute:

@@ -120,9 +120,6 @@ class ReplicaCatalog:
             raise UnknownLfn(lfn)
         return self._meta[lfn]
 
-    def lfns(self) -> list:
-        return sorted(self._replicas)
-
     def dump(self) -> str:
         lines = []
         for lfn in sorted(self._replicas):
@@ -192,8 +189,8 @@ class DataGrid:
             self.kernel.emit(self.rc.catalog_id, "replica-added", lfn=lfn,
                              se=to_se, path=src_path)
 
-        return self.network.transfer(size, frm, to, lan_to=True,
-                                     what=f"replica:{lfn}", on_done=complete)
+        return self.network.transfer(size, frm, to, what=f"replica:{lfn}",
+                                     on_done=complete)
 
     def lookup(self, lfn: str) -> list:
         return self.rc.lookup(lfn)

@@ -23,7 +23,10 @@ never scheduled: `FabricJob.monitor_count` works out which lie behind now.
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
 explicit link falls back to the topology's default WAN parameters when
-configured, otherwise there is no route.  Links are not contended.
+configured, otherwise there is no route.  A route follows from its
+endpoints: the LAN leg, one (bandwidth, latency) pair shared by every
+site, is added exactly when the destination is a site.  Links are not
+contended.
 """
 from __future__ import annotations
 
@@ -164,62 +167,39 @@ def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
 
 SITE_EP = "site"
 RB_EP = "rb"
-UI_EP = "ui"
 
 
 def endpoint(kind: str, ident: str = "") -> str:
     return f"{kind}:{ident}" if ident else kind
 
 
-@dataclass(frozen=True)
-class Link:
-    a: str
-    b: str
-    bandwidth: Fraction  # bytes/s
-    latency: Fraction    # seconds
-
-
 class Network:
-    """Named WAN links, per-site LAN parameters and optional WAN defaults."""
+    """Named WAN links, the sites' LAN and optional WAN defaults, each a
+    (bandwidth in bytes/s, latency in s) pair."""
 
     DEFAULT_LAN_BANDWIDTH = Fraction(100 * MB)
     DEFAULT_LAN_LATENCY = Fraction(1, 1000)
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self._links: dict[frozenset, Link] = {}
+        self._links: dict[frozenset, tuple] = {}
         self.default_wan: "tuple[Fraction, Fraction] | None" = None
-        self._lan: dict[str, tuple] = {}
-
-    def set_lan(self, site_id: str, bandwidth: Fraction, latency: Fraction) -> None:
-        self._lan[site_id] = (bandwidth, latency)
-
-    def lan_params(self, site_id: str) -> tuple:
-        return self._lan.get(site_id, (self.DEFAULT_LAN_BANDWIDTH, self.DEFAULT_LAN_LATENCY))
+        self.lan = (self.DEFAULT_LAN_BANDWIDTH, self.DEFAULT_LAN_LATENCY)
 
     def add_link(self, a: str, b: str, bandwidth: Fraction, latency: Fraction) -> None:
-        self._links[frozenset((a, b))] = Link(a, b, bandwidth, latency)
+        self._links[frozenset((a, b))] = (bandwidth, latency)
 
-    def _wan(self, a: str, b: str):
-        link = self._links.get(frozenset((a, b)))
-        if link is not None:
-            return (link.bandwidth, link.latency)
-        return self.default_wan
-
-    def hops(self, frm: str, to: str, lan_to: bool) -> list:
+    def hops(self, frm: str, to: str) -> list:
         """Hop parameter list for a transfer; raises NoRoute when the two
         endpoints have neither a link nor a WAN default."""
-        if frm == to:
-            site = to.split(":", 1)[1] if to.startswith("site:") else None
-            if site is not None and lan_to:
-                return [self.lan_params(site)]
-            return []
-        wan = self._wan(frm, to)
-        if wan is None:
-            raise NoRoute(f"no route between {frm} and {to}")
-        route = [wan]
-        if lan_to and to.startswith("site:"):
-            route.append(self.lan_params(to.split(":", 1)[1]))
+        route = []
+        if frm != to:
+            wan = self._links.get(frozenset((frm, to)), self.default_wan)
+            if wan is None:
+                raise NoRoute(f"no route between {frm} and {to}")
+            route.append(wan)
+        if to.startswith("site:"):
+            route.append(self.lan)
         return route
 
     def duration_s(self, size_bytes: int, hops: list) -> Fraction:
@@ -228,11 +208,11 @@ class Network:
             total += latency + Fraction(size_bytes) / bandwidth
         return total
 
-    def transfer(self, size_bytes: int, frm: str, to: str, *, lan_to: bool,
+    def transfer(self, size_bytes: int, frm: str, to: str, *,
                  what: str, on_done: Callable[[], None]) -> SimEvent:
         """Schedule a transfer; `on_done` runs at completion, after the
         trace entry is emitted."""
-        duration = self.duration_s(size_bytes, self.hops(frm, to, lan_to))
+        duration = self.duration_s(size_bytes, self.hops(frm, to))
 
         def complete():
             self.kernel.emit("net", "transfer-complete", what=what, frm=frm,

@@ -37,7 +37,6 @@ class Grid:
         self.brokers: dict[str, broker_mod.ResourceBroker] = {}
         self.refdb = prod_mod.RefDb()
         self.bossdb = prod_mod.BossDb(emit=self.kernel.emit)
-        self.proxies: dict[str, vomgmt.Proxy] = {}
         self.current_proxy: "vomgmt.Proxy | None" = None
         self._job_seq = 0
         self._build(config)
@@ -62,6 +61,10 @@ class Grid:
         general = config.general
         if general.default_wan is not None:
             self.network.default_wan = general.default_wan
+        if general.lan_bandwidth is not None:
+            self.network.lan = (general.lan_bandwidth, self.network.lan[1])
+        if general.lan_latency is not None:
+            self.network.lan = (self.network.lan[0], general.lan_latency)
 
         declared_vos = {v.name for v in config.vos}
         for site_cfg in config.sites:
@@ -72,14 +75,6 @@ class Grid:
             self.fabric.add_site(fabric_mod.Site(
                 site_cfg.site_id, site_cfg.region, site_cfg.outbound))
             self.vo.register_site(site_cfg.site_id, list(site_cfg.accept_vos))
-            if general.lan_bandwidth is not None or general.lan_latency is not None:
-                bw = (general.lan_bandwidth
-                      if general.lan_bandwidth is not None
-                      else fabric_mod.Network.DEFAULT_LAN_BANDWIDTH)
-                lat = (general.lan_latency
-                       if general.lan_latency is not None
-                       else fabric_mod.Network.DEFAULT_LAN_LATENCY)
-                self.network.set_lan(site_cfg.site_id, bw, lat)
         self.vo.sync_all()
 
         se_records: dict[str, infosys.SERecord] = {}
@@ -174,7 +169,6 @@ class Grid:
     def proxy_init(self, user_dn: str, vo_name: str, lifetime_s=None) -> vomgmt.Proxy:
         proxy = self.vo.create_proxy(user_dn, vo_name, self.kernel.now_ms,
                                      lifetime_s=lifetime_s)
-        self.proxies[user_dn] = proxy
         self.current_proxy = proxy
         self.kernel.emit("ui", "proxy-init", user=user_dn, vo=vo_name,
                          lifetime_s=(vomgmt.DEFAULT_PROXY_LIFETIME_S

@@ -21,8 +21,9 @@ two values of one kind (two numbers, two strings, two booleans for
 equality; ordering only between numbers); anything else is UNDEFINED.
 
 Reserved attributes are folded into the typed JobDescription; unknown
-attributes are retained verbatim so descriptions survive round-trips
-through tools that do not understand them.
+attributes are kept as their parsed expressions, so descriptions survive
+round-trips through tools that do not understand them, unchanged in
+meaning and rendered canonically.
 """
 from __future__ import annotations
 
@@ -141,8 +142,6 @@ class Token:
     text: str
     line: int
     col: int
-    pos: int
-    end: int
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -178,7 +177,7 @@ def _tokenize(text: str) -> list[Token]:
                     j += 1
             if j >= n:
                 raise JdlSyntaxError("unterminated string", line, col)
-            tokens.append(Token("STRING", "".join(out), line, col, i, j + 1))
+            tokens.append(Token("STRING", "".join(out), line, col))
             i = j + 1
             continue
         if c.isdigit():
@@ -189,24 +188,24 @@ def _tokenize(text: str) -> list[Token]:
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col, i, j))
+            tokens.append(Token("NUMBER", text[i:j], line, col))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], line, col, i, j))
+            tokens.append(Token("NAME", text[i:j], line, col))
             i = j
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
-                tokens.append(Token("PUNCT", p, line, col, i, i + len(p)))
+                tokens.append(Token("PUNCT", p, line, col))
                 i += len(p)
                 break
         else:
             raise JdlSyntaxError(f"stray character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, n - bol + 1, n, n))
+    tokens.append(Token("EOF", "", line, n - bol + 1))
     return tokens
 
 
@@ -215,7 +214,6 @@ def _tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -246,7 +244,7 @@ class _Parser:
         return self.next()
 
     # file := { Name "=" expr ";" }
-    def parse_file(self) -> list[tuple[str, Expr, str, Token]]:
+    def parse_file(self) -> list[tuple[str, Expr, Token]]:
         assignments = []
         while self.peek().kind != "EOF":
             name_tok = self.peek()
@@ -254,11 +252,9 @@ class _Parser:
                 self.fail(f"expected attribute name, found {name_tok.text!r}")
             self.next()
             self.expect_punct("=")
-            start = self.peek().pos
             expr = self.parse_expr()
-            end = self.tokens[self.pos - 1].end
             self.expect_punct(";")
-            assignments.append((name_tok.text, expr, self.text[start:end], name_tok))
+            assignments.append((name_tok.text, expr, name_tok))
         return assignments
 
     def parse_expr(self) -> Expr:
@@ -520,11 +516,10 @@ def strip_lfn_prefix(name: str) -> str:
 class JobDescription:
     """Typed view of one description file.
 
-    `extras` keeps unknown attributes as their verbatim source text, in
-    declaration order, so files round-trip through this type unchanged in
-    meaning.  Their parsed expressions are kept beside them, keyed by that
-    text: `parse_jdl` fills them in, and a hand-built description parses
-    each extra on first read."""
+    `extras` maps each unknown attribute, in declaration order, to its
+    expression, so files round-trip through this type unchanged in
+    meaning; `text()` renders them canonically like every other
+    attribute."""
 
     executable: str
     virtual_organisation: str
@@ -539,9 +534,7 @@ class JobDescription:
     replica_catalog: str | None = None
     events: int = 1
     job_seed: int = 0
-    extras: dict = field(default_factory=dict)
-    _extra_exprs: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    extras: dict = field(default_factory=dict)  # name -> Expr
 
     @property
     def job_profile(self) -> str:
@@ -553,23 +546,14 @@ class JobDescription:
     def input_lfns(self) -> tuple:
         return tuple(strip_lfn_prefix(x) for x in self.input_data)
 
-    def _extra_expr(self, name: str) -> Expr | None:
-        raw = self.extras.get(name)
-        if raw is None:
-            return None
-        expr = self._extra_exprs.get(raw)
-        if expr is None:
-            expr = self._extra_exprs[raw] = parse_expr(raw)
-        return expr
-
     def extra_string(self, name: str) -> str | None:
-        expr = self._extra_expr(name)
+        expr = self.extras.get(name)
         if isinstance(expr, Lit) and isinstance(expr.value, str):
             return expr.value
         return None
 
     def extra_int(self, name: str) -> int | None:
-        expr = self._extra_expr(name)
+        expr = self.extras.get(name)
         if isinstance(expr, Lit) and isinstance(expr.value, int):
             return expr.value
         return None
@@ -603,8 +587,8 @@ class JobDescription:
         lines.append(f'VirtualOrganisation = {expr_text(Lit(self.virtual_organisation))};')
         lines.append(f'Events = {self.events};')
         lines.append(f'JobSeed = {self.job_seed};')
-        for name, raw in self.extras.items():
-            lines.append(f'{name} = {raw};')
+        for name, expr in self.extras.items():
+            lines.append(f'{name} = {expr_text(expr)};')
         return "\n".join(lines) + "\n"
 
 
@@ -640,13 +624,11 @@ def _want_string_list(name: str, expr: Expr, tok: Token) -> tuple:
 def parse_jdl(text: str) -> JobDescription:
     """Parse and validate one description file."""
     assignments = _Parser(text).parse_file()
-    seen: dict[str, tuple[Expr, str, Token]] = {}
-    order: list[str] = []
-    for name, expr, raw, tok in assignments:
+    seen: dict[str, tuple[Expr, Token]] = {}
+    for name, expr, tok in assignments:
         if name in seen:
             raise JdlSyntaxError(f"duplicate attribute {name}", tok.line, tok.col)
-        seen[name] = (expr, raw, tok)
-        order.append(name)
+        seen[name] = (expr, tok)
 
     def take(name):
         return seen.pop(name, None)
@@ -655,43 +637,39 @@ def parse_jdl(text: str) -> JobDescription:
         if required not in seen:
             raise MissingAttribute(required)
 
-    expr, _raw, tok = take("Executable")
+    expr, tok = take("Executable")
     executable = _want_string("Executable", expr, tok)
     requirements = take("Requirements")[0]
-    expr, _raw, tok = take("VirtualOrganisation")
+    expr, tok = take("VirtualOrganisation")
     vo = _want_string("VirtualOrganisation", expr, tok)
 
     jd = JobDescription(executable=executable, virtual_organisation=vo,
                         requirements=requirements)
 
     if (got := take("Arguments")) is not None:
-        jd.arguments = _want_string_list("Arguments", got[0], got[2])
+        jd.arguments = _want_string_list("Arguments", got[0], got[1])
     if (got := take("StdOutput")) is not None:
-        jd.std_output = _want_string("StdOutput", got[0], got[2])
+        jd.std_output = _want_string("StdOutput", got[0], got[1])
     if (got := take("StdError")) is not None:
-        jd.std_error = _want_string("StdError", got[0], got[2])
+        jd.std_error = _want_string("StdError", got[0], got[1])
     if (got := take("InputSandbox")) is not None:
-        jd.input_sandbox = _want_string_list("InputSandbox", got[0], got[2])
+        jd.input_sandbox = _want_string_list("InputSandbox", got[0], got[1])
     if (got := take("OutputSandbox")) is not None:
-        jd.output_sandbox = _want_string_list("OutputSandbox", got[0], got[2])
+        jd.output_sandbox = _want_string_list("OutputSandbox", got[0], got[1])
     if (got := take("Rank")) is not None:
         jd.rank = got[0]
     if (got := take("InputData")) is not None:
-        jd.input_data = _want_string_list("InputData", got[0], got[2])
+        jd.input_data = _want_string_list("InputData", got[0], got[1])
     if (got := take("ReplicaCatalog")) is not None:
-        jd.replica_catalog = _want_string("ReplicaCatalog", got[0], got[2])
+        jd.replica_catalog = _want_string("ReplicaCatalog", got[0], got[1])
     if (got := take("Events")) is not None:
-        jd.events = _want_int("Events", got[0], got[2])
+        jd.events = _want_int("Events", got[0], got[1])
         if jd.events < 1:
-            raise JdlError("Events must be at least 1", got[2].line, got[2].col)
+            raise JdlError("Events must be at least 1", got[1].line, got[1].col)
     if (got := take("JobSeed")) is not None:
-        jd.job_seed = _want_int("JobSeed", got[0], got[2])
+        jd.job_seed = _want_int("JobSeed", got[0], got[1])
 
-    for name in order:
-        if name in seen:  # whatever was not consumed above
-            expr, raw, _tok = seen[name]
-            jd.extras[name] = raw = raw.strip()
-            jd._extra_exprs[raw] = expr
+    jd.extras = {name: expr for name, (expr, _tok) in seen.items()}  # the rest
 
     if jd.input_data and jd.replica_catalog is None:
         raise JdlError("InputData requires a ReplicaCatalog")

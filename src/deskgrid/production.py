@@ -302,10 +302,9 @@ class ProductionManager:
     def _job_description(self, request: ProductionRequest, index: int,
                          events: int) -> jdl.JobDescription:
         dataset = request.dataset
-        extras = {"Dataset": jdl.expr_text(jdl.Lit(dataset)),
-                  "JobIndex": jdl.expr_text(jdl.Lit(index))}
+        extras = {"Dataset": jdl.Lit(dataset), "JobIndex": jdl.Lit(index)}
         if request.default_se is not None:
-            extras["DefaultSE"] = jdl.expr_text(jdl.Lit(request.default_se))
+            extras["DefaultSE"] = jdl.Lit(request.default_se)
         simulation = request.step == STEP_CMSIM
         return jdl.JobDescription(
             executable=request.step.lower(),

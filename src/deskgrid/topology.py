@@ -5,7 +5,7 @@ A testbed declaration is a list of `[kind name...]` sections holding
 per line.  `#` comments and blank lines are free.  Every diagnostic
 carries the file path and line number.
 
-    [general]             catalogue id, WAN defaults, LAN defaults
+    [general]             catalogue id, WAN defaults, the sites' LAN
     [vo <name>]           member DNs
     [site <id>]           region = EU|US, accept_vos, outbound
     [ce <id>]             site, lrms, flavors, wn_count, cpu_mhz, tags, close_ses

@@ -10,6 +10,7 @@ with KB/MB/GB meaning the 1024-based units; stored sizes are integer bytes.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -47,8 +48,8 @@ def as_fraction(value) -> Fraction:
 
 
 def to_millis(seconds) -> int:
-    """Seconds to integer milliseconds, rounding half-up."""
-    return int(as_fraction(seconds) * 1000 + Fraction(1, 2))
+    """Seconds to integer milliseconds, rounding half-up (toward +inf)."""
+    return math.floor(as_fraction(seconds) * 1000 + Fraction(1, 2))
 
 
 def millis_to_text(ms: int) -> str:

@@ -80,11 +80,6 @@ class VoManager:
         except ValueError:
             raise NotAVoMember(f"{dn} is not in {vo}") from None
 
-    def members(self, vo: str) -> list[str]:
-        if vo not in self._members:
-            raise UnknownVo(vo)
-        return list(self._members[vo])
-
     def register_site(self, site_id: str, accept_vos: list[str]) -> None:
         for vo in accept_vos:
             if vo not in self._members:

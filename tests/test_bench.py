@@ -30,3 +30,7 @@ def test_traced_long_events_repetition_matches_its_pins():
                 "fabric.tick_calls", "production.monitor_tick_calls",
                 "vomgmt.authorize_calls", "broker.match_calls"):
         assert layers[key] > 0, key
+    # factory jobs reach the broker as typed descriptions holding parsed
+    # extras: no description text or expression is parsed on the way
+    assert layers["jdl.parse_jdl_calls"] == 0
+    assert layers["jdl.parse_expr_calls"] == 0

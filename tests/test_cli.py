@@ -39,6 +39,11 @@ def test_a_zero_denominator_is_a_domain_error(mini):
         assert code == 1 and text.startswith("error: ") and "denominator" in text, argv
 
 
+def test_running_back_in_time_names_the_exact_instant(mini):
+    code, text = dispatch(mini, ["run", "--until", "-1"])
+    assert code == 1 and text == "error: cannot run back to -1.000, now is 0.000"
+
+
 def test_proxy_init_refuses_a_lifetime_that_is_not_positive(mini):
     for lifetime in ("-5", "0"):
         code, text = dispatch(mini, ["proxy", "init", "--user", "/C=XX/CN=alice",

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from deskgrid.datagrid import (ChecksumMismatch, DataGrid, DataGridError,
                                DuplicatePath, NoSuchPhysicalFile, SeFull,
                                StorageElement, UnknownLfn, UnknownSe)
+from deskgrid.grid import Grid
 from deskgrid.infosys import SERecord
+from deskgrid.topology import parse_topology
 from deskgrid.units import KB, MB
 
-from conftest import make_mini
+from conftest import MINI_TOPOLOGY, make_mini
 
 
 def element(capacity=10 * MB, se_id="se_t"):
@@ -111,6 +113,26 @@ def test_replicate_timing_over_link_plus_destination_lan():
     grid.kernel.run_until(Fraction(6101, 1000))
     assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha", "se_beta"]
     assert dg.store_of("se_beta").get("big.fz").checksum == 9
+
+
+@pytest.mark.parametrize("general, lands_ms", [
+    # beta LAN: 100 MB / 50 MB/s + 0.01 s = 2.01 s after the 5.1 s link
+    ("lan_bandwidth = 50 MB/s\nlan_latency = 0.01\n", 7110),
+    # only the latency set: 100 MB / 100 MB/s (built in) + 0.01 s
+    ("lan_latency = 0.01\n", 6110),
+    ("lan_bandwidth = 50 MB/s\n", 7101),
+])
+def test_general_lan_keys_set_the_lan_leg_of_a_replication(general, lands_ms):
+    text = MINI_TOPOLOGY.replace("[vo testvo]", general + "\n[vo testvo]", 1)
+    grid = Grid(parse_topology(text, "<mini>"), seed=1)
+    dg = grid.datagrid
+    dg.store_of("se_alpha").store("big.fz", 100 * MB, 9)
+    dg.register("big.fz", "se_alpha", "big.fz")
+    dg.replicate("big.fz", "se_beta")
+    grid.kernel.run_until(Fraction(lands_ms - 1, 1000))
+    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha"]
+    grid.kernel.run_until(Fraction(lands_ms, 1000))
+    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha", "se_beta"]
 
 
 def test_replicate_is_idempotent_and_checks_room_up_front():

@@ -112,27 +112,27 @@ def net():
 
 def test_hops_shapes():
     n = net()
-    assert n.hops("site:alpha", "site:alpha", lan_to=False) == []
-    assert n.hops("site:alpha", "site:alpha", lan_to=True) == [
-        (Fraction(100 * MB), Fraction(1, 1000))]
-    assert n.hops("rb:r", "rb:r", lan_to=True) == []  # LAN only applies to sites
-    link = n.hops("site:alpha", "site:beta", lan_to=False)
-    assert link == [(Fraction(20 * MB), Fraction(1, 10))]
-    both = n.hops("site:beta", "site:alpha", lan_to=True)
-    assert both == [(Fraction(20 * MB), Fraction(1, 10)),
-                    (Fraction(100 * MB), Fraction(1, 1000))]
+    lan = (Fraction(100 * MB), Fraction(1, 1000))
+    assert n.hops("site:alpha", "site:alpha") == [lan]  # within one site
+    assert n.hops("rb:r", "rb:r") == []  # LAN only applies to sites
+    link = (Fraction(20 * MB), Fraction(1, 10))
+    assert n.hops("site:alpha", "site:beta") == [link, lan]
+    assert n.hops("site:beta", "site:alpha") == [link, lan]
     with pytest.raises(NoRoute):
-        n.hops("site:alpha", "rb:r", lan_to=False)
+        n.hops("site:alpha", "rb:r")
     n.default_wan = (Fraction(10 * MB), Fraction(1, 20))
-    assert n.hops("site:alpha", "rb:r", lan_to=False) == [n.default_wan]
-    assert n.hops("rb:r", "ui", lan_to=True) == [n.default_wan]  # no LAN tail
+    assert n.hops("site:alpha", "rb:r") == [n.default_wan]  # no LAN tail
+    assert n.hops("rb:r", "site:alpha") == [n.default_wan, lan]
+    assert n.hops("rb:r", "ui") == [n.default_wan]
 
 
 def test_lan_override():
     n = net()
-    n.set_lan("alpha", Fraction(MB), Fraction(2, 1000))
-    assert n.lan_params("alpha") == (Fraction(MB), Fraction(2, 1000))
-    assert n.lan_params("beta") == (Fraction(100 * MB), Fraction(1, 1000))
+    n.lan = (Fraction(MB), Fraction(2, 1000))
+    link = (Fraction(20 * MB), Fraction(1, 10))
+    assert n.hops("site:alpha", "site:beta") == [link, n.lan]
+    assert n.hops("site:beta", "site:alpha") == [link, n.lan]
+    assert n.hops("site:beta", "site:beta") == [n.lan]
 
 
 def test_duration_megabyte_over_default_wan():
@@ -144,10 +144,11 @@ def test_duration_megabyte_over_default_wan():
 def test_transfer_completes_on_schedule_with_trace():
     n = net()
     done = []
-    n.transfer(20 * MB, "site:alpha", "site:beta", lan_to=False,
+    n.transfer(20 * MB, "site:alpha", "site:beta",
                what="t", on_done=lambda: done.append(n.kernel.now()))
-    n.kernel.run_until(Fraction(11, 10))
-    assert done == [Fraction(11, 10)]
+    # link: 20 MB / 20 MB/s + 0.1 s; beta LAN: 20 MB / 100 MB/s + 0.001 s
+    n.kernel.run_until(Fraction(1301, 1000))
+    assert done == [Fraction(1301, 1000)]
     entry = n.kernel.trace[-1]
     assert entry.actor == "net" and entry.action == "transfer-complete"
     assert entry.detail["bytes"] == 20 * MB

@@ -61,9 +61,10 @@ def test_profile_name_strips_path_and_extension():
     assert jd.arguments == ("--mode fast -n 3",)
 
 
-def test_unknown_attributes_kept_verbatim():
+def test_unknown_attributes_kept_as_expressions():
     jd = parse_jdl(fixture_text("awkward.jdl"))
-    assert jd.extras["MaxRetries"] == "3"
+    assert jd.extras["MaxRetries"] == Lit(3)
+    assert list(jd.extras) == ["MaxRetries", "Note"]  # declaration order
     assert jd.extra_int("MaxRetries") == 3
     assert jd.extra_string("Note") == 'half # hash, one " quote'
     assert jd.extra_string("Nothing") is None
@@ -307,16 +308,54 @@ def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
     assert counted_parse_expr == []
 
 
-def test_hand_built_extras_parse_once_and_agree(mini, counted_parse_expr):
+def test_hand_built_extras_read_without_parsing(mini, counted_parse_expr):
     parsed = parse_jdl(factory_description(mini).text())
-    built = jdl.JobDescription(executable="cmkin", virtual_organisation="testvo",
-                               requirements=Lit(True), extras=dict(parsed.extras))
-    for _read in range(2):
-        assert built.production_tag() == parsed.production_tag()
-        assert built.extra_string("DefaultSE") == parsed.extra_string("DefaultSE")
-    assert sorted(counted_parse_expr) == ['"jpsi"', '"se_beta"', "2"]
-    built.extras["JobIndex"] = "3"  # a changed extra is parsed afresh
+    built = jdl.JobDescription(
+        executable="cmkin", virtual_organisation="testvo", requirements=Lit(True),
+        extras={"Dataset": Lit("jpsi"), "JobIndex": Lit(2),
+                "DefaultSE": Lit("se_beta")})
+    assert built.extras == parsed.extras
+    assert built.production_tag() == parsed.production_tag() == ("jpsi", 2)
+    assert built.extra_string("DefaultSE") == "se_beta"
+    built.extras["JobIndex"] = Lit(3)
     assert built.production_tag() == ("jpsi", 3)
+    assert 'JobIndex = 3;' in built.text()
+    assert counted_parse_expr == []
+
+
+def test_factory_jobs_run_to_their_default_se_without_parsing(mini, alice,
+                                                              counted_parse_expr):
+    request = mini.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
+                                        default_se="se_beta")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    mini.kernel.run_to_completion()
+    summary = mini.production.post_summary(request.assignment_id)
+    assert summary["jobs_ok"] == 2 and summary["lfns"] == ["jpsi_1.ntpl", "jpsi_2.ntpl"]
+    for lfn in summary["lfns"]:
+        assert [se for se, _path in mini.datagrid.lookup(lfn)] == ["se_beta"]
+    assert counted_parse_expr == []
+
+
+EXTRA_NAMES = ("Dataset", "JobIndex", "DefaultSE", "MaxRetries", "Note",
+               "executable", "Other_2")  # names are case-sensitive
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_descriptions_with_generated_extras_round_trip(seed):
+    rng = random.Random(seed)
+    names = rng.sample(EXTRA_NAMES, rng.randrange(0, len(EXTRA_NAMES) + 1))
+    jd = jdl.JobDescription(
+        executable="cmkin", virtual_organisation="testvo",
+        requirements=gen_expr(rng),
+        rank=gen_expr(rng) if rng.random() < 0.5 else None,
+        events=rng.randrange(1, 10**6), job_seed=rng.randrange(-10, 10**6),
+        extras={name: gen_expr(rng) for name in names})
+    again = parse_jdl(jd.text())
+    assert again == jd, jd.text()
+    assert list(again.extras) == names
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))

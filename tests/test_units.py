@@ -31,6 +31,14 @@ def test_to_millis_rounds_half_up():
     assert to_millis(2) == 2000
 
 
+def test_to_millis_rounds_negatives_half_up_too():
+    assert to_millis(-1) == -1000
+    assert to_millis("-0.0005") == 0              # exactly half -> up
+    assert to_millis("-0.0015") == -1
+    assert to_millis("-0.9995") == -999
+    assert to_millis("-0.0006") == -1
+
+
 def test_millis_to_text_fixed_point():
     assert millis_to_text(0) == "0.000"
     assert millis_to_text(150) == "0.150"
