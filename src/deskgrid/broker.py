@@ -144,7 +144,7 @@ class ResourceBroker:
         self.datagrid = datagrid
         self.fabric = fabric
         self.job_id_source = job_id_source
-        self.brokering_delay_s = brokering_delay_s
+        self.brokering_delay_ms = to_millis(brokering_delay_s)
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
@@ -192,7 +192,7 @@ class ResourceBroker:
                          user=proxy.user_dn, profile=description.job_profile)
         self._move(record, WAITING)
         self.kernel.schedule("user-command", lambda: self._process(record),
-                             self.kernel.now_ms + to_millis(self.brokering_delay_s))
+                             self.kernel.now_ms + self.brokering_delay_ms)
         return job_id
 
     def _process(self, record: JobRecord) -> None:

@@ -5,11 +5,14 @@ Everything a job does on the fabric is synthetic but exactly timed:
     runtime  = events * per_event_cpu_seconds_at_1ghz * (1000 / cpu_mhz)
     transfer = sum over hops of (latency + size / bandwidth)
 
-with all arithmetic in Fractions and a single rounding of each duration
-to milliseconds, added to the kernel's integer-ms clock.  File content is
-never materialised; a job's outputs are (name, size, checksum) triples
-fully determined by the workload profile, dataset, job index and event
-count, so reruns anywhere agree byte-for-byte on what they claim to have
+each an unreduced integer ratio of seconds -- a job's runtime is its
+element's CPU pair (units, units per second), a transfer's is summed from
+the hop parameters over a common denominator -- rounded once to
+milliseconds by `to_millis(n, per)` and added to the kernel's integer-ms
+clock, with no Fraction built on the way.  File content is never
+materialised; a job's outputs are (name, size, checksum) triples fully
+determined by the workload profile, dataset, job index and event count,
+so reruns anywhere agree byte-for-byte on what they claim to have
 produced.
 
 A computing element is the only record of its load: its FIFO queue, its
@@ -34,7 +37,7 @@ import hashlib
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -42,7 +45,7 @@ from typing import Callable
 from . import vomgmt
 from .jdl import JobDescription
 from .simcore import Kernel, SimEvent
-from .units import KB, MB, fmt_quantity, to_millis
+from .units import KB, MB, fmt_ratio, to_millis
 
 
 class FabricError(Exception):
@@ -64,7 +67,9 @@ class AuthorizationDenied(FabricError):
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    """What one event of a given application costs and produces."""
+    """What one event of a given application costs and produces.  The two
+    per-event figures are also kept as int (numerator, denominator) pairs,
+    read on the event path."""
 
     name: str
     per_event_cpu_1ghz: Fraction       # CPU seconds per event on a 1 GHz core
@@ -72,6 +77,12 @@ class WorkloadProfile:
     monitor_every_events: int = 10
     registers_output: bool = False     # data product -> close SE + catalogue
     data_extension: str = "dat"
+    cpu_pair: tuple = field(init=False, repr=False, compare=False)
+    output_pair: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cpu_pair", self.per_event_cpu_1ghz.as_integer_ratio())
+        object.__setattr__(self, "output_pair", self.output_bytes_per_event.as_integer_ratio())
 
     def validate(self) -> None:
         if self.per_event_cpu_1ghz <= 0 or self.output_bytes_per_event <= 0:
@@ -83,7 +94,9 @@ class WorkloadProfile:
         return events * self.per_event_cpu_1ghz * Fraction(1000, cpu_mhz)
 
     def output_size(self, events: int) -> int:
-        return int(events * self.output_bytes_per_event + Fraction(1, 2))
+        """events * output_bytes_per_event bytes, rounded half-up."""
+        num, den = self.output_pair
+        return (2 * events * num + den) // (2 * den)
 
 
 def builtin_profiles() -> dict:
@@ -202,25 +215,30 @@ class Network:
             route.append(self.lan)
         return route
 
-    def duration_s(self, size_bytes: int, hops: list) -> Fraction:
-        total = Fraction(0)
+    def duration(self, size_bytes: int, hops: list) -> tuple:
+        """sum over hops of (latency + size / bandwidth) seconds, as an
+        unreduced integer pair (numerator, denominator)."""
+        num, den = 0, 1
         for bandwidth, latency in hops:
-            total += latency + Fraction(size_bytes) / bandwidth
-        return total
+            hop_den = latency.denominator * bandwidth.numerator
+            hop_num = (latency.numerator * bandwidth.numerator
+                       + size_bytes * bandwidth.denominator * latency.denominator)
+            num, den = num * hop_den + hop_num * den, den * hop_den
+        return num, den
 
     def transfer(self, size_bytes: int, frm: str, to: str, *,
                  what: str, on_done: Callable[[], None]) -> SimEvent:
         """Schedule a transfer; `on_done` runs at completion, after the
         trace entry is emitted."""
-        duration = self.duration_s(size_bytes, self.hops(frm, to))
+        num, den = self.duration(size_bytes, self.hops(frm, to))
 
         def complete():
             self.kernel.emit("net", "transfer-complete", what=what, frm=frm,
-                             to=to, bytes=size_bytes, secs=fmt_quantity(duration))
+                             to=to, bytes=size_bytes, secs=fmt_ratio(num, den))
             on_done()
 
         return self.kernel.schedule("transfer-complete", complete,
-                                    self.kernel.now_ms + to_millis(duration))
+                                    self.kernel.now_ms + to_millis(num, den))
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +266,8 @@ class FabricJob:
     on_dispatched: Callable[[], None]
     on_auth_denied: Callable[[vomgmt.Denial], None]
     on_exec_complete: Callable[[list, int], None]
-    cpu_total_s: Fraction = Fraction(0)
+    cpu_units: int = 0                 # its CPU in its element's units and
+    cpu_per_s: int = 1                 # ... units per second, set at enqueue
     events_done: int = 0               # every event, once execution has ended
     wn: int = -1                       # index of its worker node, once dispatched
     kernel: "Kernel | None" = None     # set when execution starts, with
@@ -261,19 +280,25 @@ class FabricJob:
         Point k lies at start_ms + floor(1000*R*k/E + 1/2) for runtime
         R = p/q, so points up to ms T have 2000*p*k < (2*(T - start_ms) + 1)*q*E.
         A point on T itself is reached only by reads outside delivery and by
-        events queued from this job's job-finish on (it would sit just before)."""
+        events queued from this job's job-finish on (it would sit just before).
+        The floor is the same for any multiple of (p, q), so R is the
+        unreduced CPU pair."""
         if self.kernel is None:
             return 0
         events, step = self.description.events, self.profile.monitor_every_events
         seq = self.kernel.delivering_seq
         bound = 2 * (self.kernel.now_ms - self.start_ms)
         bound += 1 if seq is None or seq >= self.start_seq else -1
-        runtime = self.cpu_total_s
-        reached = (bound * runtime.denominator * events - 1) // (2000 * runtime.numerator * step)
+        reached = (bound * self.cpu_per_s * events - 1) // (2000 * self.cpu_units * step)
         return step * max(0, min(reached, (events - 1) // step))
 
     def events_left(self) -> int:
         return self.description.events - max(self.events_done, self.monitor_count())
+
+    @property
+    def cpu_total_s(self) -> Fraction:
+        """Exact view of the CPU pair, for readers outside the event path."""
+        return Fraction(self.cpu_units, self.cpu_per_s)
 
     def remaining_cpu_s(self) -> Fraction:
         return self.cpu_total_s * Fraction(self.events_left(), self.description.events)
@@ -310,14 +335,15 @@ class ComputingElement:
         if denial is not None:
             self.kernel.emit(self.ce_id, "enqueue-denied", job=job.job_id, reason=str(denial))
             raise AuthorizationDenied(denial)
-        job.cpu_total_s = job.profile.runtime_s(job.description.events, self.record.cpu_mhz)
-        den = job.profile.per_event_cpu_1ghz.denominator
+        den = job.profile.cpu_pair[1]
         if self.cpu_den % den:
             grown = math.lcm(self.cpu_den, den)
             self.queued_units *= grown // self.cpu_den
             self.cpu_den = grown
+        job.cpu_units = job.description.events * self._units_per_event(job.profile)
+        job.cpu_per_s = self.cpu_den * self.record.cpu_mhz
         self.queue.append(job)
-        self.queued_units += job.description.events * self._units_per_event(job.profile)
+        self.queued_units += job.cpu_units
         self.kernel.emit(self.ce_id, "enqueued", job=job.job_id, depth=len(self.queue))
         self.try_dispatch()
 
@@ -344,9 +370,10 @@ class ComputingElement:
             raise FabricError(f"{job.job_id} is not running on {self.ce_id}")
         self.kernel.emit(self.ce_id, "exec-start", job=job.job_id,
                          events=job.description.events,
-                         runtime_s=fmt_quantity(job.cpu_total_s))
+                         runtime_s=fmt_ratio(job.cpu_units, job.cpu_per_s))
         finish = self.kernel.schedule("job-finish", partial(self._exec_done, job),
-                                      self.kernel.now_ms + to_millis(job.cpu_total_s))
+                                      self.kernel.now_ms + to_millis(job.cpu_units,
+                                                                     job.cpu_per_s))
         job.kernel, job.start_ms, job.start_seq = self.kernel, self.kernel.now_ms, finish.seq
 
     def _tick(self, job: FabricJob, events_done: int) -> None:
@@ -379,8 +406,8 @@ class ComputingElement:
 
     def _units_per_event(self, profile: WorkloadProfile) -> int:
         """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""
-        per_event = profile.per_event_cpu_1ghz
-        return 1000 * per_event.numerator * (self.cpu_den // per_event.denominator)
+        num, den = profile.cpu_pair
+        return 1000 * num * (self.cpu_den // den)
 
     def cpu_backlog(self) -> tuple:
         """(units, units per second): the CPU left in the running jobs, at

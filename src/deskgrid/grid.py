@@ -207,7 +207,9 @@ class Grid:
             if ce_id not in self.info.ces:
                 problems.append(f"{ce_id}: not published")
                 continue
-            rescanned = sum(job.cpu_total_s for job in ce.queue)  # in seconds
+            # from the profiles, not the jobs' own CPU pairs, in seconds
+            rescanned = sum(job.profile.runtime_s(job.description.events, ce.record.cpu_mhz)
+                            for job in ce.queue)
             if ce.queued_units != rescanned * ce.cpu_den * ce.record.cpu_mhz:
                 problems.append(f"{ce_id}: queued CPU backlog drifted")
         for se_id, store in self.datagrid.ses.items():

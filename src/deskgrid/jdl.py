@@ -554,7 +554,7 @@ class JobDescription:
 
     def extra_int(self, name: str) -> int | None:
         expr = self.extras.get(name)
-        if isinstance(expr, Lit) and isinstance(expr.value, int):
+        if isinstance(expr, Lit) and type(expr.value) is int:  # a bool is not an int here
             return expr.value
         return None
 
@@ -599,11 +599,11 @@ def _want_string(name: str, expr: Expr, tok: Token) -> str:
 
 
 def _want_int(name: str, expr: Expr, tok: Token) -> int:
-    if isinstance(expr, Lit) and isinstance(expr.value, int) and not isinstance(expr.value, bool):
+    if isinstance(expr, Lit) and type(expr.value) is int:  # a bool is not an int here
         return expr.value
     if isinstance(expr, Unary) and expr.op == "-":
         inner = expr.operand
-        if isinstance(inner, Lit) and isinstance(inner.value, int):
+        if isinstance(inner, Lit) and type(inner.value) is int:  # nor under a minus
             return -inner.value
     raise JdlError(f"{name} must be an integer literal", tok.line, tok.col)
 

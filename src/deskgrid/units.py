@@ -2,15 +2,16 @@
 
 Simulated time is kept as non-negative integer milliseconds everywhere
 inside the package; seconds (int, float, decimal string or Fraction) are
-accepted at the boundaries and converted exactly.  A duration worked out
-in seconds is rounded once, half-up, and added to the ms clock: for a
-non-negative duration d, `now_ms + to_millis(d)` is the instant
-`to_millis(now_ms / 1000 + d)`.  Sizes are read exactly by `parse_amount`,
-with KB/MB/GB meaning the 1024-based units; stored sizes are integer bytes.
+accepted at the boundaries and converted exactly.  A duration is rounded
+once, half-up, and added to the ms clock: for a non-negative duration d,
+`now_ms + to_millis(d)` is the instant `to_millis(now_ms / 1000 + d)`.
+Inside the package a duration is an unreduced integer ratio, n/per
+seconds, and `to_millis(n, per)` rounds it in integers alone.  Sizes are
+read exactly by `parse_amount`, with KB/MB/GB meaning the 1024-based
+units; stored sizes are integer bytes.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -47,9 +48,15 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as seconds")
 
 
-def to_millis(seconds) -> int:
-    """Seconds to integer milliseconds, rounding half-up (toward +inf)."""
-    return math.floor(as_fraction(seconds) * 1000 + Fraction(1, 2))
+def to_millis(n, per: int = 1) -> int:
+    """n/per seconds to integer milliseconds, rounding half-up (toward +inf).
+
+    `per` is a positive int; an int `n` builds no Fraction, any other
+    seconds-like `n` is read by `as_fraction`."""
+    if type(n) is not int:
+        seconds = as_fraction(n)
+        n, per = seconds.numerator, seconds.denominator * per
+    return (2000 * n + per) // (2 * per)
 
 
 def millis_to_text(ms: int) -> str:

@@ -1,11 +1,16 @@
+import cProfile
+import math
+import pstats
 import random
 import time
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deskgrid.broker import DONE_FAILED
+from deskgrid.broker import DONE_FAILED, DONE_OK
 from deskgrid.fabric import (AuthorizationDenied, ComputingElement, FabricJob,
                              Network, NoRoute, Site, WorkloadProfile,
                              build_outputs, builtin_profiles, content_checksum,
@@ -14,8 +19,10 @@ from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.simcore import Kernel
-from deskgrid.units import KB, MB, to_millis
+from deskgrid.units import KB, MB, fmt_quantity, to_millis
 from deskgrid.vomgmt import VoManager
+
+from conftest import CMKIN_SMALL
 
 PROFILES = builtin_profiles()
 
@@ -54,6 +61,16 @@ def test_output_sizes():
     assert PROFILES["cmsim"].output_size(250) == 471_859_200
     assert PROFILES["atlsim"].output_size(100) == 100 * 180 * KB == 18_432_000
     assert PROFILES["custom"].output_size(3) == 3 * KB
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9),
+       st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**6)))
+@example(1, Fraction(1, 2))      # exactly half a byte -> up
+@example(3, Fraction(9, 5) * MB)
+def test_output_size_rounds_the_exact_product_half_up(events, bytes_per_event):
+    profile = WorkloadProfile("p", Fraction(1), bytes_per_event)
+    assert profile.output_size(events) == int(events * bytes_per_event + Fraction(1, 2))
 
 
 def test_checksum_is_deterministic_and_input_sensitive():
@@ -138,7 +155,31 @@ def test_lan_override():
 def test_duration_megabyte_over_default_wan():
     n = net()
     hops = [(Fraction(10 * MB), Fraction(1, 20))]
-    assert n.duration_s(MB, hops) == Fraction(3, 20)  # 0.1 s pipe + 0.05 s latency
+    assert Fraction(*n.duration(MB, hops)) == Fraction(3, 20)  # 0.1 s pipe + 0.05 s latency
+
+
+RATES = st.builds(Fraction, st.integers(1, 10**10), st.integers(1, 10**4))
+DELAYS = st.builds(Fraction, st.integers(0, 10**5), st.integers(1, 10**5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(RATES, DELAYS), st.tuples(RATES, DELAYS), st.tuples(RATES, DELAYS),
+       st.integers(min_value=0, max_value=2**40),
+       st.sampled_from([("site:alpha", "site:beta"), ("site:beta", "site:beta"),
+                        ("rb:r", "site:alpha"), ("site:alpha", "rb:r"), ("rb:r", "ui")]))
+def test_transfer_duration_is_the_exact_sum_over_hops(link, lan, wan, size, ends):
+    n = Network(Kernel(seed=3))
+    n.add_link("site:alpha", "site:beta", *link)
+    n.lan, n.default_wan = lan, wan
+    hops = n.hops(*ends)
+    exact = sum((latency + Fraction(size) / bandwidth for bandwidth, latency in hops),
+                Fraction(0))
+    assert Fraction(*n.duration(size, hops)) == exact
+    n.transfer(size, *ends, what="t", on_done=lambda: None)
+    n.kernel.run_to_completion()
+    entry = n.kernel.trace[-1]
+    assert entry.time_ms == math.floor(exact * 1000 + Fraction(1, 2))
+    assert entry.detail["secs"] == fmt_quantity(exact)
 
 
 def test_transfer_completes_on_schedule_with_trace():
@@ -359,7 +400,7 @@ def test_monitor_points_on_the_read_instant_count_for_later_events_only(mini, al
     scheduled after the start, in the same ms, does."""
     mini.fabric.set_profile(WorkloadProfile("blip", Fraction(1, 100_000), Fraction(KB)))
     rb = mini.brokers["rb_test"]
-    rb.brokering_delay_s = Fraction(1, 50)
+    rb.brokering_delay_ms = 20
     mini.submit(BLIP_TEXT, "rb_test", pinned_ce="ce_beta")  # matched at 20 ms
     mini.kernel.run_until(Fraction(51, 1000))
     early = mini.submit(BLIP_TEXT, "rb_test")  # matched at 71 ms
@@ -375,6 +416,36 @@ def test_monitor_points_on_the_read_instant_count_for_later_events_only(mini, al
     # outside delivery every point up to now has been reached; the late
     # job (5 ms) waits in the queue behind it
     assert mini.info.estimated_traversal_time("ce_beta") == Fraction(91 + 100, 20000)
+
+
+SANDBOXED_CMKIN = CMKIN_SMALL.replace("JobSeed = 101;", (
+    'JobSeed = {seed};\nInputSandbox = {{"run.cards"}};\nOutputSandbox = {{"run.hbook"}};'))
+
+
+def test_a_run_builds_no_fraction(mini, alice):
+    """Profile a whole run: input sandboxes in, CMKIN ntuples registered on
+    close storage, sandboxes back, monitor points read by the production
+    bookkeeping.  Every duration on the way is an integer ratio."""
+    request = mini.refdb.create_request("jpsi", "CMKIN", 60, 20, "rb_test")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    for seed in range(4):
+        mini.submit(SANDBOXED_CMKIN.format(seed=seed), "rb_test")
+    profile = cProfile.Profile()
+    profile.enable()
+    mini.kernel.run_to_completion()
+    profile.disable()
+    assert len(mini.all_jobs()) == 7
+    assert all(record.state == DONE_OK for _rb, record in mini.all_jobs())
+    assert sum(e.action == "output-registered" for e in mini.kernel.trace) == 7
+    moved = {e.detail["what"].split(":")[0] for e in mini.kernel.trace
+             if e.action == "transfer-complete"}
+    assert {"input-sandbox", "output-sandbox"} <= moved and len(moved) == 3
+    built = [calls for (path, _line, name), (_cc, calls, *_rest)
+             in pstats.Stats(profile).stats.items()
+             if name == "__new__" and path.endswith("fractions.py")]
+    assert built == []
 
 
 def test_fail_next_execs_injection():
@@ -431,11 +502,12 @@ def test_validate_reports_a_drifted_queued_backlog(mini):
 def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     """Oracle for the maintained queue backlog: at every match, every
     candidate's ETT equals a rescan of its running jobs and queue, every
-    element's free node indices and its running jobs' nodes partition its
-    nodes, and the grid's books are clean.  The run mixes four production
-    requests at random times over both brokers, exec failures, and
-    short-lived proxies whose jobs are queued and then refused when a node
-    frees up."""
+    queued and running job's CPU pair is its profile's runtime there,
+    every element's free node indices and its running jobs' nodes
+    partition its nodes, and the grid's books are clean.  The run mixes
+    four production requests at random times over both brokers, exec
+    failures, and short-lived proxies whose jobs are queued and then
+    refused when a node frees up."""
     grid = load_topology(default_topology_path(), seed=13)
     rng = random.Random(13)
     operator = "/O=grid/OU=datatag/CN=factory operator"
@@ -456,6 +528,10 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
             nodes = sorted([*ce.free_wns, *(job.wn for job in ce.running.values())])
             if nodes != list(range(ce.record.wn_count)):
                 problems.append((record.job_id, ce_id, nodes))
+            for job in (*ce.queue, *ce.running.values()):
+                runtime = job.profile.runtime_s(job.description.events, ce.record.cpu_mhz)
+                if Fraction(job.cpu_units, job.cpu_per_s) != runtime:
+                    problems.append((record.job_id, job.job_id, "CPU pair"))
         problems.extend(grid.validate())
 
     for rb in grid.brokers.values():

@@ -112,6 +112,22 @@ def test_events_must_be_positive():
         parse_jdl(text)
 
 
+@pytest.mark.parametrize("attribute", ["Events", "JobSeed"])
+@pytest.mark.parametrize("value", ["true", "-true", "-false"])
+def test_a_boolean_is_not_an_integer_attribute(attribute, value):
+    text = ('Executable = "x";\nRequirements = true;\n'
+            f'VirtualOrganisation = "vo";\n{attribute} = {value};')
+    with pytest.raises(JdlError, match="must be an integer literal"):
+        parse_jdl(text)
+
+
+def test_a_boolean_job_index_is_no_production_tag():
+    jd = parse_jdl('Executable = "x";\nRequirements = true;\n'
+                   'VirtualOrganisation = "vo";\nDataset = "jpsi";\nJobIndex = true;')
+    assert jd.extra_int("JobIndex") is None
+    assert jd.production_tag() is None
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(JdlSyntaxError) as err:
         parse_jdl('Executable = "x"\nRequirements = true;')

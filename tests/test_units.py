@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,25 @@ def test_to_millis_rounds_negatives_half_up_too():
     assert to_millis("-0.0015") == -1
     assert to_millis("-0.9995") == -999
     assert to_millis("-0.0006") == -1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-2**200, max_value=2**200),
+       st.integers(min_value=1, max_value=2**200))
+@example(1, 2000)                # exactly half a ms -> up
+@example(-1, 2000)               # exactly minus half a ms -> up, to 0
+@example(6, 12000)               # unreduced half a ms
+@example(2**64 + 1, 2**64)       # past 2**64
+def test_to_millis_of_a_pair_rounds_the_ratio_half_up(n, per):
+    assert to_millis(n, per) == math.floor(Fraction(n, per) * 1000 + Fraction(1, 2))
+
+
+def test_to_millis_reads_a_non_int_numerator_exactly():
+    assert to_millis("0.0015", 3) == 1            # 0.5 ms -> up
+    assert to_millis(Fraction(1, 2), 1000) == 1   # 0.5 ms -> up
+    assert to_millis(0.1, 4) == 25
+    with pytest.raises(TypeError):
+        to_millis(True, 2)
 
 
 def test_millis_to_text_fixed_point():
