@@ -29,7 +29,7 @@ from typing import Callable
 from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import jdl
-from .units import fmt_quantity, fmt_ratio, to_millis
+from .units import fmt_quantity, fmt_ratio
 from .vomgmt import Denial, Proxy
 
 SUBMITTED = "SUBMITTED"
@@ -135,7 +135,7 @@ class JobRecord:
 
 class ResourceBroker:
     def __init__(self, rb_id: str, flavor: str, *, kernel, info, vo, datagrid,
-                 fabric, job_id_source: Callable[[], str], brokering_delay_s=0):
+                 fabric, job_id_source: Callable[[], str]):
         self.rb_id = rb_id
         self.flavor = flavor
         self.kernel = kernel
@@ -144,7 +144,7 @@ class ResourceBroker:
         self.datagrid = datagrid
         self.fabric = fabric
         self.job_id_source = job_id_source
-        self.brokering_delay_ms = to_millis(brokering_delay_s)
+        self.brokering_delay_ms = 0  # from a submission to its match event
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []

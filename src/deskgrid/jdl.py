@@ -20,14 +20,15 @@ without looking at the right arm.  Comparisons are defined only between
 two values of one kind (two numbers, two strings, two booleans for
 equality; ordering only between numbers); anything else is UNDEFINED.
 
-Reserved attributes are folded into the typed JobDescription; unknown
-attributes are kept as their parsed expressions, so descriptions survive
-round-trips through tools that do not understand them, unchanged in
-meaning and rendered canonically.
+Reserved attributes are folded into the typed JobDescription; the
+`_RESERVED` table is the one list of them, read and rendered alike.
+Unknown attributes are kept as their parsed expressions, so descriptions
+survive round-trips through tools that do not understand them,
+unchanged in meaning and rendered canonically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping, Union
 
 
@@ -501,13 +502,6 @@ def reads_attribute(expr: Expr, name: str) -> bool:
 # --------------------------------------------------------------------------
 # job descriptions
 
-RESERVED_ATTRIBUTES = (
-    "Executable", "Arguments", "StdOutput", "StdError", "InputSandbox",
-    "OutputSandbox", "Requirements", "Rank", "InputData", "ReplicaCatalog",
-    "VirtualOrganisation", "Events", "JobSeed",
-)
-
-
 def strip_lfn_prefix(name: str) -> str:
     return name[4:] if name.startswith("lfn:") else name
 
@@ -516,10 +510,11 @@ def strip_lfn_prefix(name: str) -> str:
 class JobDescription:
     """Typed view of one description file.
 
-    `extras` maps each unknown attribute, in declaration order, to its
-    expression, so files round-trip through this type unchanged in
-    meaning; `text()` renders them canonically like every other
-    attribute."""
+    One field per `_RESERVED` attribute; those without a default are
+    required.  `extras` maps each unknown attribute, in declaration
+    order, to its expression, so files round-trip through this type
+    unchanged in meaning; `text()` renders them canonically like every
+    other attribute."""
 
     executable: str
     virtual_organisation: str
@@ -567,29 +562,27 @@ class JobDescription:
         return dataset, index
 
     def text(self) -> str:
-        """Canonical file rendering of this description."""
-        lines = [f'Executable = {expr_text(Lit(self.executable))};']
-        if self.arguments:
-            lines.append(f'Arguments = {expr_text(ListLit(tuple(Lit(a) for a in self.arguments)))};')
-        lines.append(f'StdOutput = {expr_text(Lit(self.std_output))};')
-        lines.append(f'StdError = {expr_text(Lit(self.std_error))};')
-        if self.input_sandbox:
-            lines.append(f'InputSandbox = {expr_text(ListLit(tuple(Lit(x) for x in self.input_sandbox)))};')
-        if self.output_sandbox:
-            lines.append(f'OutputSandbox = {expr_text(ListLit(tuple(Lit(x) for x in self.output_sandbox)))};')
-        lines.append(f'Requirements = {expr_text(self.requirements)};')
-        if self.rank is not None:
-            lines.append(f'Rank = {expr_text(self.rank)};')
-        if self.input_data:
-            lines.append(f'InputData = {expr_text(ListLit(tuple(Lit(x) for x in self.input_data)))};')
-        if self.replica_catalog is not None:
-            lines.append(f'ReplicaCatalog = {expr_text(Lit(self.replica_catalog))};')
-        lines.append(f'VirtualOrganisation = {expr_text(Lit(self.virtual_organisation))};')
-        lines.append(f'Events = {self.events};')
-        lines.append(f'JobSeed = {self.job_seed};')
-        for name, expr in self.extras.items():
-            lines.append(f'{name} = {expr_text(expr)};')
+        """Canonical rendering: reserved attributes in table order, less
+        those that are None or (), then the extras."""
+        lines = [f"{name} = {_render(value)};"
+                 for name, (field_name, _read) in _RESERVED.items()
+                 if (value := getattr(self, field_name)) is not None and value != ()]
+        lines += [f"{name} = {expr_text(expr)};" for name, expr in self.extras.items()]
         return "\n".join(lines) + "\n"
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        value = ListLit(tuple(Lit(item) for item in value))
+    elif isinstance(value, (str, int)):
+        value = Lit(value)
+    return expr_text(value)
+
+
+# Readers: (attribute name, expression, its name token) -> field value.
+
+def _want_expr(name: str, expr: Expr, tok: Token) -> Expr:
+    return expr
 
 
 def _want_string(name: str, expr: Expr, tok: Token) -> str:
@@ -608,6 +601,13 @@ def _want_int(name: str, expr: Expr, tok: Token) -> int:
     raise JdlError(f"{name} must be an integer literal", tok.line, tok.col)
 
 
+def _want_events(name: str, expr: Expr, tok: Token) -> int:
+    events = _want_int(name, expr, tok)
+    if events < 1:
+        raise JdlError(f"{name} must be at least 1", tok.line, tok.col)
+    return events
+
+
 def _want_string_list(name: str, expr: Expr, tok: Token) -> tuple:
     if isinstance(expr, Lit) and isinstance(expr.value, str):
         return (expr.value,)
@@ -621,6 +621,31 @@ def _want_string_list(name: str, expr: Expr, tok: Token) -> tuple:
     raise JdlError(f"{name} must be a list of strings", tok.line, tok.col)
 
 
+#: reserved attribute -> (JobDescription field, reader), in rendering order;
+#: the one list of the attributes a description file reserves
+_RESERVED = {
+    "Executable": ("executable", _want_string),
+    "Arguments": ("arguments", _want_string_list),
+    "StdOutput": ("std_output", _want_string),
+    "StdError": ("std_error", _want_string),
+    "InputSandbox": ("input_sandbox", _want_string_list),
+    "OutputSandbox": ("output_sandbox", _want_string_list),
+    "Requirements": ("requirements", _want_expr),
+    "Rank": ("rank", _want_expr),
+    "InputData": ("input_data", _want_string_list),
+    "ReplicaCatalog": ("replica_catalog", _want_string),
+    "VirtualOrganisation": ("virtual_organisation", _want_string),
+    "Events": ("events", _want_events),
+    "JobSeed": ("job_seed", _want_int),
+}
+
+_REQUIRED_FIELDS = {f.name for f in fields(JobDescription)
+                    if f.default is MISSING and f.default_factory is MISSING}
+
+#: the required attributes first, then the rest, each in table order
+_READ_ORDER = sorted(_RESERVED.items(), key=lambda item: item[1][0] not in _REQUIRED_FIELDS)
+
+
 def parse_jdl(text: str) -> JobDescription:
     """Parse and validate one description file."""
     assignments = _Parser(text).parse_file()
@@ -630,46 +655,12 @@ def parse_jdl(text: str) -> JobDescription:
             raise JdlSyntaxError(f"duplicate attribute {name}", tok.line, tok.col)
         seen[name] = (expr, tok)
 
-    def take(name):
-        return seen.pop(name, None)
-
-    for required in ("Executable", "Requirements", "VirtualOrganisation"):
-        if required not in seen:
-            raise MissingAttribute(required)
-
-    expr, tok = take("Executable")
-    executable = _want_string("Executable", expr, tok)
-    requirements = take("Requirements")[0]
-    expr, tok = take("VirtualOrganisation")
-    vo = _want_string("VirtualOrganisation", expr, tok)
-
-    jd = JobDescription(executable=executable, virtual_organisation=vo,
-                        requirements=requirements)
-
-    if (got := take("Arguments")) is not None:
-        jd.arguments = _want_string_list("Arguments", got[0], got[1])
-    if (got := take("StdOutput")) is not None:
-        jd.std_output = _want_string("StdOutput", got[0], got[1])
-    if (got := take("StdError")) is not None:
-        jd.std_error = _want_string("StdError", got[0], got[1])
-    if (got := take("InputSandbox")) is not None:
-        jd.input_sandbox = _want_string_list("InputSandbox", got[0], got[1])
-    if (got := take("OutputSandbox")) is not None:
-        jd.output_sandbox = _want_string_list("OutputSandbox", got[0], got[1])
-    if (got := take("Rank")) is not None:
-        jd.rank = got[0]
-    if (got := take("InputData")) is not None:
-        jd.input_data = _want_string_list("InputData", got[0], got[1])
-    if (got := take("ReplicaCatalog")) is not None:
-        jd.replica_catalog = _want_string("ReplicaCatalog", got[0], got[1])
-    if (got := take("Events")) is not None:
-        jd.events = _want_int("Events", got[0], got[1])
-        if jd.events < 1:
-            raise JdlError("Events must be at least 1", got[1].line, got[1].col)
-    if (got := take("JobSeed")) is not None:
-        jd.job_seed = _want_int("JobSeed", got[0], got[1])
-
-    jd.extras = {name: expr for name, (expr, _tok) in seen.items()}  # the rest
+    for name, (field_name, _read) in _READ_ORDER:
+        if field_name in _REQUIRED_FIELDS and name not in seen:
+            raise MissingAttribute(name)
+    values = {field_name: read(name, *seen.pop(name))
+              for name, (field_name, read) in _READ_ORDER if name in seen}
+    jd = JobDescription(**values, extras={name: expr for name, (expr, _tok) in seen.items()})
 
     if jd.input_data and jd.replica_catalog is None:
         raise JdlError("InputData requires a ReplicaCatalog")

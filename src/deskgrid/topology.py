@@ -2,8 +2,11 @@
 
 A testbed declaration is a list of `[kind name...]` sections holding
 `key = value` lines; `[vo <name>]` sections instead hold one member DN
-per line.  `#` comments and blank lines are free.  Every diagnostic
-carries the file path and line number.
+per line.  `#` comments and blank lines are free.  Each section
+appears once, a link once per unordered endpoint pair.  Every
+diagnostic carries the file path and a line number: a missing key is
+reported at its section's header, a value that does not read at its
+own line.
 
     [general]             catalogue id, WAN defaults, the sites' LAN
     [vo <name>]           member DNs
@@ -117,193 +120,131 @@ _SECTION_RE = re.compile(r"^\[([a-z]+)((?:\s+\S+)*)\]$")
 _ENDPOINT_RE = re.compile(r"^(site:[\w-]+|rb:[\w-]+|ui)$")
 
 
-def _split_list(value: str) -> list:
-    return [part for part in re.split(r"[,\s]+", value.strip()) if part]
+# Value readers: each takes the text after `=` and raises a plain
+# ValueError, which `_Section.get` reports at the value's line.
+
+def _words(value: str) -> tuple:
+    return tuple(value.replace(",", " ").split())
 
 
-def _parse_bool(value: str, path, line) -> bool:
-    lowered = value.strip().lower()
+def _bool(value: str) -> bool:
+    lowered = value.lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}", path, line)
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_int(value: str, path, line, *, minimum=None) -> int:
+def _count(value: str) -> int:
     try:
-        number = int(value.strip())
+        number = int(value)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", path, line) from None
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"value {number} is below {minimum}", path, line)
+        raise ValueError(f"expected an integer, got {value!r}") from None
+    if number < 1:
+        raise ValueError(f"value {number} is below 1")
     return number
 
 
-def _parse_seconds(value: str, path, line) -> Fraction:
+def _seconds(value: str) -> Fraction:
     try:
-        seconds = Fraction(value.strip())
+        seconds = Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected seconds, got {value!r}", path, line) from None
+        raise ValueError(f"expected seconds, got {value!r}") from None
     if seconds < 0:
-        raise ConfigError("durations cannot be negative", path, line)
+        raise ValueError("durations cannot be negative")
     return seconds
 
 
-class _Sections:
-    """Raw section scan; keeps line numbers for every entry."""
+def _choice(what: str, *options: str):
+    def read(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"{what} must be {' or '.join(options)}, got {value!r}")
+        return value
+    return read
 
-    def __init__(self, text: str, path: str):
+
+_REQUIRED = object()  # `_Section.get`'s default: the key must be given
+_KEYED_KINDS = ("general", "site", "ce", "se", "link", "broker", "profile")
+
+#: [profile] key -> (WorkloadProfile field, reader), in reading order
+_PROFILE_KEYS = {
+    "per_event_cpu_1ghz": ("per_event_cpu_1ghz", _seconds),
+    "output_per_event": ("output_bytes_per_event", parse_amount),  # may be '1.8 MB'
+    "monitor_every": ("monitor_every_events", _count),
+    "registers_output": ("registers_output", _bool),
+    "data_extension": ("data_extension", str),
+}
+
+
+class _Section:
+    """The `key = value` lines of one section, each key read once.
+
+    Every diagnostic names the section by its label and points at the
+    header line, or at the line of the value that failed to read."""
+
+    def __init__(self, label: str, line: int, lines: list, path: str):
+        self.label = label
+        self.line = line
         self.path = path
-        self.sections = []  # (kind, args, header_line, entries)
-        current = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("["):
-                m = _SECTION_RE.match(line.strip())
-                if not m:
-                    raise ConfigError(f"malformed section header {line.strip()!r}",
-                                      path, lineno)
-                current = (m.group(1), m.group(2).split(), lineno, [])
-                self.sections.append(current)
-                continue
-            if current is None:
-                raise ConfigError("content before the first section", path, lineno)
-            current[3].append((lineno, line.strip()))
+        self.entries = {}  # key -> (value, lineno) of the keys not yet read
+        for lineno, text in lines:
+            if "=" not in text:
+                raise self.error(f"{label}: expected key = value", lineno)
+            key, value = text.split("=", 1)
+            key = key.strip()
+            if key in self.entries:
+                raise self.error(f"{label}: duplicate key {key}", lineno)
+            self.entries[key] = (value.strip(), lineno)
+
+    def error(self, message: str, line: "int | None" = None) -> ConfigError:
+        return ConfigError(message, self.path, self.line if line is None else line)
+
+    def has(self, key: str) -> bool:
+        return key in self.entries
+
+    def get(self, key: str, read=str, default=_REQUIRED):
+        found = self.entries.pop(key, None)
+        if found is None:
+            if default is _REQUIRED:
+                raise self.error(f"{self.label}: missing key {key}")
+            return default
+        value, lineno = found
+        try:
+            return read(value)
+        except ValueError as exc:
+            raise self.error(str(exc), lineno) from None
+
+    def done(self) -> None:
+        for key, (_value, lineno) in self.entries.items():
+            raise self.error(f"{self.label}: unknown key {key}", lineno)
 
 
-def _entries_to_dict(kind, name, entries, path) -> dict:
-    out = {}
-    for lineno, line in entries:
-        if "=" not in line:
-            raise ConfigError(f"[{kind} {name}]: expected key = value", path, lineno)
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"[{kind} {name}]: duplicate key {key}", path, lineno)
-        out[key] = (value.strip(), lineno)
-    return out
-
-
-def _take(found: dict, key: str, kind, name, path, header_line, required=False,
-          default=None):
-    if key in found:
-        return found.pop(key)
-    if required:
-        raise ConfigError(f"[{kind} {name}]: missing key {key}", path, header_line)
-    return (default, header_line)
-
-
-def _reject_leftovers(found: dict, kind, name, path):
-    for key, (_value, lineno) in found.items():
-        raise ConfigError(f"[{kind} {name}]: unknown key {key}", path, lineno)
+def _scan(text: str, path: str) -> list:
+    """(kind, header words, header line, [(lineno, text)]) per section."""
+    sections = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            m = _SECTION_RE.match(line)
+            if not m:
+                raise ConfigError(f"malformed section header {line!r}", path, lineno)
+            sections.append((m.group(1), m.group(2).split(), lineno, []))
+        elif not sections:
+            raise ConfigError("content before the first section", path, lineno)
+        else:
+            sections[-1][3].append((lineno, line))
+    return sections
 
 
 def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
     config = TopologyConfig(path)
-    seen_names: dict[str, int] = {}
-    for kind, args, header_line, entries in _Sections(text, path).sections:
-        if kind != "general" and kind != "link":
-            if not args:
-                raise ConfigError(f"[{kind}] needs a name", path, header_line)
-            name = args[0]
-            key = f"{kind}:{name}"
-            if key in seen_names:
-                raise ConfigError(f"duplicate section [{kind} {name}]", path, header_line)
-            seen_names[key] = header_line
-
+    seen = set()
+    for kind, args, header_line, lines in _scan(text, path):
         if kind == "general":
-            found = _entries_to_dict(kind, "", entries, path)
-            g = config.general
-            if "replica_catalog" in found:
-                g.replica_catalog = found.pop("replica_catalog")[0]
-            bw = found.pop("default_wan_bandwidth", None)
-            lat = found.pop("default_wan_latency", None)
-            if (bw is None) != (lat is None):
-                raise ConfigError("default WAN needs both bandwidth and latency",
-                                  path, header_line)
-            if bw is not None:
-                try:
-                    rate = parse_rate(bw[0])
-                except ValueError as exc:
-                    raise ConfigError(str(exc), path, bw[1]) from None
-                g.default_wan = (rate, _parse_seconds(lat[0], path, lat[1]))
-            if "lan_bandwidth" in found:
-                value, lineno = found.pop("lan_bandwidth")
-                try:
-                    g.lan_bandwidth = parse_rate(value)
-                except ValueError as exc:
-                    raise ConfigError(str(exc), path, lineno) from None
-            if "lan_latency" in found:
-                value, lineno = found.pop("lan_latency")
-                g.lan_latency = _parse_seconds(value, path, lineno)
-            _reject_leftovers(found, kind, "", path)
-
-        elif kind == "vo":
-            members = []
-            for lineno, line in entries:
-                if "=" in line and not line.startswith("/"):
-                    raise ConfigError(f"[vo {args[0]}]: expected one DN per line",
-                                      path, lineno)
-                if line in members:
-                    raise ConfigError(f"[vo {args[0]}]: duplicate member {line}",
-                                      path, lineno)
-                members.append(line)
-            config.vos.append(VoCfg(args[0], members, header_line))
-
-        elif kind == "site":
-            found = _entries_to_dict(kind, args[0], entries, path)
-            region, lineno = _take(found, "region", kind, args[0], path, header_line,
-                                   required=True)
-            if region not in ("EU", "US"):
-                raise ConfigError(f"region must be EU or US, got {region!r}", path, lineno)
-            vos, _ = _take(found, "accept_vos", kind, args[0], path, header_line,
-                           required=True)
-            outbound, lineno = _take(found, "outbound", kind, args[0], path,
-                                     header_line, default="true")
-            config.sites.append(SiteCfg(args[0], region, _split_list(vos),
-                                        _parse_bool(outbound, path, lineno),
-                                        header_line))
-            _reject_leftovers(found, kind, args[0], path)
-
-        elif kind == "ce":
-            found = _entries_to_dict(kind, args[0], entries, path)
-            site, _ = _take(found, "site", kind, args[0], path, header_line, required=True)
-            lrms, _ = _take(found, "lrms", kind, args[0], path, header_line, required=True)
-            flavors, _ = _take(found, "flavors", kind, args[0], path, header_line,
-                               required=True)
-            wn, lineno = _take(found, "wn_count", kind, args[0], path, header_line,
-                               required=True)
-            wn_count = _parse_int(wn, path, lineno, minimum=1)
-            mhz, lineno = _take(found, "cpu_mhz", kind, args[0], path, header_line,
-                                required=True)
-            cpu_mhz = _parse_int(mhz, path, lineno, minimum=1)
-            tags, _ = _take(found, "tags", kind, args[0], path, header_line, default="")
-            close, _ = _take(found, "close_ses", kind, args[0], path, header_line,
-                             required=True)
-            override, lineno = _take(found, "allow_condor_edg", kind, args[0], path,
-                                     header_line, default="false")
-            config.ces.append(CeCfg(args[0], site, lrms,
-                                    tuple(_split_list(flavors)), wn_count, cpu_mhz,
-                                    tuple(_split_list(tags or "")),
-                                    tuple(_split_list(close)),
-                                    _parse_bool(override, path, lineno), header_line))
-            _reject_leftovers(found, kind, args[0], path)
-
-        elif kind == "se":
-            found = _entries_to_dict(kind, args[0], entries, path)
-            site, _ = _take(found, "site", kind, args[0], path, header_line, required=True)
-            cap, lineno = _take(found, "capacity", kind, args[0], path, header_line,
-                                required=True)
-            try:
-                capacity = parse_size(cap)
-            except ValueError as exc:
-                raise ConfigError(str(exc), path, lineno) from None
-            config.ses.append(SeCfg(args[0], site, capacity, header_line))
-            _reject_leftovers(found, kind, args[0], path)
-
+            names = []
         elif kind == "link":
             if len(args) != 2:
                 raise ConfigError("[link] needs exactly two endpoints", path, header_line)
@@ -311,54 +252,67 @@ def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
                 if not _ENDPOINT_RE.match(ep):
                     raise ConfigError(f"bad endpoint {ep!r} (site:<id>, rb:<id> or ui)",
                                       path, header_line)
-            found = _entries_to_dict(kind, " ".join(args), entries, path)
-            bw, lineno = _take(found, "bandwidth", kind, " ".join(args), path,
-                               header_line, required=True)
-            try:
-                bandwidth = parse_rate(bw)
-            except ValueError as exc:
-                raise ConfigError(str(exc), path, lineno) from None
-            lat, lineno = _take(found, "latency", kind, " ".join(args), path,
-                                header_line, required=True)
-            config.links.append(LinkCfg(args[0], args[1], bandwidth,
-                                        _parse_seconds(lat, path, lineno), header_line))
-            _reject_leftovers(found, kind, " ".join(args), path)
-
-        elif kind == "broker":
-            found = _entries_to_dict(kind, args[0], entries, path)
-            flavor, lineno = _take(found, "flavor", kind, args[0], path, header_line,
-                                   required=True)
-            if flavor not in ("EDG", "GLUE"):
-                raise ConfigError(f"broker flavor must be EDG or GLUE, got {flavor!r}",
-                                  path, lineno)
-            config.brokers.append(BrokerCfg(args[0], flavor, header_line))
-            _reject_leftovers(found, kind, args[0], path)
-
-        elif kind == "profile":
-            found = _entries_to_dict(kind, args[0], entries, path)
-            fields = {}
-            if "per_event_cpu_1ghz" in found:
-                value, lineno = found.pop("per_event_cpu_1ghz")
-                fields["per_event_cpu_1ghz"] = _parse_seconds(value, path, lineno)
-            if "output_per_event" in found:
-                value, lineno = found.pop("output_per_event")
-                try:  # per-event sizes may be fractional, like '1.8 MB'
-                    fields["output_bytes_per_event"] = parse_amount(value)
-                except ValueError as exc:
-                    raise ConfigError(str(exc), path, lineno) from None
-            if "monitor_every" in found:
-                value, lineno = found.pop("monitor_every")
-                fields["monitor_every_events"] = _parse_int(value, path, lineno, minimum=1)
-            if "registers_output" in found:
-                value, lineno = found.pop("registers_output")
-                fields["registers_output"] = _parse_bool(value, path, lineno)
-            if "data_extension" in found:
-                fields["data_extension"] = found.pop("data_extension")[0]
-            config.profiles.append(ProfileCfg(args[0], fields, header_line))
-            _reject_leftovers(found, kind, args[0], path)
-
+            names = args
+        elif not args:
+            raise ConfigError(f"[{kind}] needs a name", path, header_line)
         else:
+            names = args[:1]
+        label = "[" + " ".join([kind, *names]) + "]"
+        identity = (kind, frozenset(names))  # a link's endpoints are unordered
+        if identity in seen:
+            raise ConfigError(f"duplicate section {label}", path, header_line)
+        seen.add(identity)
+
+        if kind == "vo":
+            members = []
+            for lineno, line in lines:
+                if "=" in line and not line.startswith("/"):
+                    raise ConfigError(f"{label}: expected one DN per line", path, lineno)
+                if line in members:
+                    raise ConfigError(f"{label}: duplicate member {line}", path, lineno)
+                members.append(line)
+            config.vos.append(VoCfg(names[0], members, header_line))
+            continue
+        if kind not in _KEYED_KINDS:  # before any of its lines is read
             raise ConfigError(f"unknown section kind [{kind}]", path, header_line)
+
+        s = _Section(label, header_line, lines, path)
+        if kind == "general":
+            g = config.general
+            g.replica_catalog = s.get("replica_catalog", default=g.replica_catalog)
+            if s.has("default_wan_bandwidth") != s.has("default_wan_latency"):
+                raise s.error("default WAN needs both bandwidth and latency")
+            if s.has("default_wan_bandwidth"):
+                g.default_wan = (s.get("default_wan_bandwidth", parse_rate),
+                                 s.get("default_wan_latency", _seconds))
+            g.lan_bandwidth = s.get("lan_bandwidth", parse_rate, None)
+            g.lan_latency = s.get("lan_latency", _seconds, None)
+        elif kind == "site":
+            config.sites.append(SiteCfg(
+                names[0], s.get("region", _choice("region", "EU", "US")),
+                list(s.get("accept_vos", _words)), s.get("outbound", _bool, True),
+                header_line))
+        elif kind == "ce":
+            config.ces.append(CeCfg(
+                names[0], s.get("site"), s.get("lrms"), s.get("flavors", _words),
+                s.get("wn_count", _count), s.get("cpu_mhz", _count),
+                s.get("tags", _words, ()), s.get("close_ses", _words),
+                s.get("allow_condor_edg", _bool, False), header_line))
+        elif kind == "se":
+            config.ses.append(SeCfg(names[0], s.get("site"),
+                                    s.get("capacity", parse_size), header_line))
+        elif kind == "link":
+            config.links.append(LinkCfg(*names, s.get("bandwidth", parse_rate),
+                                        s.get("latency", _seconds), header_line))
+        elif kind == "broker":
+            flavor = s.get("flavor", _choice("broker flavor", "EDG", "GLUE"))
+            config.brokers.append(BrokerCfg(names[0], flavor, header_line))
+        elif kind == "profile":
+            config.profiles.append(ProfileCfg(names[0], {
+                field_name: s.get(key, read)
+                for key, (field_name, read) in _PROFILE_KEYS.items() if s.has(key)},
+                header_line))
+        s.done()
 
     if not config.sites:
         raise ConfigError("topology declares no sites", path)

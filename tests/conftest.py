@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from deskgrid.grid import Grid
@@ -91,3 +93,31 @@ VirtualOrganisation = "testvo";
 Events = 50;
 JobSeed = 101;
 """
+
+
+def seeded_mutations(inputs, extra_lines, extra_values, count, seed, end=""):
+    """`count` copies of the `inputs` texts, each with 1-3 seeded line
+    deletions, insertions of a donor line (any input line or one of
+    `extra_lines`) and value swaps (the text after `=` on a line ending
+    in `end` becomes any such value or one of `extra_values`)."""
+    donors = [line for text in inputs for line in text.splitlines() if line.strip()]
+    donors += extra_lines
+    values = [line.split("=", 1)[1].strip().removesuffix(end) for line in donors
+              if "=" in line and line.rstrip().endswith(end)]
+    values += extra_values
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = rng.choice(inputs).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            op = rng.randrange(3)
+            if op == 0 and lines:
+                del lines[rng.randrange(len(lines))]
+            elif op == 1:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(donors))
+            else:
+                keyed = [i for i, line in enumerate(lines)
+                         if "=" in line and line.rstrip().endswith(end)]
+                if keyed:
+                    i = rng.choice(keyed)
+                    lines[i] = lines[i].split("=", 1)[0] + "= " + rng.choice(values) + end
+        yield "\n".join(lines) + "\n"

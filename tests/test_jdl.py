@@ -12,6 +12,7 @@ from deskgrid.jdl import (UNDEFINED, Attr, Binary, JdlError, JdlSyntaxError,
                           evaluate, expr_text, parse_expr, parse_jdl,
                           requirement_satisfied)
 
+from conftest import seeded_mutations
 from jdl_reference import (ast_equal, gen_env, gen_expr, model_eval,
                            values_agree)
 
@@ -119,6 +120,15 @@ def test_a_boolean_is_not_an_integer_attribute(attribute, value):
             f'VirtualOrganisation = "vo";\n{attribute} = {value};')
     with pytest.raises(JdlError, match="must be an integer literal"):
         parse_jdl(text)
+
+
+def test_virtual_organisation_is_checked_before_arguments():
+    text = ('Executable = "x";\nRequirements = true;\n'
+            'VirtualOrganisation = 1;\nArguments = 3;')
+    with pytest.raises(JdlError) as excinfo:
+        parse_jdl(text)
+    assert str(excinfo.value) == \
+        "line 3, col 1: VirtualOrganisation must be a string literal"
 
 
 def test_a_boolean_job_index_is_no_production_tag():
@@ -378,3 +388,45 @@ def test_descriptions_with_generated_extras_round_trip(seed):
 def test_text_rendering_is_unchanged(name):
     rendered = parse_jdl(fixture_text(name)).text()
     assert hashlib.sha256(rendered.encode()).hexdigest() == TEXT_DIGESTS[name]
+
+
+# -- seeded mutations -----------------------------------------------------
+
+#: assignments the shipped descriptions lack or get right, so mutations
+#: also reach every reserved attribute's checks
+EXTRA_JDL_LINES = (
+    'Arguments = {"-n", "3"};', "Arguments = 3;", 'Arguments = {"a", 1};',
+    'Rank = other.FreeCPUs;', 'InputData = {"lfn:x"};', 'InputData = "lfn:y";',
+    'ReplicaCatalog = "rc";', "ReplicaCatalog = rc;", "Events = 0;", "Events = -3;",
+    "Events = 2.5;", "JobSeed = -4;", "VirtualOrganisation = 1;", "Executable = {};",
+    "StdOutput = true;", "Dataset = \"jpsi\";", "JobIndex = 4;", "Requirements = ;",
+    "Note = Member(\"a\", {\"a\"});", "garbage",
+)
+EXTRA_JDL_VALUES = ("true", "0", "-1", '""', "{}", '{"x"}', "other.A", "1.5", "-true")
+
+
+def _mutated_descriptions(count: int, seed: int):
+    inputs = [fixture_text(name) for name in FIXTURES]
+    return seeded_mutations(inputs, EXTRA_JDL_LINES, EXTRA_JDL_VALUES, count, seed, end=";")
+
+
+def _jdl_outcome(text: str) -> str:
+    try:
+        jd = parse_jdl(text)
+    except JdlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(jd) + jd.text()
+
+
+#: sha256 of the outcomes below, joined by "\n\0"
+MUTATION_DIGEST = "0e302fb736d61708bd1271fdfc94cdfcf3833c7603b4142860194eac310ea542"
+
+
+def test_seeded_mutation_outcomes_are_pinned():
+    """Every diagnostic, every parsed description and its rendering over
+    2,000 seeded line deletions, insertions and value swaps of the shipped
+    descriptions, pinned as one digest."""
+    outcomes = [_jdl_outcome(text) for text in _mutated_descriptions(2000, 20261)]
+    digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_DIGEST
+

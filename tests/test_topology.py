@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from deskgrid.fabric import WorkloadProfile
 from deskgrid.grid import Grid, default_topology_path, load_topology
 from deskgrid.topology import ConfigError, parse_topology
 
-from conftest import MINI_TOPOLOGY
+from conftest import MINI_TOPOLOGY, seeded_mutations
 
 
 def err(text: str) -> str:
@@ -64,6 +65,23 @@ def test_duplicate_sections_and_keys():
     assert err(text) == "<t>:5: duplicate section [site a]"
     text = "[site a]\nregion = EU\nregion = US\naccept_vos =\n"
     assert err(text) == "<t>:3: [site a]: duplicate key region"
+
+
+def test_general_and_link_sections_appear_once():
+    text = MINI_TOPOLOGY + "\n[link site:beta site:alpha]\nbandwidth = 1 KB/s\nlatency = 5\n"
+    header = text.splitlines().index("[link site:beta site:alpha]") + 1
+    assert err(text) == f"<t>:{header}: duplicate section [link site:beta site:alpha]"
+    text = MINI_TOPOLOGY + "\n[link site:alpha site:beta]\nbandwidth = 1 KB/s\nlatency = 5\n"
+    assert err(text) == f"<t>:{header}: duplicate section [link site:alpha site:beta]"
+    text = MINI_TOPOLOGY + "\n[general]\nreplica_catalog = rc_other\n"
+    header = text.splitlines().index("[general]", 1) + 1
+    assert err(text) == f"<t>:{header}: duplicate section [general]"
+
+
+def test_general_diagnostics_name_the_section_plainly():
+    base = "[site a]\nregion = EU\naccept_vos =\n"
+    assert err("[general]\ncolour = blue\n" + base) == "<t>:2: [general]: unknown key colour"
+    assert err("[general]\ncolour\n" + base) == "<t>:2: [general]: expected key = value"
 
 
 def test_missing_and_unknown_keys():
@@ -183,3 +201,49 @@ def test_malformed_per_event_size_is_a_config_error(size):
         f"\n[profile digi]\nper_event_cpu_1ghz = 1\noutput_per_event = {size}\n")
     line = text.splitlines().index(f"output_per_event = {size}") + 1
     assert err(text) == f"<t>:{line}: bad size: {size!r}"
+
+
+# -- seeded mutations ---------------------------------------------------
+
+#: lines the shipped inputs lack, so mutations also reach every key, the
+#: duplicate-section checks and bad values
+EXTRA_TOPOLOGY_LINES = (
+    "[general]", "[profile cmkin]", "[profile digi]", "[link site:beta site:alpha]",
+    "[link ui rb:rb_test]", "[link site:alpha]", "[link site:alpha box:b]", "[moon m]",
+    "[site]", "[vo]", "lan_bandwidth = 100 MB/s", "lan_latency = 0.001",
+    "outbound = no", "allow_condor_edg = yes", "per_event_cpu_1ghz = 1/4",
+    "output_per_event = 1.5 KB", "monitor_every = 5", "registers_output = yes",
+    "data_extension = digi", "colour = blue", "/C=XX/CN=dave", "no equals sign",
+)
+EXTRA_TOPOLOGY_VALUES = (
+    "", "0", "-1", "1/0", "many", "maybe", "huge", "MARS", "SHINY", "EU", "GLUE",
+    "1.2.3 MB", "0 MB/s", "2.5", "se_gone",
+)
+
+
+def _mutated_topologies(count: int, seed: int):
+    with open(default_topology_path()) as f:
+        shipped = f.read()
+    return seeded_mutations((shipped, MINI_TOPOLOGY), EXTRA_TOPOLOGY_LINES,
+                            EXTRA_TOPOLOGY_VALUES, count, seed)
+
+
+def _topology_outcome(text: str) -> str:
+    try:
+        return repr(parse_topology(text, "<t>"))
+    except ConfigError as exc:
+        return str(exc)
+
+
+#: sha256 of the outcomes below, joined by "\n\0"
+MUTATION_DIGEST = "a11981927dd72f2d42079380e390216622df0dfc177b37841c4668c277498db4"
+
+
+def test_seeded_mutation_outcomes_are_pinned():
+    """Every diagnostic and every parsed config over 2,000 seeded line
+    deletions, insertions and value swaps of the shipped and mini
+    topologies, pinned as one digest."""
+    outcomes = [_topology_outcome(text) for text in _mutated_topologies(2000, 20260)]
+    digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_DIGEST
+
