@@ -117,7 +117,6 @@ class JobRecord:
     state: str = SUBMITTED
     pinned_ce: "str | None" = None
     matched_ce: "str | None" = None
-    match_result: "MatchResult | None" = None
     chosen_replicas: dict = field(default_factory=dict)
     staged_checksums: dict = field(default_factory=dict)
     registered_lfns: list = field(default_factory=list)
@@ -260,7 +259,6 @@ class ResourceBroker:
         ordered = [(ce.ce_id, value) for value, ce in scored]
         ordered += [(ce.ce_id, None) for ce in demoted]
         result = MatchResult(ordered, ordered[0][0] if ordered else None, denominator)
-        record.match_result = result
 
         if result.chosen is None:
             self.kernel.emit(self.rb_id, "match-failed", job=job_id,

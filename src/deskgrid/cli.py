@@ -5,6 +5,15 @@ a whole scenario via `exec`) runs against it, and the process exits.
 Exit codes: 0 success, 1 the operation failed (refused submit, failed
 assert, unknown name), 2 bad usage or a broken topology/scenario file.
 
+Each command is declared once, by its usage line, and argv is read by
+that same line.  Lowercase words name the command (`a|b` gives
+aliases); UPPER words are positionals, and `[X...]` takes any number;
+`--opt V` is a required option and `[--opt V]` an optional one.  N, M,
+AID and SIZE are read as ints, and `A|B` is a choice.  A word that
+starts with `--` names an option, spelled out in full, and the next
+word is its value: `--per` for `--per-job` and `--opt=value` are bad
+usage.
+
 Every command is also reachable in-process through `dispatch(grid,
 argv)`, which is what scenario files use; a scenario advances the
 simulated clock between commands, so `deskgrid exec day1.scn` replays a
@@ -12,9 +21,11 @@ whole day of testbed operations deterministically.
 """
 from __future__ import annotations
 
-import argparse
+import itertools
 import pathlib
+import re
 import sys
+from collections import Counter
 
 from . import broker as broker_mod
 from . import datagrid as dg_mod
@@ -34,128 +45,92 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports problems instead of exiting the process."""
-
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
-
-    def exit(self, status=0, message=None):
-        raise UsageError((message or "").strip())
+_INTS = ("N", "M", "AID", "SIZE")
+# one slot of a usage line: optional bracket, option flag, placeholder
+_SLOT = re.compile(r"(\[?)(?:(--[\w-]+) )?([^\s\]]+)\]?")
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="deskgrid", add_help=False)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    topo = sub.add_parser("topo", add_help=False)
-    topo_sub = topo.add_subparsers(dest="topo_command", required=True)
-    topo_sub.add_parser("load", add_help=False, aliases=["show"])
-    topo_sub.add_parser("validate", add_help=False)
-
-    vo = sub.add_parser("vo", add_help=False)
-    vo_sub = vo.add_subparsers(dest="vo_command", required=True)
-    vo_sync = vo_sub.add_parser("sync", add_help=False)
-    vo_sync.add_argument("--site")
-
-    proxy = sub.add_parser("proxy", add_help=False)
-    proxy_sub = proxy.add_subparsers(dest="proxy_command", required=True)
-    proxy_init = proxy_sub.add_parser("init", add_help=False)
-    proxy_init.add_argument("--user", required=True)
-    proxy_init.add_argument("--vo", required=True)
-    proxy_init.add_argument("--lifetime", type=str, default=None)
-
-    submit = sub.add_parser("submit", add_help=False)
-    submit.add_argument("jdl_file")
-    submit.add_argument("--rb", required=True)
-    submit.add_argument("--ce", default=None)
-
-    status = sub.add_parser("status", add_help=False)
-    status.add_argument("jobs", nargs="*")
-
-    out = sub.add_parser("get-output", add_help=False)
-    out.add_argument("job")
-    out.add_argument("--dest", default=None)
-
-    rc = sub.add_parser("rc", add_help=False)
-    rc_sub = rc.add_subparsers(dest="rc_command", required=True)
-    seed = rc_sub.add_parser("register", add_help=False, aliases=["seed"])
-    seed.add_argument("lfn")
-    seed.add_argument("se")
-    seed.add_argument("size", type=int)
-    look = rc_sub.add_parser("lookup", add_help=False)
-    look.add_argument("lfn")
-    rep = rc_sub.add_parser("replicate", add_help=False)
-    rep.add_argument("lfn")
-    rep.add_argument("se")
-    rc_sub.add_parser("dump", add_help=False)
-
-    refdb = sub.add_parser("refdb", add_help=False)
-    refdb_sub = refdb.add_subparsers(dest="refdb_command", required=True)
-    req = refdb_sub.add_parser("request", add_help=False)
-    req.add_argument("--dataset", required=True)
-    req.add_argument("--step", required=True, choices=prod_mod.STEPS)
-    req.add_argument("--events", required=True, type=int)
-    req.add_argument("--per-job", required=True, type=int)
-    req.add_argument("--rb", required=True)
-    req.add_argument("--se", default=None)
-    summ = refdb_sub.add_parser("summary", add_help=False)
-    summ.add_argument("assignment", type=int)
-    refdb_sub.add_parser("dump", add_help=False)
-
-    impala = sub.add_parser("impala", add_help=False)
-    impala_sub = impala.add_subparsers(dest="impala_command", required=True)
-    for step_name in ("declare", "create", "submit"):
-        one = impala_sub.add_parser(step_name, add_help=False)
-        one.add_argument("assignment", type=int)
-
-    boss = sub.add_parser("boss", add_help=False)
-    boss_sub = boss.add_subparsers(dest="boss_command", required=True)
-    query = boss_sub.add_parser("query", add_help=False)
-    query.add_argument("--status", default=None)
-    query.add_argument("--type", dest="job_type", default=None)
-    query.add_argument("--dataset", default=None)
-
-    run = sub.add_parser("run", add_help=False)
-    run.add_argument("--until", default=None)
-
-    sub.add_parser("report", add_help=False)
-
-    trace = sub.add_parser("trace", add_help=False)
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    export = trace_sub.add_parser("export", add_help=False)
-    export.add_argument("path")
-
-    check = sub.add_parser("assert", add_help=False)
-    check_sub = check.add_subparsers(dest="assert_command", required=True)
-    job_state = check_sub.add_parser("job-state", add_help=False)
-    job_state.add_argument("job")
-    job_state.add_argument("state")
-    refdb_status = check_sub.add_parser("refdb-status", add_help=False)
-    refdb_status.add_argument("assignment", type=int)
-    refdb_status.add_argument("status")
-
-    ex = sub.add_parser("exec", add_help=False)
-    ex.add_argument("scenario")
-
-    sub.add_parser("help", add_help=False)
-    return top
+def _value(holder: str, word, slot: str):
+    """`word` given where the usage line has `holder`, as handlers take it."""
+    if word is None:
+        raise UsageError(f"{slot} needs a value")
+    if "|" in holder and word not in holder.split("|"):
+        raise UsageError(f"{slot} is one of {holder}, not {word!r}")
+    if holder not in _INTS:
+        return word
+    try:
+        return int(word)
+    except ValueError:
+        raise UsageError(f"{slot} is an integer, not {word!r}") from None
 
 
-_PARSER = _build_parser()  # parse_args keeps no state between calls
+class _Command:
+    """One command, read from its usage line."""
 
-_COMMANDS = ("topo load|validate", "vo sync [--site S]",
-             "proxy init --user DN --vo VO [--lifetime S]",
-             "submit FILE.jdl --rb RB [--ce CE]", "status [JOB...]",
-             "get-output JOB [--dest DIR]",
-             "rc register LFN SE SIZE | lookup LFN | replicate LFN SE | dump",
-             "refdb request --dataset D --step S --events N --per-job M --rb RB [--se SE]",
-             "refdb summary AID | dump",
-             "impala declare|create|submit AID",
-             "boss query [--status S] [--type T] [--dataset D]",
-             "run [--until SECONDS]", "report", "trace export PATH",
-             "assert job-state JOB STATE | refdb-status AID STATUS",
-             "exec SCENARIO.scn")
+    def __init__(self, usage: str, handler):
+        self.usage, self.handler = usage, handler
+        words = usage.split()
+        names = list(itertools.takewhile(lambda w: w[0].isalpha() and w.islower(), words))
+        self.depth = len(names)
+        self.aliases = list(itertools.product(*(name.split("|") for name in names)))
+        self.positionals = []  # (placeholder, key)
+        self.rest = None       # key of a trailing [X...]
+        self.options = {}      # flag -> (placeholder, key)
+        self.defaults = {}     # key -> value of an optional option left out
+        for bracket, flag, holder in _SLOT.findall(" ".join(words[self.depth:])):
+            key = (flag[2:] or holder.split(".")[0]).lower().replace("-", "_")
+            if flag:
+                self.options[flag] = (holder, key)
+                if bracket:
+                    self.defaults[key] = None
+            elif holder.endswith("..."):
+                self.rest = key
+            else:
+                self.positionals.append((holder, key))
+
+    def read(self, argv) -> dict:
+        """The handler's keyword arguments for the words after the name."""
+        values = dict(self.defaults)
+        loose = []
+        words = iter(argv)
+        for word in words:
+            if not word.startswith("--"):
+                loose.append(word)
+            elif word in self.options:
+                holder, key = self.options[word]
+                values[key] = _value(holder, next(words, None), word)
+            else:
+                raise UsageError(f"unknown option {word}")
+        wanted = len(self.positionals)
+        if len(loose) < wanted or (len(loose) > wanted and self.rest is None):
+            raise UsageError(f"wants {wanted} arguments, got {len(loose)}")
+        for (holder, key), word in zip(self.positionals, loose):
+            values[key] = _value(holder, word, holder)
+        if self.rest is not None:
+            values[self.rest] = loose[wanted:]
+        for flag, (_holder, key) in self.options.items():
+            if key not in values:
+                raise UsageError(f"missing {flag}")
+        return values
+
+
+_COMMANDS: dict = {}  # command words, one entry per alias -> _Command
+
+
+def command(usage: str):
+    """Declare the decorated `handler(grid, base_dir, **values)` as the
+    command `usage` describes."""
+    def declare(handler):
+        cmd = _Command(usage, handler)
+        for alias in cmd.aliases:
+            _COMMANDS[alias] = cmd
+        return handler
+    return declare
+
+
+def _usage(prefix: str) -> str:
+    return "\n".join(prefix + usage
+                     for usage in dict.fromkeys(c.usage for c in _COMMANDS.values()))
 
 
 def _flush(grid: Grid) -> None:
@@ -164,30 +139,23 @@ def _flush(grid: Grid) -> None:
 
 
 def _resolve_input(name: str, base_dir) -> pathlib.Path:
-    p = pathlib.Path(name)
-    if p.exists():
-        return p
-    if base_dir is not None:
-        q = pathlib.Path(base_dir) / name
-        if q.exists():
-            return q
+    for path in (pathlib.Path(name), pathlib.Path(base_dir or "") / name):
+        if path.exists():
+            return path
     raise FileNotFoundError(f"no such file: {name}")
-
-
-def _job_line(record) -> str:
-    ce = record.matched_ce or "-"
-    reason = record.reason or "-"
-    return f"{record.job_id}\t{record.state}\t{ce}\t{reason}"
 
 
 def dispatch(grid: Grid, argv, base_dir=None):
     """Run one command against a live grid; returns (exit_code, text)."""
+    cmd = _COMMANDS.get(tuple(argv[:2])) or _COMMANDS.get(tuple(argv[:1]))
+    if cmd is None:
+        return 2, "deskgrid: unknown command; the commands are:\n" + _usage("deskgrid ")
     try:
-        args = _PARSER.parse_args(argv)
+        values = cmd.read(argv[cmd.depth:])
     except UsageError as exc:
-        return 2, str(exc)
+        return 2, f"deskgrid: {exc}\nusage: deskgrid {cmd.usage}"
     try:
-        code, text = _run_command(grid, args, base_dir)
+        code, text = cmd.handler(grid, base_dir, **values)
     except scn_mod.ScenarioError as exc:
         return 2, f"error: {exc}"
     except (broker_mod.BrokerError, jdl.JdlError, vomgmt.VoError,
@@ -199,204 +167,230 @@ def dispatch(grid: Grid, argv, base_dir=None):
     return code, text
 
 
-def _run_command(grid: Grid, args, base_dir):
+@command("topo load|show")
+def _topo_load(grid, base_dir):
+    flavors = Counter(f for ce in grid.info.ces.values() for f in ce.schema_flavors)
+    lines = [f"sites\t{len(grid.fabric.sites)}", f"ces\t{len(grid.fabric.ces)}"]
+    lines += [f"ces[{flavor}]\t{flavors[flavor]}" for flavor in sorted(flavors)]
+    lines.append(f"ses\t{len(grid.datagrid.ses)}")
+    lines.append(f"brokers\t{len(grid.brokers)}")
+    lines.append(f"vos\t{len(grid.vo.vo_names())}")
+    return 0, "\n".join(lines)
+
+
+@command("topo validate")
+def _topo_validate(grid, base_dir):
+    problems = grid.validate()
+    return (1, "\n".join(problems)) if problems else (0, "ok")
+
+
+@command("vo sync [--site S]")
+def _vo_sync(grid, base_dir, site):
+    lines = []
+    for site_id in [site] if site else sorted(grid.fabric.sites):
+        grid.vo.sync_mapfile(site_id)
+        lines.append(f"== {site_id}")
+        lines.append(grid.vo.mapfile_dump(site_id).rstrip("\n"))
+    return 0, "\n".join(lines)
+
+
+@command("proxy init --user DN --vo VO [--lifetime S]")
+def _proxy_init(grid, base_dir, user, vo, lifetime):
+    lifetime = None if lifetime is None else as_fraction(lifetime)
+    proxy = grid.proxy_init(user, vo, lifetime_s=lifetime)
+    return 0, (f"proxy for {proxy.user_dn} vo={proxy.vo_name} "
+               f"valid {proxy.lifetime_ms // 1000}s")
+
+
+@command("submit FILE.jdl --rb RB [--ce CE]")
+def _submit(grid, base_dir, file, rb, ce):
+    text = _resolve_input(file, base_dir).read_text()
+    job_id = grid.submit(text, rb, pinned_ce=ce)
+    _flush(grid)
+    _rb, record = grid.find_job(job_id)
+    return 0, f"job {job_id} {record.state} ce={record.matched_ce or '-'}"
+
+
+@command("status [JOB...]")
+def _status(grid, base_dir, job):
+    if job:
+        records = [grid.find_job(job_id)[1] for job_id in job]
+    else:
+        records = [record for _rb, record in grid.all_jobs()]
+    return 0, "\n".join(["job\tstate\tce\treason"] + [
+        f"{r.job_id}\t{r.state}\t{r.matched_ce or '-'}\t{r.reason or '-'}" for r in records])
+
+
+@command("get-output JOB [--dest DIR]")
+def _get_output(grid, base_dir, job, dest):
+    rb, _record = grid.find_job(job)
+    rows = [f"{name}\t{size}\t{mark}" for name, size, mark in rb.get_output(job, dest)]
+    return 0, "\n".join(["name\tbytes\tchecksum", *rows, f"cleared {job}"])
+
+
+@command("rc register|seed LFN SE SIZE")
+def _rc_register(grid, base_dir, lfn, se, size):
+    lfn = jdl.strip_lfn_prefix(lfn)
+    store = grid.datagrid.store_of(se)
+    mark = fabric_mod.content_checksum("seed", lfn, 0, size, lfn)
+    store.store(lfn, size, mark)
+    grid.datagrid.rc.register(lfn, store, lfn)
+    return 0, f"seeded {lfn} on {se} ({size} bytes)"
+
+
+@command("rc lookup LFN")
+def _rc_lookup(grid, base_dir, lfn):
+    return 0, "\n".join(f"{se_id}\t{path}" for se_id, path in grid.datagrid.lookup(lfn))
+
+
+@command("rc replicate LFN SE")
+def _rc_replicate(grid, base_dir, lfn, se):
+    if grid.datagrid.replicate(lfn, se) is None:
+        return 0, f"{lfn} already held on {se}"
+    return 0, f"replicating {lfn} to {se}"
+
+
+@command("rc dump")
+def _rc_dump(grid, base_dir):
+    return 0, grid.datagrid.rc.dump().rstrip("\n")
+
+
+@command(f"refdb request --dataset D --step {'|'.join(prod_mod.STEPS)} --events N "
+         "--per-job M --rb RB [--se SE]")
+def _refdb_request(grid, base_dir, dataset, step, events, per_job, rb, se):
+    request = grid.refdb.create_request(dataset, step, events, per_job, rb, default_se=se)
+    return 0, (f"assignment {request.assignment_id} {request.dataset} "
+               f"{request.step} jobs={request.job_count}")
+
+
+@command("refdb summary AID")
+def _refdb_summary(grid, base_dir, aid):
+    summary = grid.production.post_summary(aid)
+    lines = [f"assignment {aid} {grid.refdb.get(aid).status}",
+             f"jobs_ok\t{summary['jobs_ok']}",
+             f"jobs_failed\t{summary['jobs_failed']}",
+             f"events_done\t{summary['total_events_done']}"]
+    lines += [f"lfn\t{lfn}" for lfn in summary["lfns"]]
+    return 0, "\n".join(lines)
+
+
+@command("refdb dump")
+def _refdb_dump(grid, base_dir):
+    return 0, grid.refdb.dump().rstrip("\n")
+
+
+@command("impala declare AID")
+def _impala_declare(grid, base_dir, aid):
+    jobs = grid.production.declare(aid)["jobs"]
+    return 0, f"assignment {aid} declared jobs={len(jobs)}"
+
+
+@command("impala create AID")
+def _impala_create(grid, base_dir, aid):
+    descriptions = grid.production.create(aid)
+    return 0, f"assignment {aid} created jobs={len(descriptions)}"
+
+
+@command("impala submit AID")
+def _impala_submit(grid, base_dir, aid):
+    if grid.current_proxy is None:
+        return 1, "error: no proxy; run proxy init first"
+    boss_ids = grid.production.submit(aid, grid.current_proxy)
+    _flush(grid)
+    return 0, (f"assignment {aid} submitted jobs={len(boss_ids)} "
+               f"boss={boss_ids[0]}..{boss_ids[-1]}")
+
+
+@command("boss query [--status S] [--type T] [--dataset D]")
+def _boss_query(grid, base_dir, **filters):
+    rows = grid.bossdb.query(status=filters["status"], job_type=filters["type"],
+                             dataset=filters["dataset"])
+    return 0, grid.bossdb.dump(rows).rstrip("\n")
+
+
+@command("run [--until SECONDS]")
+def _run(grid, base_dir, until):
     kernel = grid.kernel
-    lines: list[str] = []
+    delivered = (kernel.run_to_completion() if until is None
+                 else kernel.run_until(as_fraction(until)))
+    return 0, f"delivered {delivered} events, now {millis_to_text(kernel.now_ms)}"
 
-    if args.command == "help":
-        return 0, "\n".join("deskgrid " + c for c in _COMMANDS)
 
-    if args.command == "topo":
-        if args.topo_command in ("load", "show"):
-            flavors: dict[str, int] = {}
-            for ce in grid.info.ces.values():
-                for flavor in ce.schema_flavors:
-                    flavors[flavor] = flavors.get(flavor, 0) + 1
-            lines.append(f"sites\t{len(grid.fabric.sites)}")
-            lines.append(f"ces\t{len(grid.fabric.ces)}")
-            for flavor in sorted(flavors):
-                lines.append(f"ces[{flavor}]\t{flavors[flavor]}")
-            lines.append(f"ses\t{len(grid.datagrid.ses)}")
-            lines.append(f"brokers\t{len(grid.brokers)}")
-            lines.append(f"vos\t{len(grid.vo.vo_names())}")
-            return 0, "\n".join(lines)
-        problems = grid.validate()
-        if problems:
-            return 1, "\n".join(problems)
-        return 0, "ok"
-
-    if args.command == "vo":
-        sites = [args.site] if args.site else sorted(grid.fabric.sites)
-        for site_id in sites:
-            grid.vo.sync_mapfile(site_id)
-            lines.append(f"== {site_id}")
-            lines.append(grid.vo.mapfile_dump(site_id).rstrip("\n"))
-        return 0, "\n".join(lines)
-
-    if args.command == "proxy":
-        lifetime = None if args.lifetime is None else as_fraction(args.lifetime)
-        proxy = grid.proxy_init(args.user, args.vo, lifetime_s=lifetime)
-        valid = proxy.lifetime_ms // 1000
-        return 0, f"proxy for {proxy.user_dn} vo={proxy.vo_name} valid {valid}s"
-
-    if args.command == "submit":
-        text = _resolve_input(args.jdl_file, base_dir).read_text()
-        job_id = grid.submit(text, args.rb, pinned_ce=args.ce)
-        _flush(grid)
-        _rb, record = grid.find_job(job_id)
-        return 0, f"job {job_id} {record.state} ce={record.matched_ce or '-'}"
-
-    if args.command == "status":
-        lines.append("job\tstate\tce\treason")
-        if args.jobs:
-            for job_id in args.jobs:
-                _rb, record = grid.find_job(job_id)
-                lines.append(_job_line(record))
-        else:
-            for _rb, record in grid.all_jobs():
-                lines.append(_job_line(record))
-        return 0, "\n".join(lines)
-
-    if args.command == "get-output":
-        rb, _record = grid.find_job(args.job)
-        manifest = rb.get_output(args.job, dest_dir=args.dest)
-        lines.append("name\tbytes\tchecksum")
-        lines += [f"{name}\t{size}\t{mark}" for name, size, mark in manifest]
-        lines.append(f"cleared {args.job}")
-        return 0, "\n".join(lines)
-
-    if args.command == "rc":
-        rc = grid.datagrid.rc
-        if args.rc_command in ("register", "seed"):
-            lfn = jdl.strip_lfn_prefix(args.lfn)
-            store = grid.datagrid.store_of(args.se)
-            mark = fabric_mod.content_checksum("seed", lfn, 0, args.size, lfn)
-            store.store(lfn, args.size, mark)
-            rc.register(lfn, store, lfn)
-            return 0, f"seeded {lfn} on {args.se} ({args.size} bytes)"
-        if args.rc_command == "lookup":
-            for se_id, path in grid.datagrid.lookup(args.lfn):
-                lines.append(f"{se_id}\t{path}")
-            return 0, "\n".join(lines)
-        if args.rc_command == "replicate":
-            event = grid.datagrid.replicate(args.lfn, args.se)
-            if event is None:
-                return 0, f"{args.lfn} already held on {args.se}"
-            return 0, f"replicating {args.lfn} to {args.se}"
-        return 0, rc.dump().rstrip("\n")
-
-    if args.command == "refdb":
-        if args.refdb_command == "request":
-            request = grid.refdb.create_request(args.dataset, args.step,
-                                                args.events, args.per_job,
-                                                args.rb, default_se=args.se)
-            return 0, (f"assignment {request.assignment_id} {request.dataset} "
-                       f"{request.step} jobs={request.job_count}")
-        if args.refdb_command == "summary":
-            summary = grid.production.post_summary(args.assignment)
-            request = grid.refdb.get(args.assignment)
-            lines.append(f"assignment {args.assignment} {request.status}")
-            lines.append(f"jobs_ok\t{summary['jobs_ok']}")
-            lines.append(f"jobs_failed\t{summary['jobs_failed']}")
-            lines.append(f"events_done\t{summary['total_events_done']}")
-            lines += [f"lfn\t{lfn}" for lfn in summary["lfns"]]
-            return 0, "\n".join(lines)
-        return 0, grid.refdb.dump().rstrip("\n")
-
-    if args.command == "impala":
-        aid = args.assignment
-        if args.impala_command == "declare":
-            workspace = grid.production.declare(aid)
-            return 0, f"assignment {aid} declared jobs={len(workspace['jobs'])}"
-        if args.impala_command == "create":
-            descriptions = grid.production.create(aid)
-            return 0, f"assignment {aid} created jobs={len(descriptions)}"
-        if grid.current_proxy is None:
-            return 1, "error: no proxy; run proxy init first"
-        boss_ids = grid.production.submit(aid, grid.current_proxy)
-        _flush(grid)
-        return 0, (f"assignment {aid} submitted jobs={len(boss_ids)} "
-                   f"boss={boss_ids[0]}..{boss_ids[-1]}")
-
-    if args.command == "boss":
-        rows = grid.bossdb.query(status=args.status, job_type=args.job_type,
-                                 dataset=args.dataset)
-        return 0, grid.bossdb.dump(rows).rstrip("\n")
-
-    if args.command == "run":
-        if args.until is not None:
-            delivered = kernel.run_until(as_fraction(args.until))
-        else:
-            delivered = kernel.run_to_completion()
-        return 0, f"delivered {delivered} events, now {millis_to_text(kernel.now_ms)}"
-
-    if args.command == "report":
-        report = grid.report()
-        for state in sorted(report["by_state"]):
-            lines.append(f"{state}\t{report['by_state'][state]}")
-        lines.append(f"total\t{report['total']}")
-        for site_id in sorted(report["by_site"]):
-            states = report["by_site"][site_id]
-            if not states:
-                continue
+@command("report")
+def _report(grid, base_dir):
+    report = grid.report()
+    lines = [f"{state}\t{report['by_state'][state]}" for state in sorted(report["by_state"])]
+    lines.append(f"total\t{report['total']}")
+    for site_id in sorted(report["by_site"]):
+        states = report["by_site"][site_id]
+        if states:
             cells = " ".join(f"{s}={states[s]}" for s in sorted(states))
             lines.append(f"site {site_id}\t{cells}")
-        return 0, "\n".join(lines)
+    return 0, "\n".join(lines)
 
-    if args.command == "trace":
-        text = grid.kernel.export_trace()
-        pathlib.Path(args.path).write_text(text)
-        count = text.count("\n")
-        return 0, f"wrote {count} trace lines to {args.path}"
 
-    if args.command == "assert":
-        if args.assert_command == "job-state":
-            _rb, record = grid.find_job(args.job)
-            if record.state != args.state:
-                return 1, (f"assert failed: {args.job} is {record.state}, "
-                           f"wanted {args.state}")
-            return 0, f"{args.job} is {args.state}"
-        request = grid.refdb.get(args.assignment)
-        if request.status != args.status:
-            return 1, (f"assert failed: assignment {args.assignment} is "
-                       f"{request.status}, wanted {args.status}")
-        return 0, f"assignment {args.assignment} is {args.status}"
+@command("trace export PATH")
+def _trace_export(grid, base_dir, path):
+    text = grid.kernel.export_trace()
+    pathlib.Path(path).write_text(text)
+    count = text.count("\n")
+    return 0, f"wrote {count} trace lines to {path}"
 
-    if args.command == "exec":
-        path = _resolve_input(args.scenario, base_dir)
-        steps = scn_mod.parse_scenario(path.read_text(), str(path))
-        results = scn_mod.run_scenario(grid, steps, dispatch,
-                                       base_dir=path.parent)
-        code = 0
-        for step, step_code, text in results:
-            lines.append(f"-- at {step.at_s} {' '.join(step.argv)}")
-            if text:
-                lines.append(text)
-            code = step_code
-        return code, "\n".join(lines)
 
-    return 2, f"unknown command {args.command!r}"
+@command("assert job-state JOB STATE")
+def _assert_job_state(grid, base_dir, job, state):
+    _rb, record = grid.find_job(job)
+    if record.state != state:
+        return 1, f"assert failed: {job} is {record.state}, wanted {state}"
+    return 0, f"{job} is {state}"
+
+
+@command("assert refdb-status AID STATUS")
+def _assert_refdb_status(grid, base_dir, aid, status):
+    request = grid.refdb.get(aid)
+    if request.status != status:
+        return 1, f"assert failed: assignment {aid} is {request.status}, wanted {status}"
+    return 0, f"assignment {aid} is {status}"
+
+
+@command("exec SCENARIO.scn")
+def _exec(grid, base_dir, scenario):
+    path = _resolve_input(scenario, base_dir)
+    steps = scn_mod.parse_scenario(path.read_text(), str(path))
+    lines, code = [], 0
+    for step, code, text in scn_mod.run_scenario(grid, steps, dispatch,
+                                                 base_dir=path.parent):
+        lines.append(f"-- at {step.at_s} {' '.join(step.argv)}")
+        if text:
+            lines.append(text)
+    return code, "\n".join(lines)
+
+
+@command("help")
+def _help(grid, base_dir):
+    return 0, _usage("deskgrid ")
 
 
 def main(argv=None) -> int:
-    top = _Parser(prog="deskgrid", add_help=False)
-    top.add_argument("--topo", default=None)
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("rest", nargs=argparse.REMAINDER)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    flags = {"--topo": None, "--seed": "0"}
+    while len(argv) > 1 and argv[0] in flags:
+        flags[argv[0]] = argv[1]
+        argv = argv[2:]
     try:
-        args = top.parse_args(argv)
-        if not args.rest:
-            raise UsageError("deskgrid [--topo FILE] [--seed N] COMMAND...\n"
-                             + "\n".join("  " + c for c in _COMMANDS))
-        topo_path = args.topo or default_topology_path()
-        grid = load_topology(topo_path, seed=args.seed)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
+        seed = int(flags["--seed"])
+    except ValueError:
+        seed = None
+    if seed is None or not argv:
+        print("deskgrid [--topo FILE] [--seed N] COMMAND...\n" + _usage("  "),
+              file=sys.stderr)
         return 2
+    try:
+        grid = load_topology(flags["--topo"] or default_topology_path(), seed=seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code, text = dispatch(grid, args.rest)
+    code, text = dispatch(grid, argv)
     if text:
         print(text, file=sys.stderr if code else sys.stdout)
     return code

@@ -6,7 +6,8 @@ A scenario is a text file of
 
 lines with nondecreasing times (shell-style quoting, `#` comments).  The
 runner advances the clock to each line's time, fires the command through
-the supplied dispatcher, and stops at the first failing command.
+the supplied dispatcher, and stops at the first failing command.  A
+scenario line may not `exec` another scenario.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
             at = as_fraction(words[1])
         except (ValueError, TypeError):
             raise ScenarioError(f"bad time {words[1]!r}", path, lineno) from None
+        if words[2] == "exec":
+            raise ScenarioError("exec cannot run inside a scenario", path, lineno)
         if at < last:
             raise ScenarioError(f"time {words[1]} goes backwards", path, lineno)
         last = at

@@ -80,6 +80,16 @@ def mini() -> Grid:
     return make_mini()
 
 
+def watch_matches(grid) -> dict:
+    """Job id -> the `MatchResult` of its latest match, on every broker of
+    `grid`, as the brokers' match observers see it."""
+    results = {}
+    for rb in grid.brokers.values():
+        rb.match_observers.append(
+            lambda record, result: results.__setitem__(record.job_id, result))
+    return results
+
+
 @pytest.fixture
 def alice(mini):
     """A valid proxy on the mini grid, installed as the session proxy."""

@@ -14,7 +14,7 @@ from deskgrid.jdl import parse_expr, parse_jdl
 from deskgrid.topology import parse_topology
 from deskgrid.units import GB
 
-from conftest import CMKIN_SMALL, MINI_TOPOLOGY, make_mini
+from conftest import CMKIN_SMALL, MINI_TOPOLOGY, make_mini, watch_matches
 
 DATA_JDL = """\
 Executable = "cmsim";
@@ -46,6 +46,7 @@ def test_submit_reaches_running_in_the_same_instant(mini, alice):
 
 
 def test_idle_tie_breaks_alphabetically_then_load_pushes_away(mini, alice):
+    matches = watch_matches(mini)
     j1 = mini.submit(CMKIN_SMALL, "rb_test")
     j2 = mini.submit(CMKIN_SMALL, "rb_test")
     mini.kernel.run_until(0)
@@ -54,19 +55,21 @@ def test_idle_tie_breaks_alphabetically_then_load_pushes_away(mini, alice):
     second = rb.jobs[j2]
     assert second.matched_ce == "ce_beta"
     # the audit trail shows alpha demoted by its freshly acquired load
-    assert second.match_result.candidates == [
+    assert matches[j2].candidates == [
         ("ce_beta", Fraction(0)), ("ce_alpha", Fraction(-25, 2))]
 
 
 def test_glue_broker_only_sees_glue_elements(mini, alice):
+    matches = watch_matches(mini)
     job_id = mini.submit(CMKIN_SMALL, "rb_glue")
     mini.kernel.run_until(0)
     record = mini.brokers["rb_glue"].jobs[job_id]
     assert record.matched_ce == "ce_beta"
-    assert [c for c, _v in record.match_result.candidates] == ["ce_beta"]
+    assert [c for c, _v in matches[job_id].candidates] == ["ce_beta"]
 
 
 def test_requirements_narrow_the_candidate_set(mini, alice):
+    matches = watch_matches(mini)
     tagged = CMKIN_SMALL.replace(
         'Member("CMS", other.RunTimeEnvironment)',
         'Member("ATLAS-3.2.1", other.RunTimeEnvironment)')
@@ -74,16 +77,17 @@ def test_requirements_narrow_the_candidate_set(mini, alice):
     mini.kernel.run_until(0)
     record = mini.brokers["rb_test"].jobs[job_id]
     assert record.matched_ce == "ce_alpha"
-    assert [c for c, _v in record.match_result.candidates] == ["ce_alpha"]
+    assert [c for c, _v in matches[job_id].candidates] == ["ce_alpha"]
 
 
 def test_impossible_requirements_abort_with_no_matching_resources(mini, alice):
+    matches = watch_matches(mini)
     bad = CMKIN_SMALL.replace("CMS", "NOPE")
     job_id = mini.submit(bad, "rb_test")
     mini.kernel.run_until(0)
     record = mini.brokers["rb_test"].jobs[job_id]
     assert record.state == ABORTED and record.reason == "NoMatchingResources"
-    assert record.match_result.chosen is None
+    assert matches[job_id].chosen is None
     assert any(e.action == "match-failed" for e in mini.kernel.trace)
 
 
@@ -97,18 +101,19 @@ def test_pinning_to_an_element_that_fails_requirements_aborts(mini, alice):
 
 
 def test_unusable_rank_demotes_but_still_matches(mini, alice):
+    matches = watch_matches(mini)
     job_id = mini.submit(CMKIN_SMALL + 'Rank = "not a number";\n', "rb_test")
     mini.kernel.run_until(0)
     record = mini.brokers["rb_test"].jobs[job_id]
     assert record.matched_ce == "ce_alpha"
-    assert record.match_result.candidates == [("ce_alpha", None), ("ce_beta", None)]
+    assert matches[job_id].candidates == [("ce_alpha", None), ("ce_beta", None)]
 
 
 def test_undefined_rank_is_equally_unusable(mini, alice):
+    matches = watch_matches(mini)
     job_id = mini.submit(CMKIN_SMALL + "Rank = other.NoSuchFigure;\n", "rb_test")
     mini.kernel.run_until(0)
-    record = mini.brokers["rb_test"].jobs[job_id]
-    assert record.match_result.candidates == [("ce_alpha", None), ("ce_beta", None)]
+    assert matches[job_id].candidates == [("ce_alpha", None), ("ce_beta", None)]
 
 
 def test_explicit_rank_overrides_the_traversal_time_default(mini, alice):
@@ -278,50 +283,53 @@ def with_requirements(text: str) -> str:
     return CMKIN_SMALL.replace('Member("CMS", other.RunTimeEnvironment)', text)
 
 
-def candidates_of(grid, job_id, rb="rb_test"):
-    return [ce_id for ce_id, _v in grid.brokers[rb].jobs[job_id].match_result.candidates]
+def candidates_of(matches, job_id):
+    return [ce_id for ce_id, _v in matches[job_id].candidates]
 
 
 def test_reused_requirement_results_follow_a_republished_record(mini, alice):
     """Results are reused per advertised attributes, not per element id:
     republishing an element with other tags changes the next match."""
+    matches = watch_matches(mini)
     atlas = with_requirements('Member("ATLAS-3.2.1", other.RunTimeEnvironment)')
     first = mini.submit(atlas, "rb_test")
     mini.kernel.run_until(0)
-    assert candidates_of(mini, first) == ["ce_alpha"]
+    assert candidates_of(matches, first) == ["ce_alpha"]
     beta = mini.info.ces["ce_beta"]
     mini.info.publish_ce(dataclasses.replace(
         beta, run_time_environment=("CMS", "ATLAS-3.2.1")))
     second = mini.submit(atlas, "rb_test")
     mini.kernel.run_until(0)
-    assert candidates_of(mini, second) == ["ce_beta", "ce_alpha"]  # beta idle
+    assert candidates_of(matches, second) == ["ce_beta", "ce_alpha"]  # beta idle
     mini.info.publish_ce(beta)
     third = mini.submit(atlas, "rb_test")
     mini.kernel.run_until(0)
-    assert candidates_of(mini, third) == ["ce_alpha"]
+    assert candidates_of(matches, third) == ["ce_alpha"]
 
 
 def test_a_requirement_on_the_traversal_time_is_evaluated_at_each_match(mini, alice):
     """Each job of 50 cmkin events adds 12.5 s to either element's ETT."""
+    matches = watch_matches(mini)
     short = with_requirements(
         'Member("CMS", other.RunTimeEnvironment) && other.EstimatedTraversalTime < 10')
     jobs = [mini.submit(short, "rb_test") for _ in range(3)]
     mini.kernel.run_until(0)
-    assert candidates_of(mini, jobs[0]) == ["ce_alpha", "ce_beta"]
-    assert candidates_of(mini, jobs[1]) == ["ce_beta"]
-    assert candidates_of(mini, jobs[2]) == []
+    assert candidates_of(matches, jobs[0]) == ["ce_alpha", "ce_beta"]
+    assert candidates_of(matches, jobs[1]) == ["ce_beta"]
+    assert candidates_of(matches, jobs[2]) == []
     assert mini.brokers["rb_test"].jobs[jobs[2]].reason == "NoMatchingResources"
 
 
 def test_true_and_one_are_different_requirements(mini, alice):
     """`true == 1` in Python, but only `true` is a satisfied requirement,
     so the two must not share reused results."""
+    matches = watch_matches(mini)
     assert parse_expr("true") != parse_expr("1")
     assert parse_expr("{1, true}") != parse_expr("{true, 1}")
     yes = mini.submit(with_requirements("true"), "rb_test")
     no = mini.submit(with_requirements("1"), "rb_test")
     mini.kernel.run_until(0)
-    assert candidates_of(mini, yes) == ["ce_alpha", "ce_beta"]
+    assert candidates_of(matches, yes) == ["ce_alpha", "ce_beta"]
     assert mini.brokers["rb_test"].jobs[no].reason == "NoMatchingResources"
 
 
@@ -377,16 +385,18 @@ JobSeed = 1;
 
 def loaded_pair(mhz_a, wn_a, events_a, mhz_b, wn_b, events_b):
     """Two elements, each running one job of 1 CPU s per event at 1 GHz
-    (the fallback profile), then one more job matched between them."""
+    (the fallback profile), then one more job matched between them;
+    returns the grid, that job's record and its match."""
     grid = Grid(parse_topology(PAIR_TOPOLOGY.format(mhz_a=mhz_a, wn_a=wn_a, mhz_b=mhz_b,
                                                     wn_b=wn_b), "<pair>"), seed=1)
+    matches = watch_matches(grid)
     grid.proxy_init("/C=XX/CN=alice", "testvo")
     grid.submit(BLIP.format(events=events_a), "rb_test", pinned_ce="ce_a")
     grid.submit(BLIP.format(events=events_b), "rb_test", pinned_ce="ce_b")
     grid.kernel.run_until(0)
     job_id = grid.submit(BLIP.format(events=1), "rb_test")
     grid.kernel.run_until(0)
-    return grid, grid.brokers["rb_test"].jobs[job_id]
+    return grid, grid.brokers["rb_test"].jobs[job_id], matches[job_id]
 
 
 def test_ranks_closer_than_one_double_apart_order_exactly():
@@ -395,18 +405,18 @@ def test_ranks_closer_than_one_double_apart_order_exactly():
     ce_b is faster by that much, so it wins despite its larger id."""
     events_a, events_b = 99_998_050_004, 99_997_650_005
     assert events_a * 999_979 - events_b * 999_983 == 1
-    _grid, record = loaded_pair(999_983, 1, events_a, 999_979, 1, events_b)
+    _grid, record, result = loaded_pair(999_983, 1, events_a, 999_979, 1, events_b)
     ett_a, ett_b = Fraction(1000 * events_a, 999_983), Fraction(1000 * events_b, 999_979)
     assert float(ett_a) == float(ett_b) and ett_b < ett_a
     assert record.matched_ce == "ce_b"
-    assert record.match_result.candidates == [("ce_b", -ett_b), ("ce_a", -ett_a)]
+    assert result.candidates == [("ce_b", -ett_b), ("ce_a", -ett_a)]
 
 
 def test_equal_ranks_on_different_denominators_tie_to_the_smaller_id():
     """5 s each: 30 events on 2 nodes at 3 GHz, 5 events on 1 node at 1 GHz."""
-    grid, record = loaded_pair(3000, 2, 30, 1000, 1, 5)
+    grid, record, result = loaded_pair(3000, 2, 30, 1000, 1, 5)
     assert record.matched_ce == "ce_a"
-    assert record.match_result.candidates == [("ce_a", -5), ("ce_b", -5)]
+    assert result.candidates == [("ce_a", -5), ("ce_b", -5)]
     matched = [e for e in grid.kernel.trace if e.action == "matched"][-1]
     assert matched.detail["candidates"] == "ce_a:-5|ce_b:-5"
     assert matched.detail["rank"] == "-5"
@@ -422,10 +432,9 @@ def test_a_default_rank_match_builds_no_fraction(mini, alice):
     pending = [rb.submit(parse_jdl(CMKIN_SMALL), alice) for _ in range(3)]
     profile = cProfile.Profile()
     profile.enable()
-    for job_id in pending:
-        rb.match(job_id)
+    results = [rb.match(job_id) for job_id in pending]
     profile.disable()
-    assert all(len(rb.jobs[j].match_result.table) == 2 for j in pending)
+    assert all(len(result.table) == 2 for result in results)
     built = [calls for (path, _line, name), (_cc, calls, *_rest)
              in pstats.Stats(profile).stats.items()
              if name == "__new__" and path.endswith("fractions.py")]

@@ -1,5 +1,10 @@
+import itertools
+import pathlib
+import re
+
 import pytest
 
+from deskgrid import cli
 from deskgrid.cli import dispatch, main
 from deskgrid.production import BossDb
 from deskgrid.scenario import ScenarioError, parse_scenario
@@ -13,8 +18,14 @@ def ok(grid, argv, base_dir=None):
     return text
 
 
+REQUEST = ["refdb", "request", "--dataset", "d", "--step", "CMKIN", "--events", "5",
+           "--rb", "rb_test"]
+
+
 def test_usage_errors_exit_two(mini):
-    for argv in ([], ["bogus"], ["submit"], ["rc"], ["proxy", "init"]):
+    # options are spelled out in full and take the next word as their value
+    for argv in ([], ["bogus"], ["submit"], ["rc"], ["proxy", "init"],
+                 REQUEST + ["--per", "5"], REQUEST + ["--per-job=5"]):
         code, _text = dispatch(mini, argv)
         assert code == 2, argv
 
@@ -150,8 +161,8 @@ def test_dataset_names_need_no_escaping_by_the_user(mini):
 
 
 def test_consecutive_commands_do_not_share_options(mini):
-    # one parser serves every dispatch; options given to one command must
-    # not stay set for the next
+    # each dispatch reads its own argv from scratch; options given to one
+    # command must not stay set for the next
     ok(mini, ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo"])
     ok(mini, ["refdb", "request", "--dataset", "jpsi", "--step", "CMKIN",
               "--events", "500", "--per-job", "250", "--rb", "rb_test"])
@@ -243,6 +254,8 @@ def test_main_is_a_one_shot_process(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main([]) == 2
     assert "deskgrid" in capsys.readouterr().err
+    assert main(["--seed", "x", "report"]) == 2
+    assert main(["--seed", "3", "--topo", str(topo), "topo", "validate"]) == 0
     broken = tmp_path / "broken.topo"
     broken.write_text("[site only]\n")
     assert main(["--topo", str(broken), "topo", "show"]) == 2
@@ -263,3 +276,82 @@ def test_help_lists_every_command(mini):
                   "boss query", "run", "report", "trace export", "assert",
                   "exec"):
         assert token in text
+
+
+def test_exec_is_refused_inside_a_scenario(mini, tmp_path):
+    scn = tmp_path / "self.scn"
+    scn.write_text("at 0 report\nat 0 exec self.scn\n")
+    code, text = dispatch(mini, ["exec", str(scn)])
+    assert code == 2 and text == f"error: {scn}:2: exec cannot run inside a scenario"
+
+
+def test_readme_shows_the_help_output(mini):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("The full command set is `deskgrid help`:\n\n```\n")[1]
+    assert block.split("```")[0].splitlines() == ok(mini, ["help"]).splitlines()
+
+
+INTS = ("N", "M", "AID", "SIZE")
+
+
+def usage_slots(usage):
+    """The aliases of a usage line's command, and its other words as
+    (flag or None, placeholder, optional) slots."""
+    words = usage.split()[1:]  # after "deskgrid"
+    names = []
+    while words and re.fullmatch(r"[a-z][a-z|-]*", words[0]):
+        names.append(words.pop(0).split("|"))
+    slots = []
+    while words:
+        word = words.pop(0)
+        flag = word.lstrip("[") if word.lstrip("[").startswith("--") else None
+        holder = words.pop(0) if flag else word.lstrip("[")
+        slots.append((flag, holder.rstrip("]"), word.startswith("[")))
+    return [list(alias) for alias in itertools.product(*names)], slots
+
+
+def filled(slots, given=None):
+    """argv words for `slots`, every placeholder filled in: an integer, a
+    choice or a word, and two words for `[X...]`.  `given` maps a slot's
+    index to the word given there instead."""
+    argv = []
+    for i, (flag, holder, _optional) in enumerate(slots):
+        if flag:
+            argv.append(flag)
+        if given and i in given:
+            argv.append(given[i])
+        elif holder in INTS:
+            argv.append("1")
+        elif "|" in holder:
+            argv.append(holder.split("|")[-1])
+        else:
+            argv += ["a", "b"] if holder.endswith("...") else ["a"]
+    return argv
+
+
+def test_every_usage_line_is_the_grammar_of_its_command(mini, monkeypatch):
+    """Each alias with every placeholder filled reaches the handler; a
+    missing positional or required option, an unknown option, a word too
+    many, a non-integer for N, M, AID or SIZE and a word outside a choice
+    exit 2."""
+    usages = ok(mini, ["help"]).splitlines()
+    for cmd in set(cli._COMMANDS.values()):
+        monkeypatch.setattr(cmd, "handler", lambda grid, base_dir, **values: (0, "reached"))
+    declared = []
+    for usage in usages:
+        aliases, slots = usage_slots(usage)
+        declared += [tuple(alias) for alias in aliases]
+        for alias in aliases:
+            assert dispatch(mini, alias + filled(slots)) == (0, "reached"), alias
+        name = aliases[0]
+        assert dispatch(mini, name + filled(slots) + ["--bogus", "a"])[0] == 2, usage
+        extra = dispatch(mini, name + filled(slots) + ["a"])[0]
+        assert extra == (0 if usage.endswith("...]") else 2), usage
+        for i, (_flag, holder, optional) in enumerate(slots):
+            if not optional:
+                dropped = filled(slots[:i] + slots[i + 1:])
+                assert dispatch(mini, name + dropped)[0] == 2, (usage, holder)
+            if holder in INTS or "|" in holder:
+                bad = "a1" if holder in INTS else holder.split("|")[-1] + "X"
+                assert dispatch(mini, name + filled(slots, {i: bad}))[0] == 2, (usage, bad)
+    assert sorted(declared) == sorted(cli._COMMANDS)

@@ -22,7 +22,7 @@ from deskgrid.simcore import Kernel
 from deskgrid.units import KB, MB, fmt_quantity, to_millis
 from deskgrid.vomgmt import VoManager
 
-from conftest import CMKIN_SMALL
+from conftest import CMKIN_SMALL, watch_matches
 
 PROFILES = builtin_profiles()
 
@@ -401,6 +401,7 @@ def test_monitor_points_on_the_read_instant_count_for_later_events_only(mini, al
     mini.fabric.set_profile(WorkloadProfile("blip", Fraction(1, 100_000), Fraction(KB)))
     rb = mini.brokers["rb_test"]
     rb.brokering_delay_ms = 20
+    matches = watch_matches(mini)
     mini.submit(BLIP_TEXT, "rb_test", pinned_ce="ce_beta")  # matched at 20 ms
     mini.kernel.run_until(Fraction(51, 1000))
     early = mini.submit(BLIP_TEXT, "rb_test")  # matched at 71 ms
@@ -409,9 +410,9 @@ def test_monitor_points_on_the_read_instant_count_for_later_events_only(mini, al
     assert starts == [(71, "ce_beta")]
     late = mini.submit(BLIP_TEXT, "rb_glue")  # matched at 71 ms, after the start
     mini.kernel.run_until(Fraction(71, 1000))
-    assert rb.jobs[early].match_result.candidates == [
+    assert matches[early].candidates == [
         ("ce_alpha", 0), ("ce_beta", Fraction(-1, 200))]  # nothing done
-    assert mini.brokers["rb_glue"].jobs[late].match_result.candidates == [
+    assert matches[late].candidates == [
         ("ce_beta", Fraction(-91, 20000))]  # 90 of 1000 done
     # outside delivery every point up to now has been reached; the late
     # job (5 ms) waits in the queue behind it
