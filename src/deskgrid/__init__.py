@@ -15,7 +15,7 @@ from .datagrid import DataGrid, ReplicaCatalog, StorageElement
 from .fabric import (ComputingElement, Fabric, Network, Site, WorkloadProfile,
                      builtin_profiles, content_checksum)
 from .grid import Grid, default_topology_path, load_topology
-from .infosys import CERecord, InformationIndex, SERecord
+from .infosys import CERecord, InformationIndex
 from .jdl import UNDEFINED, JobDescription, evaluate, parse_expr, parse_jdl
 from .production import BossDb, ProductionManager, RefDb
 from .simcore import Kernel, TraceEntry
@@ -30,7 +30,7 @@ __all__ = [
     "BossDb", "CERecord", "ComputingElement", "ConfigError", "DataGrid",
     "Denial", "Fabric", "Grid", "InformationIndex", "JobDescription",
     "JobRecord", "Kernel", "MatchResult", "Network", "ProductionManager",
-    "Proxy", "RefDb", "ReplicaCatalog", "ResourceBroker", "SERecord", "Site",
+    "Proxy", "RefDb", "ReplicaCatalog", "ResourceBroker", "Site",
     "StorageElement", "TopologyConfig", "TraceEntry", "UNDEFINED",
     "VoManager", "WorkloadProfile", "builtin_profiles", "content_checksum",
     "default_topology_path", "evaluate", "load_topology", "parse_expr",

@@ -151,7 +151,7 @@ class ResourceBroker:
 
     @property
     def endpoint(self) -> str:
-        return fabric_mod.endpoint(fabric_mod.RB_EP, self.rb_id)
+        return f"rb:{self.rb_id}"
 
     # -- state machine -------------------------------------------------
 
@@ -353,9 +353,8 @@ class ResourceBroker:
         ce = self._ce_of(record)
         try:
             self.fabric.network.transfer(
-                physical.size_bytes,
-                fabric_mod.endpoint("site", store.record.site_id),
-                ce.site.endpoint, what=f"stage:{lfn}",
+                physical.size_bytes, store.site.endpoint, ce.site.endpoint,
+                what=f"stage:{lfn}",
                 on_done=lambda: self._stage_next(record, index + 1))
         except fabric_mod.NoRoute:
             self._fail(record, "NoRoute")
@@ -410,8 +409,7 @@ class ResourceBroker:
 
         try:
             self.fabric.network.transfer(
-                produced.size_bytes, ce.site.endpoint,
-                fabric_mod.endpoint("site", store.record.site_id),
+                produced.size_bytes, ce.site.endpoint, store.site.endpoint,
                 what=f"output-data:{produced.name}", on_done=landed)
         except fabric_mod.NoRoute:
             self._return_sandbox(record, sandbox, DONE_FAILED, "NoRoute")

@@ -22,6 +22,7 @@ whole day of testbed operations deterministically.
 from __future__ import annotations
 
 import itertools
+import os
 import pathlib
 import re
 import sys
@@ -392,7 +393,15 @@ def main(argv=None) -> int:
         return 2
     code, text = dispatch(grid, argv)
     if text:
-        print(text, file=sys.stderr if code else sys.stdout)
+        stream = sys.stderr if code else sys.stdout
+        try:
+            print(text, file=stream, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: what is still buffered goes nowhere, so
+            # the flush at exit raises nothing and the command's code stands
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     return code
 
 

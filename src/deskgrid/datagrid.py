@@ -1,18 +1,18 @@
 """Storage elements and the replica catalogue.
 
-A storage element is a content store of (path, size, checksum) triples
-with a hard capacity; the catalogue maps logical file names to the set of
-physical copies.  Every replica of a logical file shares one size and one
-checksum, registration verifies both against the physical file, and
-replication to an element that already holds a copy is an idempotent
-no-op.  The `lfn:` URI prefix is accepted everywhere and stripped.
+A storage element sits at one fabric site and is a content store of
+(path, size, checksum) triples with a hard capacity; the catalogue maps
+logical file names to the set of physical copies.  Every replica of a
+logical file shares one size and one checksum, registration verifies
+both against the physical file, and replication to an element that
+already holds a copy is an idempotent no-op.  The `lfn:` URI prefix is
+accepted everywhere and stripped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fabric import Network, endpoint
-from .infosys import SERecord
+from .fabric import Network, Site
 from .jdl import strip_lfn_prefix
 from .simcore import Kernel
 
@@ -54,16 +54,17 @@ class PhysicalFile:
 
 
 class StorageElement:
-    """Content store behind one published SE record; used_bytes on the
-    record is always exactly the sum of stored file sizes."""
+    """Content store at one site; used_bytes is always exactly the sum of
+    stored file sizes."""
 
-    def __init__(self, record: SERecord):
-        self.record = record
+    def __init__(self, se_id: str, site: Site, capacity_bytes: int):
+        if capacity_bytes < 0:
+            raise DataGridError(f"{se_id}: negative capacity {capacity_bytes}")
+        self.se_id = se_id
+        self.site = site
+        self.capacity_bytes = capacity_bytes
+        self.used_bytes = 0
         self.files: dict[str, PhysicalFile] = {}
-
-    @property
-    def se_id(self) -> str:
-        return self.record.se_id
 
     def store(self, path: str, size_bytes: int, checksum: int) -> PhysicalFile:
         if path in self.files:
@@ -74,14 +75,14 @@ class StorageElement:
             raise SeFull(f"{self.se_id} cannot take {size_bytes} more bytes")
         pf = PhysicalFile(self.se_id, path, size_bytes, checksum)
         self.files[path] = pf
-        self.record.used_bytes += size_bytes
+        self.used_bytes += size_bytes
         return pf
 
     def get(self, path: str) -> "PhysicalFile | None":
         return self.files.get(path)
 
     def room_for(self, size_bytes: int) -> bool:
-        return self.record.used_bytes + size_bytes <= self.record.capacity_bytes
+        return self.used_bytes + size_bytes <= self.capacity_bytes
 
 
 class ReplicaCatalog:
@@ -139,10 +140,8 @@ class DataGrid:
         self.rc = ReplicaCatalog(catalog_id)
         self.ses: dict[str, StorageElement] = {}
 
-    def add_se(self, record: SERecord) -> StorageElement:
-        store = StorageElement(record)
-        self.ses[record.se_id] = store
-        return store
+    def add_se(self, store: StorageElement) -> None:
+        self.ses[store.se_id] = store
 
     def store_of(self, se_id: str) -> StorageElement:
         store = self.ses.get(se_id)
@@ -156,8 +155,8 @@ class DataGrid:
     def replicate(self, lfn: str, to_se: str):
         """Copy one replica of `lfn` onto `to_se` over the fabric links.
 
-        Returns the scheduled completion event, or None when the target
-        already holds a copy.  The source is the first replica in
+        Returns the seq of the scheduled completion event, or None when
+        the target already holds a copy.  The source is the first replica in
         (se_id, path) order.  Room is checked up front; the store happens
         at transfer completion and a failure there is traced, not raised."""
         lfn = strip_lfn_prefix(lfn)
@@ -170,8 +169,6 @@ class DataGrid:
             raise SeFull(f"{to_se} cannot take {lfn} ({size} bytes)")
         src_se, src_path = replicas[0]
         source = self.store_of(src_se)
-        frm = endpoint("site", source.record.site_id)
-        to = endpoint("site", target.record.site_id)
 
         def complete():
             pf = source.get(src_path)
@@ -189,8 +186,8 @@ class DataGrid:
             self.kernel.emit(self.rc.catalog_id, "replica-added", lfn=lfn,
                              se=to_se, path=src_path)
 
-        return self.network.transfer(size, frm, to, what=f"replica:{lfn}",
-                                     on_done=complete)
+        return self.network.transfer(size, source.site.endpoint, target.site.endpoint,
+                                     what=f"replica:{lfn}", on_done=complete)
 
     def lookup(self, lfn: str) -> list:
         return self.rc.lookup(lfn)

@@ -44,7 +44,7 @@ from typing import Callable
 
 from . import vomgmt
 from .jdl import JobDescription
-from .simcore import Kernel, SimEvent
+from .simcore import Kernel
 from .units import KB, MB, fmt_ratio, to_millis
 
 
@@ -178,14 +178,6 @@ def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
 # --------------------------------------------------------------------------
 # network
 
-SITE_EP = "site"
-RB_EP = "rb"
-
-
-def endpoint(kind: str, ident: str = "") -> str:
-    return f"{kind}:{ident}" if ident else kind
-
-
 class Network:
     """Named WAN links, the sites' LAN and optional WAN defaults, each a
     (bandwidth in bytes/s, latency in s) pair."""
@@ -227,9 +219,9 @@ class Network:
         return num, den
 
     def transfer(self, size_bytes: int, frm: str, to: str, *,
-                 what: str, on_done: Callable[[], None]) -> SimEvent:
-        """Schedule a transfer; `on_done` runs at completion, after the
-        trace entry is emitted."""
+                 what: str, on_done: Callable[[], None]) -> int:
+        """Schedule a transfer and return its completion event's seq;
+        `on_done` runs at completion, after the trace entry is emitted."""
         num, den = self.duration(size_bytes, self.hops(frm, to))
 
         def complete():
@@ -252,7 +244,7 @@ class Site:
 
     @property
     def endpoint(self) -> str:
-        return endpoint(SITE_EP, self.site_id)
+        return f"site:{self.site_id}"
 
 
 @dataclass
@@ -371,10 +363,10 @@ class ComputingElement:
         self.kernel.emit(self.ce_id, "exec-start", job=job.job_id,
                          events=job.description.events,
                          runtime_s=fmt_ratio(job.cpu_units, job.cpu_per_s))
-        finish = self.kernel.schedule("job-finish", partial(self._exec_done, job),
-                                      self.kernel.now_ms + to_millis(job.cpu_units,
-                                                                     job.cpu_per_s))
-        job.kernel, job.start_ms, job.start_seq = self.kernel, self.kernel.now_ms, finish.seq
+        job.kernel, job.start_ms = self.kernel, self.kernel.now_ms
+        finish_ms = job.start_ms + to_millis(job.cpu_units, job.cpu_per_s)
+        job.start_seq = self.kernel.schedule("job-finish", partial(self._exec_done, job),
+                                             finish_ms)
 
     def _tick(self, job: FabricJob, events_done: int) -> None:
         if self.monitor_hook is not None:

@@ -3,10 +3,12 @@
 Building a Grid from a parsed topology is where cross-references are
 checked (dangling sites, elements or brokers fail with the offending
 file line), VO mapfiles get their first sync, computing elements are
-published to the information index with live load taps, and the
-production layer is hooked into broker transitions and job monitors.
-Elements are the only record of their load, so `validate` has no copy of
-it to compare; it rescans each queue against the element's CPU backlog.
+published to the information index with live load taps, storage
+elements are placed at their sites in the data grid, and the production
+layer is hooked into broker transitions and job monitors.  Elements are
+the only record of their load, so `validate` has no copy of it to
+compare; it rescans each queue against the element's CPU backlog and
+each storage element's contents against its used bytes.
 """
 from __future__ import annotations
 
@@ -77,26 +79,22 @@ class Grid:
             self.vo.register_site(site_cfg.site_id, list(site_cfg.accept_vos))
         self.vo.sync_all()
 
-        se_records: dict[str, infosys.SERecord] = {}
         for se_cfg in config.ses:
-            if se_cfg.site_id not in self.fabric.sites:
+            site = self.fabric.sites.get(se_cfg.site_id)
+            if site is None:
                 raise ConfigError(f"SE {se_cfg.se_id} sits at undeclared site "
                                   f"{se_cfg.site_id}", path, se_cfg.line)
-            record = infosys.SERecord(se_cfg.se_id, se_cfg.site_id,
-                                      se_cfg.capacity_bytes)
-            se_records[se_cfg.se_id] = record
-            self.datagrid.add_se(record)
+            self.datagrid.add_se(dg_mod.StorageElement(se_cfg.se_id, site,
+                                                       se_cfg.capacity_bytes))
 
-        close_ces: dict[str, list] = {se_id: [] for se_id in se_records}
         for ce_cfg in config.ces:
             if ce_cfg.site_id not in self.fabric.sites:
                 raise ConfigError(f"CE {ce_cfg.ce_id} sits at undeclared site "
                                   f"{ce_cfg.site_id}", path, ce_cfg.line)
             for se_id in ce_cfg.close_ses:
-                if se_id not in se_records:
+                if se_id not in self.datagrid.ses:
                     raise ConfigError(f"CE {ce_cfg.ce_id} lists undeclared close SE "
                                       f"{se_id}", path, ce_cfg.line)
-                close_ces[se_id].append(ce_cfg.ce_id)
             site_cfg = next(s for s in config.sites if s.site_id == ce_cfg.site_id)
             record = infosys.CERecord(
                 ce_id=ce_cfg.ce_id,
@@ -116,10 +114,6 @@ class Grid:
                 raise ConfigError(str(exc), path, ce_cfg.line) from None
             ce = self.fabric.add_ce(record)
             self.info.bind_load_tap(ce_cfg.ce_id, ce)
-
-        for se_id, record in se_records.items():
-            record.close_ces = tuple(sorted(close_ces[se_id]))
-            self.info.publish_se(record)
 
         known_endpoints = {"ui"}
         known_endpoints.update(f"site:{s.site_id}" for s in config.sites)
@@ -155,10 +149,6 @@ class Grid:
                 self.fabric.set_profile(dataclasses.replace(base, **prof_cfg.fields))
             except fabric_mod.FabricError as exc:
                 raise ConfigError(str(exc), path, prof_cfg.line) from None
-
-        problems = self.info.closeness_errors()
-        if problems:  # cannot happen when built from one file, but check anyway
-            raise ConfigError("; ".join(problems), path)
 
     def _next_job_id(self) -> str:
         self._job_seq += 1
@@ -202,7 +192,7 @@ class Grid:
 
     def validate(self) -> list:
         """Consistency findings for `topo validate`; empty means clean."""
-        problems = list(self.info.closeness_errors())
+        problems = []
         for ce_id, ce in self.fabric.ces.items():
             if ce_id not in self.info.ces:
                 problems.append(f"{ce_id}: not published")
@@ -214,7 +204,7 @@ class Grid:
                 problems.append(f"{ce_id}: queued CPU backlog drifted")
         for se_id, store in self.datagrid.ses.items():
             held = sum(pf.size_bytes for pf in store.files.values())
-            if held != store.record.used_bytes:
+            if held != store.used_bytes:
                 problems.append(f"{se_id}: used bytes out of step with contents")
         return problems
 

@@ -1,7 +1,9 @@
-"""Information index: published resource records and traversal estimates.
+"""Information index: computing-element records and traversal estimates.
 
-Computing elements publish which information schema flavors they speak,
-and their static attributes; a record holds no load.
+The index holds what brokers read.  Computing elements publish which
+information schema flavors they speak, and their static attributes,
+close storage elements included; a record holds no load.  Storage
+elements are not published: they live in the data grid.
 A query is always for one flavor, so resources only ever surface to
 brokers of that flavor; Condor-managed elements cannot publish the EDG
 flavor at all (the publisher does not report the data that schema needs)
@@ -23,7 +25,7 @@ record of its load; the index reads it through a load tap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 LRMS_KINDS = ("PBS", "LSF", "CONDOR")
@@ -72,34 +74,16 @@ class CERecord:
             raise InvariantViolation(f"{self.ce_id}: cpu_mhz must be positive")
 
 
-@dataclass
-class SERecord:
-    se_id: str
-    site_id: str
-    capacity_bytes: int
-    used_bytes: int = 0
-    close_ces: tuple = ()
-
-    def validate(self) -> None:
-        if self.capacity_bytes < 0 or not 0 <= self.used_bytes <= self.capacity_bytes:
-            raise InvariantViolation(f"{self.se_id}: used/capacity out of range")
-
-
 class InformationIndex:
-    """Registry of published records plus live load taps for ETT."""
+    """Registry of published CE records plus live load taps for ETT."""
 
     def __init__(self):
         self.ces: dict[str, CERecord] = {}
-        self.ses: dict[str, SERecord] = {}
         self._load_taps: dict[str, object] = {}
 
     def publish_ce(self, record: CERecord) -> None:
         record.validate()
         self.ces[record.ce_id] = record  # republish replaces by id
-
-    def publish_se(self, record: SERecord) -> None:
-        record.validate()
-        self.ses[record.se_id] = record
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
         """`tap.cpu_backlog()` must return the remaining CPU of the running
@@ -130,22 +114,3 @@ class InformationIndex:
     def estimated_traversal_time(self, ce_id: str) -> Fraction:
         """ETT in seconds, exact."""
         return Fraction(*self.ett_ratio(ce_id))
-
-    def closeness_errors(self) -> list[str]:
-        """CE<->SE closeness must be declared on both sides."""
-        problems = []
-        for ce in self.ces.values():
-            for se_id in ce.close_ses:
-                se = self.ses.get(se_id)
-                if se is None:
-                    problems.append(f"{ce.ce_id}: close SE {se_id} is not published")
-                elif ce.ce_id not in se.close_ces:
-                    problems.append(f"{ce.ce_id}: {se_id} does not list it back")
-        for se in self.ses.values():
-            for ce_id in se.close_ces:
-                ce = self.ces.get(ce_id)
-                if ce is None:
-                    problems.append(f"{se.se_id}: close CE {ce_id} is not published")
-                elif se.se_id not in ce.close_ses:
-                    problems.append(f"{se.se_id}: {ce_id} does not list it back")
-        return problems

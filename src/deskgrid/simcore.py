@@ -31,16 +31,6 @@ class PastTime(Exception):
 
 
 @dataclass
-class SimEvent:
-    """One scheduled occurrence.  `payload` is an opaque zero-argument
-    callable into the owning module; the kernel never inspects it."""
-
-    seq: int
-    kind: str
-    payload: Callable[[], None]
-
-
-@dataclass
 class TraceEntry:
     time_ms: int
     actor: str
@@ -59,7 +49,7 @@ class Kernel:
         self.seed = seed
         self._now_ms = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self.trace: list[TraceEntry] = []
         #: seq of the event being delivered; None between deliveries
         self.delivering_seq: "int | None" = None
@@ -76,21 +66,23 @@ class Kernel:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, kind: str, payload: Callable[[], None], at_ms: int) -> SimEvent:
-        """Schedule `payload` at the absolute instant `at_ms` (integer ms).
+    def schedule(self, kind: str, payload: Callable[[], None], at_ms: int) -> int:
+        """Schedule `payload`, an opaque zero-argument callable, at the
+        absolute instant `at_ms` (integer ms) and return the event's seq.
 
         Events scheduled for the same instant are delivered in the order
         they were scheduled.  Scheduling into the past raises PastTime.
+        `kind` names the event for errors and instrumentation.
         """
         if at_ms < self._now_ms:
             raise PastTime(
                 f"cannot schedule {kind} at {millis_to_text(at_ms)}, "
                 f"now is {millis_to_text(self._now_ms)}"
             )
-        event = SimEvent(self._seq, kind, payload)
+        seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (at_ms, event.seq, event))
-        return event
+        heapq.heappush(self._heap, (at_ms, seq, payload))
+        return seq
 
     # -- running -------------------------------------------------------
 
@@ -120,11 +112,11 @@ class Kernel:
         delivered = 0
         try:
             while heap and heap[0][0] <= target_ms:
-                at_ms, seq, event = heapq.heappop(heap)
+                at_ms, seq, payload = heapq.heappop(heap)
                 self._now_ms = at_ms
                 self.delivering_seq = seq
                 delivered += 1
-                event.payload()
+                payload()
         finally:
             self.delivering_seq = None
         return delivered

@@ -2,11 +2,12 @@
 
 A testbed declaration is a list of `[kind name...]` sections holding
 `key = value` lines; `[vo <name>]` sections instead hold one member DN
-per line.  `#` comments and blank lines are free.  Each section
-appears once, a link once per unordered endpoint pair.  Every
-diagnostic carries the file path and a line number: a missing key is
-reported at its section's header, a value that does not read at its
-own line.
+(starting with `/`) per line.  `#` comments and blank lines are free.
+A header holds its kind and the names listed below, no more words; each
+section appears once, a link once per unordered pair of two different
+endpoints.  Every diagnostic carries the file path and a line number: a
+missing key is reported at its section's header, a value that does not
+read at its own line.
 
     [general]             catalogue id, WAN defaults, the sites' LAN
     [vo <name>]           member DNs
@@ -242,21 +243,24 @@ def _scan(text: str, path: str) -> list:
 def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
     config = TopologyConfig(path)
     seen = set()
-    for kind, args, header_line, lines in _scan(text, path):
-        if kind == "general":
-            names = []
-        elif kind == "link":
-            if len(args) != 2:
+    for kind, names, header_line, lines in _scan(text, path):
+        if kind == "link":
+            if len(names) != 2:
                 raise ConfigError("[link] needs exactly two endpoints", path, header_line)
-            for ep in args:
+            for ep in names:
                 if not _ENDPOINT_RE.match(ep):
                     raise ConfigError(f"bad endpoint {ep!r} (site:<id>, rb:<id> or ui)",
                                       path, header_line)
-            names = args
-        elif not args:
+            if names[0] == names[1]:
+                raise ConfigError(f"[link] cannot join {names[0]} to itself",
+                                  path, header_line)
+        elif kind == "general":
+            if names:
+                raise ConfigError("[general] takes no name", path, header_line)
+        elif not names:
             raise ConfigError(f"[{kind}] needs a name", path, header_line)
-        else:
-            names = args[:1]
+        elif len(names) > 1:
+            raise ConfigError(f"[{kind}] takes exactly one name", path, header_line)
         label = "[" + " ".join([kind, *names]) + "]"
         identity = (kind, frozenset(names))  # a link's endpoints are unordered
         if identity in seen:
@@ -266,7 +270,7 @@ def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
         if kind == "vo":
             members = []
             for lineno, line in lines:
-                if "=" in line and not line.startswith("/"):
+                if not line.startswith("/"):
                     raise ConfigError(f"{label}: expected one DN per line", path, lineno)
                 if line in members:
                     raise ConfigError(f"{label}: duplicate member {line}", path, lineno)

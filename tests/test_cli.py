@@ -1,6 +1,9 @@
 import itertools
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -66,7 +69,7 @@ def test_proxy_init_refuses_a_lifetime_that_is_not_positive(mini):
 def test_rc_register_refuses_a_negative_size(mini):
     code, text = dispatch(mini, ["rc", "register", "neg.dat", "se_beta", "-5"])
     assert code == 1 and "negative" in text
-    assert mini.datagrid.store_of("se_beta").record.used_bytes == 0
+    assert mini.datagrid.store_of("se_beta").used_bytes == 0
     code, _text = dispatch(mini, ["rc", "lookup", "neg.dat"])
     assert code == 1
     assert ok(mini, ["topo", "validate"]) == "ok"
@@ -267,6 +270,22 @@ def test_main_runs_against_the_shipped_testbed(capsys):
     assert main(["topo", "show"]) == 0
     out = capsys.readouterr().out
     assert "sites\t17" in out and "ces[GLUE]\t3" in out
+
+
+@pytest.mark.parametrize("argv", [["topo", "show"], ["topo", "validate"]])
+def test_main_is_quiet_when_its_reader_has_gone(argv):
+    """stdout is a pipe whose read end is closed before the process starts,
+    so every write to it fails; the command still exits with its own code."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "deskgrid.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_help_lists_every_command(mini):

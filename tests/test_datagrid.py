@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from deskgrid.datagrid import (ChecksumMismatch, DataGrid, DataGridError,
                                DuplicatePath, NoSuchPhysicalFile, SeFull,
                                StorageElement, UnknownLfn, UnknownSe)
+from deskgrid.fabric import Site
 from deskgrid.grid import Grid
-from deskgrid.infosys import SERecord
 from deskgrid.topology import parse_topology
 from deskgrid.units import KB, MB
 
@@ -16,14 +16,14 @@ from conftest import MINI_TOPOLOGY, make_mini
 
 
 def element(capacity=10 * MB, se_id="se_t"):
-    return StorageElement(SERecord(se_id, "alpha", capacity))
+    return StorageElement(se_id, Site("alpha", "EU"), capacity)
 
 
 def test_store_tracks_used_bytes_exactly():
     se = element()
     se.store("a", 3 * MB, 1)
     se.store("b", 2 * MB, 2)
-    assert se.record.used_bytes == 5 * MB
+    assert se.used_bytes == 5 * MB
     assert se.get("a").size_bytes == 3 * MB
     assert se.get("missing") is None
     assert se.room_for(5 * MB)
@@ -39,8 +39,19 @@ def test_store_refuses_overflow_and_duplicates():
         se.store("a", 1, 3)
     with pytest.raises(DataGridError):
         se.store("c", -5, 4)
-    assert se.record.used_bytes == 3 * MB  # failures change nothing
+    assert se.used_bytes == 3 * MB  # failures change nothing
     assert se.get("c") is None
+
+
+def test_a_negative_capacity_is_refused():
+    with pytest.raises(DataGridError, match="negative capacity"):
+        element(capacity=-1)
+    assert element(capacity=0).room_for(0)
+
+
+def test_validate_reports_used_bytes_out_of_step_with_contents(mini):
+    mini.datagrid.store_of("se_beta").used_bytes += 1
+    assert mini.validate() == ["se_beta: used bytes out of step with contents"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -52,8 +63,8 @@ def test_used_bytes_always_sum_of_contents(ops):
             se.store(f"f{key}", size, i)
         except (SeFull, DuplicatePath):
             pass
-        assert se.record.used_bytes == sum(f.size_bytes for f in se.files.values())
-        assert 0 <= se.record.used_bytes <= se.record.capacity_bytes
+        assert se.used_bytes == sum(f.size_bytes for f in se.files.values())
+        assert 0 <= se.used_bytes <= se.capacity_bytes
 
 
 def test_catalog_register_needs_physical_file():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from deskgrid.infosys import (CERecord, InformationIndex, InfoSysError,
-                              InvariantViolation, SERecord, UnknownCE)
+                              InvariantViolation, UnknownCE)
 
 
 def ce(ce_id="ce_x", **kw):
@@ -85,14 +85,3 @@ def test_republish_replaces_record():
     index.publish_ce(ce(cpu_mhz=1400))
     assert index.ces["ce_x"].cpu_mhz == 1400
 
-
-def test_closeness_must_be_mutual():
-    index = InformationIndex()
-    index.publish_ce(ce(close_ses=("se_x",)))
-    index.publish_se(SERecord("se_x", "x", 1024, close_ces=()))
-    problems = index.closeness_errors()
-    assert any("does not list it back" in p for p in problems)
-    index.publish_se(SERecord("se_x", "x", 1024, close_ces=("ce_x",)))
-    assert index.closeness_errors() == []
-    index.publish_se(SERecord("se_y", "y", 1024, close_ces=("ce_ghost",)))
-    assert any("not published" in p for p in index.closeness_errors())

@@ -58,6 +58,12 @@ def test_malformed_header_and_early_content():
     assert err("region = EU\n") == "<t>:1: content before the first section"
     assert err("[moon alpha]\n") == "<t>:1: unknown section kind [moon]"
     assert err("[site]\n") == "<t>:1: [site] needs a name"
+    site = "[site a]\nregion = EU\naccept_vos =\n"
+    assert err("[site a b]\nregion = EU\naccept_vos =\n") == \
+        "<t>:1: [site] takes exactly one name"
+    assert err(site + "[broker rb x]\nflavor = GLUE\n") == \
+        "<t>:4: [broker] takes exactly one name"
+    assert err("[general x]\n" + site) == "<t>:1: [general] takes no name"
 
 
 def test_duplicate_sections_and_keys():
@@ -122,10 +128,14 @@ def test_link_declarations():
         base + "[link site:a box:b]\nbandwidth = 1 MB/s\nlatency = 0\n")
     assert "durations cannot be negative" in err(
         base + "[link site:a ui]\nbandwidth = 1 MB/s\nlatency = -1\n")
+    assert err(base + "[link site:a site:a]\nbandwidth = 1 MB/s\nlatency = 0\n") == \
+        "<t>:4: [link] cannot join site:a to itself"
 
 
 def test_vo_sections_take_one_dn_per_line():
     text = "[vo v]\nmembers = alice\n[site a]\nregion = EU\naccept_vos =\n"
+    assert err(text) == "<t>:2: [vo v]: expected one DN per line"
+    text = "[vo v]\nalice smith\n[site a]\nregion = EU\naccept_vos = v\n"
     assert err(text) == "<t>:2: [vo v]: expected one DN per line"
     text = "[vo v]\n/C=XX/CN=a\n/C=XX/CN=a\n[site a]\nregion = EU\naccept_vos =\n"
     assert err(text) == "<t>:3: [vo v]: duplicate member /C=XX/CN=a"
