@@ -42,9 +42,6 @@ DONE_FAILED = "DONE_FAILED"
 ABORTED = "ABORTED"
 CLEARED = "CLEARED"
 
-STATES = (SUBMITTED, WAITING, MATCHED, SCHEDULED, RUNNING,
-          DONE_OK, DONE_FAILED, ABORTED, CLEARED)
-
 _LEGAL = {
     SUBMITTED: (WAITING, ABORTED),
     WAITING: (MATCHED, ABORTED),
@@ -451,16 +448,6 @@ class ResourceBroker:
         if record is None:
             raise UnknownJob(job_id)
         return record
-
-    def status(self, job_id: str) -> dict:
-        record = self._record(job_id)
-        return {
-            "job_id": job_id,
-            "state": record.state,
-            "matched_ce": record.matched_ce,
-            "reason": record.reason,
-            "timestamps": dict(record.timestamps),
-        }
 
     def get_output(self, job_id: str, dest_dir=None) -> list:
         """Manifest of the held output sandbox; clears the job.  A second

@@ -205,7 +205,7 @@ def _proxy_init(grid, base_dir, user, vo, lifetime):
 
 @command("submit FILE.jdl --rb RB [--ce CE]")
 def _submit(grid, base_dir, file, rb, ce):
-    text = _resolve_input(file, base_dir).read_text()
+    text = _resolve_input(file, base_dir).read_text(encoding="utf-8")
     job_id = grid.submit(text, rb, pinned_ce=ce)
     _flush(grid)
     _rb, record = grid.find_job(job_id)
@@ -357,7 +357,11 @@ def _assert_refdb_status(grid, base_dir, aid, status):
 @command("exec SCENARIO.scn")
 def _exec(grid, base_dir, scenario):
     path = _resolve_input(scenario, base_dir)
-    steps = scn_mod.parse_scenario(path.read_text(), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise scn_mod.ScenarioError(f"cannot read scenario: {exc}", str(path)) from None
+    steps = scn_mod.parse_scenario(text, str(path))
     lines, code = [], 0
     for step, code, text in scn_mod.run_scenario(grid, steps, dispatch,
                                                  base_dir=path.parent):

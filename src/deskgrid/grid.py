@@ -28,7 +28,6 @@ from .topology import ConfigError, TopologyConfig
 
 class Grid:
     def __init__(self, config: TopologyConfig, seed: int = 0):
-        self.config = config
         self.kernel = Kernel(seed)
         self.vo = vomgmt.VoManager()
         self.network = fabric_mod.Network(self.kernel)

@@ -8,10 +8,13 @@ Grammar of a description file:
             | ("!" | "-") expr | expr binop expr | "(" expr ")"
     list   := "{" [ expr { "," expr } ] "}"
 
-Strings are double-quoted, `#` starts a comment running to end of line.
-Binary operators from loosest to tightest binding: `||`, `&&`, a single
-comparison (`== != < <= > >=`), then the unary operators.  `true`/`false`
+Strings are double-quoted, numbers are ASCII digits with an optional
+fraction, `#` starts a comment running to end of line.  `true`/`false`
 and `Member` are matched case-insensitively; attribute names are not.
+Binary operators from loosest to tightest binding: `||`, `&&`, a single
+comparison (`== != < <= > >=`), then the unary operators `!` and `-`.
+The operator table (`_PREC`, `_COMPARE`, `_UNARY`) declares each of them
+once; the lexer, parser, printer and evaluator all read it.
 
 Evaluation is three-valued.  Unbound attributes and type mismatches yield
 UNDEFINED, which propagates through every operator with one exception: a
@@ -28,6 +31,8 @@ unchanged in meaning and rendered canonically.
 """
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping, Union
 
@@ -131,10 +136,37 @@ Expr = Union[Lit, ListLit, Attr, Unary, Binary, MemberCall]
 
 
 # --------------------------------------------------------------------------
+# operators: the one table the lexer, parser, printer and evaluator read
+
+def _numbers(a, b) -> bool:
+    return _is_number(a) and _is_number(b)
+
+
+def _comparable(a, b) -> bool:
+    return (_numbers(a, b) or (isinstance(a, str) and isinstance(b, str))
+            or (isinstance(a, bool) and isinstance(b, bool)))
+
+
+#: comparison -> (the operands it is defined on, its result)
+_COMPARE = {"==": (_comparable, operator.eq), "!=": (_comparable, operator.ne),
+            "<": (_numbers, operator.lt), "<=": (_numbers, operator.le),
+            ">": (_numbers, operator.gt), ">=": (_numbers, operator.ge)}
+
+#: unary operator -> (the operand it is defined on, its result)
+_UNARY = {"!": (lambda v: isinstance(v, bool), operator.not_), "-": (_is_number, operator.neg)}
+
+#: binary operator -> precedence, loosest first; one level associates to
+#: the left, except that comparisons do not chain
+_CMP_PREC, _UNARY_PREC, _ATOM = 3, 4, 5
+_PREC = {"||": 1, "&&": 2, **dict.fromkeys(_COMPARE, _CMP_PREC)}
+
+
+# --------------------------------------------------------------------------
 # lexer
 
-_PUNCT = ("==", "!=", "<=", ">=", "&&", "||", "<", ">", "!", "-", "=",
-          "{", "}", "(", ")", ",", ";", ".")
+#: operators and marks, longest first so that `<=` is not read as `<` `=`
+_PUNCT = tuple(sorted((*_PREC, *_UNARY, *"={}(),;."), key=len, reverse=True))
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")  # ASCII: str.isdigit() also takes `²` and `٣`
 
 
 @dataclass(frozen=True)
@@ -181,20 +213,14 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append(Token("STRING", "".join(out), line, col))
             i = j + 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            i = j
+        number = _NUMBER.match(text, i)
+        if number:
+            tokens.append(Token("NUMBER", number.group(), line, col))
+            i = number.end()
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in "_0123456789"):
                 j += 1
             tokens.append(Token("NAME", text[i:j], line, col))
             i = j
@@ -258,32 +284,24 @@ class _Parser:
             assignments.append((name_tok.text, expr, name_tok))
         return assignments
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept_punct("||"):
-            left = Binary("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_cmp()
-        while self.accept_punct("&&"):
-            left = Binary("&&", left, self.parse_cmp())
-        return left
-
-    def parse_cmp(self) -> Expr:
+    def parse_expr(self, floor: int = 1) -> Expr:
+        """Precedence climbing over the operators binding at least as tightly
+        as `floor`, left to right; only a looser operator follows a comparison,
+        so `a < b < c` and `a && b < c < d` both stop at the second `<`."""
         left = self.parse_unary()
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text in ("==", "!=", "<", "<=", ">", ">="):
+        limit = _UNARY_PREC
+        while True:
+            tok = self.peek()
+            prec = _PREC.get(tok.text, 0) if tok.kind == "PUNCT" else 0
+            if not floor <= prec < limit:
+                return left
             self.next()
-            return Binary(tok.text, left, self.parse_unary())
-        return left
+            left = Binary(tok.text, left, self.parse_expr(prec + 1))
+            limit = prec if prec == _CMP_PREC else prec + 1
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text in ("!", "-"):
+        if tok.kind == "PUNCT" and tok.text in _UNARY:
             self.next()
             return Unary(tok.text, self.parse_unary())
         return self.parse_primary()
@@ -350,15 +368,11 @@ def parse_expr(text: str) -> Expr:
 # --------------------------------------------------------------------------
 # printer
 
-_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3}
-_ATOM = 5
-
-
 def _prec(expr: Expr) -> int:
     if isinstance(expr, Binary):
         return _PREC[expr.op]
     if isinstance(expr, Unary):
-        return 4
+        return _UNARY_PREC
     return _ATOM
 
 
@@ -380,7 +394,7 @@ def expr_text(expr: Expr) -> str:
         return f"Member({expr_text(expr.value)}, {expr_text(expr.items)})"
     if isinstance(expr, Unary):
         inner = expr_text(expr.operand)
-        if _prec(expr.operand) < 4:
+        if _prec(expr.operand) < _UNARY_PREC:
             inner = f"({inner})"
         return f"{expr.op}{inner}"
     if isinstance(expr, Binary):
@@ -389,7 +403,7 @@ def expr_text(expr: Expr) -> str:
         right = expr_text(expr.right)
         # left-associative chains keep the left child unparenthesized at
         # equal precedence; comparisons do not chain at all
-        if _prec(expr.left) < mine or (mine == 3 and _prec(expr.left) == 3):
+        if _prec(expr.left) < mine or _prec(expr.left) == mine == _CMP_PREC:
             left = f"({left})"
         if _prec(expr.right) <= mine:
             right = f"({right})"
@@ -427,60 +441,29 @@ def evaluate(expr: Expr, env: Mapping[str, Value] | None = None) -> Value:
             return UNDEFINED
         return needle in haystack
     if isinstance(expr, Unary):
-        v = evaluate(expr.operand, env)
-        if expr.op == "!":
-            if isinstance(v, bool):
-                return not v
-            return UNDEFINED
-        if _is_number(v):
-            return -v
-        return UNDEFINED
+        defined_on, result = _UNARY[expr.op]
+        value = evaluate(expr.operand, env)
+        return result(value) if defined_on(value) else UNDEFINED
     if isinstance(expr, Binary):
         return _binary(expr, env)
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def _binary(expr: Binary, env) -> Value:
-    op = expr.op
-    if op == "||":
-        left = evaluate(expr.left, env)
-        if left is True:
-            return True  # short-circuit: right arm never examined
-        if left is not False:
-            return UNDEFINED
-        right = evaluate(expr.right, env)
-        return right if isinstance(right, bool) else UNDEFINED
-    if op == "&&":
-        left = evaluate(expr.left, env)
-        if left is False:
-            return False
-        if left is not True:
-            return UNDEFINED
-        right = evaluate(expr.right, env)
-        return right if isinstance(right, bool) else UNDEFINED
-
     left = evaluate(expr.left, env)
-    right = evaluate(expr.right, env)
-    if op in ("==", "!="):
-        if _is_number(left) and _is_number(right):
-            same = left == right
-        elif isinstance(left, str) and isinstance(right, str):
-            same = left == right
-        elif isinstance(left, bool) and isinstance(right, bool):
-            same = left == right
-        else:
-            return UNDEFINED
-        return same if op == "==" else not same
-    # ordering: numbers only
-    if not (_is_number(left) and _is_number(right)):
+    if expr.op in _COMPARE:
+        defined_on, result = _COMPARE[expr.op]
+        right = evaluate(expr.right, env)
+        return result(left, right) if defined_on(left, right) else UNDEFINED
+    # a true left arm of `||` and a false one of `&&` decide the result;
+    # the right arm is then never evaluated
+    decides = expr.op == "||"
+    if left is decides:
+        return decides
+    if not isinstance(left, bool):
         return UNDEFINED
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+    right = evaluate(expr.right, env)
+    return right if isinstance(right, bool) else UNDEFINED
 
 
 def requirement_satisfied(expr: Expr, env: Mapping[str, Value] | None = None) -> bool:
@@ -592,12 +575,11 @@ def _want_string(name: str, expr: Expr, tok: Token) -> str:
 
 
 def _want_int(name: str, expr: Expr, tok: Token) -> int:
-    if isinstance(expr, Lit) and type(expr.value) is int:  # a bool is not an int here
-        return expr.value
-    if isinstance(expr, Unary) and expr.op == "-":
-        inner = expr.operand
-        if isinstance(inner, Lit) and type(inner.value) is int:  # nor under a minus
-            return -inner.value
+    literal = expr.operand if isinstance(expr, Unary) else expr
+    if isinstance(literal, Lit) and type(literal.value) is int:  # a bool is not an int here
+        value = evaluate(expr)
+        if value is not UNDEFINED:  # as `!1` is
+            return value
     raise JdlError(f"{name} must be an integer literal", tok.line, tok.col)
 
 

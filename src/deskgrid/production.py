@@ -137,9 +137,8 @@ class RefDb:
             raise ProductionError(f"unknown step {step!r}")
         if total_events < 1 or events_per_job < 1:
             raise ProductionError("event counts must be positive")
-        if step == STEP_CMSIM and not self._has_complete_cmkin(dataset):
-            raise MissingUpstream(
-                f"no COMPLETE {STEP_CMKIN} request for dataset {dataset!r}")
+        if step == STEP_CMSIM:
+            self.upstream_of(dataset)
         request = ProductionRequest(self._next_id, dataset, step,
                                     total_events, events_per_job, rb_id,
                                     default_se=default_se)
@@ -147,17 +146,12 @@ class RefDb:
         self._next_id += 1
         return request
 
-    def _has_complete_cmkin(self, dataset: str):
-        return any(r.step == STEP_CMKIN and r.dataset == dataset
-                   and r.status == REQ_COMPLETE
-                   for r in self.requests.values())
-
-    def upstream_of(self, request: ProductionRequest) -> ProductionRequest:
-        for r in sorted(self.requests.values(), key=lambda r: r.assignment_id):
-            if (r.step == STEP_CMKIN and r.dataset == request.dataset
-                    and r.status == REQ_COMPLETE):
+    def upstream_of(self, dataset: str) -> ProductionRequest:
+        """The first COMPLETE generation request for `dataset`."""
+        for r in self.requests.values():  # in assignment order
+            if r.step == STEP_CMKIN and r.dataset == dataset and r.status == REQ_COMPLETE:
                 return r
-        raise MissingUpstream(request.dataset)
+        raise MissingUpstream(f"no COMPLETE {STEP_CMKIN} request for dataset {dataset!r}")
 
     def get(self, assignment_id: int) -> ProductionRequest:
         request = self.requests.get(assignment_id)
@@ -286,7 +280,7 @@ class ProductionManager:
         if request.status != REQ_DECLARED:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
         if request.step == STEP_CMSIM:
-            upstream = self.refdb.upstream_of(request)
+            upstream = self.refdb.upstream_of(request.dataset)
             if request.job_count > upstream.job_count:
                 raise MissingUpstream(
                     f"assignment {assignment_id} wants {request.job_count} inputs, "

@@ -89,7 +89,13 @@ class Kernel:
     def run_until(self, t) -> int:
         """Deliver every pending event with fire time <= t (seconds),
         including any inserted during delivery, then advance the clock to
-        t.  Returns the number of events delivered."""
+        t.  Returns the number of events delivered.
+
+        An exception raised by a payload propagates out of this method and
+        out of `run_to_completion`.  The raising event has been consumed
+        and is never delivered again; the clock stays at its instant, short
+        of t; `delivering_seq` is None; later events stay queued in
+        (instant, seq) order, and the next run delivers them."""
         target_ms = to_millis(t)
         if target_ms < self._now_ms:
             raise PastTime(

@@ -328,7 +328,7 @@ def parse_topology_file(path) -> TopologyConfig:
 
     p = pathlib.Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read topology: {exc}", str(path)) from None
     return parse_topology(text, str(path))

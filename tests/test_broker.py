@@ -216,7 +216,7 @@ def test_run_job_requires_a_match_first(mini, alice):
     with pytest.raises(BrokerError):
         rb.run_job(job_id)
     with pytest.raises(UnknownJob):
-        rb.status("j999")
+        rb.run_job("j999")
 
 
 def test_exec_failure_returns_logs_only(mini, alice):

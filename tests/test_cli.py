@@ -266,6 +266,21 @@ def test_main_is_a_one_shot_process(tmp_path, capsys):
     assert main(["--topo", str(tmp_path / "void.topo"), "report"]) == 2
 
 
+def test_an_input_file_that_is_not_utf8_is_a_broken_file(tmp_path, capsys):
+    topo = tmp_path / "latin1.topo"
+    topo.write_bytes(MINI_TOPOLOGY.encode() + "# café\n".encode("latin-1"))
+    assert main(["--topo", str(topo), "topo", "show"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {topo}: cannot read topology: 'utf-8' codec")
+    good = tmp_path / "mini.topo"
+    good.write_text(MINI_TOPOLOGY)
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes("# café\nat 0 report\n".encode("latin-1"))
+    assert main(["--topo", str(good), "exec", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scn}: cannot read scenario: 'utf-8' codec")
+
+
 def test_main_runs_against_the_shipped_testbed(capsys):
     assert main(["topo", "show"]) == 0
     out = capsys.readouterr().out

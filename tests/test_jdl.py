@@ -149,8 +149,19 @@ def test_syntax_errors_carry_position():
 
 
 def test_comparisons_do_not_chain():
-    with pytest.raises(JdlSyntaxError, match="trailing input"):
-        parse_expr("1 < 2 < 3")
+    for text, col in (("1 < 2 < 3", 7), ("true && 1 < 2 < 3", 15)):
+        with pytest.raises(JdlSyntaxError, match=f"col {col}: trailing input"):
+            parse_expr(text)
+        with pytest.raises(JdlSyntaxError, match=f"line 2, col {col + 7}: expected ';', found '<'"):
+            parse_jdl(f'Executable = "x";\nNote = {text};')
+
+
+def test_a_number_is_made_of_ascii_digits():
+    for text, col in (("²", 1), ("1²", 2), ("other.a == ٣", 12), ("other.a٣", 8)):
+        with pytest.raises(JdlSyntaxError, match=f"line 1, col {col}: stray character"):
+            parse_expr(text)
+    with pytest.raises(JdlSyntaxError, match="line 2, col 10: stray character"):
+        parse_jdl('Executable = "x";\nEvents = ²;')
 
 
 def test_precedence_shapes():
@@ -430,3 +441,62 @@ def test_seeded_mutation_outcomes_are_pinned():
     digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGEST
 
+
+
+# -- expression token fuzz ------------------------------------------------
+
+FUZZ_VALUES = ("1", "20", "2.5", '"s"', '"a\\"b"', "true", "FALSE", "other.x", "OTHER.Y",
+               'Member("s", {"s"})', "member(other.x, other.y)")
+FUZZ_PREFIXES = ("!", "-", "(", "{")
+FUZZ_INFIXES = ("||", "&&", "==", "!=", "<", "<=", ">", ">=")
+FUZZ_STRAYS = ("=", ";", ".", ",", ")", "}", "other", "x", '"', "Member(", "{}", "#")
+FUZZ_GAPS = ("", " ", " ", " ", "\n", " # c\n")
+
+
+def _fuzzed_expressions(count: int, seed: int):
+    """`count` token strings, mostly shaped like expressions (an operand
+    where one may start, an operator or a matching closer after it) so
+    that about half parse; one token in twenty is drawn from everything,
+    stray marks included, for the error paths."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts, closers, operand = [], [], True
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.05:
+                token = rng.choice(FUZZ_STRAYS + FUZZ_VALUES + FUZZ_PREFIXES + FUZZ_INFIXES)
+            elif operand:
+                token = rng.choice(FUZZ_VALUES if rng.random() < 0.7 else FUZZ_PREFIXES)
+                operand = token in FUZZ_PREFIXES
+                if token in ("(", "{"):
+                    closers.append(")" if token == "(" else "}")
+            elif closers and rng.random() < 0.3:
+                token = closers.pop()
+            else:
+                in_list = closers[-1:] == ["}"]
+                token = "," if in_list and rng.random() < 0.5 else rng.choice(FUZZ_INFIXES)
+                operand = True
+            parts.append(token)
+        if operand:
+            parts.append(rng.choice(FUZZ_VALUES))
+        parts += reversed(closers)
+        yield "".join(rng.choice(FUZZ_GAPS) + part for part in parts)
+
+
+def _expr_outcome(text: str) -> str:
+    try:
+        return repr(parse_expr(text))
+    except JdlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: sha256 of the outcomes below, joined by "\n\0"
+TOKEN_FUZZ_DIGEST = "b80c7e69f1402ba4a814c82b901263307dd6ce2bc8732f46093520c33a625d9b"
+
+
+def test_seeded_token_fuzz_outcomes_are_pinned():
+    """Every tree and every diagnostic of `parse_expr` over 20,000 seeded
+    token strings (operators, marks, literals, attributes, Member calls,
+    comments and newlines), pinned as one digest."""
+    outcomes = [_expr_outcome(text) for text in _fuzzed_expressions(20000, 2026)]
+    digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
+    assert digest == TOKEN_FUZZ_DIGEST

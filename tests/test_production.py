@@ -62,7 +62,7 @@ def test_request_validation():
 
 def test_simulation_requires_a_complete_generation_upstream():
     refdb = RefDb()
-    with pytest.raises(MissingUpstream):
+    with pytest.raises(MissingUpstream, match="no COMPLETE CMKIN request for dataset 'jpsi'"):
         refdb.create_request("jpsi", "CMSIM", 100, 10, "rb_test")
     gen = refdb.create_request("jpsi", "CMKIN", 100, 10, "rb_test")
     with pytest.raises(MissingUpstream):  # exists, but not COMPLETE yet

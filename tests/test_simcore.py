@@ -52,6 +52,37 @@ def test_events_inserted_for_now_during_delivery_still_run():
     assert delivered == 2
 
 
+def test_a_raising_payload_is_consumed_and_the_run_stops_at_its_instant():
+    k = Kernel()
+    log = []
+
+    class Boom(Exception):
+        pass
+
+    def boom():
+        log.append("boom")
+        raise Boom
+
+    k.schedule("a", lambda: log.append("a"), 1000)
+    k.schedule("boom", boom, 2000)
+    k.schedule("c", lambda: log.append("c"), 3000)
+    k.schedule("b", lambda: log.append("b"), 2000)
+    with pytest.raises(Boom):
+        k.run_until(5)
+    assert log == ["a", "boom"]
+    assert k.now_ms == 2000 and k.delivering_seq is None and k.pending_count() == 2
+    assert k.run_until(5) == 2
+    assert log == ["a", "boom", "b", "c"] and k.now_ms == 5000
+
+    k.schedule("boom", boom, 6000)
+    k.schedule("d", lambda: log.append("d"), 7000)
+    with pytest.raises(Boom):
+        k.run_to_completion()
+    assert k.now_ms == 6000 and k.delivering_seq is None and k.pending_count() == 1
+    assert k.run_to_completion() == 1
+    assert log[-2:] == ["boom", "d"] and k.now_ms == 7000
+
+
 def test_run_until_advances_clock_even_without_events():
     k = Kernel()
     assert k.run_until(10) == 0
