@@ -144,7 +144,9 @@ class ResourceBroker:
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
-        self._requirement_memo: dict = {}  # requirement -> {advertised: satisfied}
+        # requirement -> {advertised: satisfied}, or None when it reads the
+        # ETT, which moves between matches
+        self._requirement_memo: dict = {}
 
     @property
     def endpoint(self) -> str:
@@ -216,8 +218,13 @@ class ResourceBroker:
         lfns = description.input_lfns
         catalog_ok = (not lfns
                       or description.replica_catalog == self.datagrid.rc.catalog_id)
-        memo = ({} if jdl.reads_attribute(requirements, "EstimatedTraversalTime")
-                else self._requirement_memo.setdefault(requirements, {}))
+        try:
+            memo = self._requirement_memo[requirements]
+        except KeyError:
+            memo = self._requirement_memo[requirements] = (
+                None if jdl.reads_attribute(requirements, "EstimatedTraversalTime") else {})
+        if memo is None:
+            memo = {}
 
         by_ett = []    # (ETT numerator, denominator, ce record): default rank
         scored = []    # (rank value, ce record)
@@ -231,7 +238,7 @@ class ResourceBroker:
                 continue
             if lfns and not self._holds_inputs(ce, lfns):
                 continue
-            ett = self.info.ett_ratio(ce.ce_id)
+            ett = self.fabric.ces[ce.ce_id].ett()
             advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
             if advertised not in memo:
                 memo[advertised] = jdl.requirement_satisfied(requirements,

@@ -205,7 +205,11 @@ def _proxy_init(grid, base_dir, user, vo, lifetime):
 
 @command("submit FILE.jdl --rb RB [--ce CE]")
 def _submit(grid, base_dir, file, rb, ce):
-    text = _resolve_input(file, base_dir).read_text(encoding="utf-8")
+    path = _resolve_input(file, base_dir)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read description {path}: {exc}") from None
     job_id = grid.submit(text, rb, pinned_ce=ce)
     _flush(grid)
     _rb, record = grid.find_job(job_id)
@@ -356,7 +360,10 @@ def _assert_refdb_status(grid, base_dir, aid, status):
 
 @command("exec SCENARIO.scn")
 def _exec(grid, base_dir, scenario):
-    path = _resolve_input(scenario, base_dir)
+    try:
+        path = _resolve_input(scenario, base_dir)
+    except FileNotFoundError:
+        raise scn_mod.ScenarioError("no such file", scenario) from None
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -17,11 +17,18 @@ produced.
 
 A computing element is the only record of its load: its FIFO queue, its
 running jobs, each holding the index of its worker node, and a heap of
-free node indices, so the lowest free node takes the next job.  The
-information index reads that load through a load tap; nothing copies it.
+free node indices, so the lowest free node takes the next job.  It owns
+its estimated traversal time, `ett()`, which the broker reads directly;
+nothing copies the load.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
+The element keeps the CPU its running jobs have left as a cached term
+with a horizon, the first instant at or after the last rescan on which a
+running job has a monitor point.  A read before the horizon reuses the
+term, since no monitor point lies between; a read at or past it rescans.
+Dispatch, the start and end of execution, the release of a node and a
+change of CPU unit drop the term, so the next read rescans.
 
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
@@ -46,6 +53,10 @@ from . import vomgmt
 from .jdl import JobDescription
 from .simcore import Kernel
 from .units import KB, MB, fmt_ratio, to_millis
+
+
+#: a horizon that every read is at or past: the cached running term is dropped
+STALE = -1
 
 
 class FabricError(Exception):
@@ -287,6 +298,21 @@ class FabricJob:
     def events_left(self) -> int:
         return self.description.events - max(self.events_done, self.monitor_count())
 
+    def next_point_ms(self) -> "int | float":
+        """Instant of the first monitor point at or after now; math.inf
+        before execution, after it, and past the last point.  Point k, at
+        start_ms + floor(1000*R*k/E + 1/2), lies at or after now exactly when
+        2000*p*k >= (2*(now - start_ms) - 1)*q*E."""
+        if self.kernel is None or self.events_done:
+            return math.inf
+        events, step = self.description.events, self.profile.monitor_every_events
+        p, q = self.cpu_units, self.cpu_per_s
+        before = (2 * (self.kernel.now_ms - self.start_ms) - 1) * q * events
+        k = step * max(1, -(-before // (2000 * p * step)))
+        if k > events - 1:
+            return math.inf
+        return self.start_ms + (2000 * p * k + q * events) // (2 * q * events)
+
     @property
     def cpu_total_s(self) -> Fraction:
         """Exact view of the CPU pair, for readers outside the event path."""
@@ -314,6 +340,8 @@ class ComputingElement:
         self.cpu_den = 1
         self.queued_units = 0  # CPU of the queued jobs, kept as they come and go
         self.running: dict[str, FabricJob] = {}
+        # CPU left in the running jobs, in units, valid while now_ms < horizon
+        self.running_units, self.horizon_ms = 0, STALE
         self.fail_next_execs = 0  # scenario-driven failure injection
 
     @property
@@ -332,6 +360,7 @@ class ComputingElement:
             grown = math.lcm(self.cpu_den, den)
             self.queued_units *= grown // self.cpu_den
             self.cpu_den = grown
+            self.horizon_ms = STALE
         job.cpu_units = job.description.events * self._units_per_event(job.profile)
         job.cpu_per_s = self.cpu_den * self.record.cpu_mhz
         self.queue.append(job)
@@ -352,6 +381,7 @@ class ComputingElement:
                 continue
             job.wn = heapq.heappop(self.free_wns)
             self.running[job.job_id] = job
+            self.horizon_ms = STALE
             self.kernel.emit(self.ce_id, "dispatched", job=job.job_id, wn=job.wn)
             job.on_dispatched()
 
@@ -364,6 +394,7 @@ class ComputingElement:
                          events=job.description.events,
                          runtime_s=fmt_ratio(job.cpu_units, job.cpu_per_s))
         job.kernel, job.start_ms = self.kernel, self.kernel.now_ms
+        self.horizon_ms = STALE
         finish_ms = job.start_ms + to_millis(job.cpu_units, job.cpu_per_s)
         job.start_seq = self.kernel.schedule("job-finish", partial(self._exec_done, job),
                                              finish_ms)
@@ -379,6 +410,7 @@ class ComputingElement:
         if last:  # the journal's last monitor point, sent once
             self._tick(job, last)
         job.events_done = job.description.events
+        self.horizon_ms = STALE
         exit_code = 0
         if self.fail_next_execs > 0:
             self.fail_next_execs -= 1
@@ -391,23 +423,37 @@ class ComputingElement:
         """Release the worker node once every output leg is over."""
         if self.running.pop(job.job_id, None) is not None:
             heapq.heappush(self.free_wns, job.wn)
+            self.horizon_ms = STALE
         self.kernel.emit(self.ce_id, "wn-freed", job=job.job_id)
         self.try_dispatch()
 
-    # -- load tap for the information index ---------------------------
+    # -- estimated traversal time --------------------------------------
 
     def _units_per_event(self, profile: WorkloadProfile) -> int:
         """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""
         num, den = profile.cpu_pair
         return 1000 * num * (self.cpu_den // den)
 
-    def cpu_backlog(self) -> tuple:
-        """(units, units per second): the CPU left in the running jobs, at
-        most one per node, plus the queue's maintained backlog."""
-        units = self.queued_units
+    def scan_running(self) -> tuple:
+        """(units, horizon ms): the CPU left in the running jobs, at most one
+        per node, and the first instant at or after now on which one of them
+        has a monitor point."""
+        units, horizon = 0, math.inf
         for job in self.running.values():
             units += job.events_left() * self._units_per_event(job.profile)
-        return units, self.cpu_den * self.record.cpu_mhz
+            horizon = min(horizon, job.next_point_ms())
+        return units, horizon
+
+    def ett(self) -> tuple:
+        """ETT in seconds as an unreduced pair of ints (units, units per
+        second * wn_count): the running jobs' CPU left plus the queue's
+        maintained backlog, over the nodes.  The running term is rescanned
+        only by a read at or past its horizon, so a read on a monitor
+        point's instant always rescans and sees the `delivering_seq` rule."""
+        if self.kernel.now_ms >= self.horizon_ms:
+            self.running_units, self.horizon_ms = self.scan_running()
+        return (self.queued_units + self.running_units,
+                self.cpu_den * self.record.cpu_mhz * self.record.wn_count)
 
     @property
     def queued_cpu_s(self) -> Fraction:

@@ -3,12 +3,13 @@
 Building a Grid from a parsed topology is where cross-references are
 checked (dangling sites, elements or brokers fail with the offending
 file line), VO mapfiles get their first sync, computing elements are
-published to the information index with live load taps, storage
+published to the information index with load taps for their ETT view, storage
 elements are placed at their sites in the data grid, and the production
 layer is hooked into broker transitions and job monitors.  Elements are
 the only record of their load, so `validate` has no copy of it to
-compare; it rescans each queue against the element's CPU backlog and
-each storage element's contents against its used bytes.
+compare; it rescans each queue against the element's queued CPU, each
+element's running jobs against its cached running term while that is
+still valid, and each storage element's contents against its used bytes.
 """
 from __future__ import annotations
 
@@ -201,6 +202,10 @@ class Grid:
                             for job in ce.queue)
             if ce.queued_units != rescanned * ce.cpu_den * ce.record.cpu_mhz:
                 problems.append(f"{ce_id}: queued CPU backlog drifted")
+            # a term past its horizon is rescanned by its next read anyway
+            if (self.kernel.now_ms < ce.horizon_ms
+                    and ce.running_units != ce.scan_running()[0]):
+                problems.append(f"{ce_id}: running CPU term drifted")
         for se_id, store in self.datagrid.ses.items():
             held = sum(pf.size_bytes for pf in store.files.values())
             if held != store.used_bytes:

@@ -1,4 +1,5 @@
-"""Information index: computing-element records and traversal estimates.
+"""Information index: computing-element records, and a view of their
+traversal estimates.
 
 The index holds what brokers read.  Computing elements publish which
 information schema flavors they speak, and their static attributes,
@@ -17,11 +18,18 @@ arriving job would see:
 
 computed exactly in integers: each element counts CPU in a unit of its
 own in which every job's CPU is whole, so ETT is an integer pair.  The
-running term is summed over the running jobs only, at most one per
-worker node; the queued term is maintained by the element itself, added
-on enqueue and subtracted when a job leaves the queue, so an estimate
-costs the same however deep the queue is.  The element is the only
-record of its load; the index reads it through a load tap.
+element owns it (`fabric.ComputingElement.ett`) and the broker reads it
+there.  The running term is summed over the running jobs only, at most one
+per worker node, and rescanned only when a monitor point may have moved
+it; the queued term is maintained by the element itself, added on enqueue
+and subtracted when a job leaves the queue, so an estimate costs the same
+however deep the queue is.
+
+The index keeps only an exact Fraction view of it,
+`estimated_traversal_time`, read through a load tap bound per element, for
+readers outside the match path.  The benchmark tracer wraps that view and
+`ComputingElement.ett_components` by name, so both stay until the tracer
+counts ETT work where the element does it.
 """
 from __future__ import annotations
 
@@ -75,7 +83,8 @@ class CERecord:
 
 
 class InformationIndex:
-    """Registry of published CE records plus live load taps for ETT."""
+    """Registry of published CE records, plus the load taps behind the
+    ETT view."""
 
     def __init__(self):
         self.ces: dict[str, CERecord] = {}
@@ -86,9 +95,8 @@ class InformationIndex:
         self.ces[record.ce_id] = record  # republish replaces by id
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
-        """`tap.cpu_backlog()` must return the remaining CPU of the running
-        jobs plus the estimated CPU of the queue as a pair of ints (units,
-        units per second)."""
+        """`tap.ett()` must return the ETT in seconds as an unreduced pair of
+        ints (numerator, denominator > 0)."""
         self._load_taps[ce_id] = tap
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:
@@ -99,18 +107,9 @@ class InformationIndex:
                 if flavor in ce.schema_flavors and vo in ce.authorized_vos]
         return sorted(hits, key=lambda ce: ce.ce_id)
 
-    def ett_ratio(self, ce_id: str) -> tuple:
-        """ETT in seconds as an exact pair of ints (numerator, denominator
-        > 0), not reduced; an element with no load tap is idle."""
-        record = self.ces.get(ce_id)
-        if record is None:
+    def estimated_traversal_time(self, ce_id: str) -> Fraction:
+        """ETT in seconds, exact; an element with no load tap is idle."""
+        if ce_id not in self.ces:
             raise UnknownCE(ce_id)
         tap = self._load_taps.get(ce_id)
-        if tap is None:
-            return 0, 1
-        units, per_second = tap.cpu_backlog()
-        return units, per_second * record.wn_count
-
-    def estimated_traversal_time(self, ce_id: str) -> Fraction:
-        """ETT in seconds, exact."""
-        return Fraction(*self.ett_ratio(ce_id))
+        return Fraction(0) if tap is None else Fraction(*tap.ett())

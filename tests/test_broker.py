@@ -1,14 +1,17 @@
 import cProfile
 import dataclasses
 import pstats
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from deskgrid import jdl
 from deskgrid.broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED,
                              RUNNING, SCHEDULED, SUBMITTED, WAITING,
                              AlreadyCleared, BrokerError, NotDone,
                              ProxyExpired, UnknownJob)
+from deskgrid.fabric import ComputingElement, FabricJob
 from deskgrid.grid import Grid
 from deskgrid.jdl import parse_expr, parse_jdl
 from deskgrid.topology import parse_topology
@@ -439,3 +442,51 @@ def test_a_default_rank_match_builds_no_fraction(mini, alice):
              in pstats.Stats(profile).stats.items()
              if name == "__new__" and path.endswith("fractions.py")]
     assert built == []
+
+
+def test_a_bulk_run_rescans_each_running_job_once_per_refresh(mini, alice, monkeypatch):
+    """A factory request of 60 jobs on the mini grid, submitted at once, and
+    three jobs whose requirement reads the ETT.  Running jobs are counted
+    only when an element refreshes its running term, once each, far fewer
+    times than matches x candidates x running jobs; whether a requirement
+    reads the ETT is decided once per distinct requirement."""
+    calls, refreshed, naive, depth = Counter(), [], [], [0]
+    scan, events_left, reads = (ComputingElement.scan_running, FabricJob.events_left,
+                                jdl.reads_attribute)
+
+    def counted_scan(ce):
+        refreshed.append(len(ce.running))
+        return scan(ce)
+
+    def counted_events_left(job):
+        calls["events_left"] += 1
+        return events_left(job)
+
+    def counted_reads(expr, name):  # it recurses through the module name
+        calls["reads_attribute"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return reads(expr, name)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ComputingElement, "scan_running", counted_scan)
+    monkeypatch.setattr(FabricJob, "events_left", counted_events_left)
+    monkeypatch.setattr(jdl, "reads_attribute", counted_reads)
+    rb = mini.brokers["rb_test"]
+    rb.match_observers.append(lambda _record, result: naive.append(
+        sum(len(mini.fabric.ces[ce_id].running) for ce_id, _value in result.table)))
+    request = mini.refdb.create_request("bulk", "CMKIN", 60 * 50, 50, "rb_test")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    for seed in range(3):
+        mini.submit(with_requirements("other.EstimatedTraversalTime < 100000").replace(
+            "JobSeed = 101;", f"JobSeed = {seed};"), "rb_test")
+    mini.kernel.run_to_completion()
+
+    assert len(naive) == 63
+    assert all(record.state == DONE_OK for _rb, record in mini.all_jobs())
+    assert calls["events_left"] <= sum(refreshed)
+    assert 10 * calls["events_left"] < sum(naive)
+    assert calls["reads_attribute"] == 2

@@ -281,6 +281,37 @@ def test_an_input_file_that_is_not_utf8_is_a_broken_file(tmp_path, capsys):
     assert err.startswith(f"error: {scn}: cannot read scenario: 'utf-8' codec")
 
 
+def test_a_description_that_is_not_utf8_is_reported_with_its_path(tmp_path, capsys):
+    good = tmp_path / "mini.topo"
+    good.write_text(MINI_TOPOLOGY)
+    bad = tmp_path / "bad.jdl"
+    bad.write_bytes(CMKIN_SMALL.encode() + "# café\n".encode("latin-1"))
+    assert main(["--topo", str(good), "submit", str(bad), "--rb", "rb_test"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read description {bad}: 'utf-8' codec")
+    scn = tmp_path / "day.scn"
+    scn.write_text("at 0 proxy init --user /C=XX/CN=alice --vo testvo\n"
+                   "at 0 submit bad.jdl --rb rb_test\n")
+    assert main(["--topo", str(good), "exec", str(scn)]) == 1
+    assert f"error: cannot read description {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_a_missing_scenario_is_a_broken_file(tmp_path, capsys):
+    good = tmp_path / "mini.topo"
+    good.write_text(MINI_TOPOLOGY)
+    missing = tmp_path / "missing.scn"
+    assert main(["--topo", str(good), "exec", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: no such file\n"
+
+
+def test_a_missing_description_is_a_failed_submit(tmp_path, capsys):
+    good = tmp_path / "mini.topo"
+    good.write_text(MINI_TOPOLOGY)
+    missing = tmp_path / "missing.jdl"
+    assert main(["--topo", str(good), "submit", str(missing), "--rb", "rb_test"]) == 1
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
 def test_main_runs_against_the_shipped_testbed(capsys):
     assert main(["topo", "show"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import pstats
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskgrid.broker import DONE_FAILED, DONE_OK
+from deskgrid.broker import DONE_FAILED, DONE_OK, RUNNING
 from deskgrid.fabric import (AuthorizationDenied, ComputingElement, FabricJob,
                              Network, NoRoute, Site, WorkloadProfile,
                              build_outputs, builtin_profiles, content_checksum,
@@ -500,6 +501,21 @@ def test_validate_reports_a_drifted_queued_backlog(mini):
     assert mini.validate() == ["ce_beta: queued CPU backlog drifted"]
 
 
+def test_validate_reports_a_drifted_running_term_only_while_it_is_valid(mini, alice):
+    mini.submit(CMKIN_SMALL, "rb_test", pinned_ce="ce_beta")
+    mini.kernel.run_until(1)
+    ce = mini.fabric.ces["ce_beta"]
+    ce.ett()
+    assert ce.running_units > 0 and mini.kernel.now_ms < ce.horizon_ms
+    ce.running_units += 1
+    assert mini.validate() == ["ce_beta: running CPU term drifted"]
+    assert mini.validate() == ["ce_beta: running CPU term drifted"]  # left as found
+    mini.kernel.run_until(Fraction(ce.horizon_ms, 1000))
+    assert mini.validate() == []  # the next read rescans it
+    ce.ett()
+    assert ce.running_units == ce.scan_running()[0]
+
+
 def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     """Oracle for the maintained queue backlog: at every match, every
     candidate's ETT equals a rescan of its running jobs and queue, every
@@ -633,3 +649,121 @@ def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
     assert grid.validate() == []
     assert all(rb.jobs[j].outcome() == "DONE_OK" for j in matches)
     assert all(ce.queued_units == 0 for ce in grid.fabric.ces.values())
+
+
+def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_points(
+        monkeypatch):
+    """Oracle for the running term's horizon.  At every match, at probes on
+    and 1 ms beside monitor points, and at the end, every element is read
+    as the broker reads it and its cached running term is compared with a
+    full rescan.  A job's probes on its own points sit on both sides of the
+    job-finish seq tie: one is scheduled before its execution starts (the
+    point is not reached there), the rest after (it is).  The run mixes
+    production requests arriving over time on both brokers, exec failures,
+    bursts of jobs at 1/3 and 7/100000 s per event that change the CPU unit
+    of busy elements, and late jobs whose input replica is lost while their
+    sandbox is in flight, so they leave their node without running, each
+    followed by a job whose match reads every element in between."""
+    grid = load_topology(default_topology_path(), seed=19)
+    kernel = grid.kernel
+    rng = random.Random(19)
+    operator = "/O=grid/OU=datatag/CN=factory operator"
+    proxy = grid.vo.create_proxy(operator, "datatag", 0, lifetime_s=500_000)
+    rb = grid.brokers["rb_pisa"]
+    visible = [ce.ce_id for ce in grid.info.query(rb.flavor, "datatag")]
+    problems, reads = [], Counter()
+
+    def compare(where):
+        reads[where] += 1
+        for ce_id, ce in grid.fabric.ces.items():
+            ce.ett()
+            if ce.running_units != ce.scan_running()[0]:
+                problems.append((where, kernel.now_ms, ce_id))
+
+    for broker in grid.brokers.values():
+        broker.match_observers.append(lambda _record, _result: compare("match"))
+
+    def probe(side, job, k):
+        if side in ("before", "on") and (job.monitor_count() >= k) != (side == "on"):
+            problems.append((side, job.job_id, k, "seq tie"))
+        compare(side)
+
+    execute = ComputingElement.execute
+
+    def execute_with_probes(ce, job):
+        events, step = job.description.events, job.profile.monitor_every_events
+        runtime_ms = Fraction(1000 * job.cpu_units, job.cpu_per_s)
+        points = [(kernel.now_ms + math.floor(runtime_ms * k / events + Fraction(1, 2)), k)
+                  for k in range(step, events, step)]
+        picked = points[:1] + rng.sample(points[1:], min(2, len(points[1:])))
+        for at, k in picked:
+            kernel.schedule("user-command", partial(probe, "before", job, k), at)
+        execute(ce, job)
+        for at, k in picked:
+            for side, when in (("early", at - 1), ("on", at), ("late", at + 1)):
+                if when >= kernel.now_ms:
+                    kernel.schedule("user-command", partial(probe, side, job, k), when)
+
+    monkeypatch.setattr(ComputingElement, "execute", execute_with_probes)
+
+    for n in range(3):
+        per_job = rng.randint(150, 350)
+        request = grid.refdb.create_request(f"horizon{n}", "CMKIN",
+                                            per_job * rng.randint(20, 40) - rng.randint(0, 9),
+                                            per_job, rng.choice(("rb_pisa", "rb_milano")))
+        grid.production.declare(request.assignment_id)
+        grid.production.create(request.assignment_id)
+        kernel.schedule("user-command",
+                        partial(grid.production.submit, request.assignment_id, proxy),
+                        1000 * rng.randint(0, 300))
+    for ce_id in rng.sample(sorted(grid.fabric.ces), 3):
+        grid.fabric.ces[ce_id].fail_next_execs = rng.randint(1, 3)
+
+    custom = {"third": Fraction(1, 3), "tiny": Fraction(7, 100_000)}
+    for name, per_event in custom.items():
+        grid.fabric.set_profile(WorkloadProfile(name, per_event, Fraction(KB)))
+    bursts = []
+
+    def burst(name, ce_id, size):
+        for _ in range(size):
+            text = CMKIN_TEXT.replace('"cmkin"', f'"{name}"').format(seed=len(bursts) + 1)
+            bursts.append(rb.submit(parse_jdl(text), proxy, pinned_ce=ce_id))
+
+    for at in sorted(rng.randint(50, 500) for _ in range(16)):
+        kernel.schedule("user-command", partial(
+            burst, rng.choice(sorted(custom)), rng.choice(visible), rng.randint(2, 3)),
+            1000 * at)
+
+    lost = {}  # job id -> (storage element, the path its input replica had)
+
+    def submit_with_input(n, ce_id):
+        store = grid.datagrid.ses[min(grid.fabric.ces[ce_id].record.close_ses)]
+        name = f"horizon_input_{n}.ntpl"
+        store.store(name, 10 * KB, n)
+        grid.datagrid.register(name, store.se_id, name)
+        text = (CMKIN_TEXT.format(seed=1000 + n)
+                + f'InputData = {{"lfn:{name}"}};\nReplicaCatalog = "rc_cnaf";\n')
+        lost[rb.submit(parse_jdl(text), proxy, pinned_ce=ce_id)] = (store, name)
+        # matched after it, so read while its sandbox is in flight
+        rb.submit(parse_jdl(CMKIN_TEXT.format(seed=2000 + n)), proxy)
+
+    def lose_the_replica(record, _old, new):
+        if new == RUNNING and record.job_id in lost:
+            store, name = lost[record.job_id]
+            store.used_bytes -= store.files.pop(name).size_bytes
+
+    rb.transition_observers.append(lose_the_replica)
+    for n, at in enumerate(sorted(rng.randint(1500, 2500) for _ in range(6))):
+        kernel.schedule("user-command", partial(submit_with_input, n, rng.choice(visible)),
+                        1000 * at)
+    kernel.run_to_completion()
+    compare("end")
+
+    assert problems == []
+    assert reads["match"] >= 100 and min(reads[s] for s in ("before", "on", "early", "late")) >= 100
+    assert len(bursts) >= 30
+    assert max(ce.cpu_den for ce in grid.fabric.ces.values()) == 300_000
+    assert {rb.jobs[job_id].reason for job_id in lost} == {"NoSuchPhysicalFile"}
+    assert any(r.outcome() == DONE_FAILED and r.reason == "ExecFailed"
+               for _rb, r in grid.all_jobs())
+    assert grid.validate() == []

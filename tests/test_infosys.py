@@ -15,19 +15,22 @@ def ce(ce_id="ce_x", **kw):
 
 
 class FakeTap:
-    def __init__(self, running, queued):
+    """An element's ETT pair: its backlog over its nodes, unreduced."""
+
+    def __init__(self, running, queued, wn_count):
         self._r = [Fraction(x) for x in running]
         self._q = [Fraction(x) for x in queued]
+        self._wn = wn_count
 
-    def cpu_backlog(self):
+    def ett(self):
         total = sum(self._r + self._q, Fraction(0))
-        return total.numerator, total.denominator
+        return total.numerator, total.denominator * self._wn
 
 
 def test_ett_is_backlog_over_node_count():
     index = InformationIndex()
     index.publish_ce(ce(wn_count=3))
-    index.bind_load_tap("ce_x", FakeTap([300, 100], [200]))
+    index.bind_load_tap("ce_x", FakeTap([300, 100], [200], 3))
     # (300 + 100 + 200) / 3 nodes
     assert index.estimated_traversal_time("ce_x") == Fraction(200)
 
@@ -35,7 +38,7 @@ def test_ett_is_backlog_over_node_count():
 def test_ett_exact_fraction_no_float_drift():
     index = InformationIndex()
     index.publish_ce(ce(wn_count=1))
-    index.bind_load_tap("ce_x", FakeTap([Fraction(125, 2)], []))
+    index.bind_load_tap("ce_x", FakeTap([Fraction(125, 2)], [], 1))
     assert index.estimated_traversal_time("ce_x") == Fraction(125, 2)
 
 
