@@ -194,9 +194,14 @@ class Grid:
         """Consistency findings for `topo validate`; empty means clean."""
         problems = []
         for ce_id, ce in self.fabric.ces.items():
-            if ce_id not in self.info.ces:
+            published = self.info.ces.get(ce_id)
+            if published is None:
                 problems.append(f"{ce_id}: not published")
                 continue
+            # the ETT divides by the element's own nodes and speed
+            if (published.wn_count != ce.record.wn_count
+                    or published.cpu_mhz != ce.record.cpu_mhz):
+                problems.append(f"{ce_id}: published record disagrees with the element")
             # from the profiles, not the jobs' own CPU pairs, in seconds
             rescanned = sum(job.profile.runtime_s(job.description.events, ce.record.cpu_mhz)
                             for job in ce.queue)

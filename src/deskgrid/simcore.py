@@ -11,7 +11,10 @@ absolute ms instant, and seconds (in any exact form) appear only in
 
 The kernel also owns the append-only trace and the seeded random generator.
 Components that need randomness ask for a named sub-stream so that adding a
-consumer never perturbs another's draws.
+consumer never perturbs another's draws.  One line renderer serves both
+`TraceEntry.format` and `Kernel.export_trace`: it writes an exact `str`
+value as it is and hands every other value to `fmt_quantity`, and an export
+renders the time stamp once per run of entries at the same instant.
 """
 from __future__ import annotations
 
@@ -38,8 +41,14 @@ class TraceEntry:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def format(self) -> str:
-        kv = " ".join(f"{k}={fmt_quantity(v)}" for k, v in self.detail.items())
-        return f"{millis_to_text(self.time_ms)}\t{self.actor}\t{self.action}\t{kv}"
+        return _render_line(millis_to_text(self.time_ms), self)
+
+
+def _render_line(stamp: str, entry: TraceEntry) -> str:
+    """One trace line, without its newline, under the rendered `stamp`."""
+    kv = " ".join([f"{k}={v if type(v) is str else fmt_quantity(v)}"
+                   for k, v in entry.detail.items()])
+    return f"{stamp}\t{entry.actor}\t{entry.action}\t{kv}"
 
 
 class Kernel:
@@ -138,7 +147,15 @@ class Kernel:
         return entry
 
     def export_trace(self) -> str:
-        return "".join(e.format() + "\n" for e in self.trace)
+        lines = []
+        last_ms = stamp = None
+        for entry in self.trace:
+            if entry.time_ms != last_ms:  # instants need not be monotone
+                last_ms = entry.time_ms
+                stamp = millis_to_text(last_ms)
+            lines.append(_render_line(stamp, entry))
+        lines.append("")  # every line ends in a newline; no entries, no text
+        return "\n".join(lines)
 
     # -- randomness ----------------------------------------------------
 

@@ -94,7 +94,10 @@ def parse_rate(text: str, *, where: str = "rate") -> Fraction:
 
 
 def fmt_quantity(value) -> str:
-    """Stable one-token rendering of numbers for trace details and tables."""
+    """Stable one-token rendering of numbers for trace details and tables.
+
+    The trace's line renderer (`simcore`) writes an exact `str` value itself
+    and calls this for every other value."""
     if value is None:
         return "-"
     if isinstance(value, bool):

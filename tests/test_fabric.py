@@ -1,4 +1,5 @@
 import cProfile
+import dataclasses
 import math
 import pstats
 import random
@@ -514,6 +515,17 @@ def test_validate_reports_a_drifted_running_term_only_while_it_is_valid(mini, al
     assert mini.validate() == []  # the next read rescans it
     ce.ett()
     assert ce.running_units == ce.scan_running()[0]
+
+
+def test_validate_reports_a_published_record_that_disagrees_with_the_element(mini):
+    beta = mini.info.ces["ce_beta"]
+    mini.info.publish_ce(dataclasses.replace(beta, run_time_environment=("CMS", "ATLAS-3.2.1")))
+    assert mini.validate() == []  # other tags only
+    for changed in ({"wn_count": 3, "cpu_mhz": 500}, {"wn_count": 3}, {"cpu_mhz": 500}):
+        mini.info.publish_ce(dataclasses.replace(beta, **changed))
+        assert mini.validate() == ["ce_beta: published record disagrees with the element"]
+    mini.info.publish_ce(beta)
+    assert mini.validate() == []
 
 
 def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskgrid.simcore import Kernel, PastTime
-from deskgrid.units import to_millis
+from deskgrid import simcore
+from deskgrid.simcore import Kernel, PastTime, TraceEntry
+from deskgrid.units import fmt_quantity, millis_to_text, to_millis
 
 
 def test_two_hop_chain_lands_on_exact_milliseconds():
@@ -105,6 +106,78 @@ def test_trace_entry_format():
     k.emit("rb_test", "matched", job="j1", rank=Fraction(-125, 2), flag=True)
     line = k.trace[-1].format()
     assert line == "0.150\trb_test\tmatched\tjob=j1 rank=-62.5 flag=true"
+
+
+def reference_line(entry: TraceEntry) -> str:
+    """The reference rendering: a stamp per entry, every value through `fmt_quantity`."""
+    kv = " ".join(f"{k}={fmt_quantity(v)}" for k, v in entry.detail.items())
+    return f"{millis_to_text(entry.time_ms)}\t{entry.actor}\t{entry.action}\t{kv}"
+
+
+class Label(str):
+    def __str__(self):
+        return f"<{str.__str__(self)}>"
+
+
+class Count(int):
+    def __str__(self):
+        return f"#{int.__repr__(self)}"
+
+
+detail_values = st.one_of(
+    st.text(max_size=6), st.text(max_size=6).map(Label),
+    st.integers(), st.integers().map(Count), st.booleans(), st.none(),
+    st.integers().map(Fraction), st.fractions(),
+    st.floats(), st.sampled_from([-0.0, 1e16]))
+trace_entries = st.builds(
+    TraceEntry,
+    st.one_of(st.integers(-2, 2).map(lambda n: 1000 * n + 5),  # repeats, negatives
+              st.integers(-10**12, 10**12)),
+    st.text(max_size=6), st.text(max_size=6),
+    st.dictionaries(st.text(max_size=4), detail_values, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trace_entries, max_size=12))
+@example(entries=[])
+@example(entries=[TraceEntry(5, "a", "b"), TraceEntry(5, "a", "c", {"x": Label("y")}),
+                  TraceEntry(-995, "a", "b", {"z": -0.0}), TraceEntry(5, "a", "b")])
+def test_the_trace_renders_as_the_reference_does(entries):
+    k = Kernel()
+    k.trace.extend(entries)
+    text = k.export_trace()
+    assert text == "".join(f"{reference_line(e)}\n" for e in entries)
+    assert text == "".join(e.format() + "\n" for e in entries)
+
+
+def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monkeypatch):
+    """A factory request on the mini grid, exported with the time stamp and
+    the value renderers counted."""
+    request = mini.refdb.create_request("bulk", "CMKIN", 20 * 50, 50, "rb_test")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    mini.kernel.run_to_completion()
+    trace = mini.kernel.trace
+    runs = 1 + sum(a.time_ms != b.time_ms for a, b in zip(trace, trace[1:]))
+    assert runs < len(trace)
+    assert any(type(v) is str for e in trace for v in e.detail.values())
+    stamps, formatted = [], []
+
+    def counted_stamp(ms):
+        stamps.append(ms)
+        return millis_to_text(ms)
+
+    def counted_quantity(value):
+        formatted.append(type(value))
+        return fmt_quantity(value)
+
+    monkeypatch.setattr(simcore, "millis_to_text", counted_stamp)
+    monkeypatch.setattr(simcore, "fmt_quantity", counted_quantity)
+    text = mini.kernel.export_trace()
+    assert len(stamps) == runs
+    assert formatted and str not in formatted
+    assert text == "".join(f"{reference_line(e)}\n" for e in trace)
 
 
 def test_substreams_are_stable_and_independent():
