@@ -4,14 +4,22 @@ A scenario is a text file of
 
     at <seconds> <command and arguments...>
 
-lines with nondecreasing times (shell-style quoting, `#` comments).  The
-runner advances the clock to each line's time, fires the command through
-the supplied dispatcher, and stops at the first failing command.  A
-scenario line may not `exec` another scenario.
+lines with nondecreasing times.  The runner advances the clock to each
+line's time, fires the command through the supplied dispatcher, and stops
+at the first failing command.  A scenario line may not `exec` another
+scenario.
+
+Each line is split into words by POSIX shell quoting rules, cut down to
+what a command line needs (`split_words`; `quote` writes a word back):
+words break on space and tab; single quotes are literal; inside double
+quotes only `\\"` and `\\\\` are escapes; a backslash outside quotes
+escapes the next character; `#` starts a comment, even inside a word;
+there is no line continuation.  Times are ASCII decimals or ratios
+(`5`, `0.25`, `1/3`).
 """
 from __future__ import annotations
 
-import shlex
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +30,50 @@ class ScenarioError(Exception):
     def __init__(self, message: str, path: str = "<scenario>", line: "int | None" = None):
         where = path if line is None else f"{path}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+_WORD = re.compile(r"""(?:[^ \t\r\n'"\\#]+|'[^']*'|"(?:[^"\\]|\\.)*"|\\.)+""")
+# Blanks and words, taken greedily by `match`, which may stop anywhere and
+# so never backtracks; the line is valid when they reach its end or a `#`.
+# A `fullmatch` would try every split of a run of plain characters before
+# an unclosed quote, in time exponential in the run.
+_WORDS = re.compile(rf"(?:[ \t\r\n]+|{_WORD.pattern})*")
+_QUOTED_PART = re.compile(r"""'([^']*)'|"((?:[^"\\]|\\.)*)"|\\(.)""")
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\(["\\])')
+_SAFE = re.compile(r"[\w@%+=:,./-]+", re.ASCII)
+
+
+def _unquote_part(match) -> str:
+    single, double, escaped = match.groups()
+    if single is not None:
+        return single
+    if double is not None:
+        return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
+    return escaped
+
+
+def split_words(line: str) -> list:
+    """The words of one line (no line break in it); a `ValueError` for an
+    unclosed quote or a trailing escape, with the text `shlex` gives."""
+    end = _WORDS.match(line).end()
+    rest = line[end:]
+    if rest[:1] not in ("", "#"):
+        # `rest` is an unclosed quote, or a lone `\` ending the line; an odd
+        # run of `\` ending an unclosed `"` leaves its last one unpaired
+        dangling = rest[0] != "'" and (len(rest) - len(rest.rstrip("\\"))) % 2
+        raise ValueError("No escaped character" if dangling else "No closing quotation")
+    words = _WORD.findall(line, 0, end)
+    if "'" in line or '"' in line or "\\" in line:
+        words = [_QUOTED_PART.sub(_unquote_part, word) for word in words]
+    return words
+
+
+def quote(word: str) -> str:
+    """`word` as `split_words` reads it back: as it is when it holds only
+    safe characters, else single-quoted."""
+    if _SAFE.fullmatch(word):
+        return word
+    return "'" + word.replace("'", "'\"'\"'") + "'"
 
 
 @dataclass(frozen=True)
@@ -36,7 +88,7 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
     last = Fraction(0)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            words = shlex.split(raw, comments=True)
+            words = split_words(raw)
         except ValueError as exc:
             raise ScenarioError(str(exc), path, lineno) from None
         if not words:

@@ -29,8 +29,9 @@ def as_fraction(value) -> Fraction:
     """Exact rational view of a seconds-like value.
 
     Floats are read through their decimal repr so that 0.1 means 1/10,
-    not the nearest binary double.  A string with a zero denominator is
-    a ValueError, like any other malformed string.
+    not the nearest binary double.  A string is read as ASCII only: a
+    string holding any other character, or with a zero denominator, is a
+    ValueError, like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
@@ -41,6 +42,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        if not value.isascii():
+            raise ValueError(f"not an ASCII number: {value!r}")
+        if value.isdigit():
+            return Fraction(int(value))
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

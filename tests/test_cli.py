@@ -53,6 +53,19 @@ def test_a_zero_denominator_is_a_domain_error(mini):
         assert code == 1 and text.startswith("error: ") and "denominator" in text, argv
 
 
+def test_seconds_are_ascii(mini, tmp_path):
+    for argv in (["run", "--until", "١/٣"],
+                 ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo",
+                  "--lifetime", "٣"]):
+        code, text = dispatch(mini, argv)
+        assert code == 1 and text.startswith("error: ") and "ASCII" in text, argv
+    assert mini.kernel.now_ms == 0 and mini.current_proxy is None
+    scn = tmp_path / "arabic.scn"
+    scn.write_text("at 0 report\nat ٣ run\n", encoding="utf-8")
+    code, text = dispatch(mini, ["exec", str(scn)])
+    assert (code, text) == (2, f"error: {scn}:2: bad time '٣'")
+
+
 def test_running_back_in_time_names_the_exact_instant(mini):
     code, text = dispatch(mini, ["run", "--until", "-1"])
     assert code == 1 and text == "error: cannot run back to -1.000, now is 0.000"

@@ -9,7 +9,10 @@ digests and says why.
 """
 import hashlib
 import importlib.resources
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,6 +61,25 @@ def scenario_digests(name: str, seed: int) -> tuple:
 def test_shipped_scenario_digests_are_pinned(name):
     seed, *pinned = GOLDEN[name]
     assert scenario_digests(name, seed) == tuple(pinned)
+
+
+def test_the_digests_do_not_depend_on_the_hash_seed():
+    """production.scn gives its pinned digests in fresh interpreters whose
+    str hashes, and so set iteration orders, differ."""
+    seed, *pinned = GOLDEN["production.scn"]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_golden import scenario_digests; "
+            "print(*scenario_digests('production.scn', int(sys.argv[2])))")
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", code, str(root / "tests"), str(seed)],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": hash_seed},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for hash_seed in ("0", "777")]
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert (run.returncode, err) == (0, "")
+        assert out.split() == pinned
 
 
 # -- monitor points read at, just before and just after their instants --

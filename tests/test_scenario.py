@@ -1,0 +1,151 @@
+"""Scenario word splitting, checked against `shlex` as the reference.
+
+`scenario.split_words` must read every line as
+`shlex.split(line, comments=True)` does: the same words, or a ValueError
+with the same text.  `scenario.quote` must write a word as `shlex.quote`
+does, so that `exec` echoes lines that read back to their steps.
+"""
+import importlib.resources
+import random
+import shlex
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from deskgrid import scenario
+from deskgrid.cli import dispatch
+from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.scenario import parse_scenario, quote, split_words
+
+# Blanks, both quotes, the escape, the comment sign, a form feed and a
+# NEL (word characters to shlex, though `splitlines` breaks on them), a
+# non-ASCII letter and two plain ones.  No `\n` or `\r`: `splitlines`
+# never leaves them in a line.
+ALPHABET = " \t'\"\\#\x0c\x85éab"
+
+SHIPPED = importlib.resources.files("deskgrid").joinpath("data", "scenarios")
+
+
+def outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference(line):
+    return shlex.split(line, comments=True)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=ALPHABET, max_size=16))
+@example("a#b")
+@example("''")
+@example("a''b")
+@example(r'"a\"b\\c\d"')
+@example("'it'\"'\"'s'")
+@example("\\")
+@example('"x\\')
+@example('"x\\\\')
+@example("'x")
+@example('"x')
+@example("a" * 40 + "'")
+def test_split_words_reads_a_line_as_shlex_does(line):
+    assert outcome(split_words, line) == outcome(reference, line)
+
+
+@pytest.mark.parametrize("line, words", [
+    ("a#b", ["a"]),
+    ("''", [""]),
+    ("a''b", ["ab"]),
+    (r'"a\"b\\c\d"', ['a"b\\c\\d']),
+    ("'it'\"'\"'s'", ["it's"]),
+    ("at 0 proxy init --user \"/O=grid/CN=factory operator\" # who",
+     ["at", "0", "proxy", "init", "--user", "/O=grid/CN=factory operator"]),
+    (" \t# only a comment", []),
+])
+def test_split_words_fixed_cases(line, words):
+    assert split_words(line) == words
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\\", "No escaped character"),
+    ('"x\\', "No escaped character"),
+    ("'x", "No closing quotation"),
+    ('"x', "No closing quotation"),
+    ('"x\\\\', "No closing quotation"),
+    ("a" * 100_000 + "'", "No closing quotation"),
+])
+def test_split_words_refuses_an_open_quote_or_escape(line, message):
+    with pytest.raises(ValueError) as excinfo:
+        split_words(line)
+    assert str(excinfo.value) == message
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=ALPHABET + "/=-@%.", max_size=12))
+def test_quote_writes_a_word_as_shlex_does_and_reads_back(word):
+    assert quote(word) == shlex.quote(word)
+    assert split_words(quote(word)) == [word]
+
+
+def render(rng, word):
+    """`word` as one of the ways a scenario author may write it."""
+    style = rng.randrange(4)
+    if style == 0:
+        return shlex.quote(word)
+    if style == 1:
+        return '"' + word.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if style == 2:
+        return "".join("\\" + c if c in " \t'\"\\#" else c for c in word)
+    return quote(word)
+
+
+def generated_scenario(seed: int, lines: int) -> str:
+    rng = random.Random(seed)
+    letters = "ab/=-é '\"\\#\t"
+    at, out = Fraction(0), []
+    for _ in range(lines):
+        kind = rng.randrange(10)
+        if kind == 0:
+            out.append(rng.choice(["", "   ", "# a comment 'with \"quotes", "\t#"]))
+            continue
+        at += rng.choice([0, 0, 1, Fraction(1, 3), Fraction(1, 4)])
+        time = str(at) if at.denominator in (1, 3) else f"{float(at)}"
+        words = ["".join(rng.choice(letters) for _ in range(rng.randrange(8)))
+                 for _ in range(rng.randrange(1, 6))]
+        line = f"at {time} report " + " ".join(render(rng, w) for w in words)
+        if kind == 1:
+            line += rng.choice([" # trailing", "#glued"])
+        out.append(rng.choice(["", " ", "\t"]) + line)
+    return "\n".join(out) + "\n"
+
+
+def shipped_texts():
+    return {p.name: p.read_text(encoding="utf-8")
+            for p in SHIPPED.iterdir() if p.name.endswith(".scn")}
+
+
+def test_parse_scenario_gives_the_steps_shlex_gives(monkeypatch):
+    texts = shipped_texts()
+    assert sorted(texts) == ["bulk200.scn", "production.scn", "validation.scn"]
+    texts["generated"] = generated_scenario(seed=2026, lines=1000)
+    ours = {name: parse_scenario(text, name) for name, text in texts.items()}
+    assert len(ours["generated"]) > 800
+    assert any(" " in word or "'" in word or '"' in word
+               for step in ours["generated"] for word in step.argv)
+    monkeypatch.setattr(scenario, "split_words", reference)
+    assert {name: parse_scenario(text, name) for name, text in texts.items()} == ours
+
+
+def test_exec_echoes_lines_that_read_back_to_their_steps():
+    for name, text in shipped_texts().items():
+        steps = parse_scenario(text)
+        grid = load_topology(default_topology_path())
+        code, output = dispatch(grid, ["exec", str(SHIPPED.joinpath(name))])
+        assert code == 0, output
+        echoed = [line[3:] for line in output.splitlines() if line.startswith("-- ")]
+        assert [(s.at_s, s.argv) for s in parse_scenario("\n".join(echoed))] == \
+            [(s.at_s, s.argv) for s in steps], name

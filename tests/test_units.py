@@ -24,6 +24,19 @@ def test_as_fraction_rejects_bools_and_junk():
         as_fraction(object())
 
 
+def test_as_fraction_reads_ascii_strings_only():
+    for text in ("٣", "١/٣", "3 ", "  3", "²"):
+        with pytest.raises(ValueError, match="not an ASCII number"):
+            as_fraction(text)
+    assert as_fraction("1_000") == as_fraction("1e3") == 1000
+    assert as_fraction("+5") == as_fraction(" 5 ") == as_fraction("0005") == 5
+    assert as_fraction("1/3") == Fraction(1, 3)
+    assert as_fraction("-0.25") == Fraction(-1, 4)
+    for text in ("", " ", "5 5", "1/0"):
+        with pytest.raises(ValueError):
+            as_fraction(text)
+
+
 def test_to_millis_rounds_half_up():
     assert to_millis(Fraction(1, 3)) == 333       # 333.33.. -> down
     assert to_millis(Fraction(2, 3)) == 667       # 666.66.. -> up
