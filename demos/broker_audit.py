@@ -19,7 +19,7 @@ JobSeed = %d;
 
 
 def main():
-    grid = load_topology(default_topology_path(), seed=3)
+    grid = load_topology(default_topology_path())
     rb = grid.brokers["rb_pisa"]
 
     def audit(record, result):

@@ -27,7 +27,7 @@ def run_step(grid, dataset, step):
 
 
 def main():
-    grid = load_topology(default_topology_path(), seed=20)
+    grid = load_topology(default_topology_path())
     gen = run_step(grid, "jpsi2mu", "CMKIN")
 
     print("ntuples landed at:")

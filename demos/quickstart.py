@@ -14,7 +14,7 @@ JobSeed = 1;
 
 
 def main():
-    grid = load_topology(default_topology_path(), seed=7)
+    grid = load_topology(default_topology_path())
     grid.proxy_init("/O=grid/OU=datatag/CN=Maria Rossi", "datatag")
     job_id = grid.submit(JOB, "rb_pisa")
     grid.kernel.run_to_completion()

@@ -5,7 +5,7 @@ brokers, matched against heterogeneous computing elements published in
 an information index, executed on synthetic site fabrics, and their
 outputs stored and catalogued; a production layer drives whole Monte
 Carlo assignments through the same machinery.  Every run is exactly
-reproducible from its topology file and seed.
+reproducible from its topology file and inputs; nothing in it is random.
 """
 
 from .broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED, RUNNING,

@@ -117,7 +117,6 @@ class JobRecord:
     chosen_replicas: dict = field(default_factory=dict)
     staged_checksums: dict = field(default_factory=dict)
     registered_lfns: list = field(default_factory=list)
-    sandbox_in: list = field(default_factory=list)
     sandbox_out: list = field(default_factory=list)
     timestamps: dict = field(default_factory=dict)
     reason: "str | None" = None
@@ -183,8 +182,6 @@ class ResourceBroker:
         job_id = self.job_id_source()
         record = JobRecord(job_id, proxy, description, pinned_ce=pinned_ce)
         record.timestamps[SUBMITTED] = self.kernel.now_ms
-        record.sandbox_in = [(name, fabric_mod.SANDBOX_INPUT_FILE_BYTES)
-                             for name in description.input_sandbox]
         self.jobs[job_id] = record
         self.kernel.emit(self.rb_id, "submitted", job=job_id,
                          user=proxy.user_dn, profile=description.job_profile)
@@ -329,7 +326,7 @@ class ResourceBroker:
     def _on_dispatched(self, record: JobRecord) -> None:
         self._move(record, RUNNING)
         ce = self._ce_of(record)
-        size = sum(size for _name, size in record.sandbox_in)
+        size = fabric_mod.SANDBOX_INPUT_FILE_BYTES * len(record.description.input_sandbox)
         try:
             self.fabric.network.transfer(
                 size, self.endpoint, ce.site.endpoint,

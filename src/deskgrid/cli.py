@@ -385,20 +385,14 @@ def _help(grid, base_dir):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = {"--topo": None, "--seed": "0"}
-    while len(argv) > 1 and argv[0] in flags:
-        flags[argv[0]] = argv[1]
-        argv = argv[2:]
-    try:
-        seed = int(flags["--seed"])
-    except ValueError:
-        seed = None
-    if seed is None or not argv:
-        print("deskgrid [--topo FILE] [--seed N] COMMAND...\n" + _usage("  "),
-              file=sys.stderr)
+    topo = None
+    if len(argv) > 1 and argv[0] == "--topo":
+        topo, argv = argv[1], argv[2:]
+    if not argv:
+        print("deskgrid [--topo FILE] COMMAND...\n" + _usage("  "), file=sys.stderr)
         return 2
     try:
-        grid = load_topology(flags["--topo"] or default_topology_path(), seed=seed)
+        grid = load_topology(topo or default_topology_path())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,8 +28,9 @@ from .topology import ConfigError, TopologyConfig
 
 
 class Grid:
-    def __init__(self, config: TopologyConfig, seed: int = 0):
-        self.kernel = Kernel(seed)
+    def __init__(self, config: TopologyConfig, seed=None):
+        # `seed` is ignored: bench/rep.py passes it, and only a benchmark change edits bench/
+        self.kernel = Kernel()
         self.vo = vomgmt.VoManager()
         self.network = fabric_mod.Network(self.kernel)
         self.fabric = fabric_mod.Fabric(self.kernel, self.network, self.vo)
@@ -231,8 +232,8 @@ class Grid:
                 "total": sum(by_state.values())}
 
 
-def load_topology(path, seed: int = 0) -> Grid:
-    return Grid(topology.parse_topology_file(path), seed=seed)
+def load_topology(path) -> Grid:
+    return Grid(topology.parse_topology_file(path))
 
 
 def default_topology_path() -> str:

@@ -9,19 +9,15 @@ in that order).  Time is integer milliseconds: `schedule` takes an
 absolute ms instant, and seconds (in any exact form) appear only in
 `run_until` and the `now()` view.
 
-The kernel also owns the append-only trace and the seeded random generator.
-Components that need randomness ask for a named sub-stream so that adding a
-consumer never perturbs another's draws.  One line renderer serves both
+The kernel also owns the append-only trace.  One line renderer serves both
 `TraceEntry.format` and `Kernel.export_trace`: it writes an exact `str`
 value as it is and hands every other value to `fmt_quantity`, and an export
 renders the time stamp once per run of entries at the same instant.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -52,10 +48,9 @@ def _render_line(stamp: str, entry: TraceEntry) -> str:
 
 
 class Kernel:
-    """Event queue, clock, trace and RNG root for one simulation."""
+    """Event queue, clock and trace for one simulation."""
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    def __init__(self):
         self._now_ms = 0
         self._seq = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
@@ -156,10 +151,3 @@ class Kernel:
             lines.append(_render_line(stamp, entry))
         lines.append("")  # every line ends in a newline; no entries, no text
         return "\n".join(lines)
-
-    # -- randomness ----------------------------------------------------
-
-    def substream(self, name: str) -> random.Random:
-        """Named RNG sub-stream, stable for a given (seed, name)."""
-        digest = hashlib.blake2b(f"{self.seed}:{name}".encode(), digest_size=8).digest()
-        return random.Random(int.from_bytes(digest, "big"))

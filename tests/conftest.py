@@ -71,8 +71,8 @@ latency = 0.1
 """
 
 
-def make_mini(seed: int = 1) -> Grid:
-    return Grid(parse_topology(MINI_TOPOLOGY, "<mini>"), seed=seed)
+def make_mini() -> Grid:
+    return Grid(parse_topology(MINI_TOPOLOGY, "<mini>"))
 
 
 @pytest.fixture

@@ -272,7 +272,7 @@ def test_observers_see_every_move_and_matches_before_handoff(mini, alice):
 def test_missing_route_fails_the_running_job():
     bare = MINI_TOPOLOGY.replace("default_wan_bandwidth = 10 MB/s\n", "")
     bare = bare.replace("default_wan_latency = 0.05\n", "")
-    grid = Grid(parse_topology(bare, "<bare>"), seed=1)
+    grid = Grid(parse_topology(bare, "<bare>"))
     grid.proxy_init("/C=XX/CN=alice", "testvo")
     job_id = grid.submit(CMKIN_SMALL, "rb_test")
     grid.kernel.run_to_completion()
@@ -391,7 +391,7 @@ def loaded_pair(mhz_a, wn_a, events_a, mhz_b, wn_b, events_b):
     (the fallback profile), then one more job matched between them;
     returns the grid, that job's record and its match."""
     grid = Grid(parse_topology(PAIR_TOPOLOGY.format(mhz_a=mhz_a, wn_a=wn_a, mhz_b=mhz_b,
-                                                    wn_b=wn_b), "<pair>"), seed=1)
+                                                    wn_b=wn_b), "<pair>"))
     matches = watch_matches(grid)
     grid.proxy_init("/C=XX/CN=alice", "testvo")
     grid.submit(BLIP.format(events=events_a), "rb_test", pinned_ce="ce_a")

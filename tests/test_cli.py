@@ -269,9 +269,11 @@ def test_main_is_a_one_shot_process(tmp_path, capsys):
     assert main(["--topo", str(topo), "status", "jX"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main([]) == 2
-    assert "deskgrid" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("deskgrid [--topo FILE] COMMAND...\n")
     assert main(["--seed", "x", "report"]) == 2
-    assert main(["--seed", "3", "--topo", str(topo), "topo", "validate"]) == 0
+    assert main(["--seed", "3", "--topo", str(topo), "topo", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown command" in err and "--seed" not in err
     broken = tmp_path / "broken.topo"
     broken.write_text("[site only]\n")
     assert main(["--topo", str(broken), "topo", "show"]) == 2

@@ -135,7 +135,7 @@ def test_replicate_timing_over_link_plus_destination_lan():
 ])
 def test_general_lan_keys_set_the_lan_leg_of_a_replication(general, lands_ms):
     text = MINI_TOPOLOGY.replace("[vo testvo]", general + "\n[vo testvo]", 1)
-    grid = Grid(parse_topology(text, "<mini>"), seed=1)
+    grid = Grid(parse_topology(text, "<mini>"))
     dg = grid.datagrid
     dg.store_of("se_alpha").store("big.fz", 100 * MB, 9)
     dg.register("big.fz", "se_alpha", "big.fz")

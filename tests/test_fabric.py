@@ -124,7 +124,7 @@ def test_build_outputs_manifest():
 
 
 def net():
-    n = Network(Kernel(seed=3))
+    n = Network(Kernel())
     n.add_link("site:alpha", "site:beta", Fraction(20 * MB), Fraction(1, 10))
     return n
 
@@ -170,7 +170,7 @@ DELAYS = st.builds(Fraction, st.integers(0, 10**5), st.integers(1, 10**5))
        st.sampled_from([("site:alpha", "site:beta"), ("site:beta", "site:beta"),
                         ("rb:r", "site:alpha"), ("site:alpha", "rb:r"), ("rb:r", "ui")]))
 def test_transfer_duration_is_the_exact_sum_over_hops(link, lan, wan, size, ends):
-    n = Network(Kernel(seed=3))
+    n = Network(Kernel())
     n.add_link("site:alpha", "site:beta", *link)
     n.lan, n.default_wan = lan, wan
     hops = n.hops(*ends)
@@ -201,7 +201,7 @@ def test_transfer_completes_on_schedule_with_trace():
 
 
 def harness(wn_count=1, cpu_mhz=1000, lifetime_s=43200):
-    kernel = Kernel(seed=5)
+    kernel = Kernel()
     vo = VoManager()
     vo.add_vo("testvo")
     vo.add_member("testvo", "/O=grid/CN=alice")
@@ -537,7 +537,7 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     four production requests at random times over both brokers, exec
     failures, and short-lived proxies whose jobs are queued and then
     refused when a node frees up."""
-    grid = load_topology(default_topology_path(), seed=13)
+    grid = load_topology(default_topology_path())
     rng = random.Random(13)
     operator = "/O=grid/OU=datatag/CN=factory operator"
     matches, problems = [], []
@@ -611,7 +611,7 @@ def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
     7/100000 s per event, so elements change their unit while they hold
     work.  At every match, every candidate's ETT equals a Fraction rescan
     and the grid's books are clean."""
-    grid = load_topology(default_topology_path(), seed=17)
+    grid = load_topology(default_topology_path())
     rng = random.Random(17)
     operator = "/O=grid/OU=datatag/CN=factory operator"
     proxy = grid.vo.create_proxy(operator, "datatag", 0, lifetime_s=500_000)
@@ -676,7 +676,7 @@ def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_poin
     of busy elements, and late jobs whose input replica is lost while their
     sandbox is in flight, so they leave their node without running, each
     followed by a job whose match reads every element in between."""
-    grid = load_topology(default_topology_path(), seed=19)
+    grid = load_topology(default_topology_path())
     kernel = grid.kernel
     rng = random.Random(19)
     operator = "/O=grid/OU=datatag/CN=factory operator"

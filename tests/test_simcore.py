@@ -180,16 +180,6 @@ def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monk
     assert text == "".join(f"{reference_line(e)}\n" for e in trace)
 
 
-def test_substreams_are_stable_and_independent():
-    a1 = Kernel(seed=9).substream("arrivals")
-    a2 = Kernel(seed=9).substream("arrivals")
-    b = Kernel(seed=9).substream("sizes")
-    draws1 = [a1.random() for _ in range(5)]
-    draws2 = [a2.random() for _ in range(5)]
-    assert draws1 == draws2
-    assert draws1 != [b.random() for _ in range(5)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=5000), max_size=40))
 def test_delivery_respects_time_then_insertion_order(times):
