@@ -18,6 +18,15 @@ rank is minus the estimated traversal time, compared exactly as integer
 pairs), ties on rank go to the smallest element id, and replica ties to
 the smallest (se, path).  A requirement that does not read the ETT is
 evaluated once per element's advertised attributes and then reused.
+
+What is the same for every candidate is done once per match: the owner's
+proxy is checked at that instant, and each input is looked up in the
+catalogue once, as the set of storage elements holding it.  Per candidate
+only the site's mapfile and the close storage elements are tested.  Under
+the default rank, each element's entry in the trace's candidate table is
+rendered once per ETT pair it reports and kept until the pair changes;
+`fmt_ratio(-n, d)` equals `fmt_ratio(-n * (D // d), D)` for any multiple
+D of d, so the entry reads the same over the match's common denominator.
 """
 from __future__ import annotations
 
@@ -99,12 +108,6 @@ class MatchResult:
             return list(self.table)
         return [(ce_id, Fraction(value, self.denominator)) for ce_id, value in self.table]
 
-    def shown(self, value) -> str:
-        """A rank value as the trace renders it."""
-        if self.denominator is None:
-            return fmt_quantity(value)
-        return fmt_ratio(value, self.denominator)
-
 
 @dataclass
 class JobRecord:
@@ -146,6 +149,9 @@ class ResourceBroker:
         # requirement -> {advertised: satisfied}, or None when it reads the
         # ETT, which moves between matches
         self._requirement_memo: dict = {}
+        # ce_id -> (ETT numerator, denominator, shown rank, table entry),
+        # rendered again only when the element's ETT pair changes
+        self._entries: dict = {}
 
     @property
     def endpoint(self) -> str:
@@ -212,9 +218,6 @@ class ResourceBroker:
             raise BrokerError(f"{job_id}: match requires WAITING, not {record.state}")
         description = record.description
         requirements, rank = description.requirements, description.rank
-        lfns = description.input_lfns
-        catalog_ok = (not lfns
-                      or description.replica_catalog == self.datagrid.rc.catalog_id)
         try:
             memo = self._requirement_memo[requirements]
         except KeyError:
@@ -222,20 +225,25 @@ class ResourceBroker:
                 None if jdl.reads_attribute(requirements, "EstimatedTraversalTime") else {})
         if memo is None:
             memo = {}
+        # the same for every candidate: whether the proxy is valid now and
+        # every input resolves, and the storage elements holding each input
+        replicas = self._resolve_inputs(description)
+        admissible = record.owner.valid_at(self.kernel.now_ms) and replicas is not None
+        holders = ([{se_id for se_id, _path in reps} for reps in replicas.values()]
+                   if replicas else [])
+        user_dn, pinned, entries = record.owner.user_dn, record.pinned_ce, self._entries
 
-        by_ett = []    # (ETT numerator, denominator, ce record): default rank
+        by_ett = []    # (ce_id, entry): default rank
         scored = []    # (rank value, ce record)
         demoted = []   # rank unusable
         for ce in self.info.query(self.flavor, description.virtual_organisation):
-            if record.pinned_ce is not None and ce.ce_id != record.pinned_ce:
+            if pinned is not None and ce.ce_id != pinned:
                 continue
-            if self.vo.authorize(ce.site_id, record.owner, self.kernel.now_ms) is not None:
+            if not (self.vo.maps(ce.site_id, user_dn) and admissible):
                 continue
-            if not catalog_ok:
+            if holders and any(held.isdisjoint(ce.close_ses) for held in holders):
                 continue
-            if lfns and not self._holds_inputs(ce, lfns):
-                continue
-            ett = self.fabric.ces[ce.ce_id].ett()
+            n, d = ett = self.fabric.ces[ce.ce_id].ett()
             advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
             if advertised not in memo:
                 memo[advertised] = jdl.requirement_satisfied(requirements,
@@ -243,7 +251,11 @@ class ResourceBroker:
             if not memo[advertised]:
                 continue
             if rank is None:
-                by_ett.append((*ett, ce))
+                entry = entries.get(ce.ce_id)
+                if entry is None or entry[0] != n or entry[1] != d:
+                    shown = fmt_ratio(-n, d)
+                    entry = entries[ce.ce_id] = (n, d, shown, f"{ce.ce_id}:{shown}")
+                by_ett.append((ce.ce_id, entry))
                 continue
             value = jdl.evaluate(rank, self._match_env(ce, ett))
             if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -253,12 +265,19 @@ class ResourceBroker:
 
         denominator = None
         if by_ett:  # minus the ETTs, all over one denominator: exact ints
-            denominator = math.lcm(*(d for _n, d, _ce in by_ett))
-            scored = [(-n * (denominator // d), ce) for n, d, ce in by_ett]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].ce_id))
-        demoted.sort(key=lambda ce: ce.ce_id)
-        ordered = [(ce.ce_id, value) for value, ce in scored]
-        ordered += [(ce.ce_id, None) for ce in demoted]
+            denominator = math.lcm(*[entry[1] for _ce_id, entry in by_ett])
+            keyed = sorted([(entry[0] * (denominator // entry[1]), ce_id, entry)
+                            for ce_id, entry in by_ett])
+            ordered = [(ce_id, -key) for key, ce_id, _entry in keyed]
+            rank_shown = keyed[0][2][2]
+            table = "|".join([entry[3] for _key, _ce_id, entry in keyed])
+        else:
+            scored.sort(key=lambda pair: (-pair[0], pair[1].ce_id))
+            demoted.sort(key=lambda ce: ce.ce_id)
+            ordered = [(ce.ce_id, value) for value, ce in scored]
+            ordered += [(ce.ce_id, None) for ce in demoted]
+            rank_shown = fmt_quantity(ordered[0][1]) if ordered else None
+            table = "|".join(f"{ce_id}:{fmt_quantity(value)}" for ce_id, value in ordered)
         result = MatchResult(ordered, ordered[0][0] if ordered else None, denominator)
 
         if result.chosen is None:
@@ -269,28 +288,26 @@ class ResourceBroker:
                 observer(record, result)
             return result
 
-        chosen_ce = scored[0][1] if scored else demoted[0]
-        record.matched_ce = chosen_ce.ce_id
-        for lfn in lfns:
-            close = [rep for rep in self.datagrid.lookup(lfn)
-                     if rep[0] in chosen_ce.close_ses]
-            record.chosen_replicas[lfn] = min(close)
-        table = "|".join(f"{ce_id}:{result.shown(value)}" for ce_id, value in ordered)
+        record.matched_ce = result.chosen
+        close_ses = self.info.ces[result.chosen].close_ses
+        for lfn, reps in replicas.items():
+            record.chosen_replicas[lfn] = next(rep for rep in reps if rep[0] in close_ses)
         self.kernel.emit(self.rb_id, "matched", job=job_id, ce=result.chosen,
-                         rank=result.shown(ordered[0][1]), candidates=table)
+                         rank=rank_shown, candidates=table)
         self._move(record, MATCHED)
         for observer in self.match_observers:
             observer(record, result)
         return result
 
-    def _holds_inputs(self, ce, lfns) -> bool:
-        for lfn in lfns:
-            if not self.datagrid.rc.known(lfn):
-                return False
-            if not any(se_id in ce.close_ses
-                       for se_id, _path in self.datagrid.lookup(lfn)):
-                return False
-        return True
+    def _resolve_inputs(self, description) -> "dict | None":
+        """Each input name's sorted replicas, read once per match; None when
+        the job names another catalogue or an input the catalogue lacks."""
+        lfns = description.input_lfns
+        rc = self.datagrid.rc
+        if lfns and (description.replica_catalog != rc.catalog_id
+                     or not all(rc.known(lfn) for lfn in lfns)):
+            return None
+        return {lfn: rc.lookup(lfn) for lfn in lfns}
 
     # -- orchestration -------------------------------------------------
 

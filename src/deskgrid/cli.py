@@ -383,30 +383,34 @@ def _help(grid, base_dir):
     return 0, _usage("deskgrid ")
 
 
+def _say(text: str, stream) -> None:
+    """Print `text` to `stream`, quietly when its reader has gone: what is
+    still buffered then goes nowhere, so the flush at exit raises nothing
+    and the command's exit code stands."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     topo = None
     if len(argv) > 1 and argv[0] == "--topo":
         topo, argv = argv[1], argv[2:]
     if not argv:
-        print("deskgrid [--topo FILE] COMMAND...\n" + _usage("  "), file=sys.stderr)
+        _say("deskgrid [--topo FILE] COMMAND...\n" + _usage("  "), sys.stderr)
         return 2
     try:
         grid = load_topology(topo or default_topology_path())
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return 2
     code, text = dispatch(grid, argv)
     if text:
-        stream = sys.stderr if code else sys.stdout
-        try:
-            print(text, file=stream, flush=True)
-        except BrokenPipeError:
-            # the reader has gone: what is still buffered goes nowhere, so
-            # the flush at exit raises nothing and the command's code stands
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, stream.fileno())
-            os.close(devnull)
+        _say(text, sys.stderr if code else sys.stdout)
     return code
 
 

@@ -8,7 +8,8 @@ elements are not published: they live in the data grid.
 A query is always for one flavor, so resources only ever surface to
 brokers of that flavor; Condor-managed elements cannot publish the EDG
 flavor at all (the publisher does not report the data that schema needs)
-unless the record carries an explicit override.
+unless the record carries an explicit override.  The answer to each
+(flavor, VO) query is kept until the next valid publish.
 
 The estimated traversal time of an element is the CPU backlog a newly
 arriving job would see:
@@ -89,10 +90,14 @@ class InformationIndex:
     def __init__(self):
         self.ces: dict[str, CERecord] = {}
         self._load_taps: dict[str, object] = {}
+        # (flavor, vo) -> the id-sorted answer; `publish_ce`, the only
+        # mutator of `ces`, drops them all
+        self._answers: dict[tuple, list] = {}
 
     def publish_ce(self, record: CERecord) -> None:
         record.validate()
         self.ces[record.ce_id] = record  # republish replaces by id
+        self._answers.clear()
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
         """`tap.ett()` must return the ETT in seconds as an unreduced pair of
@@ -101,11 +106,14 @@ class InformationIndex:
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:
         """Elements speaking `flavor` that authorize `vo`, sorted by id."""
-        if flavor not in QUERY_FLAVORS:
-            raise InfoSysError(f"queries must use one of {QUERY_FLAVORS}, not {flavor!r}")
-        hits = [ce for ce in self.ces.values()
-                if flavor in ce.schema_flavors and vo in ce.authorized_vos]
-        return sorted(hits, key=lambda ce: ce.ce_id)
+        answer = self._answers.get((flavor, vo))
+        if answer is None:
+            if flavor not in QUERY_FLAVORS:
+                raise InfoSysError(f"queries must use one of {QUERY_FLAVORS}, not {flavor!r}")
+            hits = [ce for ce in self.ces.values()
+                    if flavor in ce.schema_flavors and vo in ce.authorized_vos]
+            answer = self._answers[flavor, vo] = sorted(hits, key=lambda ce: ce.ce_id)
+        return list(answer)
 
     def estimated_traversal_time(self, ce_id: str) -> Fraction:
         """ETT in seconds, exact; an element with no load tap is idle."""

@@ -133,14 +133,20 @@ class VoManager:
 
     # -- authorization -------------------------------------------------
 
+    def maps(self, site_id: str, user_dn: str) -> bool:
+        """Whether the site's mapfile, as of its last sync, maps `user_dn`."""
+        try:
+            return user_dn in self._mapfiles[site_id]
+        except KeyError:
+            raise UnknownSite(site_id) from None
+
     def authorize(self, site_id: str, proxy: Proxy, now_ms: int) -> Denial | None:
         """None means admitted; otherwise the denial reason.  Expiry is
         checked before the mapfile so an expired proxy is always reported
         as expired."""
-        if site_id not in self._site_vos:
-            raise UnknownSite(site_id)
+        mapped = self.maps(site_id, proxy.user_dn)
         if not proxy.valid_at(now_ms):
             return Denial.PROXY_EXPIRED
-        if proxy.user_dn not in self._mapfiles[site_id]:
+        if not mapped:
             return Denial.NOT_IN_MAPFILE
         return None

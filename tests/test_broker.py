@@ -1,6 +1,7 @@
 import cProfile
 import dataclasses
 import pstats
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,11 +12,11 @@ from deskgrid.broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED,
                              RUNNING, SCHEDULED, SUBMITTED, WAITING,
                              AlreadyCleared, BrokerError, NotDone,
                              ProxyExpired, UnknownJob)
-from deskgrid.fabric import ComputingElement, FabricJob
+from deskgrid.fabric import ComputingElement, FabricJob, WorkloadProfile
 from deskgrid.grid import Grid
 from deskgrid.jdl import parse_expr, parse_jdl
 from deskgrid.topology import parse_topology
-from deskgrid.units import GB
+from deskgrid.units import GB, KB, fmt_quantity
 
 from conftest import CMKIN_SMALL, MINI_TOPOLOGY, make_mini, watch_matches
 
@@ -170,6 +171,24 @@ def test_foreign_catalogue_never_matches(mini, alice):
     assert mini.brokers["rb_test"].jobs[job_id].state == ABORTED
 
 
+def test_a_replica_registered_between_matches_widens_the_next_match(mini, alice):
+    """Inputs are looked up at each match, not kept from the last one."""
+    matches = watch_matches(mini)
+    dg = mini.datagrid
+    dg.store_of("se_beta").store("d.ntpl", 1000, 31)
+    dg.register("d.ntpl", "se_beta", "d.ntpl")
+    first = mini.submit(DATA_JDL, "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(matches, first) == ["ce_beta"]
+    dg.store_of("se_alpha").store("d.ntpl", 1000, 31)
+    dg.register("d.ntpl", "se_alpha", "d.ntpl")
+    second = mini.submit(DATA_JDL, "rb_test")
+    mini.kernel.run_until(0)
+    assert candidates_of(matches, second) == ["ce_alpha", "ce_beta"]
+    record = mini.brokers["rb_test"].jobs[second]
+    assert record.chosen_replicas == {"d.ntpl": ("se_alpha", "d.ntpl")}
+
+
 def test_expired_proxy_is_refused_at_the_door(mini, alice):
     mini.kernel.run_until(43200)
     with pytest.raises(ProxyExpired):
@@ -191,6 +210,48 @@ def test_queue_wait_outliving_the_proxy_aborts_at_dispatch(mini, alice):
     record = rb.jobs[j2]
     assert record.state == ABORTED
     assert record.reason == "AuthorizationDenied(ProxyExpired)"
+
+
+def watch_admitted(grid) -> dict:
+    """Job id -> (its match's candidate ids, sorted; the ids of the elements
+    of the broker's flavor that `authorize` admits for its owner then)."""
+    seen = {}
+    for rb in grid.brokers.values():
+        def observe(record, result, rb=rb):
+            owner, now_ms = record.owner, grid.kernel.now_ms
+            admitted = [ce.ce_id for ce in grid.info.query(rb.flavor, owner.vo_name)
+                        if grid.vo.authorize(ce.site_id, owner, now_ms) is None]
+            seen[record.job_id] = (sorted(c for c, _v in result.candidates), admitted)
+        rb.match_observers.append(observe)
+    return seen
+
+
+@pytest.mark.parametrize("delay_ms", [59_999, 60_000])
+def test_a_match_admits_what_authorize_admits_up_to_the_expiry_instant(mini, delay_ms):
+    """The proxy is valid at submission; its expiry instant is already
+    invalid, so a match delayed onto it finds no element."""
+    proxy = mini.vo.create_proxy("/C=XX/CN=alice", "testvo", 0, lifetime_s=60)
+    rb = mini.brokers["rb_test"]
+    rb.brokering_delay_ms = delay_ms
+    seen = watch_admitted(mini)
+    job_id = rb.submit(parse_jdl(CMKIN_SMALL), proxy)
+    mini.kernel.run_until(60)
+    candidates, admitted = seen[job_id]
+    assert candidates == admitted == (["ce_alpha", "ce_beta"] if delay_ms < 60_000 else [])
+    if not candidates:
+        assert rb.jobs[job_id].reason == "NoMatchingResources"
+
+
+def test_a_match_admits_what_authorize_admits_after_one_site_resyncs(mini):
+    """bob leaves testvo and only alpha re-reads the directory: beta's
+    mapfile is a snapshot that still holds him."""
+    bob = mini.vo.create_proxy("/C=XX/CN=bob", "testvo", 0)
+    mini.vo.remove_member("testvo", "/C=XX/CN=bob")
+    mini.vo.sync_mapfile("alpha")
+    seen = watch_admitted(mini)
+    job_id = mini.brokers["rb_test"].submit(parse_jdl(CMKIN_SMALL), bob)
+    mini.kernel.run_until(0)
+    assert seen[job_id] == (["ce_beta"], ["ce_beta"])
 
 
 def test_full_lifecycle_and_output_retrieval(mini, alice, tmp_path):
@@ -423,6 +484,66 @@ def test_equal_ranks_on_different_denominators_tie_to_the_smaller_id():
     matched = [e for e in grid.kernel.trace if e.action == "matched"][-1]
     assert matched.detail["candidates"] == "ce_a:-5|ce_b:-5"
     assert matched.detail["rank"] == "-5"
+
+
+ODD = WorkloadProfile("odd", Fraction(1, 7), Fraction(KB))
+
+ODD_JDL = """\
+Executable = "odd";
+Requirements = true;
+VirtualOrganisation = "testvo";
+Events = {events};
+JobSeed = 5;
+"""
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_rendered_table_is_the_exact_ranking(mini, alice, seed):
+    """A seeded run on both brokers: CMKIN jobs of any size, jobs pinned to
+    either element of a profile registered mid-run (1/7 CPU s per event, so
+    the elements' CPU units shrink and their ETT pairs change without their
+    values changing), and ce_beta republished without, then with, GLUE.  At
+    every match the trace shows the table rendered from the exact
+    candidates, and the choice is the least exact ETT, ties to the smaller
+    id."""
+    rng = random.Random(seed)
+    checked = []
+
+    def check(record, result):
+        if result.chosen is None:
+            return
+        shown = next(e for e in reversed(mini.kernel.trace) if e.action == "matched")
+        assert shown.detail["job"] == record.job_id
+        assert shown.detail["candidates"] == "|".join(
+            f"{c}:{fmt_quantity(v)}" for c, v in result.candidates)
+        assert shown.detail["rank"] == fmt_quantity(result.candidates[0][1])
+        ett = {c: mini.info.estimated_traversal_time(c) for c, _v in result.candidates}
+        assert result.chosen == min(ett, key=lambda c: (ett[c], c))
+        assert result.candidates == [(c, -ett[c]) for c in sorted(ett, key=lambda c: (ett[c], c))]
+        checked.append(record.job_id)
+
+    for rb in mini.brokers.values():
+        rb.match_observers.append(check)
+    beta = mini.info.ces["ce_beta"]
+    for step in range(60):
+        if step == 20:
+            mini.fabric.set_profile(ODD)
+        elif step == 30:
+            mini.info.publish_ce(dataclasses.replace(beta, schema_flavors=("EDG",)))
+        elif step == 45:
+            mini.info.publish_ce(beta)
+        for _ in range(rng.randint(1, 3)):
+            rb = rng.choice(["rb_test", "rb_glue"])
+            if step >= 20 and rng.random() < 0.3:
+                mini.submit(ODD_JDL.format(events=rng.randint(1, 40)), rb,
+                            pinned_ce=rng.choice(["ce_alpha", "ce_beta"]))
+            else:
+                mini.submit(CMKIN_SMALL.replace("Events = 50",
+                                                f"Events = {rng.randint(1, 80)}"), rb)
+        mini.kernel.run_until(mini.kernel.now() + rng.randint(0, 20))
+    mini.kernel.run_to_completion()
+    assert len(checked) > 80
+    assert {ce.cpu_den for ce in mini.fabric.ces.values()} == {14}
 
 
 def test_a_default_rank_match_builds_no_fraction(mini, alice):

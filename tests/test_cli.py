@@ -333,20 +333,29 @@ def test_main_runs_against_the_shipped_testbed(capsys):
     assert "sites\t17" in out and "ces[GLUE]\t3" in out
 
 
-@pytest.mark.parametrize("argv", [["topo", "show"], ["topo", "validate"]])
-def test_main_is_quiet_when_its_reader_has_gone(argv):
-    """stdout is a pipe whose read end is closed before the process starts,
-    so every write to it fails; the command still exits with its own code."""
+@pytest.mark.parametrize("argv", [
+    ["topo", "show"], ["topo", "validate"],
+    pytest.param([], id="usage"),
+    pytest.param(["--topo", "missing.topo", "topo", "show"], id="missing-topo"),
+])
+def test_main_is_quiet_when_its_reader_has_gone(argv, tmp_path):
+    """The stream the command writes to -- stdout on success, stderr for a
+    usage or configuration error -- is a pipe whose read end is closed
+    before the process starts, so every write to it fails; the command
+    still exits with its own code and writes nothing to the other stream."""
+    code = 0 if argv[:1] == ["topo"] else 2
+    closed, other = ("stdout", "stderr") if code == 0 else ("stderr", "stdout")
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     try:
         proc = subprocess.run([sys.executable, "-m", "deskgrid.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+                              **{closed: write_end, other: subprocess.PIPE},
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=60)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (proc.returncode, getattr(proc, other)) == (code, b"")
 
 
 def test_help_lists_every_command(mini):

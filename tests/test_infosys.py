@@ -82,6 +82,30 @@ def test_query_filters_by_flavor_and_vo_and_sorts():
         index.query("GLOBUS_ONLY", "testvo")
 
 
+def test_a_kept_query_answer_follows_every_valid_publish():
+    """Answers are kept per (flavor, vo) between publishes: a republish that
+    drops a flavor or a VO shows at the next query, a publish that fails
+    validation leaves the answer as it was, and each caller gets its own
+    list."""
+    def ids(flavor, vo):
+        return [r.ce_id for r in index.query(flavor, vo)]
+
+    index = InformationIndex()
+    index.publish_ce(ce(ce_id="ce_a"))
+    index.publish_ce(ce(ce_id="ce_b", schema_flavors=("EDG", "GLUE")))
+    assert ids("EDG", "testvo") == ["ce_a", "ce_b"]
+    index.publish_ce(ce(ce_id="ce_b", schema_flavors=("GLUE",)))
+    assert ids("EDG", "testvo") == ["ce_a"] and ids("GLUE", "testvo") == ["ce_b"]
+    index.publish_ce(ce(ce_id="ce_a", authorized_vos=("othervo",)))
+    assert ids("EDG", "testvo") == [] and ids("EDG", "othervo") == ["ce_a"]
+    for bad in (ce(ce_id="ce_a", lrms="SGE"), ce(ce_id="ce_c", wn_count=0)):
+        with pytest.raises(InvariantViolation):
+            index.publish_ce(bad)
+        assert ids("EDG", "othervo") == ["ce_a"] and ids("EDG", "testvo") == []
+    index.query("EDG", "othervo").clear()
+    assert ids("EDG", "othervo") == ["ce_a"]
+
+
 def test_republish_replaces_record():
     index = InformationIndex()
     index.publish_ce(ce(cpu_mhz=1000))
