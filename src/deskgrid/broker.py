@@ -38,6 +38,7 @@ from typing import Callable
 from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import jdl
+from .simcore import kind
 from .units import fmt_quantity, fmt_ratio
 from .vomgmt import Denial, Proxy
 
@@ -64,6 +65,15 @@ _LEGAL = {
 }
 
 TERMINAL_STATES = (DONE_OK, DONE_FAILED, ABORTED, CLEARED)
+
+JOB_STATE_LINE = kind("job-state", "job", "frm", "to")
+#: a move into ABORTED or DONE_FAILED names its reason
+JOB_STATE_REASON_LINE = kind("job-state", "job", "frm", "to", "reason")
+SUBMITTED_LINE = kind("submitted", "job", "user", "profile")
+MATCH_FAILED_LINE = kind("match-failed", "job", "reason")
+MATCHED_LINE = kind("matched", "job", "ce", "rank", "candidates")
+OUTPUT_FAILED_LINE = kind("output-failed", "job", "file", "reason")
+OUTPUT_REGISTERED_LINE = kind("output-registered", "job", "lfn", "se")
 
 
 class BrokerError(Exception):
@@ -147,7 +157,8 @@ class ResourceBroker:
         self.transition_observers: list = []
         self.match_observers: list = []
         # requirement -> {advertised: satisfied}, or None when it reads the
-        # ETT, which moves between matches
+        # ETT, which moves between matches (a node keeps its hash, so the
+        # lookup does not walk the tree)
         self._requirement_memo: dict = {}
         # ce_id -> (ETT numerator, denominator, shown rank, table entry),
         # rendered again only when the element's ETT pair changes
@@ -165,10 +176,11 @@ class ResourceBroker:
         old = record.state
         record.state = new_state
         record.timestamps[new_state] = self.kernel.now_ms
-        detail = {"job": record.job_id, "frm": old, "to": new_state}
         if record.reason and new_state in (ABORTED, DONE_FAILED):
-            detail["reason"] = record.reason
-        self.kernel.emit(self.rb_id, "job-state", **detail)
+            self.kernel.line(self.rb_id, JOB_STATE_REASON_LINE, record.job_id, old,
+                             new_state, record.reason)
+        else:
+            self.kernel.line(self.rb_id, JOB_STATE_LINE, record.job_id, old, new_state)
         for observer in self.transition_observers:
             observer(record, old, new_state)
 
@@ -189,8 +201,8 @@ class ResourceBroker:
         record = JobRecord(job_id, proxy, description, pinned_ce=pinned_ce)
         record.timestamps[SUBMITTED] = self.kernel.now_ms
         self.jobs[job_id] = record
-        self.kernel.emit(self.rb_id, "submitted", job=job_id,
-                         user=proxy.user_dn, profile=description.job_profile)
+        self.kernel.line(self.rb_id, SUBMITTED_LINE, job_id, proxy.user_dn,
+                         description.job_profile)
         self._move(record, WAITING)
         self.kernel.schedule("user-command", lambda: self._process(record),
                              self.kernel.now_ms + self.brokering_delay_ms)
@@ -281,8 +293,7 @@ class ResourceBroker:
         result = MatchResult(ordered, ordered[0][0] if ordered else None, denominator)
 
         if result.chosen is None:
-            self.kernel.emit(self.rb_id, "match-failed", job=job_id,
-                             reason="NoMatchingResources")
+            self.kernel.line(self.rb_id, MATCH_FAILED_LINE, job_id, "NoMatchingResources")
             self._abort(record, "NoMatchingResources")
             for observer in self.match_observers:
                 observer(record, result)
@@ -292,8 +303,7 @@ class ResourceBroker:
         close_ses = self.info.ces[result.chosen].close_ses
         for lfn, reps in replicas.items():
             record.chosen_replicas[lfn] = next(rep for rep in reps if rep[0] in close_ses)
-        self.kernel.emit(self.rb_id, "matched", job=job_id, ce=result.chosen,
-                         rank=rank_shown, candidates=table)
+        self.kernel.line(self.rb_id, MATCHED_LINE, job_id, result.chosen, rank_shown, table)
         self._move(record, MATCHED)
         for observer in self.match_observers:
             observer(record, result)
@@ -416,13 +426,13 @@ class ResourceBroker:
                 self.datagrid.rc.register(produced.name, store, produced.name)
             except dg_mod.DataGridError as exc:
                 record.reason = type(exc).__name__
-                self.kernel.emit(self.rb_id, "output-failed", job=record.job_id,
-                                 file=produced.name, reason=record.reason)
+                self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name,
+                                 record.reason)
                 self._return_sandbox(record, sandbox, DONE_FAILED, record.reason)
                 return
             record.registered_lfns.append(produced.name)
-            self.kernel.emit(self.rb_id, "output-registered", job=record.job_id,
-                             lfn=produced.name, se=se_id)
+            self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
+                             se_id)
             self._store_next(record, files, index + 1, sandbox)
 
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fabric import Network, Site
 from .jdl import strip_lfn_prefix
-from .simcore import Kernel
+from .simcore import Kernel, kind
 
 
 class DataGridError(Exception):
@@ -130,6 +130,10 @@ class ReplicaCatalog:
         return "".join(line + "\n" for line in lines)
 
 
+REPLICA_FAILED_LINE = kind("replica-failed", "lfn", "to", "reason")
+REPLICA_ADDED_LINE = kind("replica-added", "lfn", "se", "path")
+
+
 class DataGrid:
     """The storage elements plus the one replica catalogue, with enough of
     the fabric wired in to move replicas between elements."""
@@ -173,18 +177,17 @@ class DataGrid:
         def complete():
             pf = source.get(src_path)
             if pf is None:
-                self.kernel.emit(self.rc.catalog_id, "replica-failed", lfn=lfn,
-                                 to=to_se, reason="NoSuchPhysicalFile")
+                self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, to_se,
+                                 "NoSuchPhysicalFile")
                 return
             try:
                 target.store(src_path, pf.size_bytes, pf.checksum)
             except (SeFull, DuplicatePath) as exc:
-                self.kernel.emit(self.rc.catalog_id, "replica-failed", lfn=lfn,
-                                 to=to_se, reason=type(exc).__name__)
+                self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, to_se,
+                                 type(exc).__name__)
                 return
             self.rc.register(lfn, target, src_path)
-            self.kernel.emit(self.rc.catalog_id, "replica-added", lfn=lfn,
-                             se=to_se, path=src_path)
+            self.kernel.line(self.rc.catalog_id, REPLICA_ADDED_LINE, lfn, to_se, src_path)
 
         return self.network.transfer(size, source.site.endpoint, target.site.endpoint,
                                      what=f"replica:{lfn}", on_done=complete)

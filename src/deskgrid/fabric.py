@@ -51,7 +51,7 @@ from typing import Callable
 
 from . import vomgmt
 from .jdl import JobDescription
-from .simcore import Kernel
+from .simcore import Kernel, kind
 from .units import KB, MB, fmt_ratio, to_millis
 
 
@@ -189,6 +189,9 @@ def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
 # --------------------------------------------------------------------------
 # network
 
+TRANSFER_COMPLETE_LINE = kind("transfer-complete", "what", "frm", "to", "bytes", "secs")
+
+
 class Network:
     """Named WAN links, the sites' LAN and optional WAN defaults, each a
     (bandwidth in bytes/s, latency in s) pair."""
@@ -236,8 +239,8 @@ class Network:
         num, den = self.duration(size_bytes, self.hops(frm, to))
 
         def complete():
-            self.kernel.emit("net", "transfer-complete", what=what, frm=frm,
-                             to=to, bytes=size_bytes, secs=fmt_ratio(num, den))
+            self.kernel.line("net", TRANSFER_COMPLETE_LINE, what, frm, to, size_bytes,
+                             fmt_ratio(num, den))
             on_done()
 
         return self.kernel.schedule("transfer-complete", complete,
@@ -322,6 +325,15 @@ class FabricJob:
         return self.cpu_total_s * Fraction(self.events_left(), self.description.events)
 
 
+ENQUEUE_DENIED_LINE = kind("enqueue-denied", "job", "reason")
+ENQUEUED_LINE = kind("enqueued", "job", "depth")
+DISPATCH_DENIED_LINE = kind("dispatch-denied", "job", "reason")
+DISPATCHED_LINE = kind("dispatched", "job", "wn")
+EXEC_START_LINE = kind("exec-start", "job", "events", "runtime_s")
+EXEC_COMPLETE_LINE = kind("exec-complete", "job", "exit")
+WN_FREED_LINE = kind("wn-freed", "job")
+
+
 class ComputingElement:
     """One batch queue over identical worker nodes, FIFO, work-conserving:
     a free node with a non-empty queue dispatches in the same instant."""
@@ -353,7 +365,7 @@ class ComputingElement:
     def enqueue(self, job: FabricJob) -> None:
         denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
         if denial is not None:
-            self.kernel.emit(self.ce_id, "enqueue-denied", job=job.job_id, reason=str(denial))
+            self.kernel.line(self.ce_id, ENQUEUE_DENIED_LINE, job.job_id, str(denial))
             raise AuthorizationDenied(denial)
         den = job.profile.cpu_pair[1]
         if self.cpu_den % den:
@@ -365,7 +377,7 @@ class ComputingElement:
         job.cpu_per_s = self.cpu_den * self.record.cpu_mhz
         self.queue.append(job)
         self.queued_units += job.cpu_units
-        self.kernel.emit(self.ce_id, "enqueued", job=job.job_id, depth=len(self.queue))
+        self.kernel.line(self.ce_id, ENQUEUED_LINE, job.job_id, len(self.queue))
         self.try_dispatch()
 
     def try_dispatch(self) -> None:
@@ -375,14 +387,13 @@ class ComputingElement:
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
             if denial is not None:
-                self.kernel.emit(self.ce_id, "dispatch-denied", job=job.job_id,
-                                 reason=str(denial))
+                self.kernel.line(self.ce_id, DISPATCH_DENIED_LINE, job.job_id, str(denial))
                 job.on_auth_denied(denial)
                 continue
             job.wn = heapq.heappop(self.free_wns)
             self.running[job.job_id] = job
             self.horizon_ms = STALE
-            self.kernel.emit(self.ce_id, "dispatched", job=job.job_id, wn=job.wn)
+            self.kernel.line(self.ce_id, DISPATCHED_LINE, job.job_id, job.wn)
             job.on_dispatched()
 
     # -- execution -----------------------------------------------------
@@ -390,9 +401,8 @@ class ComputingElement:
     def execute(self, job: FabricJob) -> None:
         if job.job_id not in self.running:
             raise FabricError(f"{job.job_id} is not running on {self.ce_id}")
-        self.kernel.emit(self.ce_id, "exec-start", job=job.job_id,
-                         events=job.description.events,
-                         runtime_s=fmt_ratio(job.cpu_units, job.cpu_per_s))
+        self.kernel.line(self.ce_id, EXEC_START_LINE, job.job_id, job.description.events,
+                         fmt_ratio(job.cpu_units, job.cpu_per_s))
         job.kernel, job.start_ms = self.kernel, self.kernel.now_ms
         self.horizon_ms = STALE
         finish_ms = job.start_ms + to_millis(job.cpu_units, job.cpu_per_s)
@@ -416,7 +426,7 @@ class ComputingElement:
             self.fail_next_execs -= 1
             exit_code = 1
         outputs = build_outputs(job.description, job.profile)
-        self.kernel.emit(self.ce_id, "exec-complete", job=job.job_id, exit=exit_code)
+        self.kernel.line(self.ce_id, EXEC_COMPLETE_LINE, job.job_id, exit_code)
         job.on_exec_complete(outputs, exit_code)
 
     def finish(self, job: FabricJob) -> None:
@@ -424,7 +434,7 @@ class ComputingElement:
         if self.running.pop(job.job_id, None) is not None:
             heapq.heappush(self.free_wns, job.wn)
             self.horizon_ms = STALE
-        self.kernel.emit(self.ce_id, "wn-freed", job=job.job_id)
+        self.kernel.line(self.ce_id, WN_FREED_LINE, job.job_id)
         self.try_dispatch()
 
     # -- estimated traversal time --------------------------------------

@@ -23,8 +23,10 @@ from . import jdl
 from . import production as prod_mod
 from . import topology
 from . import vomgmt
-from .simcore import Kernel
+from .simcore import Kernel, exact, kind
 from .topology import ConfigError, TopologyConfig
+
+PROXY_INIT_LINE = kind("proxy-init", "user", "vo", "lifetime_s")
 
 
 class Grid:
@@ -161,9 +163,9 @@ class Grid:
         proxy = self.vo.create_proxy(user_dn, vo_name, self.kernel.now_ms,
                                      lifetime_s=lifetime_s)
         self.current_proxy = proxy
-        self.kernel.emit("ui", "proxy-init", user=user_dn, vo=vo_name,
-                         lifetime_s=(vomgmt.DEFAULT_PROXY_LIFETIME_S
-                                     if lifetime_s is None else lifetime_s))
+        self.kernel.line("ui", PROXY_INIT_LINE, user_dn, vo_name,
+                         exact(vomgmt.DEFAULT_PROXY_LIFETIME_S
+                               if lifetime_s is None else lifetime_s))
         return proxy
 
     def submit(self, jdl_text: str, rb_id: str, pinned_ce=None) -> str:

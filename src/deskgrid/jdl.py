@@ -99,6 +99,27 @@ class Lit:
         return hash((type(self.value), self.value))
 
 
+def _hash_kept(cls):
+    """Keep a composite node's hash on it once computed: a requirement
+    tree keys the broker's memo at every match, and the generated
+    `__hash__` walks the whole tree on each call."""
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            kept = self.__dict__["_hash"] = tree_hash(self)
+            return kept
+
+    def __getstate__(self):  # a copy in another process salts its strings anew
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class ListLit:
     items: tuple
@@ -111,12 +132,14 @@ class Attr:
     name: str
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: "Expr"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Binary:
     op: str
@@ -124,6 +147,7 @@ class Binary:
     right: "Expr"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class MemberCall:
     """Member(value, list): set membership with exact string equality."""

@@ -25,6 +25,7 @@ from typing import Callable
 
 from . import broker as broker_mod
 from . import jdl
+from .simcore import kind
 from .vomgmt import Proxy
 
 STEP_CMKIN = "CMKIN"
@@ -217,8 +218,7 @@ class BossDb:
     def query(self, status: "str | None" = None, job_type: "str | None" = None,
               dataset: "str | None" = None) -> list:
         out = []
-        for boss_id in sorted(self.records):
-            r = self.records[boss_id]
+        for r in self.records.values():  # ids only grow: insertion order is id order
             if status is not None and r.status != status:
                 continue
             if job_type is not None and r.job_type != job_type:
@@ -240,6 +240,12 @@ class BossDb:
                          f"\t{r.input_file}\t{r.output_file}"
                          f"\t{r.events_declared}\t{events_done}")
         return "".join(line + "\n" for line in lines)
+
+
+DECLARED_LINE = kind("declared", "assignment", "jobs")
+CREATED_LINE = kind("created", "assignment", "jobs")
+SUBMITTED_LINE = kind("submitted", "assignment", "jobs", "rb")
+SUMMARY_LINE = kind("summary", "assignment", "ok", "failed", "status")
 
 
 class ProductionManager:
@@ -271,8 +277,7 @@ class ProductionManager:
             "jobs": [{"index": n, "events": events, "seed": seed}
                      for n, (events, seed) in enumerate(zip(request.split_events(), seeds), start=1)],
         }
-        self.kernel.emit("factory", "declared", assignment=assignment_id,
-                         jobs=request.job_count)
+        self.kernel.line("factory", DECLARED_LINE, assignment_id, request.job_count)
         return workspace
 
     def create(self, assignment_id: int) -> list:
@@ -289,8 +294,7 @@ class ProductionManager:
                         for n, events in enumerate(request.split_events(), start=1)]
         request.descriptions = descriptions
         request.status = REQ_CREATED
-        self.kernel.emit("factory", "created", assignment=assignment_id,
-                         jobs=len(descriptions))
+        self.kernel.line("factory", CREATED_LINE, assignment_id, len(descriptions))
         return descriptions
 
     def _job_description(self, request: ProductionRequest, index: int,
@@ -332,8 +336,8 @@ class ProductionManager:
             request.scheduler_jobs.append(job_id)
             request.boss_ids.append(record.boss_id)
         request.status = REQ_SUBMITTED
-        self.kernel.emit("factory", "submitted", assignment=assignment_id,
-                         jobs=len(request.scheduler_jobs), rb=request.rb_id)
+        self.kernel.line("factory", SUBMITTED_LINE, assignment_id,
+                         len(request.scheduler_jobs), request.rb_id)
         return list(request.boss_ids)
 
     # -- summaries -----------------------------------------------------
@@ -364,8 +368,8 @@ class ProductionManager:
         request.summary = summary
         if jobs_failed == 0:
             request.status = REQ_COMPLETE
-        self.kernel.emit("factory", "summary", assignment=assignment_id,
-                         ok=jobs_ok, failed=jobs_failed, status=request.status)
+        self.kernel.line("factory", SUMMARY_LINE, assignment_id, jobs_ok, jobs_failed,
+                         request.status)
         return summary
 
     # -- hooks from the fabric and the brokers ------------------------

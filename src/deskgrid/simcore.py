@@ -9,17 +9,22 @@ in that order).  Time is integer milliseconds: `schedule` takes an
 absolute ms instant, and seconds (in any exact form) appear only in
 `run_until` and the `now()` view.
 
-The kernel also owns the append-only trace.  One line renderer serves both
-`TraceEntry.format` and `Kernel.export_trace`: it writes an exact `str`
-value as it is and hands every other value to `fmt_quantity`, and an export
-renders the time stamp once per run of entries at the same instant.
+The kernel also owns the append-only trace.  Each kind of line is declared
+once, next to its emitter, as `kind(action, *keys)`.  `Kernel.line` holds a
+line as one row: the instant, the actor, the shared `Kind` and the values
+in its key order, each an exact `str` or `int`; `Kernel.emit` takes any
+values by keyword and stores each through `exact`, which turns every other
+value into its `fmt_quantity` text.  Each kind renders its rows with one
+`str.format` template, built once, for both `TraceEntry.format` and
+`Kernel.export_trace`, so an export converts no value; it renders the time
+stamp once per run of entries at the same instant.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable
 
 from .units import fmt_quantity, millis_to_text, to_millis
@@ -29,22 +34,81 @@ class PastTime(Exception):
     """An event or run target lies before the current simulated time."""
 
 
-@dataclass
-class TraceEntry:
-    time_ms: int
-    actor: str
-    action: str
-    detail: dict[str, Any] = field(default_factory=dict)
+class Kind:
+    """One kind of trace line: its action, its keys in order, and `render`,
+    the bound `str.format` of its template, which takes the time stamp, the
+    actor and the values.  Build kinds with `kind`, which keeps one per
+    (action, keys)."""
+
+    __slots__ = ("action", "keys", "render")
+
+    def __init__(self, action: str, keys: tuple):
+        self.action, self.keys = action, keys
+        pairs = " ".join(f"{_escaped(key)}={{}}" for key in keys)
+        self.render = f"{{}}\t{{}}\t{_escaped(action)}\t{pairs}".format
+
+    def __repr__(self) -> str:
+        return f"kind({', '.join(map(repr, (self.action, *self.keys)))})"
+
+
+def _escaped(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+_KINDS: dict[tuple, Kind] = {}  # (action, keys) -> its one Kind; kinds are few
+
+
+def kind(action: str, *keys: str) -> Kind:
+    """The kind of line with this action and these keys, in this order.
+    A kind declared by an emitter and the one `emit` meets for the same
+    action and keys are one object."""
+    action, keys = str(action), tuple(map(str, keys))
+    found = _KINDS.get((action, keys))
+    if found is None:
+        found = _KINDS[action, keys] = Kind(action, keys)
+    return found
+
+
+def exact(value) -> "str | int":
+    """`value` as a row stores it: an exact `str` or `int` as it is, any
+    other value as its `fmt_quantity` text."""
+    return value if type(value) is str or type(value) is int else fmt_quantity(value)
+
+
+_new_row = tuple.__new__
+
+
+class TraceEntry(tuple):
+    """One trace line, held as one row: the instant, the actor, the shared
+    `Kind` and the values in its key order, each an exact `str` or `int`.
+
+    `TraceEntry(time_ms, actor, action, detail)` builds the row from a dict
+    as `Kernel.emit` does; `detail` is that dict again, built on read."""
+
+    __slots__ = ()
+
+    def __new__(cls, time_ms: int, actor: str, action: str,
+                detail: "dict[str, Any] | None" = None):
+        detail = detail or {}
+        return _new_row(cls, (time_ms, actor, kind(action, *detail),
+                              tuple(map(exact, detail.values()))))
+
+    time_ms, actor, kind, values = map(property, map(itemgetter, range(4)))
+
+    def __getnewargs__(self):
+        return self.time_ms, self.actor, self.action, self.detail
+
+    @property
+    def action(self) -> str:
+        return self.kind.action
+
+    @property
+    def detail(self) -> dict[str, Any]:
+        return dict(zip(self.kind.keys, self.values))
 
     def format(self) -> str:
-        return _render_line(millis_to_text(self.time_ms), self)
-
-
-def _render_line(stamp: str, entry: TraceEntry) -> str:
-    """One trace line, without its newline, under the rendered `stamp`."""
-    kv = " ".join([f"{k}={v if type(v) is str else fmt_quantity(v)}"
-                   for k, v in entry.detail.items()])
-    return f"{stamp}\t{entry.actor}\t{entry.action}\t{kv}"
+        """The line, without its newline."""
+        return self.kind.render(millis_to_text(self.time_ms), self.actor, *self.values)
 
 
 class Kernel:
@@ -136,7 +200,15 @@ class Kernel:
 
     # -- trace ---------------------------------------------------------
 
+    def line(self, actor: str, kind: Kind, *values: "str | int") -> None:
+        """Append a line of a declared kind at the current instant; the
+        values come in the kind's key order, each an exact `str` or `int`
+        (pass any other value through `exact`)."""
+        self.trace.append(_new_row(TraceEntry, (self._now_ms, actor, kind, values)))
+
     def emit(self, actor: str, action: str, **detail: Any) -> TraceEntry:
+        """Append a line of any action and keys; it is stored as `line`
+        stores it, each value through `exact`."""
         entry = TraceEntry(self._now_ms, actor, action, detail)
         self.trace.append(entry)
         return entry
@@ -144,10 +216,10 @@ class Kernel:
     def export_trace(self) -> str:
         lines = []
         last_ms = stamp = None
-        for entry in self.trace:
-            if entry.time_ms != last_ms:  # instants need not be monotone
-                last_ms = entry.time_ms
-                stamp = millis_to_text(last_ms)
-            lines.append(_render_line(stamp, entry))
+        for time_ms, actor, kind, values in self.trace:
+            if time_ms != last_ms:  # instants need not be monotone
+                last_ms = time_ms
+                stamp = millis_to_text(time_ms)
+            lines.append(kind.render(stamp, actor, *values))
         lines.append("")  # every line ends in a newline; no entries, no text
         return "\n".join(lines)

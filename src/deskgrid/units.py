@@ -101,8 +101,8 @@ def parse_rate(text: str, *, where: str = "rate") -> Fraction:
 def fmt_quantity(value) -> str:
     """Stable one-token rendering of numbers for trace details and tables.
 
-    The trace's line renderer (`simcore`) writes an exact `str` value itself
-    and calls this for every other value."""
+    A trace row (`simcore.exact`) keeps an exact `str` or `int` value as it
+    is and holds this text for every other value."""
     if value is None:
         return "-"
     if isinstance(value, bool):

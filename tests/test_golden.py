@@ -43,13 +43,20 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def scenario_digests(name: str) -> tuple:
-    """(trace, bossdb, rc) sha256 digests after running `name`."""
+def run_shipped(name: str) -> Grid:
+    """The shipped testbed after running the shipped scenario `name` and
+    draining the queue."""
     grid = load_topology(default_topology_path())
     path = importlib.resources.files("deskgrid").joinpath("data", "scenarios", name)
     code, text = dispatch(grid, ["exec", str(path)])
     assert code == 0, text
     grid.kernel.run_to_completion()
+    return grid
+
+
+def scenario_digests(name: str) -> tuple:
+    """(trace, bossdb, rc) sha256 digests after running `name`."""
+    grid = run_shipped(name)
     return (_sha(grid.kernel.export_trace()), _sha(grid.bossdb.dump()),
             _sha(grid.datagrid.rc.dump()))
 
@@ -57,6 +64,19 @@ def scenario_digests(name: str) -> tuple:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_digests_are_pinned(name):
     assert scenario_digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_trace_row_holds_exact_values_under_its_kinds_keys(name):
+    """An export writes each stored value through its kind's template and
+    converts none, which renders as `fmt_quantity` does only for an exact
+    `str` or `int`; and a row's values line up with its kind's keys."""
+    trace = run_shipped(name).kernel.trace
+    assert trace
+    for entry in trace:
+        assert {type(value) for value in entry.values} <= {str, int}, entry
+        assert list(entry.detail) == list(entry.kind.keys), entry
+        assert len(entry.values) == len(entry.kind.keys), entry
 
 
 def test_the_digests_do_not_depend_on_the_hash_seed():

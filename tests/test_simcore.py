@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskgrid import simcore
+from deskgrid import simcore, units
 from deskgrid.simcore import Kernel, PastTime, TraceEntry
 from deskgrid.units import fmt_quantity, millis_to_text, to_millis
 
@@ -106,6 +106,9 @@ def test_trace_entry_format():
     k.emit("rb_test", "matched", job="j1", rank=Fraction(-125, 2), flag=True)
     line = k.trace[-1].format()
     assert line == "0.150\trb_test\tmatched\tjob=j1 rank=-62.5 flag=true"
+    k.emit("rb_test", "x", none=None, f=0.1, label=Label("y"), count=Count(5), n=7)
+    assert k.trace[-1].detail == {"none": "-", "f": "0.1", "label": "<y>", "count": "#5", "n": 7}
+    assert k.export_trace().endswith("\tx\tnone=- f=0.1 label=<y> count=#5 n=7\n")
 
 
 def reference_line(entry: TraceEntry) -> str:
@@ -142,6 +145,11 @@ trace_entries = st.builds(
 @example(entries=[])
 @example(entries=[TraceEntry(5, "a", "b"), TraceEntry(5, "a", "c", {"x": Label("y")}),
                   TraceEntry(-995, "a", "b", {"z": -0.0}), TraceEntry(5, "a", "b")])
+@example(entries=[  # template marks in actions and keys; values of each type
+    TraceEntry(5, "a{", "{0}", {"{}": True, "}=": None, "=": Fraction(-125, 2)}),
+    TraceEntry(5, "{1}", "b}=", {"{{k": 0.1, "k}}": Label("{0}"), "k=v": Count(-7)}),
+    TraceEntry(6, "a", "{", {"}": False, "{0": Fraction(4), "x": 1e16, "y": "{}"}),
+    TraceEntry(6, "a", "{", {"}": Count(0), "{0": Label(""), "x": -0.0, "y": 3})])
 def test_the_trace_renders_as_the_reference_does(entries):
     k = Kernel()
     k.trace.extend(entries)
@@ -152,7 +160,9 @@ def test_the_trace_renders_as_the_reference_does(entries):
 
 def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monkeypatch):
     """A factory request on the mini grid, exported with the time stamp and
-    the value renderers counted."""
+    the value renderer counted: one stamp per run of lines at one instant,
+    and no value rendered, since each row holds exact `str` and `int`
+    values that its kind's template writes as they are."""
     request = mini.refdb.create_request("bulk", "CMKIN", 20 * 50, 50, "rb_test")
     mini.production.declare(request.assignment_id)
     mini.production.create(request.assignment_id)
@@ -161,7 +171,7 @@ def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monk
     trace = mini.kernel.trace
     runs = 1 + sum(a.time_ms != b.time_ms for a, b in zip(trace, trace[1:]))
     assert runs < len(trace)
-    assert any(type(v) is str for e in trace for v in e.detail.values())
+    assert {type(v) for e in trace for v in e.values} == {str, int}
     stamps, formatted = [], []
 
     def counted_stamp(ms):
@@ -174,9 +184,10 @@ def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monk
 
     monkeypatch.setattr(simcore, "millis_to_text", counted_stamp)
     monkeypatch.setattr(simcore, "fmt_quantity", counted_quantity)
+    monkeypatch.setattr(units, "fmt_quantity", counted_quantity)
     text = mini.kernel.export_trace()
     assert len(stamps) == runs
-    assert formatted and str not in formatted
+    assert formatted == []
     assert text == "".join(f"{reference_line(e)}\n" for e in trace)
 
 
