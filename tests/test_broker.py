@@ -611,3 +611,141 @@ def test_a_bulk_run_rescans_each_running_job_once_per_refresh(mini, alice, monke
     assert calls["events_left"] <= sum(refreshed)
     assert 10 * calls["events_left"] < sum(naive)
     assert calls["reads_attribute"] == 2
+
+
+# -- how a job ends ------------------------------------------------------
+
+ALICE = "/C=XX/CN=alice"
+
+# the mini grid with no default WAN: rb_test reaches alpha by its own link,
+# and ce_alpha is also close to se_gamma, at a site linked to nothing
+ROUTED_TOPOLOGY = MINI_TOPOLOGY.replace(
+    "default_wan_bandwidth = 10 MB/s\ndefault_wan_latency = 0.05\n", "").replace(
+    "close_ses = se_alpha\n", "close_ses = se_alpha se_gamma\n") + """
+[site gamma]
+region = EU
+accept_vos = testvo
+
+[se se_gamma]
+site = gamma
+capacity = 1 GB
+
+[link rb:rb_test site:alpha]
+bandwidth = 10 MB/s
+latency = 0.05
+"""
+
+LOGS = [("std.out", 1824), ("std.err", 512)]
+
+
+def booked(grid, text, pinned=None, proxy=None):
+    """Submit `text` to rb_test and open its bookkeeping record, as the
+    factory does for each job it submits."""
+    description = parse_jdl(text)
+    proxy = proxy or grid.proxy_init(ALICE, "testvo")
+    job_id = grid.brokers["rb_test"].submit(description, proxy, pinned_ce=pinned)
+    grid.bossdb.open_record(job_id, description.job_profile, "exits", description.events)
+    return job_id
+
+
+def no_match(grid):
+    return booked(grid, CMKIN_SMALL.replace('"CMS"', '"NOPE"'))
+
+
+def refused_at_the_queue(grid):
+    """alice leaves testvo between her match and the enqueue; beta accepts
+    no other VO of hers."""
+    def leave(_record, _old, new):
+        if new == MATCHED:
+            grid.vo.remove_member("testvo", ALICE)
+            grid.vo.sync_mapfile("beta")
+    grid.brokers["rb_test"].transition_observers.append(leave)
+    return booked(grid, CMKIN_SMALL, pinned="ce_beta")
+
+
+def refused_at_dispatch(grid):
+    booked(grid, CMKIN_SMALL.replace("Events = 50", "Events = 1000"), pinned="ce_beta")
+    short = grid.vo.create_proxy(ALICE, "testvo", grid.kernel.now_ms, lifetime_s=60)
+    return booked(grid, CMKIN_SMALL, pinned="ce_beta", proxy=short)
+
+
+def input_sandbox_unrouted(grid):
+    return booked(grid, CMKIN_SMALL, pinned="ce_beta")
+
+
+def staging_unrouted(grid):
+    grid.datagrid.store_of("se_gamma").store("d.ntpl", 1000, 31)
+    grid.datagrid.register("d.ntpl", "se_gamma", "d.ntpl")
+    return booked(grid, DATA_JDL)
+
+
+def input_lost(grid):
+    store = grid.datagrid.store_of("se_beta")
+    store.store("d.ntpl", 1000, 31)
+    grid.datagrid.register("d.ntpl", "se_beta", "d.ntpl")
+    store.used_bytes -= store.files.pop("d.ntpl").size_bytes  # the catalogue still lists it
+    return booked(grid, DATA_JDL)
+
+
+def exec_failed(grid):
+    grid.fabric.ces["ce_alpha"].fail_next_execs = 1
+    return booked(grid, CMKIN_SMALL, pinned="ce_alpha")
+
+
+def storage_full(grid):
+    grid.datagrid.store_of("se_alpha").store("filler", GB - 2_000_000, 1)
+    return booked(grid, CMKIN_SMALL, pinned="ce_alpha")
+
+
+def output_se_unknown(grid):
+    return booked(grid, CMKIN_SMALL + 'DefaultSE = "se_nowhere";\n', pinned="ce_alpha")
+
+
+def output_unrouted(grid):
+    return booked(grid, CMKIN_SMALL + 'DefaultSE = "se_gamma";\n', pinned="ce_alpha")
+
+
+EXITS = [
+    # (how, topology, state, reason, from, bookkeeping (status, exit), manifest)
+    (no_match, MINI_TOPOLOGY, ABORTED, "NoMatchingResources", WAITING, None, None),
+    (refused_at_the_queue, MINI_TOPOLOGY, ABORTED, "AuthorizationDenied(NotInMapfile)",
+     SCHEDULED, None, None),
+    (refused_at_dispatch, MINI_TOPOLOGY, ABORTED, "AuthorizationDenied(ProxyExpired)",
+     SCHEDULED, None, None),
+    (input_sandbox_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, []),
+    (staging_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, []),
+    (input_lost, MINI_TOPOLOGY, DONE_FAILED, "NoSuchPhysicalFile", RUNNING, 1, []),
+    (exec_failed, MINI_TOPOLOGY, DONE_FAILED, "ExecFailed", RUNNING, 1, LOGS),
+    (storage_full, MINI_TOPOLOGY, DONE_FAILED, "SeFull", RUNNING, 1, LOGS),
+    (output_se_unknown, MINI_TOPOLOGY, DONE_FAILED, "UnknownSe", RUNNING, 1, LOGS),
+    (output_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, LOGS),
+]
+
+
+@pytest.mark.parametrize("how, topology, state, reason, frm, exit_status, manifest", EXITS,
+                         ids=[case[0].__name__ for case in EXITS])
+def test_every_exit_leaves_the_books_consistent(how, topology, state, reason, frm,
+                                                exit_status, manifest):
+    """Each way a job can end: its state and reason, the trace's last word
+    on it, its bookkeeping record, its output, and no node still held."""
+    grid = Grid(parse_topology(topology, "<exits>"))
+    job_id = how(grid)
+    grid.kernel.run_to_completion()
+    record = grid.brokers["rb_test"].jobs[job_id]
+    assert (record.state, record.reason) == (state, reason)
+    last = [e for e in grid.kernel.trace
+            if e.action == "job-state" and e.detail["job"] == job_id][-1]
+    assert (last.actor, last.detail) == (
+        "rb_test", {"job": job_id, "frm": frm, "to": state, "reason": reason})
+    boss = grid.bossdb.for_scheduler_job(job_id)
+    assert (boss.status, boss.exit_status) == ("failed", exit_status)
+    for ce in grid.fabric.ces.values():
+        assert not ce.running and not ce.queue
+        assert sorted(ce.free_wns) == list(range(ce.record.wn_count))
+    assert grid.validate() == []
+    if manifest is None:
+        with pytest.raises(NotDone):
+            grid.brokers["rb_test"].get_output(job_id)
+    else:
+        got = grid.brokers["rb_test"].get_output(job_id)
+        assert [(name, size) for name, size, _mark in got] == manifest
