@@ -7,17 +7,19 @@ Job lifecycle:
                        \\---------+----------+--> ABORTED
     DONE_OK / DONE_FAILED -> CLEARED
 
-Aborts happen only before RUNNING (no match, refused at the queue or at
-dispatch); failures after dispatch end in DONE_FAILED with the reason
-recorded.  Match-making happens in the same simulated instant as the
-submission event: candidates of the broker's own schema flavor are
-filtered by VO authorization, the job's requirement expression and -- for
-data-driven jobs -- the presence of every input file on a storage element
-close to the element; the survivor with the highest rank wins (default
-rank is minus the estimated traversal time, compared exactly as integer
-pairs), ties on rank go to the smallest element id, and replica ties to
-the smallest (se, path).  A requirement that does not read the ETT is
-evaluated once per element's advertised attributes and then reused.
+A job ends only through `_finalize`, which writes its reason and frees its
+node.  Aborts happen only before RUNNING (no match, or refused through
+`on_auth_denied` at the queue or at dispatch); failures after dispatch end
+in DONE_FAILED, with no output sandbox if before execution.  Match-making
+happens in the same simulated instant as the submission event: candidates
+of the broker's own schema flavor are filtered by VO authorization, the
+job's requirement expression and -- for data-driven jobs -- the presence
+of every input file on a storage element close to the element; the
+survivor with the highest rank wins (default rank is minus the estimated
+traversal time, compared exactly as integer pairs), ties on rank go to the
+smallest element id, and replica ties to the smallest (se, path).  A
+requirement that does not read the ETT is evaluated once per element's
+advertised attributes and then reused.
 
 What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
@@ -40,7 +42,7 @@ from . import fabric as fabric_mod
 from . import jdl
 from .simcore import kind
 from .units import fmt_quantity, fmt_ratio
-from .vomgmt import Denial, Proxy
+from .vomgmt import Proxy
 
 SUBMITTED = "SUBMITTED"
 WAITING = "WAITING"
@@ -184,10 +186,6 @@ class ResourceBroker:
         for observer in self.transition_observers:
             observer(record, old, new_state)
 
-    def _abort(self, record: JobRecord, reason: str) -> None:
-        record.reason = reason
-        self._move(record, ABORTED)
-
     # -- submission ----------------------------------------------------
 
     def submit(self, description: jdl.JobDescription, proxy: Proxy,
@@ -294,17 +292,14 @@ class ResourceBroker:
 
         if result.chosen is None:
             self.kernel.line(self.rb_id, MATCH_FAILED_LINE, job_id, "NoMatchingResources")
-            self._abort(record, "NoMatchingResources")
-            for observer in self.match_observers:
-                observer(record, result)
-            return result
-
-        record.matched_ce = result.chosen
-        close_ses = self.info.ces[result.chosen].close_ses
-        for lfn, reps in replicas.items():
-            record.chosen_replicas[lfn] = next(rep for rep in reps if rep[0] in close_ses)
-        self.kernel.line(self.rb_id, MATCHED_LINE, job_id, result.chosen, rank_shown, table)
-        self._move(record, MATCHED)
+            self._finalize(record, ABORTED, "NoMatchingResources")
+        else:
+            record.matched_ce = result.chosen
+            close_ses = self.info.ces[result.chosen].close_ses
+            for lfn, reps in replicas.items():
+                record.chosen_replicas[lfn] = next(rep for rep in reps if rep[0] in close_ses)
+            self.kernel.line(self.rb_id, MATCHED_LINE, job_id, result.chosen, rank_shown, table)
+            self._move(record, MATCHED)
         for observer in self.match_observers:
             observer(record, result)
         return result
@@ -327,7 +322,6 @@ class ResourceBroker:
         record = self._record(job_id)
         if record.state != MATCHED:
             raise BrokerError(f"{job_id}: run_job requires MATCHED, not {record.state}")
-        ce = self.fabric.ces[record.matched_ce]
         profile = self.fabric.profile_for(record.description)
         fabric_job = fabric_mod.FabricJob(
             job_id=job_id,
@@ -335,20 +329,15 @@ class ResourceBroker:
             description=record.description,
             profile=profile,
             on_dispatched=lambda: self._on_dispatched(record),
-            on_auth_denied=lambda denial: self._on_auth_denied(record, denial),
+            on_auth_denied=lambda denial: self._finalize(
+                record, ABORTED, f"AuthorizationDenied({denial})"),
             on_exec_complete=lambda outputs, code: self._on_exec_complete(record, outputs, code),
         )
         self._move(record, SCHEDULED)
-        try:
-            ce.enqueue(fabric_job)
-        except fabric_mod.AuthorizationDenied as denied:
-            self._abort(record, str(denied))
+        self._ce_of(record).enqueue(fabric_job)
 
     def _ce_of(self, record: JobRecord):
         return self.fabric.ces[record.matched_ce]
-
-    def _on_auth_denied(self, record: JobRecord, denial: Denial) -> None:
-        self._abort(record, f"AuthorizationDenied({denial})")
 
     def _on_dispatched(self, record: JobRecord) -> None:
         self._move(record, RUNNING)
@@ -360,11 +349,9 @@ class ResourceBroker:
                 what=f"input-sandbox:{record.job_id}",
                 on_done=lambda: self._stage_next(record, 0))
         except fabric_mod.NoRoute:
-            self._fail(record, "NoRoute")
+            self._finalize(record, DONE_FAILED, "NoRoute")
 
     def _stage_next(self, record: JobRecord, index: int) -> None:
-        if record.state != RUNNING:
-            return
         lfns = sorted(record.chosen_replicas)
         if index >= len(lfns):
             ce = self._ce_of(record)
@@ -375,7 +362,7 @@ class ResourceBroker:
         store = self.datagrid.store_of(se_id)
         physical = store.get(path)
         if physical is None:
-            self._fail(record, "NoSuchPhysicalFile")
+            self._finalize(record, DONE_FAILED, "NoSuchPhysicalFile")
             return
         record.staged_checksums[lfn] = physical.checksum
         ce = self._ce_of(record)
@@ -385,7 +372,7 @@ class ResourceBroker:
                 what=f"stage:{lfn}",
                 on_done=lambda: self._stage_next(record, index + 1))
         except fabric_mod.NoRoute:
-            self._fail(record, "NoRoute")
+            self._finalize(record, DONE_FAILED, "NoRoute")
 
     def _on_exec_complete(self, record: JobRecord, outputs: list, exit_code: int) -> None:
         profile = self.fabric.profile_for(record.description)
@@ -425,10 +412,10 @@ class ResourceBroker:
                 store.store(produced.name, produced.size_bytes, produced.checksum)
                 self.datagrid.rc.register(produced.name, store, produced.name)
             except dg_mod.DataGridError as exc:
-                record.reason = type(exc).__name__
+                reason = type(exc).__name__
                 self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name,
-                                 record.reason)
-                self._return_sandbox(record, sandbox, DONE_FAILED, record.reason)
+                                 reason)
+                self._return_sandbox(record, sandbox, DONE_FAILED, reason)
                 return
             record.registered_lfns.append(produced.name)
             self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
@@ -456,21 +443,17 @@ class ResourceBroker:
             self._finalize(record, DONE_FAILED, "NoRoute")
 
     def _finalize(self, record: JobRecord, final_state: str, reason: "str | None") -> None:
+        """The only way into DONE_OK, DONE_FAILED or ABORTED."""
         record.reason = reason
         self._move(record, final_state)
         self._release(record)
 
-    def _fail(self, record: JobRecord, reason: str) -> None:
-        record.sandbox_out = []
-        record.reason = reason
-        self._move(record, DONE_FAILED)
-        self._release(record)
-
     def _release(self, record: JobRecord) -> None:
+        if record.matched_ce is None:
+            return  # unmatched: it never reached an element
         ce = self._ce_of(record)
-        fabric_job = ce.running.get(record.job_id)
-        if fabric_job is not None:
-            ce.finish(fabric_job)
+        if record.job_id in ce.running:  # not when refused before it took a node
+            ce.finish(ce.running[record.job_id])
 
     # -- user-facing reads and retrieval -------------------------------
 

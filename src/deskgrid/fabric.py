@@ -17,9 +17,11 @@ produced.
 
 A computing element is the only record of its load: its FIFO queue, its
 running jobs, each holding the index of its worker node, and a heap of
-free node indices, so the lowest free node takes the next job.  It owns
-its estimated traversal time, `ett()`, which the broker reads directly;
-nothing copies the load.
+free node indices, so the lowest free node takes the next job.  It refuses
+a job whose owner it does not authorize, when queued or when dispatched,
+through the job's `on_auth_denied` callback.  It owns its estimated
+traversal time, `ett()`, which the broker reads directly; nothing copies
+the load.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
@@ -65,12 +67,6 @@ class FabricError(Exception):
 
 class NoRoute(FabricError):
     pass
-
-
-class AuthorizationDenied(FabricError):
-    def __init__(self, denial: vomgmt.Denial):
-        self.denial = denial
-        super().__init__(f"AuthorizationDenied({denial})")
 
 
 # --------------------------------------------------------------------------
@@ -269,9 +265,9 @@ class FabricJob:
     proxy: vomgmt.Proxy
     description: JobDescription
     profile: WorkloadProfile
-    on_dispatched: Callable[[], None]
-    on_auth_denied: Callable[[vomgmt.Denial], None]
-    on_exec_complete: Callable[[list, int], None]
+    on_dispatched: Callable[[], None]                # it took a worker node
+    on_auth_denied: Callable[[vomgmt.Denial], None]  # refused at the queue or at dispatch
+    on_exec_complete: Callable[[list, int], None]    # (outputs, exit code)
     cpu_units: int = 0                 # its CPU in its element's units and
     cpu_per_s: int = 1                 # ... units per second, set at enqueue
     events_done: int = 0               # every event, once execution has ended
@@ -366,7 +362,8 @@ class ComputingElement:
         denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
         if denial is not None:
             self.kernel.line(self.ce_id, ENQUEUE_DENIED_LINE, job.job_id, str(denial))
-            raise AuthorizationDenied(denial)
+            job.on_auth_denied(denial)
+            return
         den = job.profile.cpu_pair[1]
         if self.cpu_den % den:
             grown = math.lcm(self.cpu_den, den)
@@ -414,8 +411,6 @@ class ComputingElement:
             self.monitor_hook(job.job_id, events_done, self.site.outbound)
 
     def _exec_done(self, job: FabricJob) -> None:
-        if job.job_id not in self.running:
-            return
         last = job.monitor_count()
         if last:  # the journal's last monitor point, sent once
             self._tick(job, last)

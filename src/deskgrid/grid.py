@@ -201,9 +201,10 @@ class Grid:
             if published is None:
                 problems.append(f"{ce_id}: not published")
                 continue
-            # the ETT divides by the element's own nodes and speed
-            if (published.wn_count != ce.record.wn_count
-                    or published.cpu_mhz != ce.record.cpu_mhz):
+            # the ETT divides by the element's nodes and speed; the broker picks
+            # replicas by the published site and SEs, outputs go by the element's
+            fields = ("wn_count", "cpu_mhz", "site_id", "close_ses")
+            if any(getattr(published, f) != getattr(ce.record, f) for f in fields):
                 problems.append(f"{ce_id}: published record disagrees with the element")
             # from the profiles, not the jobs' own CPU pairs, in seconds
             rescanned = sum(job.profile.runtime_s(job.description.events, ce.record.cpu_mhz)

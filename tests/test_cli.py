@@ -27,7 +27,7 @@ REQUEST = ["refdb", "request", "--dataset", "d", "--step", "CMKIN", "--events", 
 
 def test_usage_errors_exit_two(mini):
     # options are spelled out in full and take the next word as their value
-    for argv in ([], ["bogus"], ["submit"], ["rc"], ["proxy", "init"],
+    for argv in ([], ["bogus"], ["submit"], ["rc"], ["proxy", "init"], ["vo", "sync", "--site"],
                  REQUEST + ["--per", "5"], REQUEST + ["--per-job=5"]):
         code, _text = dispatch(mini, argv)
         assert code == 2, argv
@@ -43,6 +43,11 @@ def test_domain_errors_exit_one(mini):
     code, text = dispatch(mini, ["proxy", "init", "--user", "/C=XX/CN=nobody",
                                  "--vo", "testvo"])
     assert code == 1 and "not a member" in text
+    ok(mini, REQUEST + ["--per-job", "5"])
+    assert dispatch(mini, ["impala", "submit", "1"]) == (
+        1, "error: no proxy; run proxy init first")
+    assert dispatch(mini, ["assert", "refdb-status", "1", "COMPLETE"]) == (
+        1, "assert failed: assignment 1 is NEW, wanted COMPLETE")
 
 
 def test_a_zero_denominator_is_a_domain_error(mini):

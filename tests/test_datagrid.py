@@ -158,16 +158,21 @@ def test_replicate_is_idempotent_and_checks_room_up_front():
 
 
 def test_replicate_failure_at_completion_is_traced_not_raised():
-    grid = make_mini()
-    dg = grid.datagrid
-    dg.store_of("se_alpha").store("a", 10, 1)
-    dg.register("a", "se_alpha", "a")
-    dg.replicate("a", "se_beta")
-    # the path gets taken while the copy is in flight
-    dg.store_of("se_beta").store("a", 10, 99)
-    grid.kernel.run_to_completion()
-    assert any(e.action == "replica-failed" for e in grid.kernel.trace)
-    assert dg.lookup("a") == [("se_alpha", "a")]
+    for spoil, reason in (
+            # the path gets taken while the copy is in flight
+            (lambda dg: dg.store_of("se_beta").store("a", 10, 99), "DuplicatePath"),
+            # the source copy is lost while it is in flight
+            (lambda dg: dg.store_of("se_alpha").files.pop("a"), "NoSuchPhysicalFile")):
+        grid = make_mini()
+        dg = grid.datagrid
+        dg.store_of("se_alpha").store("a", 10, 1)
+        dg.register("a", "se_alpha", "a")
+        dg.replicate("a", "se_beta")
+        spoil(dg)
+        grid.kernel.run_to_completion()
+        assert [e.detail for e in grid.kernel.trace if e.action == "replica-failed"] == [
+            {"lfn": "a", "to": "se_beta", "reason": reason}]
+        assert dg.lookup("a") == [("se_alpha", "a")]
 
 
 def test_dump_format():

@@ -13,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskgrid.broker import DONE_FAILED, DONE_OK, RUNNING
-from deskgrid.fabric import (AuthorizationDenied, ComputingElement, FabricJob,
-                             Network, NoRoute, Site, WorkloadProfile,
-                             build_outputs, builtin_profiles, content_checksum,
-                             data_file_name)
+from deskgrid.fabric import (ComputingElement, FabricJob, Network, NoRoute, Site,
+                             WorkloadProfile, build_outputs, builtin_profiles,
+                             content_checksum, data_file_name)
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
@@ -248,10 +247,10 @@ def test_fifo_dispatch_and_work_conservation():
 def test_enqueue_rejects_invalid_proxy():
     kernel, ce, proxy = harness()
     kernel.run_until(43200)
-    job, _ = make_job("j1", proxy)
-    with pytest.raises(AuthorizationDenied) as err:
-        ce.enqueue(job)
-    assert "ProxyExpired" in str(err.value)
+    job, log = make_job("j1", proxy)
+    ce.enqueue(job)
+    assert log == [("denied", "j1", "ProxyExpired")]
+    assert not ce.queue
 
 
 def test_dispatch_recheck_denies_job_that_waited_too_long():
@@ -521,7 +520,8 @@ def test_validate_reports_a_published_record_that_disagrees_with_the_element(min
     beta = mini.info.ces["ce_beta"]
     mini.info.publish_ce(dataclasses.replace(beta, run_time_environment=("CMS", "ATLAS-3.2.1")))
     assert mini.validate() == []  # other tags only
-    for changed in ({"wn_count": 3, "cpu_mhz": 500}, {"wn_count": 3}, {"cpu_mhz": 500}):
+    for changed in ({"wn_count": 3, "cpu_mhz": 500}, {"wn_count": 3}, {"cpu_mhz": 500},
+                    {"site_id": "alpha"}, {"close_ses": ("se_alpha",)}):
         mini.info.publish_ce(dataclasses.replace(beta, **changed))
         assert mini.validate() == ["ce_beta: published record disagrees with the element"]
     mini.info.publish_ce(beta)

@@ -77,6 +77,8 @@ def test_assignment_state_machine_is_strict():
     grid, proxy = grid_with_factory()
     aid = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test").assignment_id
     with pytest.raises(WrongState):
+        grid.production.post_summary(aid)
+    with pytest.raises(WrongState):
         grid.production.create(aid)
     with pytest.raises(WrongState):
         grid.production.submit(aid, proxy)
@@ -189,6 +191,15 @@ def test_submit_is_all_or_nothing_on_proxy_validity():
         grid.production.submit(request.assignment_id, proxy)
     assert request.status == "CREATED"
     assert not request.scheduler_jobs and not grid.bossdb.records
+    # so is a request to a broker the grid does not have
+    proxy = grid.vo.create_proxy(proxy.user_dn, proxy.vo_name, grid.kernel.now_ms)
+    stray = grid.refdb.create_request("psi", "CMKIN", 500, 250, "rb_nowhere")
+    grid.production.declare(stray.assignment_id)
+    grid.production.create(stray.assignment_id)
+    with pytest.raises(ProductionError, match="unknown resource broker 'rb_nowhere'"):
+        grid.production.submit(stray.assignment_id, proxy)
+    assert stray.status == "CREATED"
+    assert not stray.scheduler_jobs and not grid.bossdb.records
 
 
 # -- bookkeeping database ----------------------------------------------

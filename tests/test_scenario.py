@@ -84,6 +84,17 @@ def test_split_words_refuses_an_open_quote_or_escape(line, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("bad, message", [
+    ('at 1 report "open', "No closing quotation"),
+    ("report", "expected: at <seconds> <command...>"),
+    ("at 1", "expected: at <seconds> <command...>"),
+])
+def test_parse_scenario_refuses_a_line_at_its_number(bad, message):
+    with pytest.raises(scenario.ScenarioError) as excinfo:
+        parse_scenario(f"at 0 report\n\n{bad}\nat 2 report\n", "x.scn")
+    assert str(excinfo.value) == f"x.scn:3: {message}"
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet=ALPHABET + "/=-@%.", max_size=12))
 def test_quote_writes_a_word_as_shlex_does_and_reads_back(word):

@@ -1,9 +1,12 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deskgrid
 from deskgrid import simcore, units
 from deskgrid.simcore import Kernel, PastTime, TraceEntry
 from deskgrid.units import fmt_quantity, millis_to_text, to_millis
@@ -156,6 +159,31 @@ def test_the_trace_renders_as_the_reference_does(entries):
     text = k.export_trace()
     assert text == "".join(f"{reference_line(e)}\n" for e in entries)
     assert text == "".join(e.format() + "\n" for e in entries)
+
+
+def test_every_line_call_passes_one_value_per_key_of_its_kind():
+    """Read from the source, so call sites no test runs are checked too:
+    each module-level `NAME = kind(action, *keys)` in `src/` is written
+    somewhere, and each `<x>.line(actor, NAME, *values)` names a kind
+    declared in its own module and passes one value per key."""
+    declared, calls = {}, []
+    for path in sorted(pathlib.Path(deskgrid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "kind":
+                (target,) = node.targets
+                assert all(isinstance(arg, ast.Constant) for arg in value.args)
+                declared[path.name, target.id] = len(value.args) - 1
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "line":
+                assert not node.keywords and not any(
+                    isinstance(arg, ast.Starred) for arg in node.args), node.lineno
+                _actor, name, *values = node.args
+                calls.append(((path.name, name.id), len(values), node.lineno))
+    assert len(declared) >= 20 and len(calls) >= len(declared)
+    assert [(kind, line) for kind, count, line in calls if declared.get(kind) != count] == []
+    assert {kind for kind, _count, _line in calls} == set(declared)
 
 
 def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monkeypatch):
