@@ -9,8 +9,11 @@ Job lifecycle:
 
 A job ends only through `_finalize`, which writes its reason and frees its
 node.  Aborts happen only before RUNNING (no match, or refused through
-`on_auth_denied` at the queue or at dispatch); failures after dispatch end
-in DONE_FAILED, with no output sandbox if before execution.  Match-making
+`on_auth_denied` at the queue or at dispatch).  A dispatched job's data
+moves one transfer per leg: the input sandbox, each input, its one data
+product to a storage element, and the output sandbox, held once it lands.
+No route fails the job, except on the output leg, which still returns the
+logs.  Match-making
 happens in the same simulated instant as the submission event: candidates
 of the broker's own schema flavor are filtered by VO authorization, the
 job's requirement expression and -- for data-driven jobs -- the presence
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import datagrid as dg_mod
@@ -202,7 +206,7 @@ class ResourceBroker:
         self.kernel.line(self.rb_id, SUBMITTED_LINE, job_id, proxy.user_dn,
                          description.job_profile)
         self._move(record, WAITING)
-        self.kernel.schedule("user-command", lambda: self._process(record),
+        self.kernel.schedule("user-command", partial(self._process, record),
                              self.kernel.now_ms + self.brokering_delay_ms)
         return job_id
 
@@ -322,16 +326,14 @@ class ResourceBroker:
         record = self._record(job_id)
         if record.state != MATCHED:
             raise BrokerError(f"{job_id}: run_job requires MATCHED, not {record.state}")
-        profile = self.fabric.profile_for(record.description)
         fabric_job = fabric_mod.FabricJob(
             job_id=job_id,
             proxy=record.owner,
             description=record.description,
-            profile=profile,
-            on_dispatched=lambda: self._on_dispatched(record),
-            on_auth_denied=lambda denial: self._finalize(
-                record, ABORTED, f"AuthorizationDenied({denial})"),
-            on_exec_complete=lambda outputs, code: self._on_exec_complete(record, outputs, code),
+            profile=self.fabric.profile_for(record.description),
+            on_dispatched=partial(self._on_dispatched, record),
+            on_auth_denied=partial(self._refused, record),
+            on_exec_complete=partial(self._on_exec_complete, record),
         )
         self._move(record, SCHEDULED)
         self._ce_of(record).enqueue(fabric_job)
@@ -339,120 +341,96 @@ class ResourceBroker:
     def _ce_of(self, record: JobRecord):
         return self.fabric.ces[record.matched_ce]
 
-    def _on_dispatched(self, record: JobRecord) -> None:
-        self._move(record, RUNNING)
-        ce = self._ce_of(record)
-        size = fabric_mod.SANDBOX_INPUT_FILE_BYTES * len(record.description.input_sandbox)
+    def _refused(self, record: JobRecord, denial) -> None:
+        self._finalize(record, ABORTED, f"AuthorizationDenied({denial})")
+
+    def _send(self, record: JobRecord, size: int, frm: str, to: str, what: str,
+              then, *args) -> None:
+        """Move one leg; `then(*args)` runs when it lands, and no route fails the job."""
         try:
-            self.fabric.network.transfer(
-                size, self.endpoint, ce.site.endpoint,
-                what=f"input-sandbox:{record.job_id}",
-                on_done=lambda: self._stage_next(record, 0))
+            self.fabric.network.transfer(size, frm, to, what=what,
+                                         on_done=partial(then, *args))
         except fabric_mod.NoRoute:
             self._finalize(record, DONE_FAILED, "NoRoute")
 
+    def _on_dispatched(self, record: JobRecord) -> None:
+        self._move(record, RUNNING)
+        size = fabric_mod.SANDBOX_INPUT_FILE_BYTES * len(record.description.input_sandbox)
+        self._send(record, size, self.endpoint, self._ce_of(record).site.endpoint,
+                   f"input-sandbox:{record.job_id}", self._stage_next, record, 0)
+
     def _stage_next(self, record: JobRecord, index: int) -> None:
-        lfns = sorted(record.chosen_replicas)
-        if index >= len(lfns):
-            ce = self._ce_of(record)
+        inputs = sorted(record.chosen_replicas.items())
+        ce = self._ce_of(record)
+        if index >= len(inputs):
             ce.execute(ce.running[record.job_id])
             return
-        lfn = lfns[index]
-        se_id, path = record.chosen_replicas[lfn]
+        lfn, (se_id, path) = inputs[index]
         store = self.datagrid.store_of(se_id)
         physical = store.get(path)
         if physical is None:
             self._finalize(record, DONE_FAILED, "NoSuchPhysicalFile")
             return
         record.staged_checksums[lfn] = physical.checksum
-        ce = self._ce_of(record)
-        try:
-            self.fabric.network.transfer(
-                physical.size_bytes, store.site.endpoint, ce.site.endpoint,
-                what=f"stage:{lfn}",
-                on_done=lambda: self._stage_next(record, index + 1))
-        except fabric_mod.NoRoute:
-            self._finalize(record, DONE_FAILED, "NoRoute")
+        self._send(record, physical.size_bytes, store.site.endpoint, ce.site.endpoint,
+                   f"stage:{lfn}", self._stage_next, record, index + 1)
 
     def _on_exec_complete(self, record: JobRecord, outputs: list, exit_code: int) -> None:
-        profile = self.fabric.profile_for(record.description)
+        logs = [f for f in outputs if not f.is_data]
         if exit_code != 0:
-            logs = [f for f in outputs if not f.is_data]
             self._return_sandbox(record, logs, DONE_FAILED, "ExecFailed")
-            return
-        if profile.registers_output:
-            to_register = [f for f in outputs if f.is_data]
-            sandbox = [f for f in outputs if not f.is_data]
-            self._store_next(record, to_register, 0, sandbox)
+        elif self.fabric.profile_for(record.description).registers_output:
+            self._store_next(record, next(f for f in outputs if f.is_data), logs)
         else:
             self._return_sandbox(record, outputs, DONE_OK, None)
 
-    def _output_se(self, record: JobRecord) -> str:
-        forced = record.description.extra_string("DefaultSE")
-        if forced is not None:
-            return forced
+    def _store_next(self, record: JobRecord, produced, sandbox: list) -> None:
+        """Move the data product to the job's DefaultSE, else to its element's
+        first close SE; an unknown SE or no route still returns the logs."""
+        se_id = record.description.extra_string("DefaultSE")
         ce = self._ce_of(record)
-        return min(ce.record.close_ses)
-
-    def _store_next(self, record: JobRecord, files: list, index: int, sandbox: list) -> None:
-        if index >= len(files):
-            self._return_sandbox(record, sandbox, DONE_OK, None)
-            return
-        produced = files[index]
         try:
-            se_id = self._output_se(record)
-            store = self.datagrid.store_of(se_id)
-        except dg_mod.UnknownSe:
-            self._return_sandbox(record, sandbox, DONE_FAILED, "UnknownSe")
-            return
-        ce = self._ce_of(record)
-
-        def landed():
-            try:
-                store.store(produced.name, produced.size_bytes, produced.checksum)
-                self.datagrid.rc.register(produced.name, store, produced.name)
-            except dg_mod.DataGridError as exc:
-                reason = type(exc).__name__
-                self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name,
-                                 reason)
-                self._return_sandbox(record, sandbox, DONE_FAILED, reason)
-                return
-            record.registered_lfns.append(produced.name)
-            self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
-                             se_id)
-            self._store_next(record, files, index + 1, sandbox)
-
-        try:
+            store = self.datagrid.store_of(min(ce.record.close_ses) if se_id is None else se_id)
             self.fabric.network.transfer(
                 produced.size_bytes, ce.site.endpoint, store.site.endpoint,
-                what=f"output-data:{produced.name}", on_done=landed)
-        except fabric_mod.NoRoute:
-            self._return_sandbox(record, sandbox, DONE_FAILED, "NoRoute")
+                what=f"output-data:{produced.name}",
+                on_done=partial(self._landed, record, produced, store, sandbox))
+        except (dg_mod.UnknownSe, fabric_mod.NoRoute) as exc:
+            self._return_sandbox(record, sandbox, DONE_FAILED, type(exc).__name__)
+
+    def _landed(self, record: JobRecord, produced, store, sandbox: list) -> None:
+        """Store and register the landed data product, then return the sandbox."""
+        try:
+            store.store(produced.name, produced.size_bytes, produced.checksum)
+            self.datagrid.rc.register(produced.name, store, produced.name)
+        except dg_mod.DataGridError as exc:
+            reason = type(exc).__name__
+            self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name,
+                             reason)
+            self._return_sandbox(record, sandbox, DONE_FAILED, reason)
+            return
+        record.registered_lfns.append(produced.name)
+        self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
+                         store.se_id)
+        self._return_sandbox(record, sandbox, DONE_OK, None)
 
     def _return_sandbox(self, record: JobRecord, files: list, final_state: str,
                         reason: "str | None") -> None:
-        record.sandbox_out = list(files)
-        ce = self._ce_of(record)
-        size = sum(f.size_bytes for f in files)
-        try:
-            self.fabric.network.transfer(
-                size, ce.site.endpoint, self.endpoint,
-                what=f"output-sandbox:{record.job_id}",
-                on_done=lambda: self._finalize(record, final_state, reason))
-        except fabric_mod.NoRoute:
-            self._finalize(record, DONE_FAILED, "NoRoute")
+        self._send(record, sum(f.size_bytes for f in files), self._ce_of(record).site.endpoint,
+                   self.endpoint, f"output-sandbox:{record.job_id}",
+                   self._sandbox_landed, record, files, final_state, reason)
+
+    def _sandbox_landed(self, record: JobRecord, files: list, final_state: str,
+                        reason: "str | None") -> None:
+        record.sandbox_out = files
+        self._finalize(record, final_state, reason)
 
     def _finalize(self, record: JobRecord, final_state: str, reason: "str | None") -> None:
-        """The only way into DONE_OK, DONE_FAILED or ABORTED."""
+        """The only way into DONE_OK, DONE_FAILED or ABORTED; frees the job's node."""
         record.reason = reason
         self._move(record, final_state)
-        self._release(record)
-
-    def _release(self, record: JobRecord) -> None:
-        if record.matched_ce is None:
-            return  # unmatched: it never reached an element
-        ce = self._ce_of(record)
-        if record.job_id in ce.running:  # not when refused before it took a node
+        ce = self.fabric.ces.get(record.matched_ce)  # None: it never reached an element
+        if ce is not None and record.job_id in ce.running:  # a refused job took no node
             ce.finish(ce.running[record.job_id])
 
     # -- user-facing reads and retrieval -------------------------------

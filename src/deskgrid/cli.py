@@ -9,7 +9,7 @@ Each command is declared once, by its usage line, and argv is read by
 that same line.  Lowercase words name the command (`a|b` gives
 aliases); UPPER words are positionals, and `[X...]` takes any number;
 `--opt V` is a required option and `[--opt V]` an optional one.  N, M,
-AID and SIZE are read as ints, and `A|B` is a choice.  A word that
+AID and SIZE are read as ASCII ints, and `A|B` is a choice.  A word that
 starts with `--` names an option, spelled out in full, and the next
 word is its value: `--per` for `--per-job` and `--opt=value` are bad
 usage.
@@ -39,7 +39,7 @@ from . import vomgmt
 from .grid import Grid, default_topology_path, load_topology
 from .simcore import PastTime
 from .topology import ConfigError
-from .units import as_fraction, millis_to_text
+from .units import as_fraction, as_int, millis_to_text
 
 
 class UsageError(Exception):
@@ -60,7 +60,7 @@ def _value(holder: str, word, slot: str):
     if holder not in _INTS:
         return word
     try:
-        return int(word)
+        return as_int(word)
     except ValueError:
         raise UsageError(f"{slot} is an integer, not {word!r}") from None
 
@@ -140,10 +140,12 @@ def _flush(grid: Grid) -> None:
 
 
 def _resolve_input(name: str, base_dir) -> pathlib.Path:
-    for path in (pathlib.Path(name), pathlib.Path(base_dir or "") / name):
-        if path.exists():
-            return path
-    raise FileNotFoundError(f"no such file: {name}")
+    """`name` in the scenario's directory, or in the working directory
+    outside a scenario."""
+    path = pathlib.Path(base_dir or "") / name
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {name}")
+    return path
 
 
 def dispatch(grid: Grid, argv, base_dir=None):

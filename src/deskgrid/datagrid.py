@@ -11,6 +11,7 @@ accepted everywhere and stripped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fabric import Network, Site
 from .jdl import strip_lfn_prefix
@@ -173,24 +174,25 @@ class DataGrid:
             raise SeFull(f"{to_se} cannot take {lfn} ({size} bytes)")
         src_se, src_path = replicas[0]
         source = self.store_of(src_se)
+        return self.network.transfer(
+            size, source.site.endpoint, target.site.endpoint, what=f"replica:{lfn}",
+            on_done=partial(self._replicated, lfn, source, src_path, target))
 
-        def complete():
-            pf = source.get(src_path)
-            if pf is None:
-                self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, to_se,
-                                 "NoSuchPhysicalFile")
-                return
-            try:
-                target.store(src_path, pf.size_bytes, pf.checksum)
-            except (SeFull, DuplicatePath) as exc:
-                self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, to_se,
-                                 type(exc).__name__)
-                return
-            self.rc.register(lfn, target, src_path)
-            self.kernel.line(self.rc.catalog_id, REPLICA_ADDED_LINE, lfn, to_se, src_path)
-
-        return self.network.transfer(size, source.site.endpoint, target.site.endpoint,
-                                     what=f"replica:{lfn}", on_done=complete)
+    def _replicated(self, lfn: str, source: StorageElement, src_path: str,
+                    target: StorageElement) -> None:
+        pf = source.get(src_path)
+        if pf is None:
+            self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, target.se_id,
+                             "NoSuchPhysicalFile")
+            return
+        try:
+            target.store(src_path, pf.size_bytes, pf.checksum)
+        except (SeFull, DuplicatePath) as exc:
+            self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, target.se_id,
+                             type(exc).__name__)
+            return
+        self.rc.register(lfn, target, src_path)
+        self.kernel.line(self.rc.catalog_id, REPLICA_ADDED_LINE, lfn, target.se_id, src_path)
 
     def lookup(self, lfn: str) -> list:
         return self.rc.lookup(lfn)

@@ -233,14 +233,15 @@ class Network:
         """Schedule a transfer and return its completion event's seq;
         `on_done` runs at completion, after the trace entry is emitted."""
         num, den = self.duration(size_bytes, self.hops(frm, to))
-
-        def complete():
-            self.kernel.line("net", TRANSFER_COMPLETE_LINE, what, frm, to, size_bytes,
-                             fmt_ratio(num, den))
-            on_done()
-
+        complete = partial(self._complete, what, frm, to, size_bytes, num, den, on_done)
         return self.kernel.schedule("transfer-complete", complete,
                                     self.kernel.now_ms + to_millis(num, den))
+
+    def _complete(self, what: str, frm: str, to: str, size_bytes: int, num: int, den: int,
+                  on_done: Callable[[], None]) -> None:
+        self.kernel.line("net", TRANSFER_COMPLETE_LINE, what, frm, to, size_bytes,
+                         fmt_ratio(num, den))
+        on_done()
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +424,10 @@ class ComputingElement:
         outputs = build_outputs(job.description, job.profile)
         self.kernel.line(self.ce_id, EXEC_COMPLETE_LINE, job.job_id, exit_code)
         job.on_exec_complete(outputs, exit_code)
+
+    def monitor_count(self, job_id: str) -> int:
+        """The running job's events done at its last monitor point."""
+        return self.running[job_id].monitor_count()
 
     def finish(self, job: FabricJob) -> None:
         """Release the worker node once every output leg is over."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import broker as broker_mod
@@ -388,7 +389,7 @@ class ProductionManager:
             ce = self.fabric.ces.get(job_record.matched_ce)
             if ce is not None and ce.site.outbound:
                 record.status = BOSS_RUNNING
-                record.monitor = lambda: ce.running[job_record.job_id].monitor_count()
+                record.monitor = partial(ce.monitor_count, job_record.job_id)
             return
         record.monitor = None
         if new_state == broker_mod.DONE_OK:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .units import parse_amount, parse_rate, parse_size
+from .units import as_fraction, as_int, parse_amount, parse_rate, parse_size
 
 
 class ConfigError(Exception):
@@ -139,7 +139,7 @@ def _bool(value: str) -> bool:
 
 def _count(value: str) -> int:
     try:
-        number = int(value)
+        number = as_int(value)
     except ValueError:
         raise ValueError(f"expected an integer, got {value!r}") from None
     if number < 1:
@@ -149,8 +149,8 @@ def _count(value: str) -> int:
 
 def _seconds(value: str) -> Fraction:
     try:
-        seconds = Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        seconds = as_fraction(value)
+    except ValueError:
         raise ValueError(f"expected seconds, got {value!r}") from None
     if seconds < 0:
         raise ValueError("durations cannot be negative")

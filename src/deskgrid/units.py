@@ -53,6 +53,14 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as seconds")
 
 
+def as_int(text: str) -> int:
+    """`int(text)` for ASCII text; text holding any other character, such
+    as a non-ASCII digit `int` would read, is a ValueError."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return int(text)
+
+
 def to_millis(n, per: int = 1) -> int:
     """n/per seconds to integer milliseconds, rounding half-up (toward +inf).
 

@@ -705,6 +705,16 @@ def output_unrouted(grid):
     return booked(grid, CMKIN_SMALL + 'DefaultSE = "se_gamma";\n', pinned="ce_alpha")
 
 
+def sandbox_return_unrouted(grid):
+    """The broker's one route to alpha goes while the job executes there,
+    from 0.051 s to 25.051 s; its output lands at alpha, on se_alpha, and
+    its logs never reach the broker."""
+    job_id = booked(grid, CMKIN_SMALL, pinned="ce_alpha")
+    grid.kernel.schedule("user-command", lambda: grid.network._links.pop(
+        frozenset(("rb:rb_test", "site:alpha"))), 1000)
+    return job_id
+
+
 EXITS = [
     # (how, topology, state, reason, from, bookkeeping (status, exit), manifest)
     (no_match, MINI_TOPOLOGY, ABORTED, "NoMatchingResources", WAITING, None, None),
@@ -719,6 +729,7 @@ EXITS = [
     (storage_full, MINI_TOPOLOGY, DONE_FAILED, "SeFull", RUNNING, 1, LOGS),
     (output_se_unknown, MINI_TOPOLOGY, DONE_FAILED, "UnknownSe", RUNNING, 1, LOGS),
     (output_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, LOGS),
+    (sandbox_return_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, []),
 ]
 
 

@@ -28,7 +28,10 @@ REQUEST = ["refdb", "request", "--dataset", "d", "--step", "CMKIN", "--events", 
 def test_usage_errors_exit_two(mini):
     # options are spelled out in full and take the next word as their value
     for argv in ([], ["bogus"], ["submit"], ["rc"], ["proxy", "init"], ["vo", "sync", "--site"],
-                 REQUEST + ["--per", "5"], REQUEST + ["--per-job=5"]):
+                 REQUEST + ["--per", "5"], REQUEST + ["--per-job=5"],
+                 # ints are ASCII: `int` would read these Arabic-Indic digits
+                 REQUEST[:-3] + ["\u0663", "--rb", "rb_test", "--per-job", "1"],
+                 ["rc", "seed", "x", "se_alpha", "\u0661\u0660"]):
         code, _text = dispatch(mini, argv)
         assert code == 2, argv
 
@@ -242,6 +245,25 @@ def test_exec_runs_a_scenario_with_relative_inputs(mini, tmp_path):
     assert "-- at 0 submit job.jdl --rb rb_test" in text
     assert "j1 is DONE_OK" in text
     assert "DONE_OK\t1" in text
+
+
+def test_a_scenario_reads_its_inputs_from_its_own_directory(mini, tmp_path, monkeypatch):
+    """A relative name inside a scenario is read next to the scenario, even
+    when the working directory holds a file of that name; at top level it
+    is read from the working directory."""
+    scenario_dir, work = tmp_path / "scenario", tmp_path / "work"
+    scenario_dir.mkdir()
+    work.mkdir()
+    (scenario_dir / "job.jdl").write_text(CMKIN_SMALL)
+    (work / "job.jdl").write_text(CMKIN_SMALL.replace("Events = 50", "Events = 7"))
+    scn = scenario_dir / "day.scn"
+    scn.write_text("at 0 proxy init --user /C=XX/CN=alice --vo testvo\n"
+                   "at 0 submit job.jdl --rb rb_test\n")
+    monkeypatch.chdir(work)
+    ok(mini, ["exec", str(scn)])
+    ok(mini, ["submit", "job.jdl", "--rb", "rb_test"])
+    jobs = mini.brokers["rb_test"].jobs
+    assert [jobs[j].description.events for j in ("j1", "j2")] == [50, 7]
 
 
 def test_exec_stops_at_the_first_failing_step(mini, tmp_path):

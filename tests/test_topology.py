@@ -110,6 +110,14 @@ def test_value_diagnostics():
     assert bad_cap.startswith("<t>:6:") and "huge" in bad_cap
     assert "expected a boolean" in err(base.replace("region = EU\n",
                                                     "region = EU\noutbound = maybe\n"))
+    # counts and seconds are ASCII: `int` and `Fraction` would read these
+    # Arabic-Indic digits as 2 and 0.05
+    assert err(base + "[ce c]\nsite = a\nlrms = PBS\nflavors = EDG\n"
+                      "wn_count = \u0662\ncpu_mhz = 1000\nclose_ses = s\n") == (
+        "<t>:8: expected an integer, got '\u0662'")
+    assert err("[general]\ndefault_wan_bandwidth = 10 MB/s\n"
+               "default_wan_latency = \u0660.\u0660\u0665\n" + base) == (
+        "<t>:3: expected seconds, got '\u0660.\u0660\u0665'")
 
 
 def test_general_wan_needs_both_halves():

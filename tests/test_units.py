@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskgrid.units import (GB, KB, MB, as_fraction, fmt_quantity, fmt_ratio,
+from deskgrid.units import (GB, KB, MB, as_fraction, as_int, fmt_quantity, fmt_ratio,
                             millis_to_text, parse_amount, parse_rate,
                             parse_size, to_millis)
 
@@ -35,6 +35,17 @@ def test_as_fraction_reads_ascii_strings_only():
     for text in ("", " ", "5 5", "1/0"):
         with pytest.raises(ValueError):
             as_fraction(text)
+
+
+def test_as_int_reads_ascii_strings_only():
+    for text in ("\u0663", "\u0661\u0660", "\u00b2"):
+        with pytest.raises(ValueError, match="not an ASCII number"):
+            as_int(text)
+    assert as_int("-5") == -5
+    assert as_int("+5") == as_int(" 5 ") == as_int("0005") == 5
+    for text in ("", "5.0", "1/3", "five"):
+        with pytest.raises(ValueError):
+            as_int(text)
 
 
 def test_to_millis_rounds_half_up():
