@@ -26,19 +26,32 @@ advertised attributes and then reused.
 
 What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
-catalogue once, as the set of storage elements holding it.  Per candidate
-only the site's mapfile and the close storage elements are tested.  Under
-the default rank, each element's entry in the trace's candidate table is
-rendered once per ETT pair it reports and kept until the pair changes;
-`fmt_ratio(-n, d)` equals `fmt_ratio(-n * (D // d), D)` for any multiple
-D of d, so the entry reads the same over the match's common denominator.
+catalogue once, as the set of storage elements holding it.  What is the
+same for every match is kept: the admissible set of a (VO, owner,
+requirement, pin) -- elements of the broker's flavor the VO may use, whose
+site maps the owner and whose advertised attributes satisfy the
+requirement -- until the index's or the VO manager's `generation` moves (a
+publish, a mapfile sync).  Each kept set holds its default-rank order as
+rows of (ETT * D/d, element id, table entry) over a common denominator D;
+`fmt_ratio(-n, d)` equals `fmt_ratio(-n * (D // d), D)`, so an entry
+rendered once per ETT pair reads the same in any set.  Before a match the
+broker re-reads only the elements that reported a move or whose horizon
+the clock has reached (a heap of (horizon, id), under the element's own
+`now >= horizon` rule), and moves each in the orders holding it by
+bisection, sorting a set afresh when its D is no multiple of the new
+denominator.  A default-rank match filters its kept order by the replicas
+and joins the kept entries into the table; only an explicit `Rank` or a
+requirement that reads the ETT is evaluated per element of the kept set.
 """
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Callable
 
 from . import datagrid as dg_mod
@@ -110,19 +123,39 @@ class IllegalTransition(BrokerError):
 class MatchResult:
     """Audit record of one match: every surviving candidate with its rank
     value (None when the rank evaluated to something unusable, which sorts
-    below every ranked element), in choice order.  Under the default rank,
-    `table` holds minus the ETT times `denominator`, as ints, and
-    `candidates` reads those as exact Fractions."""
+    below every ranked element), in choice order.  `ranked` holds (element
+    id, rank value) pairs, or under the default rank the rows of the kept
+    order the match read, (ETT * `denominator`/d, element id, table entry);
+    `table` reads those as minus the ETT times `denominator`, as ints, and
+    `candidates` as exact Fractions."""
 
-    table: list
+    ranked: list
     chosen: "str | None"
     denominator: "int | None" = None
+
+    @property
+    def table(self) -> list:
+        if self.denominator is None:
+            return self.ranked
+        return [(ce_id, -key) for key, ce_id, _entry in self.ranked]
 
     @property
     def candidates(self) -> list:
         if self.denominator is None:
             return list(self.table)
         return [(ce_id, Fraction(value, self.denominator)) for ce_id, value in self.table]
+
+
+@dataclass
+class _Kept:
+    """One admissible set in its default-rank order: rows of (ETT * D/d,
+    element id, table entry), D being `denominator`."""
+
+    denominator: int = 1
+    order: list = field(default_factory=list)
+
+
+_ENTRY = itemgetter(2)
 
 
 @dataclass
@@ -166,9 +199,20 @@ class ResourceBroker:
         # ETT, which moves between matches (a node keeps its hash, so the
         # lookup does not walk the tree)
         self._requirement_memo: dict = {}
-        # ce_id -> (ETT numerator, denominator, shown rank, table entry),
-        # rendered again only when the element's ETT pair changes
+        # ce_id -> (ETT numerator, denominator, shown rank, table entry) as
+        # last read, rendered again only when the pair changes; ce_id -> the
+        # element's horizon at that read (None once due); a heap of
+        # (horizon, ce_id); and the ids of the elements that reported a move
+        # since, each element holding this very set among its watchers
         self._entries: dict = {}
+        self._horizons: dict = {}
+        self._due: list = []
+        self._moved: set = set()
+        # (vo, owner, requirement or None, pin) -> _Kept, for one generation
+        # of the index and the mapfiles; ce_id -> the kept sets holding it
+        self._kept: dict = {}
+        self._holding: dict = {}
+        self._generation = None
 
     @property
     def endpoint(self) -> str:
@@ -217,15 +261,6 @@ class ResourceBroker:
 
     # -- match-making --------------------------------------------------
 
-    def _match_env(self, ce, ett: tuple) -> dict:
-        return {
-            "RunTimeEnvironment": ce.run_time_environment,
-            "LRMSType": ce.lrms,
-            "EstimatedTraversalTime": ett[0] / ett[1],
-            "CEId": ce.ce_id,
-            "CloseSE": ce.close_ses,
-        }
-
     def match(self, job_id: str) -> MatchResult:
         record = self._record(job_id)
         if record.state != WAITING:
@@ -237,62 +272,44 @@ class ResourceBroker:
         except KeyError:
             memo = self._requirement_memo[requirements] = (
                 None if jdl.reads_attribute(requirements, "EstimatedTraversalTime") else {})
-        if memo is None:
-            memo = {}
         # the same for every candidate: whether the proxy is valid now and
         # every input resolves, and the storage elements holding each input
         replicas = self._resolve_inputs(description)
-        admissible = record.owner.valid_at(self.kernel.now_ms) and replicas is not None
-        holders = ([{se_id for se_id, _path in reps} for reps in replicas.values()]
-                   if replicas else [])
-        user_dn, pinned, entries = record.owner.user_dn, record.pinned_ce, self._entries
+        order, denominator = [], None
+        if record.owner.valid_at(self.kernel.now_ms) and replicas is not None:
+            kept = self._admissible(description.virtual_organisation, record.owner.user_dn,
+                                    None if memo is None else requirements, record.pinned_ce)
+            order, denominator = kept.order, kept.denominator
+            ces = self.info.ces
+            for reps in replicas.values():  # close to a replica of every input
+                held = {se_id for se_id, _path in reps}
+                order = [row for row in order if not held.isdisjoint(ces[row[1]].close_ses)]
 
-        by_ett = []    # (ce_id, entry): default rank
-        scored = []    # (rank value, ce record)
-        demoted = []   # rank unusable
-        for ce in self.info.query(self.flavor, description.virtual_organisation):
-            if pinned is not None and ce.ce_id != pinned:
-                continue
-            if not (self.vo.maps(ce.site_id, user_dn) and admissible):
-                continue
-            if holders and any(held.isdisjoint(ce.close_ses) for held in holders):
-                continue
-            n, d = ett = self.fabric.ces[ce.ce_id].ett()
-            advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
-            if advertised not in memo:
-                memo[advertised] = jdl.requirement_satisfied(requirements,
-                                                             self._match_env(ce, ett))
-            if not memo[advertised]:
-                continue
-            if rank is None:
-                entry = entries.get(ce.ce_id)
-                if entry is None or entry[0] != n or entry[1] != d:
-                    shown = fmt_ratio(-n, d)
-                    entry = entries[ce.ce_id] = (n, d, shown, f"{ce.ce_id}:{shown}")
-                by_ett.append((ce.ce_id, entry))
-                continue
-            value = jdl.evaluate(rank, self._match_env(ce, ett))
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                scored.append((value, ce))
-            else:
-                demoted.append(ce)  # unusable rank sorts below everything
-
-        denominator = None
-        if by_ett:  # minus the ETTs, all over one denominator: exact ints
-            denominator = math.lcm(*[entry[1] for _ce_id, entry in by_ett])
-            keyed = sorted([(entry[0] * (denominator // entry[1]), ce_id, entry)
-                            for ce_id, entry in by_ett])
-            ordered = [(ce_id, -key) for key, ce_id, _entry in keyed]
-            rank_shown = keyed[0][2][2]
-            table = "|".join([entry[3] for _key, _ce_id, entry in keyed])
+        if rank is None:
+            if memo is None:  # the requirement reads the ETT: evaluated now
+                order = [row for row in order if jdl.requirement_satisfied(
+                    requirements, self._match_env(row[1]))]
+            result = MatchResult(order[:], order[0][1] if order else None, denominator)
+            rank_shown = self._entries[result.chosen][2] if order else None
+            table = "|".join(map(_ENTRY, order))
         else:
-            scored.sort(key=lambda pair: (-pair[0], pair[1].ce_id))
-            demoted.sort(key=lambda ce: ce.ce_id)
-            ordered = [(ce.ce_id, value) for value, ce in scored]
-            ordered += [(ce.ce_id, None) for ce in demoted]
+            scored = []    # (rank value, ce_id)
+            demoted = []   # rank unusable
+            for _key, ce_id, _entry in order:
+                env = self._match_env(ce_id)
+                if memo is None and not jdl.requirement_satisfied(requirements, env):
+                    continue
+                value = jdl.evaluate(rank, env)
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    scored.append((value, ce_id))
+                else:
+                    demoted.append(ce_id)  # unusable rank sorts below everything
+            scored.sort(key=lambda pair: (-pair[0], pair[1]))
+            ordered = [(ce_id, value) for value, ce_id in scored]
+            ordered += [(ce_id, None) for ce_id in sorted(demoted)]
+            result = MatchResult(ordered, ordered[0][0] if ordered else None)
             rank_shown = fmt_quantity(ordered[0][1]) if ordered else None
             table = "|".join(f"{ce_id}:{fmt_quantity(value)}" for ce_id, value in ordered)
-        result = MatchResult(ordered, ordered[0][0] if ordered else None, denominator)
 
         if result.chosen is None:
             self.kernel.line(self.rb_id, MATCH_FAILED_LINE, job_id, "NoMatchingResources")
@@ -307,6 +324,112 @@ class ResourceBroker:
         for observer in self.match_observers:
             observer(record, result)
         return result
+
+    def _match_env(self, ce_id: str) -> dict:
+        ce, (n, d, _shown, _entry) = self.info.ces[ce_id], self._entries[ce_id]
+        return {
+            "RunTimeEnvironment": ce.run_time_environment,
+            "LRMSType": ce.lrms,
+            "EstimatedTraversalTime": n / d,
+            "CEId": ce.ce_id,
+            "CloseSE": ce.close_ses,
+        }
+
+    # -- kept admissible sets and ETT entries ----------------------------
+
+    def _admissible(self, vo: str, user_dn: str, requirements, pinned) -> _Kept:
+        """The kept set of (vo, user_dn, requirements, pinned), built on
+        first use in this generation of the index and the mapfiles, with
+        every kept entry brought up to date.  `requirements` is None for a
+        requirement that reads the ETT, which each match tests itself."""
+        generation = (self.info.generation, self.vo.generation)
+        if generation != self._generation:
+            self._generation = generation
+            self._kept.clear()
+            self._holding.clear()
+        self._refresh()
+        key = (vo, user_dn, requirements, pinned)
+        kept = self._kept.get(key)
+        if kept is not None:
+            return kept
+        memo = self._requirement_memo.get(requirements)
+        members = []
+        for ce in self.info.query(self.flavor, vo):
+            if pinned is not None and ce.ce_id != pinned:
+                continue
+            if not self.vo.maps(ce.site_id, user_dn):
+                continue
+            if ce.ce_id not in self._entries:
+                self._read(ce.ce_id)
+            if memo is not None:
+                advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
+                if advertised not in memo:
+                    memo[advertised] = jdl.requirement_satisfied(requirements,
+                                                                 self._match_env(ce.ce_id))
+                if not memo[advertised]:
+                    continue
+            members.append(ce.ce_id)
+        kept = self._kept[key] = _Kept()
+        for ce_id in members:
+            self._holding.setdefault(ce_id, []).append(kept)
+        self._sort(kept, members)
+        return kept
+
+    def _sort(self, kept: _Kept, members: list) -> None:
+        """Order `members` afresh, over the lcm of their denominators."""
+        pairs = [(ce_id, self._entries[ce_id]) for ce_id in members]
+        kept.denominator = denominator = math.lcm(*[entry[1] for _ce_id, entry in pairs])
+        kept.order = sorted([(entry[0] * (denominator // entry[1]), ce_id, entry[3])
+                             for ce_id, entry in pairs])
+
+    def _refresh(self) -> None:
+        """Re-read every element that reported a move or whose horizon the
+        clock has reached."""
+        now, due, horizons, moved = self.kernel.now_ms, self._due, self._horizons, self._moved
+        while due and due[0][0] <= now:
+            at, ce_id = heapq.heappop(due)
+            if horizons[ce_id] == at:  # else it was read since, with another horizon
+                horizons[ce_id] = None
+                moved.add(ce_id)
+        for ce_id in moved:
+            self._read(ce_id)
+        moved.clear()
+
+    def _read(self, ce_id: str) -> None:
+        """Read the element's ETT; a changed pair is rendered and moved in
+        every kept order holding the element.  The first read starts
+        watching the element's moves."""
+        ce = self.fabric.ces[ce_id]
+        old = self._entries.get(ce_id)
+        if old is None:
+            ce.watchers.append(self._moved)
+        n, d = ce.ett()
+        if ce.horizon_ms != self._horizons.get(ce_id):
+            self._horizons[ce_id] = ce.horizon_ms
+            if ce.horizon_ms != math.inf:
+                heapq.heappush(self._due, (ce.horizon_ms, ce_id))
+        if old is not None and old[0] == n and old[1] == d:
+            return
+        shown = fmt_ratio(-n, d)
+        text = f"{ce_id}:{shown}"
+        self._entries[ce_id] = (n, d, shown, text)
+        if old is None:
+            return
+        for kept in self._holding.get(ce_id, ()):
+            denominator, order = kept.denominator, kept.order
+            if denominator % d:
+                self._sort(kept, [row[1] for row in order])
+                continue
+            del order[bisect_left(order, (old[0] * (denominator // old[1]), ce_id))]
+            insort(order, (n * (denominator // d), ce_id, text))
+
+    def drifted(self) -> list:
+        """Ids of elements whose kept ETT differs from a fresh read although
+        they reported no move and the clock is short of their horizon."""
+        now = self.kernel.now_ms
+        return [ce_id for ce_id, (n, d, _shown, _entry) in self._entries.items()
+                if ce_id not in self._moved and now < self._horizons[ce_id]
+                and (n, d) != self.fabric.ces[ce_id].ett()]
 
     def _resolve_inputs(self, description) -> "dict | None":
         """Each input name's sorted replicas, read once per match; None when

@@ -30,7 +30,10 @@ with a horizon, the first instant at or after the last rescan on which a
 running job has a monitor point.  A read before the horizon reuses the
 term, since no monitor point lies between; a read at or past it rescans.
 Dispatch, the start and end of execution, the release of a node and a
-change of CPU unit drop the term, so the next read rescans.
+change of CPU unit drop the term, so the next read rescans.  Each of them,
+and every change of the queue's backlog, is a move of the ETT, which the
+element reports to every watching broker by adding its id to that
+broker's set of moved elements.
 
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
@@ -351,6 +354,7 @@ class ComputingElement:
         self.running: dict[str, FabricJob] = {}
         # CPU left in the running jobs, in units, valid while now_ms < horizon
         self.running_units, self.horizon_ms = 0, STALE
+        self.watchers: list = []  # one set of moved element ids per watching broker
         self.fail_next_execs = 0  # scenario-driven failure injection
 
     @property
@@ -366,15 +370,16 @@ class ComputingElement:
             job.on_auth_denied(denial)
             return
         den = job.profile.cpu_pair[1]
-        if self.cpu_den % den:
+        regrown = self.cpu_den % den != 0
+        if regrown:
             grown = math.lcm(self.cpu_den, den)
             self.queued_units *= grown // self.cpu_den
             self.cpu_den = grown
-            self.horizon_ms = STALE
         job.cpu_units = job.description.events * self._units_per_event(job.profile)
         job.cpu_per_s = self.cpu_den * self.record.cpu_mhz
         self.queue.append(job)
         self.queued_units += job.cpu_units
+        self._moved(running=regrown)
         self.kernel.line(self.ce_id, ENQUEUED_LINE, job.job_id, len(self.queue))
         self.try_dispatch()
 
@@ -385,12 +390,13 @@ class ComputingElement:
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
             if denial is not None:
+                self._moved(running=False)
                 self.kernel.line(self.ce_id, DISPATCH_DENIED_LINE, job.job_id, str(denial))
                 job.on_auth_denied(denial)
                 continue
             job.wn = heapq.heappop(self.free_wns)
             self.running[job.job_id] = job
-            self.horizon_ms = STALE
+            self._moved()
             self.kernel.line(self.ce_id, DISPATCHED_LINE, job.job_id, job.wn)
             job.on_dispatched()
 
@@ -402,7 +408,7 @@ class ComputingElement:
         self.kernel.line(self.ce_id, EXEC_START_LINE, job.job_id, job.description.events,
                          fmt_ratio(job.cpu_units, job.cpu_per_s))
         job.kernel, job.start_ms = self.kernel, self.kernel.now_ms
-        self.horizon_ms = STALE
+        self._moved()
         finish_ms = job.start_ms + to_millis(job.cpu_units, job.cpu_per_s)
         job.start_seq = self.kernel.schedule("job-finish", partial(self._exec_done, job),
                                              finish_ms)
@@ -416,7 +422,7 @@ class ComputingElement:
         if last:  # the journal's last monitor point, sent once
             self._tick(job, last)
         job.events_done = job.description.events
-        self.horizon_ms = STALE
+        self._moved()
         exit_code = 0
         if self.fail_next_execs > 0:
             self.fail_next_execs -= 1
@@ -433,11 +439,20 @@ class ComputingElement:
         """Release the worker node once every output leg is over."""
         if self.running.pop(job.job_id, None) is not None:
             heapq.heappush(self.free_wns, job.wn)
-            self.horizon_ms = STALE
+            self._moved()
         self.kernel.line(self.ce_id, WN_FREED_LINE, job.job_id)
         self.try_dispatch()
 
     # -- estimated traversal time --------------------------------------
+
+    def _moved(self, running: bool = True) -> None:
+        """The ETT moved: every watching broker re-reads it at its next
+        match.  `running` says the running term moved too, so it is dropped
+        and the next read rescans it."""
+        if running:
+            self.horizon_ms = STALE
+        for moved in self.watchers:
+            moved.add(self.ce_id)
 
     def _units_per_event(self, profile: WorkloadProfile) -> int:
         """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""

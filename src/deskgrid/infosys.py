@@ -9,7 +9,10 @@ A query is always for one flavor, so resources only ever surface to
 brokers of that flavor; Condor-managed elements cannot publish the EDG
 flavor at all (the publisher does not report the data that schema needs)
 unless the record carries an explicit override.  The answer to each
-(flavor, VO) query is kept until the next valid publish.
+(flavor, VO) query is kept until the next valid publish, and `generation`
+counts the valid publishes, so a broker keeps the admissible sets it built
+from the answers until it changes.  A query therefore runs once per kept
+set a broker builds, not once per match.
 
 The estimated traversal time of an element is the CPU backlog a newly
 arriving job would see:
@@ -93,11 +96,15 @@ class InformationIndex:
         # (flavor, vo) -> the id-sorted answer; `publish_ce`, the only
         # mutator of `ces`, drops them all
         self._answers: dict[tuple, list] = {}
+        # counts valid publishes: a reader keeping anything derived from
+        # `ces` keeps it while this stays the same
+        self.generation = 0
 
     def publish_ce(self, record: CERecord) -> None:
         record.validate()
         self.ces[record.ce_id] = record  # republish replaces by id
         self._answers.clear()
+        self.generation += 1
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
         """`tap.ett()` must return the ETT in seconds as an unreduced pair of

@@ -177,6 +177,10 @@ class RefDb:
         return "".join(line + "\n" for line in lines)
 
 
+def _discard(*_args, **_detail) -> None:
+    """The emitter of a BossDb built without one."""
+
+
 class BossDb:
     """Per-job bookkeeping records keyed by an integer id."""
 
@@ -184,7 +188,7 @@ class BossDb:
         self.records: dict[int, BossJobRecord] = {}
         self.by_scheduler: dict[str, int] = {}
         self.violations: list = []
-        self._emit = emit or (lambda *a, **k: None)
+        self._emit = emit or _discard
         self._next_id = 1
 
     def open_record(self, scheduler_job_id: str, job_type: str, dataset: str,

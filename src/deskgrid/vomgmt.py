@@ -57,6 +57,8 @@ class VoManager:
         self._members: dict[str, list[str]] = {}
         self._site_vos: dict[str, list[str]] = {}
         self._mapfiles: dict[str, dict[str, str]] = {}
+        # counts mapfile syncs: an answer of `maps` holds while this stays the same
+        self.generation = 0
 
     # -- directory maintenance ----------------------------------------
 
@@ -116,6 +118,7 @@ class VoManager:
             for dn in self._members[vo]:
                 mapping.setdefault(dn, tag)
         self._mapfiles[site_id] = mapping
+        self.generation += 1
         return dict(mapping)
 
     def sync_all(self) -> None:

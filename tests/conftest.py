@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -131,3 +132,25 @@ def seeded_mutations(inputs, extra_lines, extra_values, count, seed, end=""):
                     i = rng.choice(keyed)
                     lines[i] = lines[i].split("=", 1)[0] + "= " + rng.choice(values) + end
         yield "\n".join(lines) + "\n"
+
+
+OPERATOR = "/O=grid/OU=datatag/CN=factory operator"
+
+# (submission ms, broker) of the four 50-job requests of `staggered_bulk`:
+# the later ones are matched while earlier jobs run between monitor points
+STAGGERED = ((0, "rb_pisa"), (37_301, "rb_milano"), (120_017, "rb_pisa"),
+             (190_003, "rb_milano"))
+
+
+def staggered_bulk(grid, per_job=100) -> None:
+    """Queue four CMKIN requests of 50 jobs each on the shipped testbed,
+    their submissions scheduled at the `STAGGERED` instants."""
+    proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+    for n, (at_ms, rb_id) in enumerate(STAGGERED):
+        request = grid.refdb.create_request(f"staggered{n}", "CMKIN", 50 * per_job - n,
+                                            per_job, rb_id)
+        grid.production.declare(request.assignment_id)
+        grid.production.create(request.assignment_id)
+        grid.kernel.schedule("user-command",
+                             partial(grid.production.submit, request.assignment_id, proxy),
+                             at_ms)

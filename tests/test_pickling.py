@@ -1,7 +1,7 @@
 """A grid cut mid-run pickles, and its copy finishes the run as the
-original would: nothing on the event heap or in a job's callbacks is a
-closure, so every pending event, transfer and live monitor travels with
-the copy."""
+original would: nothing on the event heap, in a job's callbacks or in a
+broker's kept state is a closure, so every pending event, transfer, live
+monitor and kept order travels with the copy."""
 import importlib.resources
 import pathlib
 import pickle
@@ -10,9 +10,10 @@ import pytest
 
 from deskgrid.cli import dispatch
 from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.production import BossDb
 from deskgrid.scenario import parse_scenario
 
-from conftest import make_mini
+from conftest import make_mini, staggered_bulk
 
 PRODUCTION = pathlib.Path(str(
     importlib.resources.files("deskgrid").joinpath("data", "scenarios", "production.scn")))
@@ -73,3 +74,38 @@ def test_a_replication_in_flight_survives_a_pickle_round_trip():
     whole = replicated(cut=False)
     assert "replica-added" in whole[0] and "se_beta" in whole[2]
     assert replicated(cut=True) == whole
+
+
+def test_a_bulk_run_cut_while_brokers_keep_their_sets_finishes_as_the_uninterrupted_run():
+    """Cut after the second request's matches: each EDG broker keeps an
+    admissible set and elements reported moved since its last match, one
+    has horizons pending on its heap, and queues are deep.  In the copy,
+    each element's watchers are the very sets of moved ids its brokers
+    read."""
+    def bulk(cut: bool) -> tuple:
+        grid = load_topology(default_topology_path())
+        staggered_bulk(grid)
+        if cut:
+            grid.kernel.run_until(40)
+            edg = [grid.brokers["rb_pisa"], grid.brokers["rb_milano"]]
+            assert all(rb._kept and rb._moved for rb in edg)
+            assert any(at > 40_000 for rb in edg for at, _ce_id in rb._due)
+            assert sum(len(ce.queue) for ce in grid.fabric.ces.values()) > 30
+            grid = pickle.loads(pickle.dumps(grid))
+            watched = [watcher for ce in grid.fabric.ces.values() for watcher in ce.watchers]
+            assert len(watched) == 26
+            assert {id(w) for w in watched} == {id(grid.brokers[rb_id]._moved)
+                                                for rb_id in ("rb_pisa", "rb_milano")}
+        grid.kernel.run_to_completion()
+        assert grid.validate() == []
+        return books(grid)
+
+    assert bulk(cut=True) == bulk(cut=False)
+
+
+def test_a_bossdb_built_without_an_emitter_pickles():
+    boss = pickle.loads(pickle.dumps(BossDb()))
+    boss.open_record("j1", "cmkin", "ds", 100)
+    boss.update_events_done(1, 50)
+    boss.update_events_done(1, 40)  # a roll-back goes to the default emitter
+    assert boss.get(1).events_done == 50 and boss.violations == [(1, 50, 40)]
