@@ -6,8 +6,8 @@ Everything a job does on the fabric is synthetic but exactly timed:
     transfer = sum over hops of (latency + size / bandwidth)
 
 each an unreduced integer ratio of seconds -- a job's runtime is its
-element's CPU pair (units, units per second), a transfer's is summed from
-the hop parameters over a common denominator -- rounded once to
+element's CPU pair (units, units per second), a transfer's is its route's
+integer triple applied to the size (see `Network`) -- rounded once to
 milliseconds by `to_millis(n, per)` and added to the kernel's integer-ms
 clock, with no Fraction built on the way.  File content is never
 materialised; a job's outputs are (name, size, checksum) triples fully
@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import vomgmt
 from .jdl import JobDescription
@@ -126,13 +126,18 @@ def builtin_profiles() -> dict:
 def content_checksum(profile: str, dataset: str, job_index: int, events: int,
                      filename: str = "") -> int:
     """Stable 64-bit stand-in for the checksum of a produced file."""
-    key = "\x1f".join((profile, dataset, str(job_index), str(events), filename))
-    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return _key_checksum(_checksum_prefix(profile, dataset, job_index, events) + filename)
 
 
-@dataclass(frozen=True)
-class OutputFile:
+def _checksum_prefix(profile: str, dataset: str, job_index: int, events: int) -> str:
+    return "\x1f".join((profile, dataset, str(job_index), str(events), ""))
+
+
+def _key_checksum(key: str) -> int:
+    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "big")
+
+
+class OutputFile(NamedTuple):
     name: str
     size_bytes: int
     checksum: int
@@ -167,21 +172,20 @@ def data_file_name(jd: JobDescription, profile: WorkloadProfile) -> str:
 
 def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
     """Deterministic manifest of everything the job leaves on its node."""
-    tag = jd.production_tag() or ("", jd.job_seed)
-    dataset, index = tag
-    mark = partial(content_checksum, profile.name, dataset, index, jd.events)
+    dataset, index = jd.production_tag() or ("", jd.job_seed)
+    prefix = _checksum_prefix(profile.name, dataset, index, jd.events)
+    data_name = data_file_name(jd, profile)
     outputs = [
         OutputFile(jd.std_output, STDOUT_BASE_BYTES + STDOUT_BYTES_PER_EVENT * jd.events,
-                   mark(jd.std_output), False),
-        OutputFile(jd.std_error, STDERR_BYTES, mark(jd.std_error), False),
+                   _key_checksum(prefix + jd.std_output), False),
+        OutputFile(jd.std_error, STDERR_BYTES, _key_checksum(prefix + jd.std_error), False),
+        OutputFile(data_name, profile.output_size(jd.events),
+                   _key_checksum(prefix + data_name), True),
     ]
-    data_name = data_file_name(jd, profile)
-    outputs.append(OutputFile(data_name, profile.output_size(jd.events),
-                              mark(data_name), True))
     for name in jd.output_sandbox:
-        if name == data_name:
-            continue
-        outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES, mark(name), False))
+        if name != data_name:
+            outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES,
+                                      _key_checksum(prefix + name), False))
     return outputs
 
 
@@ -193,19 +197,33 @@ TRANSFER_COMPLETE_LINE = kind("transfer-complete", "what", "frm", "to", "bytes",
 
 class Network:
     """Named WAN links, the sites' LAN and optional WAN defaults, each a
-    (bandwidth in bytes/s, latency in s) pair."""
+    (bandwidth in bytes/s, latency in s) pair.  A route is resolved once per
+    ordered endpoint pair into an exact integer triple, s bytes taking
+    (a + s*b)/d s, and dropped on any change of links, LAN or default WAN."""
 
     DEFAULT_LAN_BANDWIDTH = Fraction(100 * MB)
     DEFAULT_LAN_LATENCY = Fraction(1, 1000)
 
     def __init__(self, kernel: Kernel):
+        # (frm, to) -> (a, b, d), or None for NoRoute; made first, as setting lan clears it
+        self._routes: dict[tuple, "tuple | None"] = {}
         self.kernel = kernel
         self._links: dict[frozenset, tuple] = {}
         self.default_wan: "tuple[Fraction, Fraction] | None" = None
         self.lan = (self.DEFAULT_LAN_BANDWIDTH, self.DEFAULT_LAN_LATENCY)
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("lan", "default_wan"):  # each is a leg of some routes
+            self._routes.clear()
+        super().__setattr__(name, value)
+
     def add_link(self, a: str, b: str, bandwidth: Fraction, latency: Fraction) -> None:
         self._links[frozenset((a, b))] = (bandwidth, latency)
+        self._routes.clear()
+
+    def remove_link(self, a: str, b: str) -> None:
+        del self._links[frozenset((a, b))]
+        self._routes.clear()
 
     def hops(self, frm: str, to: str) -> list:
         """Hop parameter list for a transfer; raises NoRoute when the two
@@ -220,25 +238,31 @@ class Network:
             route.append(self.lan)
         return route
 
-    def duration(self, size_bytes: int, hops: list) -> tuple:
-        """sum over hops of (latency + size / bandwidth) seconds, as an
-        unreduced integer pair (numerator, denominator)."""
-        num, den = 0, 1
-        for bandwidth, latency in hops:
-            hop_den = latency.denominator * bandwidth.numerator
-            hop_num = (latency.numerator * bandwidth.numerator
-                       + size_bytes * bandwidth.denominator * latency.denominator)
-            num, den = num * hop_den + hop_num * den, den * hop_den
-        return num, den
+    def _route(self, frm: str, to: str) -> tuple:
+        """The ordered pair's (a, b, d), resolved and kept if new; NoRoute if None."""
+        if (frm, to) not in self._routes:
+            self._routes[frm, to] = None  # stays if `hops` raises NoRoute
+            a, b, d = 0, 0, 1
+            for bandwidth, latency in self.hops(frm, to):  # adds latency + s / bandwidth
+                hop_d = latency.denominator * bandwidth.numerator
+                a, b, d = (a * hop_d + latency.numerator * bandwidth.numerator * d,
+                           b * hop_d + bandwidth.denominator * latency.denominator * d,
+                           d * hop_d)
+            g = math.gcd(a, b, d)
+            self._routes[frm, to] = (a // g, b // g, d // g)
+        if self._routes[frm, to] is None:
+            raise NoRoute(f"no route between {frm} and {to}")
+        return self._routes[frm, to]
 
     def transfer(self, size_bytes: int, frm: str, to: str, *,
                  what: str, on_done: Callable[[], None]) -> int:
         """Schedule a transfer and return its completion event's seq;
         `on_done` runs at completion, after the trace entry is emitted."""
-        num, den = self.duration(size_bytes, self.hops(frm, to))
-        complete = partial(self._complete, what, frm, to, size_bytes, num, den, on_done)
+        a, b, d = self._routes.get((frm, to)) or self._route(frm, to)
+        num = a + size_bytes * b
+        complete = partial(self._complete, what, frm, to, size_bytes, num, d, on_done)
         return self.kernel.schedule("transfer-complete", complete,
-                                    self.kernel.now_ms + to_millis(num, den))
+                                    self.kernel.now_ms + to_millis(num, d))
 
     def _complete(self, what: str, frm: str, to: str, size_bytes: int, num: int, den: int,
                   on_done: Callable[[], None]) -> None:

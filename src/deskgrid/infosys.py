@@ -8,11 +8,10 @@ elements are not published: they live in the data grid.
 A query is always for one flavor, so resources only ever surface to
 brokers of that flavor; Condor-managed elements cannot publish the EDG
 flavor at all (the publisher does not report the data that schema needs)
-unless the record carries an explicit override.  The answer to each
-(flavor, VO) query is kept until the next valid publish, and `generation`
-counts the valid publishes, so a broker keeps the admissible sets it built
-from the answers until it changes.  A query therefore runs once per kept
-set a broker builds, not once per match.
+unless the record carries an explicit override.  A query scans every
+record; `generation` counts the valid publishes, so a broker keeps the
+admissible sets it built from query answers until it changes.  A query
+therefore runs once per kept set a broker builds, not once per match.
 
 The estimated traversal time of an element is the CPU backlog a newly
 arriving job would see:
@@ -93,9 +92,6 @@ class InformationIndex:
     def __init__(self):
         self.ces: dict[str, CERecord] = {}
         self._load_taps: dict[str, object] = {}
-        # (flavor, vo) -> the id-sorted answer; `publish_ce`, the only
-        # mutator of `ces`, drops them all
-        self._answers: dict[tuple, list] = {}
         # counts valid publishes: a reader keeping anything derived from
         # `ces` keeps it while this stays the same
         self.generation = 0
@@ -103,7 +99,6 @@ class InformationIndex:
     def publish_ce(self, record: CERecord) -> None:
         record.validate()
         self.ces[record.ce_id] = record  # republish replaces by id
-        self._answers.clear()
         self.generation += 1
 
     def bind_load_tap(self, ce_id: str, tap) -> None:
@@ -113,14 +108,11 @@ class InformationIndex:
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:
         """Elements speaking `flavor` that authorize `vo`, sorted by id."""
-        answer = self._answers.get((flavor, vo))
-        if answer is None:
-            if flavor not in QUERY_FLAVORS:
-                raise InfoSysError(f"queries must use one of {QUERY_FLAVORS}, not {flavor!r}")
-            hits = [ce for ce in self.ces.values()
-                    if flavor in ce.schema_flavors and vo in ce.authorized_vos]
-            answer = self._answers[flavor, vo] = sorted(hits, key=lambda ce: ce.ce_id)
-        return list(answer)
+        if flavor not in QUERY_FLAVORS:
+            raise InfoSysError(f"queries must use one of {QUERY_FLAVORS}, not {flavor!r}")
+        hits = [ce for ce in self.ces.values()
+                if flavor in ce.schema_flavors and vo in ce.authorized_vos]
+        return sorted(hits, key=lambda ce: ce.ce_id)
 
     def estimated_traversal_time(self, ce_id: str) -> Fraction:
         """ETT in seconds, exact; an element with no load tap is idle."""

@@ -710,8 +710,8 @@ def sandbox_return_unrouted(grid):
     from 0.051 s to 25.051 s; its output lands at alpha, on se_alpha, and
     its logs never reach the broker."""
     job_id = booked(grid, CMKIN_SMALL, pinned="ce_alpha")
-    grid.kernel.schedule("user-command", lambda: grid.network._links.pop(
-        frozenset(("rb:rb_test", "site:alpha"))), 1000)
+    grid.kernel.schedule("user-command",
+                         lambda: grid.network.remove_link("rb:rb_test", "site:alpha"), 1000)
     return job_id
 
 

@@ -1,5 +1,7 @@
 import cProfile
 import dataclasses
+import hashlib
+import importlib.resources
 import math
 import pstats
 import random
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskgrid.broker import DONE_FAILED, DONE_OK, RUNNING
+from deskgrid.cli import dispatch
 from deskgrid.fabric import (ComputingElement, FabricJob, Network, NoRoute, Site,
                              WorkloadProfile, build_outputs, builtin_profiles,
                              content_checksum, data_file_name)
@@ -119,6 +122,47 @@ def test_build_outputs_manifest():
     assert [o.name for o in outputs] == ["out.log", "err.log", "part.zebra", "h.hbook"]
 
 
+MANIFESTS = [
+    # (profile, extra description, (dataset, index) keyed, data product name)
+    ("cmkin", 'Dataset = "jpsi"; JobIndex = 7;\n', ("jpsi", 7), "jpsi_7.ntpl"),
+    ("cmsim", 'Dataset = "jpsi"; JobIndex = 7;\n', ("jpsi", 7), "jpsi_7_101.fz"),
+    ("atlsim", 'OutputSandbox = {"part.zebra", "h.hbook"};\n', ("", 101), "part.zebra"),
+    ("cmkin", "", ("", 101), "cmkin_101.ntpl"),
+]
+
+
+@pytest.mark.parametrize("profile, extra, key, data_name", MANIFESTS,
+                         ids=["factory-cmkin", "factory-cmsim", "sandbox", "fallback"])
+def test_each_manifest_checksum_is_the_content_checksum_of_its_file(profile, extra, key,
+                                                                     data_name):
+    jd = parse_jdl(jd_text(profile, extra=extra))
+    outputs = build_outputs(jd, PROFILES[profile])
+    assert [o.name for o in outputs if o.is_data] == [data_name]
+    assert [o.checksum for o in outputs] == [
+        content_checksum(profile, *key, jd.events, o.name) for o in outputs]
+    for name in ("name", "size_bytes", "checksum", "is_data"):
+        with pytest.raises(AttributeError):
+            setattr(outputs[0], name, None)
+
+
+#: sha256 of every held sandbox manifest of production.scn, as `get_output` lists it
+PRODUCTION_MANIFESTS = "66fefadf5a978b6b7179cd52f22e34faf9bbb711bb567a1f3bec07ece1f703cd"
+
+
+def test_production_get_output_manifests_are_pinned():
+    path = importlib.resources.files("deskgrid").joinpath("data", "scenarios", "production.scn")
+    grid = load_topology(default_topology_path())
+    code, text = dispatch(grid, ["exec", str(path)])
+    assert code == 0, text
+    grid.kernel.run_to_completion()
+    rows = [f"{job_id}\t{name}\t{size}\t{mark}"
+            for rb in grid.brokers.values()
+            for job_id, record in list(rb.jobs.items()) if record.state in (DONE_OK, DONE_FAILED)
+            for name, size, mark in rb.get_output(job_id)]
+    assert len(rows) == 32
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PRODUCTION_MANIFESTS
+
+
 # -- network -----------------------------------------------------------
 
 
@@ -153,10 +197,32 @@ def test_lan_override():
     assert n.hops("site:beta", "site:beta") == [n.lan]
 
 
+def exact_seconds(n, size, frm, to) -> Fraction:
+    """The oracle: the sum over `hops` of latency + size / bandwidth."""
+    return sum((latency + Fraction(size) / bandwidth for bandwidth, latency in n.hops(frm, to)),
+               Fraction(0))
+
+
+def assert_timed_exactly(n, size, frm, to):
+    """One transfer from now, drained: it lands at now_ms + to_millis(exact)
+    and its line says `fmt_quantity(exact)` seconds."""
+    exact, now_ms = exact_seconds(n, size, frm, to), n.kernel.now_ms
+    n.transfer(size, frm, to, what="t", on_done=lambda: None)
+    n.kernel.run_to_completion()
+    entry = n.kernel.trace[-1]
+    assert entry.action == "transfer-complete" and entry.detail["bytes"] == size
+    assert entry.time_ms == now_ms + to_millis(exact)
+    assert entry.time_ms == now_ms + math.floor(exact * 1000 + Fraction(1, 2))
+    assert entry.detail["secs"] == fmt_quantity(exact)
+
+
 def test_duration_megabyte_over_default_wan():
     n = net()
-    hops = [(Fraction(10 * MB), Fraction(1, 20))]
-    assert Fraction(*n.duration(MB, hops)) == Fraction(3, 20)  # 0.1 s pipe + 0.05 s latency
+    n.default_wan = (Fraction(10 * MB), Fraction(1, 20))
+    assert exact_seconds(n, MB, "rb:r", "ui") == Fraction(3, 20)  # 0.1 s pipe + 0.05 s latency
+    for _ in range(2):  # the first resolves the route, the second reads it kept
+        assert_timed_exactly(n, MB, "rb:r", "ui")
+    assert n.kernel.now_ms == 300 and n.kernel.trace[-1].detail["secs"] == "0.15"
 
 
 RATES = st.builds(Fraction, st.integers(1, 10**10), st.integers(1, 10**4))
@@ -169,18 +235,47 @@ DELAYS = st.builds(Fraction, st.integers(0, 10**5), st.integers(1, 10**5))
        st.sampled_from([("site:alpha", "site:beta"), ("site:beta", "site:beta"),
                         ("rb:r", "site:alpha"), ("site:alpha", "rb:r"), ("rb:r", "ui")]))
 def test_transfer_duration_is_the_exact_sum_over_hops(link, lan, wan, size, ends):
+    """Twice over one route: resolved by the first transfer, kept for the
+    second, which starts where the first ended."""
     n = Network(Kernel())
     n.add_link("site:alpha", "site:beta", *link)
     n.lan, n.default_wan = lan, wan
-    hops = n.hops(*ends)
-    exact = sum((latency + Fraction(size) / bandwidth for bandwidth, latency in hops),
-                Fraction(0))
-    assert Fraction(*n.duration(size, hops)) == exact
-    n.transfer(size, *ends, what="t", on_done=lambda: None)
-    n.kernel.run_to_completion()
-    entry = n.kernel.trace[-1]
-    assert entry.time_ms == math.floor(exact * 1000 + Fraction(1, 2))
-    assert entry.detail["secs"] == fmt_quantity(exact)
+    assert_timed_exactly(n, size, *ends)
+    assert_timed_exactly(n, size, *ends)
+
+
+def test_a_kept_route_follows_every_change_of_links_lan_and_default_wan():
+    """Each step first uses a route, so it is kept, then changes what it is
+    made of; the next transfer takes the new route, or finds none."""
+    n = net()
+    alpha_rb, alpha_beta = ("site:alpha", "rb:r"), ("site:alpha", "site:beta")
+    assert_timed_exactly(n, MB, *alpha_beta)
+    for _ in range(2):  # no route, kept as such
+        with pytest.raises(NoRoute):
+            n.transfer(MB, *alpha_rb, what="t", on_done=lambda: None)
+    n.default_wan = (Fraction(10 * MB), Fraction(1, 20))  # a kept NoRoute turns into a route
+    assert_timed_exactly(n, MB, *alpha_rb)
+    n.add_link(*alpha_rb, Fraction(MB), Fraction(1, 2))  # an explicit link beats the default
+    assert_timed_exactly(n, MB, *alpha_rb)
+    assert n.kernel.trace[-1].detail["secs"] == "1.5"
+    n.remove_link(*alpha_rb)  # back to the default WAN
+    assert_timed_exactly(n, MB, *alpha_rb)
+    assert n.kernel.trace[-1].detail["secs"] == "0.15"
+    n.default_wan = None  # the route turns into NoRoute
+    with pytest.raises(NoRoute):
+        n.transfer(MB, *alpha_rb, what="t", on_done=lambda: None)
+    n.add_link(*alpha_rb, Fraction(2 * MB), Fraction(1, 4))  # ... and a link makes one again
+    assert_timed_exactly(n, MB, *alpha_rb)
+    assert n.kernel.trace[-1].detail["secs"] == "0.75"
+    assert_timed_exactly(n, MB, *alpha_beta)
+    n.lan = (Fraction(MB), Fraction(2, 1000))  # the LAN leg of every route to a site
+    assert_timed_exactly(n, MB, *alpha_beta)
+    assert n.kernel.trace[-1].detail["secs"] == "1.152"
+    n.remove_link(*alpha_beta)  # no link and no default: NoRoute
+    with pytest.raises(NoRoute):
+        n.transfer(MB, *alpha_beta, what="t", on_done=lambda: None)
+    with pytest.raises(KeyError):
+        n.remove_link(*alpha_beta)
 
 
 def test_transfer_completes_on_schedule_with_trace():

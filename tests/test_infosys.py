@@ -82,11 +82,10 @@ def test_query_filters_by_flavor_and_vo_and_sorts():
         index.query("GLOBUS_ONLY", "testvo")
 
 
-def test_a_kept_query_answer_follows_every_valid_publish():
-    """Answers are kept per (flavor, vo) between publishes: a republish that
-    drops a flavor or a VO shows at the next query, a publish that fails
-    validation leaves the answer as it was, and each caller gets its own
-    list."""
+def test_a_query_answer_follows_every_valid_publish():
+    """A republish that drops a flavor or a VO shows at the next query, a
+    publish that fails validation leaves the answer as it was, and each
+    caller gets its own list."""
     def ids(flavor, vo):
         return [r.ce_id for r in index.query(flavor, vo)]
 

@@ -23,16 +23,18 @@ def books(grid) -> tuple:
     return grid.kernel.export_trace(), grid.bossdb.dump(), grid.datagrid.rc.dump()
 
 
-def production_run(cut_ms=None) -> tuple:
+def production_run(cut_ms=None, at_cut=None) -> tuple:
     """production.scn drained to completion; with `cut_ms`, the grid is
     run to that instant, between two of its commands, and replaced by its
-    pickled copy, which runs the rest."""
+    pickled copy, which runs the rest.  `at_cut(grid, copy)` sees both."""
     grid = load_topology(default_topology_path())
     for step in parse_scenario(PRODUCTION.read_text(), str(PRODUCTION)):
         if cut_ms is not None and step.at_s * 1000 > cut_ms:
             grid.kernel.run_until(cut_ms / 1000)
-            grid = pickle.loads(pickle.dumps(grid))
-            cut_ms = None
+            copy = pickle.loads(pickle.dumps(grid))
+            if at_cut is not None:
+                at_cut(grid, copy)
+            grid, cut_ms = copy, None
         grid.kernel.run_until(step.at_s)
         code, text = dispatch(grid, list(step.argv), base_dir=PRODUCTION.parent)
         assert code == 0, text
@@ -56,6 +58,18 @@ def uninterrupted() -> tuple:
 def test_a_production_run_cut_and_pickled_finishes_as_the_uninterrupted_run(
         cut_ms, uninterrupted):
     assert production_run(cut_ms) == uninterrupted
+
+
+def test_a_production_run_cut_with_its_routes_kept_finishes_as_the_uninterrupted_run(
+        uninterrupted):
+    """Cut while the simulation jobs' stage-ins are in flight: every route a
+    leg has used so far is kept, and the copy keeps the same routes."""
+    def kept(grid, copy):
+        routes = grid.network._routes
+        assert len(routes) >= 8 and None not in routes.values()
+        assert copy.network._routes == routes
+
+    assert production_run(310_100, kept) == uninterrupted
 
 
 def test_a_replication_in_flight_survives_a_pickle_round_trip():

@@ -1,12 +1,20 @@
-"""Relations between runs that hold for any input: how a run is stepped
-does not change what it does."""
+"""Relations between runs that hold for any input: neither the order in
+which a topology lists its sections nor how a run is stepped changes what
+it does."""
+import importlib.resources
+import pathlib
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.cli import dispatch
+from deskgrid.grid import Grid, default_topology_path, load_topology
+from deskgrid.topology import parse_topology
 
 from conftest import staggered_bulk
+from test_golden import GOLDEN, _sha
 
 
 def books(grid) -> tuple:
@@ -40,3 +48,25 @@ def test_run_until_in_any_steps_gives_what_run_to_completion_gives(step_ms, whol
     kept horizons fall due; steps of 7 s land between them."""
     assert whole[0].count("\tmatched\t") == 200
     assert stepped_bulk(step_ms) == whole
+
+
+def shuffled_sections(seed: int) -> str:
+    """The shipped topology with its sections, each with the comments that
+    follow it, in a seeded random order; the leading comment stays first."""
+    head, *sections = re.split(r"(?m)^(?=\[)", pathlib.Path(default_topology_path()).read_text())
+    order = list(sections)
+    random.Random(seed).shuffle(order)
+    assert order != sections
+    return head + "".join(order)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_the_order_of_the_topologys_sections_changes_no_digest(name, seed):
+    grid = Grid(parse_topology(shuffled_sections(seed), f"worldgrid-shuffled-{seed}"))
+    path = importlib.resources.files("deskgrid").joinpath("data", "scenarios", name)
+    code, text = dispatch(grid, ["exec", str(path)])
+    assert code == 0, text
+    grid.kernel.run_to_completion()
+    assert (_sha(grid.kernel.export_trace()), _sha(grid.bossdb.dump()),
+            _sha(grid.datagrid.rc.dump())) == GOLDEN[name]
