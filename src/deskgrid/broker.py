@@ -20,9 +20,7 @@ job's requirement expression and -- for data-driven jobs -- the presence
 of every input file on a storage element close to the element; the
 survivor with the highest rank wins (default rank is minus the estimated
 traversal time, compared exactly as integer pairs), ties on rank go to the
-smallest element id, and replica ties to the smallest (se, path).  A
-requirement that does not read the ETT is evaluated once per element's
-advertised attributes and then reused.
+smallest element id, and replica ties to the smallest (se, path).
 
 What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
@@ -31,17 +29,19 @@ same for every match is kept: the admissible set of a (VO, owner,
 requirement, pin) -- elements of the broker's flavor the VO may use, whose
 site maps the owner and whose advertised attributes satisfy the
 requirement -- until the index's or the VO manager's `generation` moves (a
-publish, a mapfile sync).  Each kept set holds its default-rank order as
-rows of (ETT * D/d, element id, table entry) over a common denominator D;
-`fmt_ratio(-n, d)` equals `fmt_ratio(-n * (D // d), D)`, so an entry
-rendered once per ETT pair reads the same in any set.  Before a match the
-broker re-reads only the elements that reported a move or whose horizon
-the clock has reached (a heap of (horizon, id), under the element's own
-`now >= horizon` rule), and moves each in the orders holding it by
-bisection, sorting a set afresh when its D is no multiple of the new
-denominator.  A default-rank match filters its kept order by the replicas
-and joins the kept entries into the table; only an explicit `Rank` or a
-requirement that reads the ETT is evaluated per element of the kept set.
+publish, a mapfile sync).  A requirement that does not read the ETT is
+tested once per element, when its set is built.  Each kept set holds its
+default-rank order as rows of (ETT * D/d, element id, table entry), with
+one D per broker: the lcm of every ETT denominator it has read.  A read
+whose d does not divide D makes D lcm(D, d) and multiplies every key of
+every kept order by the same factor, which keeps each order sorted.
+Before a match the broker re-reads only the elements that reported a move
+or whose horizon the clock has reached (a heap of (horizon, id), under the
+element's own `now >= horizon` rule), and moves each in the orders holding
+it by bisection.  A default-rank match filters its kept order by the
+replicas and joins the kept entries into the table; only an explicit
+`Rank` or a requirement that reads the ETT is evaluated per element of the
+kept set.
 """
 from __future__ import annotations
 
@@ -125,7 +125,8 @@ class MatchResult:
     value (None when the rank evaluated to something unusable, which sorts
     below every ranked element), in choice order.  `ranked` holds (element
     id, rank value) pairs, or under the default rank the rows of the kept
-    order the match read, (ETT * `denominator`/d, element id, table entry);
+    order the match read, (ETT * `denominator`/d, element id, table entry),
+    `denominator` being the broker's D at that match;
     `table` reads those as minus the ETT times `denominator`, as ints, and
     `candidates` as exact Fractions."""
 
@@ -144,15 +145,6 @@ class MatchResult:
         if self.denominator is None:
             return list(self.table)
         return [(ce_id, Fraction(value, self.denominator)) for ce_id, value in self.table]
-
-
-@dataclass
-class _Kept:
-    """One admissible set in its default-rank order: rows of (ETT * D/d,
-    element id, table entry), D being `denominator`."""
-
-    denominator: int = 1
-    order: list = field(default_factory=list)
 
 
 _ENTRY = itemgetter(2)
@@ -195,12 +187,8 @@ class ResourceBroker:
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
-        # requirement -> {advertised: satisfied}, or None when it reads the
-        # ETT, which moves between matches (a node keeps its hash, so the
-        # lookup does not walk the tree)
-        self._requirement_memo: dict = {}
-        # ce_id -> (ETT numerator, denominator, shown rank, table entry) as
-        # last read, rendered again only when the pair changes; ce_id -> the
+        # ce_id -> (ETT numerator, denominator, table entry) as last read,
+        # rendered again only when the pair changes; ce_id -> the
         # element's horizon at that read (None once due); a heap of
         # (horizon, ce_id); and the ids of the elements that reported a move
         # since, each element holding this very set among its watchers
@@ -208,11 +196,14 @@ class ResourceBroker:
         self._horizons: dict = {}
         self._due: list = []
         self._moved: set = set()
-        # (vo, owner, requirement or None, pin) -> _Kept, for one generation
-        # of the index and the mapfiles; ce_id -> the kept sets holding it
+        # (vo, owner, requirement, pin) -> (whether the requirement reads
+        # the ETT, default-rank order), for one generation of the index and
+        # the mapfiles; ce_id -> the kept orders holding it; and D, the lcm
+        # of every ETT denominator read, over which every order is keyed
         self._kept: dict = {}
         self._holding: dict = {}
         self._generation = None
+        self._denominator = 1
 
     @property
     def endpoint(self) -> str:
@@ -267,37 +258,32 @@ class ResourceBroker:
             raise BrokerError(f"{job_id}: match requires WAITING, not {record.state}")
         description = record.description
         requirements, rank = description.requirements, description.rank
-        try:
-            memo = self._requirement_memo[requirements]
-        except KeyError:
-            memo = self._requirement_memo[requirements] = (
-                None if jdl.reads_attribute(requirements, "EstimatedTraversalTime") else {})
         # the same for every candidate: whether the proxy is valid now and
         # every input resolves, and the storage elements holding each input
         replicas = self._resolve_inputs(description)
-        order, denominator = [], None
+        reads_ett, order = False, []
         if record.owner.valid_at(self.kernel.now_ms) and replicas is not None:
-            kept = self._admissible(description.virtual_organisation, record.owner.user_dn,
-                                    None if memo is None else requirements, record.pinned_ce)
-            order, denominator = kept.order, kept.denominator
+            reads_ett, order = self._admissible(description.virtual_organisation,
+                                                record.owner.user_dn, requirements,
+                                                record.pinned_ce)
             ces = self.info.ces
             for reps in replicas.values():  # close to a replica of every input
                 held = {se_id for se_id, _path in reps}
                 order = [row for row in order if not held.isdisjoint(ces[row[1]].close_ses)]
 
         if rank is None:
-            if memo is None:  # the requirement reads the ETT: evaluated now
+            if reads_ett:  # the requirement reads the ETT: tested now
                 order = [row for row in order if jdl.requirement_satisfied(
                     requirements, self._match_env(row[1]))]
-            result = MatchResult(order[:], order[0][1] if order else None, denominator)
-            rank_shown = self._entries[result.chosen][2] if order else None
+            result = MatchResult(order[:], order[0][1] if order else None, self._denominator)
+            rank_shown = order[0][2][len(result.chosen) + 1:] if order else None
             table = "|".join(map(_ENTRY, order))
         else:
             scored = []    # (rank value, ce_id)
             demoted = []   # rank unusable
             for _key, ce_id, _entry in order:
                 env = self._match_env(ce_id)
-                if memo is None and not jdl.requirement_satisfied(requirements, env):
+                if reads_ett and not jdl.requirement_satisfied(requirements, env):
                     continue
                 value = jdl.evaluate(rank, env)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -326,7 +312,7 @@ class ResourceBroker:
         return result
 
     def _match_env(self, ce_id: str) -> dict:
-        ce, (n, d, _shown, _entry) = self.info.ces[ce_id], self._entries[ce_id]
+        ce, (n, d, _entry) = self.info.ces[ce_id], self._entries[ce_id]
         return {
             "RunTimeEnvironment": ce.run_time_environment,
             "LRMSType": ce.lrms,
@@ -337,11 +323,11 @@ class ResourceBroker:
 
     # -- kept admissible sets and ETT entries ----------------------------
 
-    def _admissible(self, vo: str, user_dn: str, requirements, pinned) -> _Kept:
-        """The kept set of (vo, user_dn, requirements, pinned), built on
-        first use in this generation of the index and the mapfiles, with
-        every kept entry brought up to date.  `requirements` is None for a
-        requirement that reads the ETT, which each match tests itself."""
+    def _admissible(self, vo: str, user_dn: str, requirements, pinned) -> tuple:
+        """(reads_ett, order) kept for (vo, user_dn, requirements, pinned),
+        built on first use in this generation of the index and the mapfiles,
+        with every kept entry brought up to date.  A requirement that reads
+        the ETT is left out of the build; each match tests it itself."""
         generation = (self.info.generation, self.vo.generation)
         if generation != self._generation:
             self._generation = generation
@@ -349,10 +335,9 @@ class ResourceBroker:
             self._holding.clear()
         self._refresh()
         key = (vo, user_dn, requirements, pinned)
-        kept = self._kept.get(key)
-        if kept is not None:
-            return kept
-        memo = self._requirement_memo.get(requirements)
+        if key in self._kept:
+            return self._kept[key]
+        reads_ett = jdl.reads_attribute(requirements, "EstimatedTraversalTime")
         members = []
         for ce in self.info.query(self.flavor, vo):
             if pinned is not None and ce.ce_id != pinned:
@@ -361,26 +346,14 @@ class ResourceBroker:
                 continue
             if ce.ce_id not in self._entries:
                 self._read(ce.ce_id)
-            if memo is not None:
-                advertised = (ce.ce_id, ce.lrms, ce.run_time_environment, ce.close_ses)
-                if advertised not in memo:
-                    memo[advertised] = jdl.requirement_satisfied(requirements,
-                                                                 self._match_env(ce.ce_id))
-                if not memo[advertised]:
-                    continue
-            members.append(ce.ce_id)
-        kept = self._kept[key] = _Kept()
+            if reads_ett or jdl.requirement_satisfied(requirements, self._match_env(ce.ce_id)):
+                members.append(ce.ce_id)
+        order = sorted([(n * (self._denominator // d), ce_id, text)
+                        for ce_id in members for n, d, text in [self._entries[ce_id]]])
         for ce_id in members:
-            self._holding.setdefault(ce_id, []).append(kept)
-        self._sort(kept, members)
-        return kept
-
-    def _sort(self, kept: _Kept, members: list) -> None:
-        """Order `members` afresh, over the lcm of their denominators."""
-        pairs = [(ce_id, self._entries[ce_id]) for ce_id in members]
-        kept.denominator = denominator = math.lcm(*[entry[1] for _ce_id, entry in pairs])
-        kept.order = sorted([(entry[0] * (denominator // entry[1]), ce_id, entry[3])
-                             for ce_id, entry in pairs])
+            self._holding.setdefault(ce_id, []).append(order)
+        self._kept[key] = (reads_ett, order)
+        return reads_ett, order
 
     def _refresh(self) -> None:
         """Re-read every element that reported a move or whose horizon the
@@ -397,7 +370,8 @@ class ResourceBroker:
 
     def _read(self, ce_id: str) -> None:
         """Read the element's ETT; a changed pair is rendered and moved in
-        every kept order holding the element.  The first read starts
+        every kept order holding the element, after every kept order is
+        scaled to a D the new denominator divides.  The first read starts
         watching the element's moves."""
         ce = self.fabric.ces[ce_id]
         old = self._entries.get(ce_id)
@@ -410,16 +384,17 @@ class ResourceBroker:
                 heapq.heappush(self._due, (ce.horizon_ms, ce_id))
         if old is not None and old[0] == n and old[1] == d:
             return
-        shown = fmt_ratio(-n, d)
-        text = f"{ce_id}:{shown}"
-        self._entries[ce_id] = (n, d, shown, text)
+        text = f"{ce_id}:{fmt_ratio(-n, d)}"
+        self._entries[ce_id] = (n, d, text)
+        denominator = self._denominator
+        if denominator % d:
+            self._denominator = math.lcm(denominator, d)
+            scale, denominator = self._denominator // denominator, self._denominator
+            for _reads_ett, order in self._kept.values():
+                order[:] = [(key * scale, other, entry) for key, other, entry in order]
         if old is None:
             return
-        for kept in self._holding.get(ce_id, ()):
-            denominator, order = kept.denominator, kept.order
-            if denominator % d:
-                self._sort(kept, [row[1] for row in order])
-                continue
+        for order in self._holding.get(ce_id, ()):
             del order[bisect_left(order, (old[0] * (denominator // old[1]), ce_id))]
             insort(order, (n * (denominator // d), ce_id, text))
 
@@ -427,7 +402,7 @@ class ResourceBroker:
         """Ids of elements whose kept ETT differs from a fresh read although
         they reported no move and the clock is short of their horizon."""
         now = self.kernel.now_ms
-        return [ce_id for ce_id, (n, d, _shown, _entry) in self._entries.items()
+        return [ce_id for ce_id, (n, d, _entry) in self._entries.items()
                 if ce_id not in self._moved and now < self._horizons[ce_id]
                 and (n, d) != self.fabric.ces[ce_id].ett()]
 

@@ -159,7 +159,10 @@ def data_file_name(jd: JobDescription, profile: WorkloadProfile) -> str:
     <dataset>_<n>_<seed>.fz.  Sandbox-returning applications use the first
     OutputSandbox entry; anything else falls back to a name derived from
     the profile and seed."""
-    tag = jd.production_tag()
+    return _data_file_name(jd, profile, jd.production_tag())
+
+
+def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
     if tag is not None:
         dataset, index = tag
         if profile.name == "cmsim":
@@ -172,9 +175,10 @@ def data_file_name(jd: JobDescription, profile: WorkloadProfile) -> str:
 
 def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
     """Deterministic manifest of everything the job leaves on its node."""
-    dataset, index = jd.production_tag() or ("", jd.job_seed)
+    tag = jd.production_tag()
+    dataset, index = tag or ("", jd.job_seed)
     prefix = _checksum_prefix(profile.name, dataset, index, jd.events)
-    data_name = data_file_name(jd, profile)
+    data_name = _data_file_name(jd, profile, tag)
     outputs = [
         OutputFile(jd.std_output, STDOUT_BASE_BYTES + STDOUT_BYTES_PER_EVENT * jd.events,
                    _key_checksum(prefix + jd.std_output), False),

@@ -101,7 +101,7 @@ class Lit:
 
 def _hash_kept(cls):
     """Keep a composite node's hash on it once computed: a requirement
-    tree keys the broker's memo at every match, and the generated
+    tree keys the broker's kept sets at every match, and the generated
     `__hash__` walks the whole tree on each call."""
     tree_hash = cls.__hash__
 

@@ -20,7 +20,7 @@ backwards: a regressive update is logged and ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -322,7 +322,7 @@ class ProductionManager:
 
     def submit(self, assignment_id: int, proxy: Proxy) -> list:
         """Submit every job of the assignment; refuses as a whole when the
-        proxy is not valid now."""
+        proxy is not valid now.  Each job declares the proxy's VO."""
         request = self.refdb.get(assignment_id)
         if request.status != REQ_CREATED:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
@@ -333,6 +333,9 @@ class ProductionManager:
             raise ProductionError(f"unknown resource broker {request.rb_id!r}")
         job_type = request.step.lower()
         for index, description in enumerate(request.descriptions, start=1):
+            if description.virtual_organisation != proxy.vo_name:
+                description = request.descriptions[index - 1] = replace(
+                    description, virtual_organisation=proxy.vo_name)
             job_id = rb.submit(description, proxy)
             input_file = (f"{request.dataset}_{index}.ntpl"
                           if request.step == STEP_CMSIM else "-")

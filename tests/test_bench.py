@@ -34,3 +34,8 @@ def test_traced_long_events_repetition_matches_its_pins():
     # extras: no description text or expression is parsed on the way
     assert layers["jdl.parse_jdl_calls"] == 0
     assert layers["jdl.parse_expr_calls"] == 0
+    # each of the two EDG brokers builds one admissible set over the 13
+    # elements it sees, testing the requirement once per element there;
+    # no match evaluates it again
+    assert layers["jdl.eval_calls"] == 26
+    assert layers["infosys.query_calls"] == 2

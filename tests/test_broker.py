@@ -10,8 +10,8 @@ import pytest
 from deskgrid import jdl
 from deskgrid.broker import (ABORTED, CLEARED, DONE_FAILED, DONE_OK, MATCHED,
                              RUNNING, SCHEDULED, SUBMITTED, WAITING,
-                             AlreadyCleared, BrokerError, NotDone,
-                             ProxyExpired, UnknownJob)
+                             AlreadyCleared, BrokerError, IllegalTransition,
+                             NotDone, ProxyExpired, UnknownJob)
 from deskgrid.fabric import ComputingElement, FabricJob, WorkloadProfile
 from deskgrid.grid import Grid
 from deskgrid.jdl import parse_expr, parse_jdl
@@ -283,6 +283,19 @@ def test_run_job_requires_a_match_first(mini, alice):
         rb.run_job("j999")
 
 
+def test_an_ended_job_is_neither_matched_nor_moved_again(mini, alice):
+    rb = mini.brokers["rb_test"]
+    job_id = mini.submit(CMKIN_SMALL, "rb_test")
+    mini.kernel.run_to_completion()
+    record = rb.jobs[job_id]
+    assert record.state == DONE_OK
+    with pytest.raises(BrokerError, match="match requires WAITING, not DONE_OK"):
+        rb.match(job_id)
+    with pytest.raises(IllegalTransition, match=f"{job_id}: DONE_OK -> RUNNING"):
+        rb._move(record, RUNNING)
+    assert record.state == DONE_OK and mini.validate() == []
+
+
 def test_exec_failure_returns_logs_only(mini, alice):
     mini.fabric.ces["ce_alpha"].fail_next_execs = 1
     job_id = mini.submit(CMKIN_SMALL, "rb_test", pinned_ce="ce_alpha")
@@ -341,7 +354,7 @@ def test_missing_route_fails_the_running_job():
     assert record.state == DONE_FAILED and record.reason == "NoRoute"
 
 
-# -- requirement results reused across jobs ---------------------------
+# -- requirements tested at set builds and at matches -----------------
 
 def with_requirements(text: str) -> str:
     return CMKIN_SMALL.replace('Member("CMS", other.RunTimeEnvironment)', text)
@@ -352,8 +365,9 @@ def candidates_of(matches, job_id):
 
 
 def test_reused_requirement_results_follow_a_republished_record(mini, alice):
-    """Results are reused per advertised attributes, not per element id:
-    republishing an element with other tags changes the next match."""
+    """A requirement is tested when its kept set is built, and a publish
+    drops the kept sets: republishing an element with other tags changes
+    the next match."""
     matches = watch_matches(mini)
     atlas = with_requirements('Member("ATLAS-3.2.1", other.RunTimeEnvironment)')
     first = mini.submit(atlas, "rb_test")
@@ -386,7 +400,7 @@ def test_a_requirement_on_the_traversal_time_is_evaluated_at_each_match(mini, al
 
 def test_true_and_one_are_different_requirements(mini, alice):
     """`true == 1` in Python, but only `true` is a satisfied requirement,
-    so the two must not share reused results."""
+    so the two must not share a kept set."""
     matches = watch_matches(mini)
     assert parse_expr("true") != parse_expr("1")
     assert parse_expr("{1, true}") != parse_expr("{true, 1}")

@@ -3,7 +3,7 @@
 A match re-reads only the elements whose ETT moved since its broker last
 read them, and ranks by default from a kept order.  These tests redo
 matches from scratch and compare, count ETT reads on a wide testbed, and
-reach each way a kept set is built, moved, sorted afresh or dropped."""
+reach each way a kept set is built, moved, rescaled or dropped."""
 import dataclasses
 import pathlib
 import random
@@ -273,13 +273,17 @@ def test_matches_on_a_monitor_point_read_it_as_a_rescan_does(mini, alice):
     assert dict(seen[3][1])["ce_beta"] == -10
 
 
-# -- building, moving, sorting afresh and dropping a kept set ------------
+# -- building, moving, rescaling and dropping a kept set -----------------
 
-def test_a_pair_whose_denominator_the_kept_one_lacks_sorts_the_set_afresh(mini, alice):
+def with_requirement(requirement: str) -> str:
+    return CMKIN_SMALL.replace('Member("CMS", other.RunTimeEnvironment)', requirement)
+
+
+def test_a_pair_whose_denominator_d_lacks_rescales_the_kept_order(mini, alice):
     """An idle element's ETT pair is over 1000 * cpu_mhz * wn_count, 2000
     on either.  A CMKIN job (1/2 s per event) on ce_alpha doubles alpha's
     denominator and a job of 1/7 s per event there multiplies it by seven:
-    the next match reads the kept order sorted afresh over 28000."""
+    the next match reads the kept order rescaled to a D of 28000."""
     matches = watch_matches(mini)
     mini.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
     first = mini.submit(CMKIN_SMALL, "rb_test")
@@ -292,6 +296,62 @@ def test_a_pair_whose_denominator_the_kept_one_lacks_sorts_the_set_afresh(mini, 
     assert matches[second].denominator == 28000
     assert matches[second].candidates == [("ce_beta", 0), ("ce_alpha", -13)]
     assert mini.validate() == []
+
+
+def test_a_grown_denominator_rescales_an_order_without_the_element_that_moved(mini, alice):
+    """bob's kept set, pinned to ce_beta, holds beta at 12.5 s behind his
+    own job.  A job of 1/7 s per event on ce_alpha grows D sevenfold when
+    rb_test reads alpha at bob's next match; bob's order, which lacks
+    alpha, is rescaled with the rest and still reads beta at 12.5 s."""
+    rb = mini.brokers["rb_test"]
+    seen = []
+    rb.match_observers.append(lambda record, result: seen.append(
+        (record.owner.user_dn, result.denominator, result.candidates,
+         rescanned(mini, rb, record))))
+    mini.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
+    bob = mini.vo.create_proxy("/C=XX/CN=bob", "testvo", 0)
+    rb.submit(parse_jdl(CMKIN_SMALL), bob, pinned_ce="ce_beta")
+    mini.kernel.run_until(0)
+    mini.submit(JOB_TEXT.format(profile="odd", requirement="true", events=3, seed=1)
+                .replace("datatag", "testvo"), "rb_test", pinned_ce="ce_alpha")
+    mini.kernel.run_until(1)
+    rb.submit(parse_jdl(CMKIN_SMALL), bob, pinned_ce="ce_beta")
+    mini.kernel.run_until(1)
+    assert [(owner, d) for owner, d, _got, _want in seen] == [
+        ("/C=XX/CN=bob", 2000), ("/C=XX/CN=alice", 4000), ("/C=XX/CN=bob", 28000)]
+    assert seen[2][2] == [("ce_beta", Fraction(-25, 2))]
+    assert all(got == want for _owner, _d, got, want in seen)
+    assert len(rb._kept) == 2 and mini.validate() == []
+
+
+def test_two_requirements_on_the_traversal_time_keep_a_set_each(mini, alice):
+    """alice's jobs under `< 5` and `< 100000` are kept apart, and each
+    match tests its own requirement on every element of its set."""
+    rb = mini.brokers["rb_test"]
+    seen = []
+    rb.match_observers.append(lambda record, result: seen.append(
+        (result.candidates, rescanned(mini, rb, record))))
+    for bound in (5, 100000, 5, 100000, 5):
+        mini.submit(with_requirement(f"other.EstimatedTraversalTime < {bound}"), "rb_test")
+    mini.kernel.run_until(0)
+    assert [len(got) for got, _want in seen] == [2, 2, 0, 2, 0]
+    assert all(got == want for got, want in seen)
+    assert sorted(reads_ett for reads_ett, _order in rb._kept.values()) == [True, True]
+    assert len(rb._kept) == 2
+
+
+def test_a_requirement_on_a_list_literal_admits_its_members(mini, alice):
+    """`Member(other.CEId, {"ce_alpha"})` keeps ce_alpha alone, as a rescan
+    does, although beta is idle and alpha busy."""
+    rb = mini.brokers["rb_test"]
+    seen = []
+    rb.match_observers.append(lambda record, result: seen.append(
+        (result.candidates, rescanned(mini, rb, record))))
+    for _ in range(2):
+        mini.submit(with_requirement('Member(other.CEId, {"ce_alpha"})'), "rb_test")
+    mini.kernel.run_until(0)
+    assert all(got == want for got, want in seen)
+    assert [got for got, _want in seen] == [[("ce_alpha", 0)], [("ce_alpha", Fraction(-25, 2))]]
 
 
 def test_a_vo_sync_drops_the_kept_sets(mini):

@@ -5,15 +5,19 @@ monitor and kept order travels with the copy."""
 import importlib.resources
 import pathlib
 import pickle
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from deskgrid.cli import dispatch
+from deskgrid.fabric import WorkloadProfile
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.production import BossDb
 from deskgrid.scenario import parse_scenario
+from deskgrid.units import KB
 
-from conftest import make_mini, staggered_bulk
+from conftest import CMKIN_SMALL, make_mini, staggered_bulk
 
 PRODUCTION = pathlib.Path(str(
     importlib.resources.files("deskgrid").joinpath("data", "scenarios", "production.scn")))
@@ -115,6 +119,39 @@ def test_a_bulk_run_cut_while_brokers_keep_their_sets_finishes_as_the_uninterrup
         return books(grid)
 
     assert bulk(cut=True) == bulk(cut=False)
+
+
+def test_a_run_cut_just_after_a_brokers_denominator_grew_finishes_as_the_uninterrupted_run():
+    """On the mini grid, a job of 1/7 s per event lands on ce_alpha at 1 s
+    and rb_test reads alpha again at the next match, at 2 s: its D grows
+    sevenfold and its kept order is rescaled.  The grid is cut right
+    there, and the copy keeps D and the order and finishes as the run."""
+    def run(cut: bool) -> tuple:
+        grid = make_mini()
+        grid.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
+        grid.proxy_init("/C=XX/CN=alice", "testvo")
+        odd = CMKIN_SMALL.replace('"cmkin"', '"odd"').replace("Events = 50", "Events = 3")
+        for at_ms, text, pinned in ((0, CMKIN_SMALL, None), (1000, odd, "ce_alpha"),
+                                    (2000, CMKIN_SMALL, None), (3000, CMKIN_SMALL, None)):
+            grid.kernel.schedule("user-command",
+                                 partial(grid.submit, text, "rb_test", pinned), at_ms)
+        rb = grid.brokers["rb_test"]
+        if cut:
+            grid.kernel.run_until(1.5)
+            assert rb._denominator == 4000
+            grid.kernel.run_until(2)
+            assert rb._denominator == 28000
+            kept = dict(rb._kept)
+            grid = pickle.loads(pickle.dumps(grid))
+            rb = grid.brokers["rb_test"]
+            assert rb._denominator == 28000 and rb._kept == kept
+            assert all(any(held is order for held in rb._holding[ce_id])
+                       for _reads_ett, order in rb._kept.values() for _key, ce_id, _e in order)
+        grid.kernel.run_to_completion()
+        assert grid.validate() == []
+        return books(grid)
+
+    assert run(cut=True) == run(cut=False)
 
 
 def test_a_bossdb_built_without_an_emitter_pickles():

@@ -1,14 +1,19 @@
+import pathlib
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from deskgrid import broker as broker_mod
+from deskgrid.grid import Grid, default_topology_path
 from deskgrid.jdl import parse_jdl
 from deskgrid.production import (BossDb, JobsStillRunning, MissingUpstream,
                                  ProductionError, RefDb, UnknownAssignment,
                                  UnknownBossId, WrongState, job_seed_for)
 
-from conftest import make_mini
+from deskgrid.topology import parse_topology
+
+from conftest import OPERATOR, make_mini
 
 
 def grid_with_factory():
@@ -179,6 +184,30 @@ def test_built_descriptions_equal_the_files_the_factory_used_to_write():
         assert built[step] == [parse_jdl(text) for text in files]
         for jd in built[step]:
             assert parse_jdl(jd.text()) == jd
+
+
+def test_a_factory_job_declares_the_vo_of_the_proxy_that_submits_it():
+    """With [vo ivdgl] ahead of [vo datatag] in the shipped topology, the
+    factory builds its descriptions for ivdgl; a datatag proxy submits
+    them, and every job declares datatag."""
+    head, *sections = re.split(r"(?m)^(?=\[)", pathlib.Path(default_topology_path()).read_text())
+    datatag, ivdgl = (sections.index(next(s for s in sections if s.startswith(f"[vo {vo}]")))
+                      for vo in ("datatag", "ivdgl"))
+    sections[datatag], sections[ivdgl] = sections[ivdgl], sections[datatag]
+    grid = Grid(parse_topology(head + "".join(sections), "<ivdgl first>"))
+    assert grid.production.default_vo == "ivdgl"
+    proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+    request = grid.refdb.create_request("vo", "CMKIN", 8 * 250, 250, "rb_pisa")
+    grid.production.declare(request.assignment_id)
+    built = grid.production.create(request.assignment_id)
+    assert {jd.virtual_organisation for jd in built} == {"ivdgl"}
+    grid.production.submit(request.assignment_id, proxy)
+    grid.kernel.run_to_completion()
+    records = [grid.brokers["rb_pisa"].jobs[job_id] for job_id in request.scheduler_jobs]
+    assert [record.description.virtual_organisation for record in records] == ["datatag"] * 8
+    assert [jd.virtual_organisation for jd in request.descriptions] == ["datatag"] * 8
+    assert all(record.state == broker_mod.DONE_OK for record in records)
+    assert grid.validate() == []
 
 
 def test_submit_is_all_or_nothing_on_proxy_validity():

@@ -70,3 +70,8 @@ def test_the_order_of_the_topologys_sections_changes_no_digest(name, seed):
     grid.kernel.run_to_completion()
     assert (_sha(grid.kernel.export_trace()), _sha(grid.bossdb.dump()),
             _sha(grid.datagrid.rc.dump())) == GOLDEN[name]
+    # a factory job declares its proxy's VO, whichever [vo] section is first
+    factory_vos = {grid.brokers[request.rb_id].jobs[job_id].description.virtual_organisation
+                   for request in grid.refdb.requests.values()
+                   for job_id in request.scheduler_jobs}
+    assert factory_vos == (set() if name == "validation.scn" else {"datatag"})
