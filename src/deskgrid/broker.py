@@ -26,22 +26,22 @@ What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
 catalogue once, as the set of storage elements holding it.  What is the
 same for every match is kept: the admissible set of a (VO, owner,
-requirement, pin) -- elements of the broker's flavor the VO may use, whose
-site maps the owner and whose advertised attributes satisfy the
-requirement -- until the index's or the VO manager's `generation` moves (a
-publish, a mapfile sync).  A requirement that does not read the ETT is
-tested once per element, when its set is built.  Each kept set holds its
-default-rank order as rows of (ETT * D/d, element id, table entry), with
-one D per broker: the lcm of every ETT denominator it has read.  A read
-whose d does not divide D makes D lcm(D, d) and multiplies every key of
-every kept order by the same factor, which keeps each order sorted.
-Before a match the broker re-reads only the elements that reported a move
-or whose horizon the clock has reached (a heap of (horizon, id), under the
-element's own `now >= horizon` rule), and moves each in the orders holding
-it by bisection.  A default-rank match filters its kept order by the
-replicas and joins the kept entries into the table; only an explicit
-`Rank` or a requirement that reads the ETT is evaluated per element of the
-kept set.
+requirement, pin) -- the ids of the elements of the broker's flavor the VO
+may use, whose site maps the owner and whose advertised attributes satisfy
+the requirement -- until the index's or the VO manager's `generation`
+moves (a publish, a mapfile sync).  A requirement that does not read the
+ETT is tested once per element, when its set is built.  The broker keeps
+one default-rank order, of every element it has read, as rows of
+(ETT * D/d, element id, table entry), D being the lcm of every ETT
+denominator it has read.  A read whose d does not divide D makes D
+lcm(D, d) and multiplies every key of the order by the same factor, which
+keeps it sorted.  Before a match the broker re-reads only the elements
+that reported a move or whose horizon the clock has reached (a heap of
+(horizon, id), under the element's own `now >= horizon` rule), and moves
+each in the order by bisection.  A default-rank match keeps the rows of
+its set's ids, filters them by the replicas and joins their entries into
+the table; only an explicit `Rank` or a requirement that reads the ETT is
+evaluated per element of the set.
 """
 from __future__ import annotations
 
@@ -124,9 +124,9 @@ class MatchResult:
     """Audit record of one match: every surviving candidate with its rank
     value (None when the rank evaluated to something unusable, which sorts
     below every ranked element), in choice order.  `ranked` holds (element
-    id, rank value) pairs, or under the default rank the rows of the kept
-    order the match read, (ETT * `denominator`/d, element id, table entry),
-    `denominator` being the broker's D at that match;
+    id, rank value) pairs, or under the default rank the rows of the
+    broker's order the match kept, (ETT * `denominator`/d, element id,
+    table entry), `denominator` being the broker's D at that match;
     `table` reads those as minus the ETT times `denominator`, as ints, and
     `candidates` as exact Fractions."""
 
@@ -187,8 +187,7 @@ class ResourceBroker:
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
-        # ce_id -> (ETT numerator, denominator, table entry) as last read,
-        # rendered again only when the pair changes; ce_id -> the
+        # ce_id -> (ETT numerator, denominator) as last read; ce_id -> the
         # element's horizon at that read (None once due); a heap of
         # (horizon, ce_id); and the ids of the elements that reported a move
         # since, each element holding this very set among its watchers
@@ -197,13 +196,13 @@ class ResourceBroker:
         self._due: list = []
         self._moved: set = set()
         # (vo, owner, requirement, pin) -> (whether the requirement reads
-        # the ETT, default-rank order), for one generation of the index and
-        # the mapfiles; ce_id -> the kept orders holding it; and D, the lcm
-        # of every ETT denominator read, over which every order is keyed
+        # the ETT, the ids it admits), for one generation of the index and
+        # the mapfiles; D, the lcm of every ETT denominator read; and the
+        # default-rank order of every element read, keyed over D
         self._kept: dict = {}
-        self._holding: dict = {}
         self._generation = None
         self._denominator = 1
+        self._order: list = []
 
     @property
     def endpoint(self) -> str:
@@ -263,9 +262,10 @@ class ResourceBroker:
         replicas = self._resolve_inputs(description)
         reads_ett, order = False, []
         if record.owner.valid_at(self.kernel.now_ms) and replicas is not None:
-            reads_ett, order = self._admissible(description.virtual_organisation,
-                                                record.owner.user_dn, requirements,
-                                                record.pinned_ce)
+            reads_ett, members = self._admissible(description.virtual_organisation,
+                                                  record.owner.user_dn, requirements,
+                                                  record.pinned_ce)
+            order = [row for row in self._order if row[1] in members]
             ces = self.info.ces
             for reps in replicas.values():  # close to a replica of every input
                 held = {se_id for se_id, _path in reps}
@@ -275,7 +275,7 @@ class ResourceBroker:
             if reads_ett:  # the requirement reads the ETT: tested now
                 order = [row for row in order if jdl.requirement_satisfied(
                     requirements, self._match_env(row[1]))]
-            result = MatchResult(order[:], order[0][1] if order else None, self._denominator)
+            result = MatchResult(order, order[0][1] if order else None, self._denominator)
             rank_shown = order[0][2][len(result.chosen) + 1:] if order else None
             table = "|".join(map(_ENTRY, order))
         else:
@@ -312,7 +312,7 @@ class ResourceBroker:
         return result
 
     def _match_env(self, ce_id: str) -> dict:
-        ce, (n, d, _entry) = self.info.ces[ce_id], self._entries[ce_id]
+        ce, (n, d) = self.info.ces[ce_id], self._entries[ce_id]
         return {
             "RunTimeEnvironment": ce.run_time_environment,
             "LRMSType": ce.lrms,
@@ -324,21 +324,20 @@ class ResourceBroker:
     # -- kept admissible sets and ETT entries ----------------------------
 
     def _admissible(self, vo: str, user_dn: str, requirements, pinned) -> tuple:
-        """(reads_ett, order) kept for (vo, user_dn, requirements, pinned),
+        """(reads_ett, ids) kept for (vo, user_dn, requirements, pinned),
         built on first use in this generation of the index and the mapfiles,
-        with every kept entry brought up to date.  A requirement that reads
-        the ETT is left out of the build; each match tests it itself."""
+        with the order brought up to date.  A requirement that reads the ETT
+        is left out of the build; each match tests it itself."""
         generation = (self.info.generation, self.vo.generation)
         if generation != self._generation:
             self._generation = generation
             self._kept.clear()
-            self._holding.clear()
         self._refresh()
         key = (vo, user_dn, requirements, pinned)
         if key in self._kept:
             return self._kept[key]
         reads_ett = jdl.reads_attribute(requirements, "EstimatedTraversalTime")
-        members = []
+        members = set()
         for ce in self.info.query(self.flavor, vo):
             if pinned is not None and ce.ce_id != pinned:
                 continue
@@ -347,13 +346,9 @@ class ResourceBroker:
             if ce.ce_id not in self._entries:
                 self._read(ce.ce_id)
             if reads_ett or jdl.requirement_satisfied(requirements, self._match_env(ce.ce_id)):
-                members.append(ce.ce_id)
-        order = sorted([(n * (self._denominator // d), ce_id, text)
-                        for ce_id in members for n, d, text in [self._entries[ce_id]]])
-        for ce_id in members:
-            self._holding.setdefault(ce_id, []).append(order)
-        self._kept[key] = (reads_ett, order)
-        return reads_ett, order
+                members.add(ce.ce_id)
+        self._kept[key] = (reads_ett, members)
+        return reads_ett, members
 
     def _refresh(self) -> None:
         """Re-read every element that reported a move or whose horizon the
@@ -370,9 +365,8 @@ class ResourceBroker:
 
     def _read(self, ce_id: str) -> None:
         """Read the element's ETT; a changed pair is rendered and moved in
-        every kept order holding the element, after every kept order is
-        scaled to a D the new denominator divides.  The first read starts
-        watching the element's moves."""
+        the order, after the order is scaled to a D the new denominator
+        divides.  The first read starts watching the element's moves."""
         ce = self.fabric.ces[ce_id]
         old = self._entries.get(ce_id)
         if old is None:
@@ -382,27 +376,23 @@ class ResourceBroker:
             self._horizons[ce_id] = ce.horizon_ms
             if ce.horizon_ms != math.inf:
                 heapq.heappush(self._due, (ce.horizon_ms, ce_id))
-        if old is not None and old[0] == n and old[1] == d:
+        if old == (n, d):
             return
-        text = f"{ce_id}:{fmt_ratio(-n, d)}"
-        self._entries[ce_id] = (n, d, text)
-        denominator = self._denominator
+        self._entries[ce_id] = (n, d)
+        order, denominator = self._order, self._denominator
         if denominator % d:
             self._denominator = math.lcm(denominator, d)
             scale, denominator = self._denominator // denominator, self._denominator
-            for _reads_ett, order in self._kept.values():
-                order[:] = [(key * scale, other, entry) for key, other, entry in order]
-        if old is None:
-            return
-        for order in self._holding.get(ce_id, ()):
+            order[:] = [(key * scale, other, entry) for key, other, entry in order]
+        if old is not None:
             del order[bisect_left(order, (old[0] * (denominator // old[1]), ce_id))]
-            insort(order, (n * (denominator // d), ce_id, text))
+        insort(order, (n * (denominator // d), ce_id, f"{ce_id}:{fmt_ratio(-n, d)}"))
 
     def drifted(self) -> list:
         """Ids of elements whose kept ETT differs from a fresh read although
         they reported no move and the clock is short of their horizon."""
         now = self.kernel.now_ms
-        return [ce_id for ce_id, (n, d, _entry) in self._entries.items()
+        return [ce_id for ce_id, (n, d) in self._entries.items()
                 if ce_id not in self._moved and now < self._horizons[ce_id]
                 and (n, d) != self.fabric.ces[ce_id].ett()]
 

@@ -157,8 +157,8 @@ def data_file_name(jd: JobDescription, profile: WorkloadProfile) -> str:
     Factory jobs follow the fixed catalogue convention: the generator
     writes <dataset>_<n>.ntpl, the detector step writes
     <dataset>_<n>_<seed>.fz.  Sandbox-returning applications use the first
-    OutputSandbox entry; anything else falls back to a name derived from
-    the profile and seed."""
+    OutputSandbox entry that is not one of the job's two logs; anything else
+    falls back to a name derived from the profile and seed."""
     return _data_file_name(jd, profile, jd.production_tag())
 
 
@@ -168,13 +168,15 @@ def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
         if profile.name == "cmsim":
             return f"{dataset}_{index}_{jd.job_seed}.{profile.data_extension}"
         return f"{dataset}_{index}.{profile.data_extension}"
-    if not profile.registers_output and jd.output_sandbox:
-        return jd.output_sandbox[0]
+    listed = [name for name in jd.output_sandbox if name not in (jd.std_output, jd.std_error)]
+    if not profile.registers_output and listed:
+        return listed[0]
     return f"{profile.name}_{jd.job_seed}.{profile.data_extension}"
 
 
 def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
-    """Deterministic manifest of everything the job leaves on its node."""
+    """Deterministic manifest of everything the job leaves on its node: its
+    two logs, its data product, then each further OutputSandbox name once."""
     tag = jd.production_tag()
     dataset, index = tag or ("", jd.job_seed)
     prefix = _checksum_prefix(profile.name, dataset, index, jd.events)
@@ -186,8 +188,8 @@ def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
         OutputFile(data_name, profile.output_size(jd.events),
                    _key_checksum(prefix + data_name), True),
     ]
-    for name in jd.output_sandbox:
-        if name != data_name:
+    for name in dict.fromkeys(jd.output_sandbox):
+        if name not in (jd.std_output, jd.std_error, data_name):
             outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES,
                                       _key_checksum(prefix + name), False))
     return outputs

@@ -774,3 +774,12 @@ def test_every_exit_leaves_the_books_consistent(how, topology, state, reason, fr
     else:
         got = grid.brokers["rb_test"].get_output(job_id)
         assert [(name, size) for name, size, _mark in got] == manifest
+
+
+def test_grid_submit_needs_a_known_broker_and_a_proxy(mini):
+    with pytest.raises(BrokerError, match="no proxy; run proxy init first"):
+        mini.submit(CMKIN_SMALL, "rb_test")
+    mini.proxy_init("/C=XX/CN=alice", "testvo")
+    with pytest.raises(BrokerError, match="unknown resource broker 'rb_nowhere'"):
+        mini.submit(CMKIN_SMALL, "rb_nowhere")
+    assert mini.all_jobs() == []

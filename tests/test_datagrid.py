@@ -187,3 +187,8 @@ def test_dump_format():
         f"a.ntpl se_alpha a.ntpl 7 {0xDEF:016x}",
         f"b.ntpl se_alpha b.ntpl 11 {0xABC:016x}",
     ]
+
+
+def test_the_metadata_of_an_unknown_name_is_refused():
+    with pytest.raises(UnknownLfn):
+        make_mini().datagrid.rc.meta("lfn:nothing")

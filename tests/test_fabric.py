@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from deskgrid.broker import DONE_FAILED, DONE_OK, RUNNING
 from deskgrid.cli import dispatch
-from deskgrid.fabric import (ComputingElement, FabricJob, Network, NoRoute, Site,
-                             WorkloadProfile, build_outputs, builtin_profiles,
+from deskgrid.fabric import (ComputingElement, FabricError, FabricJob, Network, NoRoute,
+                             Site, WorkloadProfile, build_outputs, builtin_profiles,
                              content_checksum, data_file_name)
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
@@ -121,6 +121,24 @@ def test_build_outputs_manifest():
     # the data product named in the sandbox appears exactly once
     assert [o.name for o in outputs] == ["out.log", "err.log", "part.zebra", "h.hbook"]
 
+
+
+def test_a_sandbox_listing_its_logs_and_a_name_twice_returns_each_name_once():
+    """The usual EDG way to get the logs back is to list them in the
+    OutputSandbox: they stay the two log rows, the data product is the first
+    other entry, and a name listed twice is one row."""
+    def outputs(*listed):
+        sandbox = ", ".join(f'"{name}"' for name in listed)
+        jd = parse_jdl(jd_text("atlsim", events=1, extra=f"OutputSandbox = {{{sandbox}}};\n"))
+        return jd, build_outputs(jd, PROFILES["atlsim"])
+
+    jd, made = outputs("out.log", "err.log", "h.hbook", "h.hbook")
+    assert [(o.name, o.size_bytes, o.is_data) for o in made] == [
+        ("out.log", 1024 + 16, False), ("err.log", 512, False), ("h.hbook", 180 * KB, True)]
+    assert data_file_name(jd, PROFILES["atlsim"]) == "h.hbook"
+    _jd, made = outputs("out.log", "part.zebra", "err.log", "h.hbook", "part.zebra", "h.hbook")
+    assert [(o.name, o.is_data) for o in made] == [
+        ("out.log", False), ("err.log", False), ("part.zebra", True), ("h.hbook", False)]
 
 MANIFESTS = [
     # (profile, extra description, (dataset, index) keyed, data product name)
@@ -874,3 +892,27 @@ def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_poin
     assert any(r.outcome() == DONE_FAILED and r.reason == "ExecFailed"
                for _rb, r in grid.all_jobs())
     assert grid.validate() == []
+
+
+def test_a_profile_needs_positive_per_event_figures_and_a_monitor_step(mini):
+    for cpu, size in ((0, KB), (1, 0)):
+        with pytest.raises(FabricError, match="per-event figures must be positive"):
+            mini.fabric.set_profile(WorkloadProfile("zero", Fraction(cpu), Fraction(size)))
+    with pytest.raises(FabricError, match="monitor_every_events must be >= 1"):
+        mini.fabric.set_profile(dataclasses.replace(PROFILES["cmkin"], monitor_every_events=0))
+    assert "zero" not in mini.fabric.profiles
+    assert mini.fabric.profiles["cmkin"].monitor_every_events == 10
+
+
+def test_execute_refuses_a_job_that_is_not_running_there():
+    _kernel, ce, proxy = harness(wn_count=1)
+    first, queued = (make_job(job_id, proxy)[0] for job_id in ("j1", "j2"))
+    ce.enqueue(first)
+    ce.enqueue(queued)
+    with pytest.raises(FabricError, match="j2 is not running on ce_alpha"):
+        ce.execute(queued)
+
+
+def test_validate_reports_an_element_the_index_lost(mini):
+    del mini.info.ces["ce_beta"]
+    assert mini.validate() == ["ce_beta: not published"]

@@ -111,3 +111,7 @@ def test_republish_replaces_record():
     index.publish_ce(ce(cpu_mhz=1400))
     assert index.ces["ce_x"].cpu_mhz == 1400
 
+
+def test_a_record_needs_a_positive_clock():
+    with pytest.raises(InvariantViolation, match="ce_x: cpu_mhz must be positive"):
+        InformationIndex().publish_ce(ce(cpu_mhz=0))

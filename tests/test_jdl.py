@@ -500,3 +500,18 @@ def test_seeded_token_fuzz_outcomes_are_pinned():
     outcomes = [_expr_outcome(text) for text in _fuzzed_expressions(20000, 2026)]
     digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
     assert digest == TOKEN_FUZZ_DIGEST
+
+
+def test_undefined_reads_as_its_name():
+    assert repr(UNDEFINED) == "UNDEFINED"
+
+
+def test_other_must_be_followed_by_an_attribute_name():
+    with pytest.raises(JdlSyntaxError, match="expected attribute name after 'other.'"):
+        parse_expr("other.5 > 1")
+
+
+def test_a_value_that_is_not_an_expression_is_refused():
+    for call in (expr_text, lambda expr: evaluate(expr, {})):
+        with pytest.raises(TypeError, match="not an expression: 'true'"):
+            call("true")

@@ -1,9 +1,11 @@
-"""The broker's kept admissible sets and default-rank orders.
+"""The broker's kept admissible sets and its default-rank order.
 
 A match re-reads only the elements whose ETT moved since its broker last
-read them, and ranks by default from a kept order.  These tests redo
-matches from scratch and compare, count ETT reads on a wide testbed, and
-reach each way a kept set is built, moved, rescaled or dropped."""
+read them, and ranks by default from the broker's one order, kept to the
+ids its admissible set holds.  These tests redo matches from scratch and
+compare, check the order against its entries, count ETT reads on a wide
+testbed, and reach each way a kept set is built or dropped and the order
+moved or rescaled."""
 import dataclasses
 import pathlib
 import random
@@ -19,7 +21,7 @@ from deskgrid.fabric import ComputingElement, WorkloadProfile
 from deskgrid.grid import Grid, default_topology_path, load_topology
 from deskgrid.jdl import parse_jdl
 from deskgrid.topology import parse_topology
-from deskgrid.units import KB, fmt_quantity
+from deskgrid.units import KB, fmt_quantity, fmt_ratio
 
 from conftest import CMKIN_SMALL, OPERATOR, watch_matches
 
@@ -195,6 +197,61 @@ def test_the_kept_path_equals_a_full_rescan_at_every_match():
     assert grid.validate() == []
 
 
+def rebuilt_order(rb) -> list:
+    """`rb`'s default-rank order rebuilt from its entries: one row per
+    element read, keyed over its D, sorted."""
+    D = rb._denominator
+    return sorted((n * D // d, ce_id, f"{ce_id}:{fmt_ratio(-n, d)}")
+                  for ce_id, (n, d) in rb._entries.items())
+
+
+def test_each_broker_keeps_one_order_of_every_element_it_has_read():
+    """At every match of a randomized bulk run, both EDG brokers' orders
+    equal their entries rebuilt over their D.  The run mixes production
+    requests on either broker with pinned jobs at 1/3 and 7/100000 s per
+    event, which grow each broker's D while its order holds rows."""
+    grid = load_topology(default_topology_path())
+    rng = random.Random(41)
+    edg = (grid.brokers["rb_pisa"], grid.brokers["rb_milano"])
+    denominators, matches, problems = {rb.rb_id: set() for rb in edg}, [], []
+
+    def check(record, _result):
+        matches.append(record.job_id)
+        for rb in edg:
+            denominators[rb.rb_id].add(rb._denominator)
+            if rb._order != rebuilt_order(rb):
+                problems.append((grid.kernel.now_ms, rb.rb_id))
+
+    for rb in edg:
+        rb.match_observers.append(check)
+    for name, per_event in (("third", Fraction(1, 3)), ("tiny", Fraction(7, 100_000))):
+        grid.fabric.set_profile(WorkloadProfile(name, per_event, Fraction(KB)))
+    operator = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+    visible = [ce.ce_id for ce in grid.info.query("EDG", "datatag")]
+    for n in range(4):
+        per_job = rng.randint(100, 300)
+        request = grid.refdb.create_request(f"order{n}", "CMKIN",
+                                            per_job * rng.randint(20, 40) - rng.randint(0, 9),
+                                            per_job, rng.choice(edg).rb_id)
+        grid.production.declare(request.assignment_id)
+        grid.production.create(request.assignment_id)
+        grid.kernel.schedule("user-command", partial(grid.production.submit,
+                                                     request.assignment_id, operator),
+                             rng.randint(0, 300_000))
+    for seed in range(1, 31):
+        text = JOB_TEXT.format(profile=rng.choice(("third", "tiny")), requirement="true",
+                               events=rng.randint(2, 9), seed=seed)
+        grid.kernel.schedule("user-command", partial(
+            rng.choice(edg).submit, parse_jdl(text), operator, rng.choice(visible)),
+            rng.randint(0, 400_000))
+    grid.kernel.run_to_completion()
+
+    assert problems == [] and len(matches) > 100
+    for rb in edg:
+        assert len(rb._order) == len(visible) and len(denominators[rb.rb_id]) >= 4
+    assert grid.validate() == []
+
+
 def suffixed(section: str, suffix: str) -> str:
     """A [site], [ce] or [se] section under a suffixed id, naming the
     suffixed site and storage elements."""
@@ -273,7 +330,7 @@ def test_matches_on_a_monitor_point_read_it_as_a_rescan_does(mini, alice):
     assert dict(seen[3][1])["ce_beta"] == -10
 
 
-# -- building, moving, rescaling and dropping a kept set -----------------
+# -- building and dropping a kept set; moving and rescaling the order ----
 
 def with_requirement(requirement: str) -> str:
     return CMKIN_SMALL.replace('Member("CMS", other.RunTimeEnvironment)', requirement)
@@ -283,7 +340,7 @@ def test_a_pair_whose_denominator_d_lacks_rescales_the_kept_order(mini, alice):
     """An idle element's ETT pair is over 1000 * cpu_mhz * wn_count, 2000
     on either.  A CMKIN job (1/2 s per event) on ce_alpha doubles alpha's
     denominator and a job of 1/7 s per event there multiplies it by seven:
-    the next match reads the kept order rescaled to a D of 28000."""
+    the next match reads the broker's order rescaled to a D of 28000."""
     matches = watch_matches(mini)
     mini.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
     first = mini.submit(CMKIN_SMALL, "rb_test")
@@ -299,10 +356,10 @@ def test_a_pair_whose_denominator_d_lacks_rescales_the_kept_order(mini, alice):
 
 
 def test_a_grown_denominator_rescales_an_order_without_the_element_that_moved(mini, alice):
-    """bob's kept set, pinned to ce_beta, holds beta at 12.5 s behind his
+    """bob's kept set, pinned to ce_beta, admits beta at 12.5 s behind his
     own job.  A job of 1/7 s per event on ce_alpha grows D sevenfold when
-    rb_test reads alpha at bob's next match; bob's order, which lacks
-    alpha, is rescaled with the rest and still reads beta at 12.5 s."""
+    rb_test reads alpha at bob's next match; the order is rescaled, and
+    bob's set, which lacks alpha, still reads beta at 12.5 s."""
     rb = mini.brokers["rb_test"]
     seen = []
     rb.match_observers.append(lambda record, result: seen.append(

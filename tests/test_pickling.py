@@ -1,7 +1,7 @@
 """A grid cut mid-run pickles, and its copy finishes the run as the
 original would: nothing on the event heap, in a job's callbacks or in a
 broker's kept state is a closure, so every pending event, transfer, live
-monitor and kept order travels with the copy."""
+monitor, kept set and broker order travels with the copy."""
 import importlib.resources
 import pathlib
 import pickle
@@ -18,6 +18,7 @@ from deskgrid.scenario import parse_scenario
 from deskgrid.units import KB
 
 from conftest import CMKIN_SMALL, make_mini, staggered_bulk
+from test_kept import rebuilt_order
 
 PRODUCTION = pathlib.Path(str(
     importlib.resources.files("deskgrid").joinpath("data", "scenarios", "production.scn")))
@@ -124,8 +125,8 @@ def test_a_bulk_run_cut_while_brokers_keep_their_sets_finishes_as_the_uninterrup
 def test_a_run_cut_just_after_a_brokers_denominator_grew_finishes_as_the_uninterrupted_run():
     """On the mini grid, a job of 1/7 s per event lands on ce_alpha at 1 s
     and rb_test reads alpha again at the next match, at 2 s: its D grows
-    sevenfold and its kept order is rescaled.  The grid is cut right
-    there, and the copy keeps D and the order and finishes as the run."""
+    sevenfold and its order is rescaled.  The grid is cut right there, and
+    the copy keeps D, the kept sets and the order and finishes as the run."""
     def run(cut: bool) -> tuple:
         grid = make_mini()
         grid.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
@@ -142,11 +143,11 @@ def test_a_run_cut_just_after_a_brokers_denominator_grew_finishes_as_the_uninter
             grid.kernel.run_until(2)
             assert rb._denominator == 28000
             kept = dict(rb._kept)
+            assert rb._order == rebuilt_order(rb)
             grid = pickle.loads(pickle.dumps(grid))
             rb = grid.brokers["rb_test"]
             assert rb._denominator == 28000 and rb._kept == kept
-            assert all(any(held is order for held in rb._holding[ce_id])
-                       for _reads_ett, order in rb._kept.values() for _key, ce_id, _e in order)
+            assert rb._order == rebuilt_order(rb)
         grid.kernel.run_to_completion()
         assert grid.validate() == []
         return books(grid)

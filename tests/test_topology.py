@@ -265,3 +265,7 @@ def test_seeded_mutation_outcomes_are_pinned():
     digest = hashlib.sha256("\n\x00".join(outcomes).encode()).hexdigest()
     assert digest == MUTATION_DIGEST
 
+
+def test_a_profile_section_with_a_zero_per_event_figure_is_refused():
+    message = err(MINI_TOPOLOGY + "\n[profile cmkin]\nper_event_cpu_1ghz = 0\n")
+    assert "profile cmkin: per-event figures must be positive" in message

@@ -108,3 +108,18 @@ def test_site_registration_validates_vos():
     vo.add_vo("one")
     with pytest.raises(UnknownVo):
         vo.register_site("x", ["one", "ghosts"])
+
+
+def test_membership_and_mapfile_calls_refuse_unknown_names():
+    vo = manager()
+    with pytest.raises(UnknownVo):
+        vo.add_member("ghosts", "/C=XX/CN=alice")
+    with pytest.raises(UnknownVo):
+        vo.remove_member("ghosts", "/C=XX/CN=alice")
+    with pytest.raises(NotAVoMember):
+        vo.remove_member("testvo", "/C=XX/CN=carol")
+    for call in (vo.sync_mapfile, vo.mapfile):
+        with pytest.raises(UnknownSite):
+            call("atlantis")
+    assert vo.mapfile("beta") == {"/C=XX/CN=alice": ".othervo", "/C=XX/CN=carol": ".othervo",
+                                  "/C=XX/CN=bob": ".testvo"}

@@ -8,8 +8,11 @@ coverage package), with `tests/test_bench.py` left out, then prints one
 them with no reached statement between.  A simple statement counts as
 reached when any of its lines runs, a compound one (`if`, `def`, `try`,
 ...) when its header does; statements that compile to no code, such as
-docstrings, are not counted.  It takes about a minute and is not itself
-collected as a test.
+docstrings, are not counted.  A run listed in `ALLOWED` is printed with
+its reason; the script exits non-zero when the suite fails, when a run is
+unreached that `ALLOWED` does not list, or when a listed run is reached
+(or has moved).  It takes about a minute and is not itself collected as a
+test.
 """
 from __future__ import annotations
 
@@ -21,6 +24,15 @@ from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "deskgrid"
+
+#: unreached runs that stay so, as printed, each with the reason; at most 8
+ALLOWED = {
+    "src/deskgrid/cli.py:395-397": "`_say` on a closed pipe; `test_cli.py` reaches it "
+                                   "only in a child process, which the tracer does not follow",
+    "src/deskgrid/cli.py:420": "the `python -m deskgrid.cli` entry line; reached only in "
+                               "a child process",
+}
+assert len(ALLOWED) <= 8
 
 
 def code_lines(code) -> set:
@@ -103,9 +115,15 @@ def unreached(ran: dict) -> list:
 def main(argv: list) -> int:
     code, ran = run_traced(argv)
     found = unreached(ran)
-    print("\n".join(found))
-    print(f"{len(found)} unreached runs of statements in {SRC.relative_to(ROOT)}")
-    return code
+    for run in found:
+        print(f"{run}\tallowed: {ALLOWED[run]}" if run in ALLOWED else run)
+    new = [run for run in found if run not in ALLOWED]
+    stale = [run for run in ALLOWED if run not in found]
+    for run in stale:
+        print(f"{run}\tallowed, but reached or moved")
+    print(f"{len(found)} unreached runs of statements in {SRC.relative_to(ROOT)}, "
+          f"{len(new)} not allowed; {len(stale)} allowed runs not found")
+    return code or int(bool(new or stale))
 
 
 if __name__ == "__main__":
