@@ -176,18 +176,22 @@ def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
 
 def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
     """Deterministic manifest of everything the job leaves on its node: its
-    two logs, its data product, then each further OutputSandbox name once."""
+    two logs (one row holding both streams when StdOutput and StdError name
+    one file, as `2>&1` writes it), its data product, then each further
+    OutputSandbox name once."""
     tag = jd.production_tag()
     dataset, index = tag or ("", jd.job_seed)
     prefix = _checksum_prefix(profile.name, dataset, index, jd.events)
     data_name = _data_file_name(jd, profile, tag)
-    outputs = [
-        OutputFile(jd.std_output, STDOUT_BASE_BYTES + STDOUT_BYTES_PER_EVENT * jd.events,
-                   _key_checksum(prefix + jd.std_output), False),
-        OutputFile(jd.std_error, STDERR_BYTES, _key_checksum(prefix + jd.std_error), False),
-        OutputFile(data_name, profile.output_size(jd.events),
-                   _key_checksum(prefix + data_name), True),
-    ]
+    shared = jd.std_error == jd.std_output
+    stdout_bytes = STDOUT_BASE_BYTES + STDOUT_BYTES_PER_EVENT * jd.events
+    outputs = [OutputFile(jd.std_output, stdout_bytes + (STDERR_BYTES if shared else 0),
+                          _key_checksum(prefix + jd.std_output), False)]
+    if not shared:
+        outputs.append(OutputFile(jd.std_error, STDERR_BYTES,
+                                  _key_checksum(prefix + jd.std_error), False))
+    outputs.append(OutputFile(data_name, profile.output_size(jd.events),
+                              _key_checksum(prefix + data_name), True))
     for name in dict.fromkeys(jd.output_sandbox):
         if name not in (jd.std_output, jd.std_error, data_name):
             outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES,

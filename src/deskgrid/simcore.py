@@ -11,18 +11,22 @@ absolute ms instant, and seconds (in any exact form) appear only in
 
 The kernel also owns the append-only trace.  Each kind of line is declared
 once, next to its emitter, as `kind(action, *keys)`.  `Kernel.line` holds a
-line as one row: the instant, the actor, the shared `Kind` and the values
-in its key order, each an exact `str` or `int`; `Kernel.emit` takes any
-values by keyword and stores each through `exact`, which turns every other
-value into its `fmt_quantity` text.  Each kind renders its rows with one
-`str.format` template, built once, for both `TraceEntry.format` and
-`Kernel.export_trace`, so an export converts no value; it renders the time
-stamp once per run of entries at the same instant.
+line as four cells of one flat list: the instant, the actor, the shared
+`Kind` and the tuple of values in its key order, each an exact `str` or
+`int`, so the one object a line adds is that tuple, which the collector
+untracks at its first pass.  `Kernel.emit` takes any values by keyword and
+stores each through `exact`, which turns every other value into its
+`fmt_quantity` text.  `Kernel.trace` is a read-only `Trace` view that
+builds a `TraceEntry` for each line it is asked for.  Each kind renders its
+lines with one `str.format` template, built once, for both
+`TraceEntry.format` and `Kernel.export_trace`, so an export converts no
+value; it renders the time stamp once per run of lines at the same instant.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable
@@ -50,6 +54,9 @@ class Kind:
     def __repr__(self) -> str:
         return f"kind({', '.join(map(repr, (self.action, *self.keys)))})"
 
+    def __reduce__(self):  # a pickled trace reads back the one kind of each line
+        return kind, (self.action, *self.keys)
+
 
 def _escaped(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
@@ -70,8 +77,8 @@ def kind(action: str, *keys: str) -> Kind:
 
 
 def exact(value) -> "str | int":
-    """`value` as a row stores it: an exact `str` or `int` as it is, any
-    other value as its `fmt_quantity` text."""
+    """`value` as a trace line stores it: an exact `str` or `int` as it
+    is, any other value as its `fmt_quantity` text."""
     return value if type(value) is str or type(value) is int else fmt_quantity(value)
 
 
@@ -79,11 +86,13 @@ _new_row = tuple.__new__
 
 
 class TraceEntry(tuple):
-    """One trace line, held as one row: the instant, the actor, the shared
-    `Kind` and the values in its key order, each an exact `str` or `int`.
+    """One trace line as read: the instant, the actor, the shared `Kind` and
+    the tuple of values in its key order, each an exact `str` or `int` --
+    the four cells the kernel holds for the line, which `Kernel.trace`
+    wraps in an entry on read.
 
-    `TraceEntry(time_ms, actor, action, detail)` builds the row from a dict
-    as `Kernel.emit` does; `detail` is that dict again, built on read."""
+    `TraceEntry(time_ms, actor, action, detail)` builds the entry from a
+    dict as `Kernel.emit` does; `detail` is that dict again, built on read."""
 
     __slots__ = ()
 
@@ -111,6 +120,39 @@ class TraceEntry(tuple):
         return self.kind.render(millis_to_text(self.time_ms), self.actor, *self.values)
 
 
+class Trace(Sequence):
+    """Read-only view of a kernel's trace, one `TraceEntry` per line, built
+    on read from the line's four cells; slices are lists of entries."""
+
+    __slots__ = ("_cells",)
+
+    def __init__(self, cells: list):
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._cells) // 4
+
+    def __getitem__(self, index):
+        count = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(count))]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("trace index out of range")
+        return _new_row(TraceEntry, self._cells[4 * index:4 * index + 4])
+
+    def __iter__(self):
+        cells = iter(self._cells)
+        for row in zip(cells, cells, cells, cells):
+            yield _new_row(TraceEntry, row)
+
+    def extend(self, entries) -> None:
+        """Append each entry's four cells, as `Kernel.emit` does."""
+        for entry in entries:
+            self._cells += entry
+
+
 class Kernel:
     """Event queue, clock and trace for one simulation."""
 
@@ -118,7 +160,7 @@ class Kernel:
         self._now_ms = 0
         self._seq = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self.trace: list[TraceEntry] = []
+        self._cells: list = []  # four per trace line: instant, actor, Kind, values
         #: seq of the event being delivered; None between deliveries
         self.delivering_seq: "int | None" = None
 
@@ -200,23 +242,30 @@ class Kernel:
 
     # -- trace ---------------------------------------------------------
 
+    @property
+    def trace(self) -> Trace:
+        """The trace lines, read as `TraceEntry` rows; read-only."""
+        return Trace(self._cells)
+
     def line(self, actor: str, kind: Kind, *values: "str | int") -> None:
-        """Append a line of a declared kind at the current instant; the
-        values come in the kind's key order, each an exact `str` or `int`
-        (pass any other value through `exact`)."""
-        self.trace.append(_new_row(TraceEntry, (self._now_ms, actor, kind, values)))
+        """Append a line of a declared kind at the current instant as four
+        cells: the instant, `actor`, `kind` and the values, which come in
+        the kind's key order, each an exact `str` or `int` (pass any other
+        value through `exact`)."""
+        self._cells += (self._now_ms, actor, kind, values)
 
     def emit(self, actor: str, action: str, **detail: Any) -> TraceEntry:
         """Append a line of any action and keys; it is stored as `line`
         stores it, each value through `exact`."""
         entry = TraceEntry(self._now_ms, actor, action, detail)
-        self.trace.append(entry)
+        self._cells += entry
         return entry
 
     def export_trace(self) -> str:
         lines = []
         last_ms = stamp = None
-        for time_ms, actor, kind, values in self.trace:
+        cells = iter(self._cells)
+        for time_ms, actor, kind, values in zip(cells, cells, cells, cells):
             if time_ms != last_ms:  # instants need not be monotone
                 last_ms = time_ms
                 stamp = millis_to_text(time_ms)

@@ -109,7 +109,7 @@ def parse_rate(text: str, *, where: str = "rate") -> Fraction:
 def fmt_quantity(value) -> str:
     """Stable one-token rendering of numbers for trace details and tables.
 
-    A trace row (`simcore.exact`) keeps an exact `str` or `int` value as it
+    A trace line (`simcore.exact`) keeps an exact `str` or `int` value as it
     is and holds this text for every other value."""
     if value is None:
         return "-"

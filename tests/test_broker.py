@@ -274,6 +274,28 @@ def test_full_lifecycle_and_output_retrieval(mini, alice, tmp_path):
         rb.get_output(job_id)
 
 
+def test_a_shared_log_returns_the_bytes_of_both_streams_in_one_file(mini, alice):
+    """A job whose StdOutput and StdError name one file returns one log of
+    both streams: the sandbox leg moves the bytes and takes the time of the
+    two logs it replaces."""
+    def sandbox_leg(grid, text):
+        job_id = grid.submit(text, "rb_test")
+        grid.kernel.run_to_completion()
+        (leg,) = [e.detail for e in grid.kernel.trace
+                  if e.detail.get("what") == f"output-sandbox:{job_id}"]
+        return leg, grid.brokers["rb_test"].get_output(job_id)
+
+    shared, manifest = sandbox_leg(mini, CMKIN_SMALL + 'StdOutput = "run.log";\n'
+                                                       'StdError = "run.log";\n')
+    assert [(name, size) for name, size, _mark in manifest] == [
+        ("run.log", 1024 + 16 * 50 + 512)]
+    apart = make_mini()
+    apart.proxy_init("/C=XX/CN=alice", "testvo")
+    separate, manifest = sandbox_leg(apart, CMKIN_SMALL)
+    assert [name for name, _size, _mark in manifest] == ["std.out", "std.err"]
+    assert shared == separate and shared["bytes"] == 2336
+
+
 def test_run_job_requires_a_match_first(mini, alice):
     rb = mini.brokers["rb_test"]
     job_id = rb.submit(parse_jdl(CMKIN_SMALL), alice)

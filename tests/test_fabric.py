@@ -140,6 +140,18 @@ def test_a_sandbox_listing_its_logs_and_a_name_twice_returns_each_name_once():
     assert [(o.name, o.is_data) for o in made] == [
         ("out.log", False), ("err.log", False), ("part.zebra", True), ("h.hbook", False)]
 
+
+def test_a_log_both_streams_share_is_one_row_holding_both():
+    """StdOutput and StdError naming one file give one row of both streams'
+    bytes, as `2>&1` writes it, its checksum keyed by the name."""
+    jd = parse_jdl(jd_text("atlsim", events=1).replace('"out.log"', '"run.log"')
+                   .replace('"err.log"', '"run.log"'))
+    made = build_outputs(jd, PROFILES["atlsim"])
+    assert [(o.name, o.size_bytes, o.is_data) for o in made] == [
+        ("run.log", 1040 + 512, False), ("atlsim_101.zebra", 180 * KB, True)]
+    assert made[0].checksum == content_checksum("atlsim", "", 101, 1, "run.log")
+
+
 MANIFESTS = [
     # (profile, extra description, (dataset, index) keyed, data product name)
     ("cmkin", 'Dataset = "jpsi"; JobIndex = 7;\n', ("jpsi", 7), "jpsi_7.ntpl"),

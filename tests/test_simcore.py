@@ -1,5 +1,7 @@
 import ast
+import gc
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import deskgrid
 from deskgrid import simcore, units
-from deskgrid.simcore import Kernel, PastTime, TraceEntry
+from deskgrid.simcore import Kernel, Kind, PastTime, TraceEntry, kind
 from deskgrid.units import fmt_quantity, millis_to_text, to_millis
 
 
@@ -217,6 +219,57 @@ def test_an_export_stamps_each_instant_once_and_formats_no_str(mini, alice, monk
     assert len(stamps) == runs
     assert formatted == []
     assert text == "".join(f"{reference_line(e)}\n" for e in trace)
+
+
+def test_the_held_trace_gives_the_collector_nothing_to_scan(mini, alice):
+    """A line is four cells of one flat list, and the one object it adds is
+    its values tuple of `str` and `int`, which the collector untracks: after
+    a run and a collection no entry is alive and no cell but a `Kind` is
+    tracked."""
+    def entries_alive():
+        return sum(type(o) is TraceEntry for o in gc.get_objects())
+
+    gc.collect()
+    before = entries_alive()
+    request = mini.refdb.create_request("bulk", "CMKIN", 20 * 50, 50, "rb_test")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    mini.kernel.run_to_completion()
+    gc.collect()
+    cells = mini.kernel._cells
+    assert len(cells) == 4 * len(mini.kernel.trace) > 400
+    assert entries_alive() == before
+    assert [c for c in cells if gc.is_tracked(c) and type(c) is not Kind] == []
+
+
+def test_the_trace_view_reads_back_every_line_as_written():
+    k = Kernel()
+    tick = kind("tick", "n")
+    for n in range(5):
+        k.run_until(Fraction(n, 10))
+        k.line("a", tick, n)
+    last = k.emit("b", "done", count=Fraction(1, 4), ok=True)
+    rows = [(0, "a", tick, (0,)), (100, "a", tick, (1,)), (200, "a", tick, (2,)),
+            (300, "a", tick, (3,)), (400, "a", tick, (4,)),
+            (400, "b", kind("done", "count", "ok"), ("0.25", "true"))]
+    trace = k.trace
+    assert len(trace) == 6 and last == rows[-1]
+    assert list(trace) == rows and all(type(e) is TraceEntry for e in trace)
+    assert trace[0] == rows[0] and trace[-1] == rows[-1] and trace[-6] == rows[0]
+    assert trace[-1].detail == {"count": "0.25", "ok": "true"} and trace[3].action == "tick"
+    assert trace[1:4] == rows[1:4] and trace[::-2] == rows[::-2] and trace[7:] == []
+    assert list(reversed(trace)) == rows[::-1]
+    for index in (6, -7, 10**6):
+        with pytest.raises(IndexError):
+            trace[index]
+    with pytest.raises(AttributeError):
+        k.trace = []
+    copied = pickle.loads(pickle.dumps(k))
+    assert list(copied.trace) == list(k.trace)
+    assert pickle.loads(pickle.dumps(trace[-1])) == trace[-1]
+    assert copied.trace[-1].kind is k.trace[-1].kind
+    assert copied.export_trace() == k.export_trace()
 
 
 @settings(max_examples=60, deadline=None)
