@@ -474,15 +474,20 @@ class ResourceBroker:
 
     def _store_next(self, record: JobRecord, produced, sandbox: list) -> None:
         """Move the data product to the job's DefaultSE, else to its element's
-        first close SE; an unknown SE or no route still returns the logs."""
+        first close SE; an unknown SE or no route still returns the logs, and
+        so does an SE without room for it, checked before and after it moves."""
         se_id = record.description.extra_string("DefaultSE")
         ce = self._ce_of(record)
         try:
             store = self.datagrid.store_of(min(ce.record.close_ses) if se_id is None else se_id)
+            if not store.room_for(produced.size_bytes):
+                raise dg_mod.SeFull(f"{store.se_id} cannot take {produced.name}")
             self.fabric.network.transfer(
                 produced.size_bytes, ce.site.endpoint, store.site.endpoint,
                 what=f"output-data:{produced.name}",
                 on_done=partial(self._landed, record, produced, store, sandbox))
+        except dg_mod.SeFull as exc:
+            self._output_failed(record, produced, sandbox, exc)
         except (dg_mod.UnknownSe, fabric_mod.NoRoute) as exc:
             self._return_sandbox(record, sandbox, DONE_FAILED, type(exc).__name__)
 
@@ -492,15 +497,17 @@ class ResourceBroker:
             store.store(produced.name, produced.size_bytes, produced.checksum)
             self.datagrid.rc.register(produced.name, store, produced.name)
         except dg_mod.DataGridError as exc:
-            reason = type(exc).__name__
-            self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name,
-                             reason)
-            self._return_sandbox(record, sandbox, DONE_FAILED, reason)
+            self._output_failed(record, produced, sandbox, exc)
             return
         record.registered_lfns.append(produced.name)
         self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
                          store.se_id)
         self._return_sandbox(record, sandbox, DONE_OK, None)
+
+    def _output_failed(self, record: JobRecord, produced, sandbox: list, exc) -> None:
+        reason = type(exc).__name__
+        self.kernel.line(self.rb_id, OUTPUT_FAILED_LINE, record.job_id, produced.name, reason)
+        self._return_sandbox(record, sandbox, DONE_FAILED, reason)
 
     def _return_sandbox(self, record: JobRecord, files: list, final_state: str,
                         reason: "str | None") -> None:

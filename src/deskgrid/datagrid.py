@@ -48,8 +48,6 @@ class UnknownSe(DataGridError):
 
 @dataclass(frozen=True)
 class PhysicalFile:
-    se_id: str
-    path: str
     size_bytes: int
     checksum: int
 
@@ -65,7 +63,7 @@ class StorageElement:
         self.site = site
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
-        self.files: dict[str, PhysicalFile] = {}
+        self.files: dict[str, PhysicalFile] = {}  # by path
 
     def store(self, path: str, size_bytes: int, checksum: int) -> PhysicalFile:
         if path in self.files:
@@ -74,7 +72,7 @@ class StorageElement:
             raise DataGridError(f"{self.se_id} cannot store {path} of negative size {size_bytes}")
         if not self.room_for(size_bytes):
             raise SeFull(f"{self.se_id} cannot take {size_bytes} more bytes")
-        pf = PhysicalFile(self.se_id, path, size_bytes, checksum)
+        pf = PhysicalFile(size_bytes, checksum)
         self.files[path] = pf
         self.used_bytes += size_bytes
         return pf

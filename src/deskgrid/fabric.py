@@ -539,11 +539,9 @@ class Fabric:
     def add_site(self, site: Site) -> None:
         self.sites[site.site_id] = site
 
-    def add_ce(self, record) -> ComputingElement:
+    def add_ce(self, record) -> None:
         site = self.sites[record.site_id]
-        ce = ComputingElement(record, site, self.kernel, self.vo)
-        self.ces[record.ce_id] = ce
-        return ce
+        self.ces[record.ce_id] = ComputingElement(record, site, self.kernel, self.vo)
 
     def set_profile(self, profile: WorkloadProfile) -> None:
         profile.validate()

@@ -3,7 +3,7 @@
 Building a Grid from a parsed topology is where cross-references are
 checked (dangling sites, elements or brokers fail with the offending
 file line), VO mapfiles get their first sync, computing elements are
-published to the information index with load taps for their ETT view, storage
+published to the information index, whose ETT view reads them, storage
 elements are placed at their sites in the data grid, and the production
 layer is hooked into broker transitions and job monitors.  Elements are
 the only record of their load, so `validate` has no copy of it to
@@ -38,7 +38,7 @@ class Grid:
         self.vo = vomgmt.VoManager()
         self.network = fabric_mod.Network(self.kernel)
         self.fabric = fabric_mod.Fabric(self.kernel, self.network, self.vo)
-        self.info = infosys.InformationIndex()
+        self.info = infosys.InformationIndex(self.fabric.ces)
         self.datagrid = dg_mod.DataGrid(self.kernel, self.network,
                                         config.general.replica_catalog)
         self.brokers: dict[str, broker_mod.ResourceBroker] = {}
@@ -117,8 +117,7 @@ class Grid:
                 self.info.publish_ce(record)
             except infosys.InvariantViolation as exc:
                 raise ConfigError(str(exc), path, ce_cfg.line) from None
-            ce = self.fabric.add_ce(record)
-            self.info.bind_load_tap(ce_cfg.ce_id, ce)
+            self.fabric.add_ce(record)
 
         known_endpoints = {"ui"}
         known_endpoints.update(f"site:{s.site_id}" for s in config.sites)

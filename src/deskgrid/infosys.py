@@ -29,10 +29,10 @@ and subtracted when a job leaves the queue, so an estimate costs the same
 however deep the queue is.
 
 The index keeps only an exact Fraction view of it,
-`estimated_traversal_time`, read through a load tap bound per element, for
-readers outside the match path.  The benchmark tracer wraps that view and
-`ComputingElement.ett_components` by name, so both stay until the tracer
-counts ETT work where the element does it.
+`estimated_traversal_time`, read from the fabric's own element map, which
+it is built with, for readers outside the match path.  The benchmark
+tracer wraps that view and `ComputingElement.ett_components` by name, so
+both stay until the tracer counts ETT work where the element does it.
 """
 from __future__ import annotations
 
@@ -86,12 +86,13 @@ class CERecord:
 
 
 class InformationIndex:
-    """Registry of published CE records, plus the load taps behind the
-    ETT view."""
+    """Registry of published CE records.  The ETT view reads `elements`, the
+    fabric's element map in a grid: each element's `ett()` is the ETT in
+    seconds as an unreduced pair of ints (numerator, denominator > 0)."""
 
-    def __init__(self):
+    def __init__(self, elements: "dict | None" = None):
         self.ces: dict[str, CERecord] = {}
-        self._load_taps: dict[str, object] = {}
+        self._elements = {} if elements is None else elements  # not copied: filled later
         # counts valid publishes: a reader keeping anything derived from
         # `ces` keeps it while this stays the same
         self.generation = 0
@@ -100,11 +101,6 @@ class InformationIndex:
         record.validate()
         self.ces[record.ce_id] = record  # republish replaces by id
         self.generation += 1
-
-    def bind_load_tap(self, ce_id: str, tap) -> None:
-        """`tap.ett()` must return the ETT in seconds as an unreduced pair of
-        ints (numerator, denominator > 0)."""
-        self._load_taps[ce_id] = tap
 
     def query(self, flavor: str, vo: str) -> list[CERecord]:
         """Elements speaking `flavor` that authorize `vo`, sorted by id."""
@@ -115,8 +111,8 @@ class InformationIndex:
         return sorted(hits, key=lambda ce: ce.ce_id)
 
     def estimated_traversal_time(self, ce_id: str) -> Fraction:
-        """ETT in seconds, exact; an element with no load tap is idle."""
+        """ETT in seconds, exact; a published id with no element is idle."""
         if ce_id not in self.ces:
             raise UnknownCE(ce_id)
-        tap = self._load_taps.get(ce_id)
-        return Fraction(0) if tap is None else Fraction(*tap.ett())
+        element = self._elements.get(ce_id)
+        return Fraction(0) if element is None else Fraction(*element.ett())

@@ -186,7 +186,7 @@ class BossDb:
 
     def __init__(self, emit=None):
         self.records: dict[int, BossJobRecord] = {}
-        self.by_scheduler: dict[str, int] = {}
+        self.by_scheduler: dict[str, BossJobRecord] = {}
         self.violations: list = []
         self._emit = emit or _discard
         self._next_id = 1
@@ -196,7 +196,7 @@ class BossDb:
         record = BossJobRecord(self._next_id, scheduler_job_id, job_type,
                                dataset, events_declared, input_file=input_file)
         self.records[self._next_id] = record
-        self.by_scheduler[scheduler_job_id] = self._next_id
+        self.by_scheduler[scheduler_job_id] = record
         self._next_id += 1
         return record
 
@@ -217,8 +217,7 @@ class BossDb:
         record.events_done = value
 
     def for_scheduler_job(self, job_id: str) -> "BossJobRecord | None":
-        boss_id = self.by_scheduler.get(job_id)
-        return None if boss_id is None else self.records[boss_id]
+        return self.by_scheduler.get(job_id)
 
     def query(self, status: "str | None" = None, job_type: "str | None" = None,
               dataset: "str | None" = None) -> list:

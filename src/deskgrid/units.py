@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Seconds = "int | float | str | Fraction"
-
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
@@ -79,30 +77,30 @@ def millis_to_text(ms: int) -> str:
     return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
-def parse_amount(text: str, *, where: str = "size") -> Fraction:
+def parse_amount(text: str) -> Fraction:
     """'1.8 MB' / '50 KB' / '1024' -> exact Fraction bytes (binary units)."""
     m = _SIZE_RE.match(text)
     if not m:
-        raise ValueError(f"bad {where}: {text!r}")
+        raise ValueError(f"bad size: {text!r}")
     return Fraction(m.group(1)) * _SIZE_UNITS[m.group(2) or "B"]
 
 
-def parse_size(text: str, *, where: str = "size") -> int:
+def parse_size(text: str) -> int:
     """'12 MB' / '50 KB' / '1024' -> integer bytes (binary units)."""
-    amount = parse_amount(text, where=where)
+    amount = parse_amount(text)
     if amount.denominator != 1:
-        raise ValueError(f"bad {where}: {text!r} is not a whole number of bytes")
+        raise ValueError(f"bad size: {text!r} is not a whole number of bytes")
     return int(amount)
 
 
-def parse_rate(text: str, *, where: str = "rate") -> Fraction:
+def parse_rate(text: str) -> Fraction:
     """'10 MB/s' (or a bare bytes-per-second number) -> Fraction bytes/s."""
     try:
         rate = parse_amount(text.rstrip().removesuffix("/s"))
     except ValueError:
-        raise ValueError(f"bad {where}: {text!r}") from None
+        raise ValueError(f"bad rate: {text!r}") from None
     if rate <= 0:
-        raise ValueError(f"bad {where}: {text!r} must be positive")
+        raise ValueError(f"bad rate: {text!r} must be positive")
     return rate
 
 

@@ -1,13 +1,16 @@
 """Acceptance checks for the testbed simulator, one test per criterion.
 
 Run `pytest tests/test_acceptance.py -v` to get a pass/fail line for each
-of the ten claims the package stands on.  Criteria that share an
-expensive run (the generation/simulation pipeline, the 200-job bulk run)
-share a module-scoped fixture instead of repeating it.
+of the ten claims the package stands on, and for the paper's own claim,
+checked as an ablation of the US elements' EDG flavor.  Criteria that
+share an expensive run (the generation/simulation pipeline, the 200-job
+bulk run) share a module-scoped fixture instead of repeating it.
 """
 import hashlib
 import importlib.resources
+import pathlib
 import random
+import re
 import time
 from types import SimpleNamespace
 
@@ -17,6 +20,7 @@ from deskgrid import jdl
 from deskgrid.broker import ABORTED, DONE_OK
 from deskgrid.cli import dispatch
 from deskgrid.grid import Grid, default_topology_path, load_topology
+from deskgrid.topology import parse_topology
 from deskgrid.vomgmt import NotAVoMember
 
 from jdl_reference import gen_env, gen_expr, model_eval, values_agree
@@ -267,6 +271,60 @@ def test_criterion_09_two_hundred_jobs_span_both_regions(bulk):
         regions.add(grid.fabric.sites[site_id].region)
     assert regions == {"EU", "US"}
     assert bulk.wall_s < 10.0
+
+
+def without_edg_in_the_us(text: str) -> str:
+    """The topology `text` with EDG dropped from every US element's flavors;
+    an element left with none publishes GLOBUS_ONLY."""
+    sections = re.split(r"(?m)^(?=\[)", text)
+    us_sites = {re.match(r"\[site (\S+)\]", section).group(1) for section in sections
+                if section.startswith("[site ") and re.search(r"(?m)^region = US$", section)}
+
+    def ablated(section: str) -> str:
+        site = re.search(r"(?m)^site = (\S+)$", section)
+        if not section.startswith("[ce ") or site.group(1) not in us_sites:
+            return section
+        flavors = re.search(r"(?m)^flavors = (.*)$", section)
+        kept = [f for f in flavors.group(1).split() if f != "EDG"] or ["GLOBUS_ONLY"]
+        return section[:flavors.start(1)] + " ".join(kept) + section[flavors.end(1):]
+
+    return "".join(ablated(section) for section in sections)
+
+
+def jobs_by_region_and_site(topology_text: str) -> dict:
+    """`bulk200.scn` on the topology: how many jobs ran at each site, by region."""
+    grid = Grid(parse_topology(topology_text, "<ablation>"))
+    code, text = dispatch(grid, ["exec", data_path("scenarios", "bulk200.scn")])
+    assert code == 0, text
+    grid.kernel.run_to_completion()
+    assert grid.validate() == []
+    table = {}
+    for _rb, record in grid.all_jobs():
+        assert record.state == DONE_OK
+        site = grid.fabric.ces[record.matched_ce].site
+        sites = table.setdefault(site.region, {})
+        sites[site.site_id] = sites.get(site.site_id, 0) + 1
+    return table
+
+
+def test_the_us_runs_edg_jobs_only_through_the_edg_flavor():
+    """The paper's claim as an ablation: jobs ran indifferently on US and
+    European resources because US elements publish the EDG flavor.  Without
+    it, the same 200 jobs of `rb_milano`, an EDG broker, all run in Europe."""
+    shipped = pathlib.Path(default_topology_path()).read_text()
+    interoperable = jobs_by_region_and_site(shipped)
+    assert interoperable == {
+        "US": {"batavia": 34, "bloomington": 9, "brookhaven": 13, "gainesville": 13,
+               "sandiego": 18},
+        "EU": {"bologna": 13, "bristol": 9, "geneva": 34, "karlsruhe": 18, "lisbon": 7,
+               "milano": 12, "padova": 13, "valencia": 7}}
+    assert [sum(interoperable[region].values()) for region in ("US", "EU")] == [87, 113]
+    ablated = without_edg_in_the_us(shipped)
+    assert re.findall(r"(?m)^flavors = .*$", ablated).count("flavors = GLOBUS_ONLY") == 8
+    assert "flavors = GLUE\n" in ablated  # ce_gainesville keeps its second flavor
+    assert jobs_by_region_and_site(ablated) == {
+        "EU": {"bologna": 23, "bristol": 16, "geneva": 61, "karlsruhe": 32, "lisbon": 12,
+               "milano": 21, "padova": 23, "valencia": 12}}
 
 
 def test_criterion_10_description_language_suite():

@@ -798,6 +798,60 @@ def test_every_exit_leaves_the_books_consistent(how, topology, state, reason, fr
         assert [(name, size) for name, size, _mark in got] == manifest
 
 
+def job_lines(grid, job_id) -> dict:
+    """The job's exec-complete, output-data and output-failed lines, by action
+    (transfer-complete only for its data product's leg)."""
+    lines = {}
+    for e in grid.kernel.trace:
+        detail = e.detail
+        if e.action in ("exec-complete", "output-failed") and detail["job"] == job_id:
+            lines[e.action] = e
+        elif e.action == "transfer-complete" and detail["what"].startswith("output-data:"):
+            lines["output-data"] = e
+    return lines
+
+
+def test_a_product_that_cannot_fit_fails_before_it_moves():
+    """A full SE is seen at the exec-end instant: no output-data leg, and the
+    output-failed line sits beside the exec-complete line."""
+    grid = Grid(parse_topology(MINI_TOPOLOGY, "<exits>"))
+    job_id = storage_full(grid)
+    grid.kernel.run_to_completion()
+    lines = job_lines(grid, job_id)
+    assert "output-data" not in lines
+    assert lines["output-failed"].detail == {"job": job_id, "file": "cmkin_101.ntpl",
+                                             "reason": "SeFull"}
+    assert lines["output-failed"].time_ms == lines["exec-complete"].time_ms
+    assert grid.datagrid.store_of("se_alpha").files.keys() == {"filler"}
+    assert grid.validate() == []
+
+
+def test_an_se_that_fills_while_the_product_moves_fails_it_on_landing():
+    """Room is checked again when the product lands: filled in flight, the SE
+    refuses it then, and the job still ends DONE_FAILED SeFull."""
+    twin = Grid(parse_topology(MINI_TOPOLOGY, "<exits>"))
+    job_id = booked(twin, CMKIN_SMALL, pinned="ce_alpha")
+    twin.kernel.run_to_completion()
+    moved = job_lines(twin, job_id)
+    assert moved["exec-complete"].time_ms < moved["output-data"].time_ms
+    assert "output-failed" not in moved
+
+    grid = Grid(parse_topology(MINI_TOPOLOGY, "<exits>"))
+    assert booked(grid, CMKIN_SMALL, pinned="ce_alpha") == job_id
+    grid.kernel.run_until(Fraction(moved["exec-complete"].time_ms, 1000))
+    store = grid.datagrid.store_of("se_alpha")
+    store.store("filler", store.capacity_bytes - moved["output-data"].detail["bytes"] + 1, 1)
+    grid.kernel.run_to_completion()
+    record = grid.brokers["rb_test"].jobs[job_id]
+    assert (record.state, record.reason) == (DONE_FAILED, "SeFull")
+    assert not record.registered_lfns
+    lines = job_lines(grid, job_id)
+    assert lines["output-data"].format() == moved["output-data"].format()
+    assert lines["output-failed"].detail["reason"] == "SeFull"
+    assert lines["output-failed"].time_ms == lines["output-data"].time_ms
+    assert store.files.keys() == {"filler"} and grid.validate() == []
+
+
 def test_grid_submit_needs_a_known_broker_and_a_proxy(mini):
     with pytest.raises(BrokerError, match="no proxy; run proxy init first"):
         mini.submit(CMKIN_SMALL, "rb_test")

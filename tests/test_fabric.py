@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -495,6 +496,56 @@ def test_monitor_count_matches_scheduled_points():
         assert [row for row in seen if row[2] != row[3]] == [], trial
         kernel.run_to_completion()  # execution ends after every point
         assert sent == ([step * ((events - 1) // step)] if events > step else []), trial
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=st.integers(1, 1000), step=st.integers(1, 50),
+       cpu=st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+       start_ms=st.integers(0, 10**9), start_seq=st.integers(0, 50),
+       reads=st.lists(st.tuples(st.integers(0, 10**9), st.integers(-1, 1), st.integers(0, 102)),
+                      max_size=12),
+       after=st.integers(0, 2))
+@example(events=2, step=1, cpu=(1, 1000), start_ms=0, start_seq=5,  # point 1 on 0.5 ms
+         reads=[(0, 0, 0), (0, -1, 10)], after=0)
+def test_a_monitor_count_read_in_delivery_order_never_falls_and_counts_every_point_behind(
+        events, step, cpu, start_ms, start_seq, reads, after):
+    """Property behind the live BossDb count: reads in delivery order
+    (instants ascending, seqs ascending within an instant, then one read
+    outside delivery) never see the count fall, and each sees the last of
+    the points that lie before the read, or on its instant when the read is
+    outside delivery or its seq is the job-finish event's or later.  Point k
+    lies at start_ms + floor(1000*R*k/E + 1/2) for runtime R = p/q s.  An
+    even `where` reads on a point (or 1 ms beside it), an odd one anywhere
+    from the start to 1 ms past the end; the job-finish event is read too."""
+    p, q = cpu
+    points = {k: start_ms + math.floor(Fraction(1000 * p * k, q * events) + Fraction(1, 2))
+              for k in range(step, events, step)}
+    on_points = sorted(points.values())
+    end_ms = start_ms + to_millis(p, q)
+    delivered = {start_seq: end_ms}  # seq -> instant; one event per seq
+    for where, offset, seq in reads:
+        if where % 2 == 0 and on_points:
+            at = max(start_ms, on_points[where // 2 % len(on_points)] + offset)
+        else:
+            at = start_ms + where // 2 % (end_ms - start_ms + 2)
+        delivered.setdefault(seq, at)
+    order = sorted((at, seq) for seq, at in delivered.items())
+    order.append((order[-1][0] + after, None))
+
+    kernel = SimpleNamespace(now_ms=0, delivering_seq=None)
+    job = FabricJob("j1", None, SimpleNamespace(events=events),
+                    SimpleNamespace(monitor_every_events=step), None, None, None,
+                    cpu_units=p, cpu_per_s=q, kernel=kernel, start_ms=start_ms,
+                    start_seq=start_seq)
+    last = 0
+    for kernel.now_ms, kernel.delivering_seq in order:
+        on_reached = kernel.delivering_seq is None or kernel.delivering_seq >= start_seq
+        behind = [k for k, at in points.items()
+                  if at < kernel.now_ms or (at == kernel.now_ms and on_reached)]
+        count = job.monitor_count()
+        assert count == max(behind, default=0), (kernel.now_ms, kernel.delivering_seq)
+        assert count >= last
+        last = count
 
 
 def test_a_billion_events_cost_one_event():

@@ -28,17 +28,15 @@ class FakeTap:
 
 
 def test_ett_is_backlog_over_node_count():
-    index = InformationIndex()
+    index = InformationIndex({"ce_x": FakeTap([300, 100], [200], 3)})
     index.publish_ce(ce(wn_count=3))
-    index.bind_load_tap("ce_x", FakeTap([300, 100], [200], 3))
     # (300 + 100 + 200) / 3 nodes
     assert index.estimated_traversal_time("ce_x") == Fraction(200)
 
 
 def test_ett_exact_fraction_no_float_drift():
-    index = InformationIndex()
+    index = InformationIndex({"ce_x": FakeTap([Fraction(125, 2)], [], 1)})
     index.publish_ce(ce(wn_count=1))
-    index.bind_load_tap("ce_x", FakeTap([Fraction(125, 2)], [], 1))
     assert index.estimated_traversal_time("ce_x") == Fraction(125, 2)
 
 

@@ -1,10 +1,11 @@
 """Relations between runs that hold for any input: neither the order in
-which a topology lists its sections nor how a run is stepped changes what
-it does."""
+which a topology lists its sections, nor how a run is stepped, nor when it
+starts changes what it does."""
 import importlib.resources
 import pathlib
 import random
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -75,3 +76,42 @@ def test_the_order_of_the_topologys_sections_changes_no_digest(name, seed):
                    for request in grid.refdb.requests.values()
                    for job_id in request.scheduler_jobs}
     assert factory_vos == (set() if name == "validation.scn" else {"datatag"})
+
+
+def shifted_scenario(text: str, delta_s: int) -> str:
+    """The scenario `text` with every `at` time and `run --until` argument
+    `delta_s` seconds later."""
+    later = lambda m: f"{m.group(1)}{int(m.group(2)) + delta_s}"
+    text, ats = re.subn(r"(?m)^(at )(\d+)", later, text)
+    assert ats
+    return re.sub(r"(--until )(\d+)", later, text)
+
+
+def scenario_run(path) -> tuple:
+    """(exit code, grid) of `exec path` on the shipped testbed, drained."""
+    grid = load_topology(default_topology_path())
+    code, _text = dispatch(grid, ["exec", str(path)])
+    grid.kernel.run_to_completion()
+    return code, grid
+
+
+@pytest.mark.parametrize("delta_s", [1000, 86399])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_scenario_started_later_moves_every_instant_and_nothing_else(name, delta_s,
+                                                                        tmp_path):
+    """Each row keeps its actor, kind and values and moves by exactly the
+    shift; the books do not move at all.  The shifted copy sits next to a
+    copy of the JDL files, which `validation.scn` reads as `../jdl/`."""
+    data = pathlib.Path(str(importlib.resources.files("deskgrid").joinpath("data")))
+    shutil.copytree(data / "jdl", tmp_path / "jdl")
+    (tmp_path / "scenarios").mkdir()
+    later = tmp_path / "scenarios" / name
+    later.write_text(shifted_scenario((data / "scenarios" / name).read_text(), delta_s))
+    code, grid = scenario_run(data / "scenarios" / name)
+    later_code, later_grid = scenario_run(later)
+    assert later_code == code == 0
+    assert [(e.time_ms + 1000 * delta_s, *e[1:]) for e in grid.kernel.trace] == \
+        [tuple(e) for e in later_grid.kernel.trace]
+    for books_of in (lambda g: g.bossdb.dump(), lambda g: g.datagrid.rc.dump(),
+                     lambda g: g.refdb.dump()):
+        assert books_of(later_grid) == books_of(grid)
