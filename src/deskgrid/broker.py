@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable
 
 from . import datagrid as dg_mod
@@ -148,6 +149,7 @@ class MatchResult:
 
 
 _ENTRY = itemgetter(2)
+_NO_INPUTS = MappingProxyType({})  # the replicas of every job without inputs, shared
 
 
 @dataclass
@@ -176,6 +178,7 @@ class ResourceBroker:
     def __init__(self, rb_id: str, flavor: str, *, kernel, info, vo, datagrid,
                  fabric, job_id_source: Callable[[], str]):
         self.rb_id = rb_id
+        self.endpoint = f"rb:{rb_id}"
         self.flavor = flavor
         self.kernel = kernel
         self.info = info
@@ -203,10 +206,6 @@ class ResourceBroker:
         self._generation = None
         self._denominator = 1
         self._order: list = []
-
-    @property
-    def endpoint(self) -> str:
-        return f"rb:{self.rb_id}"
 
     # -- state machine -------------------------------------------------
 
@@ -400,9 +399,10 @@ class ResourceBroker:
         """Each input name's sorted replicas, read once per match; None when
         the job names another catalogue or an input the catalogue lacks."""
         lfns = description.input_lfns
+        if not lfns:
+            return _NO_INPUTS
         rc = self.datagrid.rc
-        if lfns and (description.replica_catalog != rc.catalog_id
-                     or not all(rc.known(lfn) for lfn in lfns)):
+        if description.replica_catalog != rc.catalog_id or not all(map(rc.known, lfns)):
             return None
         return {lfn: rc.lookup(lfn) for lfn in lfns}
 
@@ -497,6 +497,8 @@ class ResourceBroker:
             store.store(produced.name, produced.size_bytes, produced.checksum)
             self.datagrid.rc.register(produced.name, store, produced.name)
         except dg_mod.DataGridError as exc:
+            if isinstance(exc, dg_mod.ChecksumMismatch):  # stored, then refused: take it off
+                store.remove(produced.name)
             self._output_failed(record, produced, sandbox, exc)
             return
         record.registered_lfns.append(produced.name)

@@ -77,6 +77,9 @@ class StorageElement:
         self.used_bytes += size_bytes
         return pf
 
+    def remove(self, path: str) -> None:
+        self.used_bytes -= self.files.pop(path).size_bytes
+
     def get(self, path: str) -> "PhysicalFile | None":
         return self.files.get(path)
 

@@ -10,10 +10,10 @@ element's CPU pair (units, units per second), a transfer's is its route's
 integer triple applied to the size (see `Network`) -- rounded once to
 milliseconds by `to_millis(n, per)` and added to the kernel's integer-ms
 clock, with no Fraction built on the way.  File content is never
-materialised; a job's outputs are (name, size, checksum) triples fully
+materialised; a job's outputs are (name, size, checksum) rows fully
 determined by the workload profile, dataset, job index and event count,
 so reruns anywhere agree byte-for-byte on what they claim to have
-produced.
+produced; a row hashes its checksum only when it is read.
 
 A computing element is the only record of its load: its FIFO queue, its
 running jobs, each holding the index of its worker node, and a heap of
@@ -140,8 +140,12 @@ def _key_checksum(key: str) -> int:
 class OutputFile(NamedTuple):
     name: str
     size_bytes: int
-    checksum: int
+    prefix: str  # the job's checksum prefix, which the name completes
     is_data: bool
+
+    @property
+    def checksum(self) -> int:  # its `content_checksum`, hashed on each read
+        return _key_checksum(self.prefix + self.name)
 
 
 STDOUT_BASE_BYTES = 1024
@@ -186,16 +190,13 @@ def build_outputs(jd: JobDescription, profile: WorkloadProfile) -> list:
     shared = jd.std_error == jd.std_output
     stdout_bytes = STDOUT_BASE_BYTES + STDOUT_BYTES_PER_EVENT * jd.events
     outputs = [OutputFile(jd.std_output, stdout_bytes + (STDERR_BYTES if shared else 0),
-                          _key_checksum(prefix + jd.std_output), False)]
+                          prefix, False)]
     if not shared:
-        outputs.append(OutputFile(jd.std_error, STDERR_BYTES,
-                                  _key_checksum(prefix + jd.std_error), False))
-    outputs.append(OutputFile(data_name, profile.output_size(jd.events),
-                              _key_checksum(prefix + data_name), True))
+        outputs.append(OutputFile(jd.std_error, STDERR_BYTES, prefix, False))
+    outputs.append(OutputFile(data_name, profile.output_size(jd.events), prefix, True))
     for name in dict.fromkeys(jd.output_sandbox):
         if name not in (jd.std_output, jd.std_error, data_name):
-            outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES,
-                                      _key_checksum(prefix + name), False))
+            outputs.append(OutputFile(name, SANDBOX_AUX_FILE_BYTES, prefix, False))
     return outputs
 
 
@@ -289,10 +290,10 @@ class Site:
     site_id: str
     region: str               # EU or US
     outbound: bool = True     # worker nodes may open outbound connections
+    endpoint: str = field(init=False, repr=False, compare=False)  # "site:<site_id>"
 
-    @property
-    def endpoint(self) -> str:
-        return f"site:{self.site_id}"
+    def __post_init__(self):
+        self.endpoint = f"site:{self.site_id}"
 
 
 @dataclass
@@ -374,6 +375,7 @@ class ComputingElement:
 
     def __init__(self, record, site: Site, kernel: Kernel, vo: vomgmt.VoManager):
         self.record = record
+        self.ce_id: str = record.ce_id
         self.site = site
         self.kernel = kernel
         self.vo = vo
@@ -390,10 +392,6 @@ class ComputingElement:
         self.running_units, self.horizon_ms = 0, STALE
         self.watchers: list = []  # one set of moved element ids per watching broker
         self.fail_next_execs = 0  # scenario-driven failure injection
-
-    @property
-    def ce_id(self) -> str:
-        return self.record.ce_id
 
     # -- queueing ------------------------------------------------------
 

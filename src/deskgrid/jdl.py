@@ -521,7 +521,10 @@ class JobDescription:
     required.  `extras` maps each unknown attribute, in declaration
     order, to its expression, so files round-trip through this type
     unchanged in meaning; `text()` renders them canonically like every
-    other attribute."""
+    other attribute.  The derived fields, `job_profile` and `input_lfns`,
+    are set at construction; a description is never mutated but replaced
+    (`production` submits through `dataclasses.replace`), which derives
+    them again."""
 
     executable: str
     virtual_organisation: str
@@ -537,16 +540,14 @@ class JobDescription:
     events: int = 1
     job_seed: int = 0
     extras: dict = field(default_factory=dict)  # name -> Expr
+    #: workload profile name carried in the executable name
+    job_profile: str = field(init=False, repr=False, compare=False)
+    input_lfns: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def job_profile(self) -> str:
-        """Workload profile name carried in the executable name."""
+    def __post_init__(self):
         stem = self.executable.replace("\\", "/").rsplit("/", 1)[-1]
-        return stem.rsplit(".", 1)[0] if "." in stem else stem
-
-    @property
-    def input_lfns(self) -> tuple:
-        return tuple(strip_lfn_prefix(x) for x in self.input_data)
+        self.job_profile = stem.rsplit(".", 1)[0] if "." in stem else stem
+        self.input_lfns = tuple(map(strip_lfn_prefix, self.input_data))
 
     def extra_string(self, name: str) -> str | None:
         expr = self.extras.get(name)
@@ -646,7 +647,7 @@ _RESERVED = {
 }
 
 _REQUIRED_FIELDS = {f.name for f in fields(JobDescription)
-                    if f.default is MISSING and f.default_factory is MISSING}
+                    if f.init and f.default is MISSING and f.default_factory is MISSING}
 
 #: the required attributes first, then the rest, each in table order
 _READ_ORDER = sorted(_RESERVED.items(), key=lambda item: item[1][0] not in _REQUIRED_FIELDS)

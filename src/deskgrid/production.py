@@ -43,6 +43,8 @@ BOSS_SUBMITTED = "submitted"
 BOSS_RUNNING = "running"
 BOSS_FINISHED = "finished"
 BOSS_FAILED = "failed"
+#: the broker states a record books
+_BOOKED = {broker_mod.RUNNING, broker_mod.DONE_OK, broker_mod.DONE_FAILED, broker_mod.ABORTED}
 
 #: seed given to job n of any dataset
 JOB_SEED_BASE = 2000
@@ -388,6 +390,8 @@ class ProductionManager:
         self.boss.update_events_done(record.boss_id, events_done)
 
     def on_job_transition(self, job_record, old_state: str, new_state: str) -> None:
+        if new_state not in _BOOKED:
+            return  # no monitor is set before RUNNING, and none is left after it ends
         record = self.boss.for_scheduler_job(job_record.job_id)
         if record is None:
             return

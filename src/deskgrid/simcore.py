@@ -5,9 +5,10 @@ whole simulation.  Ties on the fire time are delivered in insertion order,
 which is what makes runs reproducible: there is no wall clock, no thread,
 and no iteration over unordered containers anywhere in the hot path
 (`delivering_seq` tells state worked out in closed form where it stands
-in that order).  Time is integer milliseconds: `schedule` takes an
-absolute ms instant, and seconds (in any exact form) appear only in
-`run_until` and the `now()` view.
+in that order).  Time is integer milliseconds: the clock is `now_ms`, a
+plain attribute that only the kernel writes, `schedule` takes an absolute
+ms instant, and seconds (in any exact form) appear only in `run_until`
+and the `now()` view.
 
 The kernel also owns the append-only trace.  Each kind of line is declared
 once, next to its emitter, as `kind(action, *keys)`.  `Kernel.line` holds a
@@ -154,10 +155,11 @@ class Trace(Sequence):
 
 
 class Kernel:
-    """Event queue, clock and trace for one simulation."""
+    """Event queue, clock and trace for one simulation.  The clock, `now_ms`,
+    is a plain int attribute that anything may read and only the kernel writes."""
 
     def __init__(self):
-        self._now_ms = 0
+        self.now_ms = 0
         self._seq = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._cells: list = []  # four per trace line: instant, actor, Kind, values
@@ -166,13 +168,9 @@ class Kernel:
 
     # -- clock ---------------------------------------------------------
 
-    @property
-    def now_ms(self) -> int:
-        return self._now_ms
-
     def now(self) -> Fraction:
         """Current simulated time in seconds."""
-        return Fraction(self._now_ms, 1000)
+        return Fraction(self.now_ms, 1000)
 
     # -- scheduling ----------------------------------------------------
 
@@ -184,10 +182,10 @@ class Kernel:
         they were scheduled.  Scheduling into the past raises PastTime.
         `kind` names the event for errors and instrumentation.
         """
-        if at_ms < self._now_ms:
+        if at_ms < self.now_ms:
             raise PastTime(
                 f"cannot schedule {kind} at {millis_to_text(at_ms)}, "
-                f"now is {millis_to_text(self._now_ms)}"
+                f"now is {millis_to_text(self.now_ms)}"
             )
         seq = self._seq
         self._seq += 1
@@ -207,13 +205,13 @@ class Kernel:
         of t; `delivering_seq` is None; later events stay queued in
         (instant, seq) order, and the next run delivers them."""
         target_ms = to_millis(t)
-        if target_ms < self._now_ms:
+        if target_ms < self.now_ms:
             raise PastTime(
                 f"cannot run back to {millis_to_text(target_ms)}, "
-                f"now is {millis_to_text(self._now_ms)}"
+                f"now is {millis_to_text(self.now_ms)}"
             )
         delivered = self._deliver_through(target_ms)
-        self._now_ms = target_ms
+        self.now_ms = target_ms
         return delivered
 
     def run_to_completion(self) -> int:
@@ -229,7 +227,7 @@ class Kernel:
         try:
             while heap and heap[0][0] <= target_ms:
                 at_ms, seq, payload = heapq.heappop(heap)
-                self._now_ms = at_ms
+                self.now_ms = at_ms
                 self.delivering_seq = seq
                 delivered += 1
                 payload()
@@ -252,12 +250,12 @@ class Kernel:
         cells: the instant, `actor`, `kind` and the values, which come in
         the kind's key order, each an exact `str` or `int` (pass any other
         value through `exact`)."""
-        self._cells += (self._now_ms, actor, kind, values)
+        self._cells += (self.now_ms, actor, kind, values)
 
     def emit(self, actor: str, action: str, **detail: Any) -> TraceEntry:
         """Append a line of any action and keys; it is stored as `line`
         stores it, each value through `exact`."""
-        entry = TraceEntry(self._now_ms, actor, action, detail)
+        entry = TraceEntry(self.now_ms, actor, action, detail)
         self._cells += entry
         return entry
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 KB = 1024
 MB = 1024 * KB
@@ -122,9 +123,11 @@ def fmt_quantity(value) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=4096)
 def fmt_ratio(numerator: int, denominator: int) -> str:
     """`fmt_quantity(Fraction(numerator, denominator))` without building the
-    Fraction; int true division is correctly rounded, as `float(Fraction)` is."""
+    Fraction; int true division is correctly rounded, as `float(Fraction)` is.
+    A run repeats few pairs, so texts are memoised, bounded at 4,096 (LRU)."""
     if numerator % denominator == 0:
         return str(numerator // denominator)
     return repr(numerator / denominator)

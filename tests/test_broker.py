@@ -1,5 +1,6 @@
 import cProfile
 import dataclasses
+import hashlib
 import pstats
 import random
 from collections import Counter
@@ -733,6 +734,13 @@ def storage_full(grid):
     return booked(grid, CMKIN_SMALL, pinned="ce_alpha")
 
 
+def output_catalogued_elsewhere(grid):
+    """The product's name is already catalogued at se_beta under another size."""
+    grid.datagrid.store_of("se_beta").store("cmkin_101.ntpl", 1000, 31)
+    grid.datagrid.register("cmkin_101.ntpl", "se_beta", "cmkin_101.ntpl")
+    return booked(grid, CMKIN_SMALL, pinned="ce_alpha")
+
+
 def output_se_unknown(grid):
     return booked(grid, CMKIN_SMALL + 'DefaultSE = "se_nowhere";\n', pinned="ce_alpha")
 
@@ -763,6 +771,8 @@ EXITS = [
     (input_lost, MINI_TOPOLOGY, DONE_FAILED, "NoSuchPhysicalFile", RUNNING, 1, []),
     (exec_failed, MINI_TOPOLOGY, DONE_FAILED, "ExecFailed", RUNNING, 1, LOGS),
     (storage_full, MINI_TOPOLOGY, DONE_FAILED, "SeFull", RUNNING, 1, LOGS),
+    (output_catalogued_elsewhere, MINI_TOPOLOGY, DONE_FAILED, "ChecksumMismatch", RUNNING, 1,
+     LOGS),
     (output_se_unknown, MINI_TOPOLOGY, DONE_FAILED, "UnknownSe", RUNNING, 1, LOGS),
     (output_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, LOGS),
     (sandbox_return_unrouted, ROUTED_TOPOLOGY, DONE_FAILED, "NoRoute", RUNNING, 1, []),
@@ -850,6 +860,26 @@ def test_an_se_that_fills_while_the_product_moves_fails_it_on_landing():
     assert lines["output-failed"].detail["reason"] == "SeFull"
     assert lines["output-failed"].time_ms == lines["output-data"].time_ms
     assert store.files.keys() == {"filler"} and grid.validate() == []
+
+
+def test_a_product_the_catalogue_refuses_leaves_the_se_as_it_was():
+    """A landed product whose name the catalogue holds under another size
+    fails ChecksumMismatch and is taken off the SE again; the trace is the
+    one written when the refused file stayed on the SE."""
+    grid = Grid(parse_topology(MINI_TOPOLOGY, "<exits>"))
+    job_id = output_catalogued_elsewhere(grid)
+    grid.kernel.run_to_completion()
+    record = grid.brokers["rb_test"].jobs[job_id]
+    assert (record.state, record.reason) == (DONE_FAILED, "ChecksumMismatch")
+    store = grid.datagrid.store_of("se_alpha")
+    assert store.files == {} and store.used_bytes == 0
+    assert grid.datagrid.lookup("cmkin_101.ntpl") == [("se_beta", "cmkin_101.ntpl")]
+    lines = job_lines(grid, job_id)
+    assert lines["output-failed"].detail["reason"] == "ChecksumMismatch"
+    assert lines["output-failed"].time_ms == lines["output-data"].time_ms
+    assert hashlib.sha256(grid.kernel.export_trace().encode()).hexdigest() == (
+        "8774021c12118bcf05cc133332afaeedb196e85224aa5b622797130807e08ef5")
+    assert grid.validate() == []
 
 
 def test_grid_submit_needs_a_known_broker_and_a_proxy(mini):

@@ -24,10 +24,10 @@ from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.simcore import Kernel
-from deskgrid.units import KB, MB, fmt_quantity, to_millis
+from deskgrid.units import KB, MB, fmt_quantity, fmt_ratio, to_millis
 from deskgrid.vomgmt import VoManager
 
-from conftest import CMKIN_SMALL, watch_matches
+from conftest import CMKIN_SMALL, OPERATOR, watch_matches
 
 PROFILES = builtin_profiles()
 
@@ -320,6 +320,30 @@ def test_transfer_completes_on_schedule_with_trace():
     entry = n.kernel.trace[-1]
     assert entry.actor == "net" and entry.action == "transfer-complete"
     assert entry.detail["bytes"] == 20 * MB
+
+
+def test_a_long_run_holds_one_string_per_endpoint_and_a_bounded_ratio_memo():
+    """3,200 CMKIN jobs through rb_pisa: every transfer-complete row names a
+    site or a broker by the very string its `endpoint` holds, and
+    `fmt_ratio` keeps each distinct pair's text up to its bound, no more."""
+    grid = load_topology(default_topology_path())
+    fmt_ratio.cache_clear()
+    proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+    request = grid.refdb.create_request("long", "CMKIN", 3200 * 250, 250, "rb_pisa")
+    grid.production.declare(request.assignment_id)
+    grid.production.create(request.assignment_id)
+    grid.production.submit(request.assignment_id, proxy)
+    grid.kernel.run_to_completion()
+
+    holders = [*grid.fabric.sites.values(), *grid.brokers.values()]
+    endpoints = {holder.endpoint: holder.endpoint for holder in holders}
+    legs = [e.values for e in grid.kernel.trace if e.action == "transfer-complete"]
+    assert len(legs) == 3 * 3200  # input sandbox, data product, output sandbox
+    for _what, frm, to, _bytes, _secs in legs:
+        assert frm is endpoints[frm] and to is endpoints[to]
+    memo = fmt_ratio.cache_info()
+    assert memo.hits > memo.misses > 0
+    assert memo.currsize == min(memo.misses, memo.maxsize) and memo.maxsize == 4096
 
 
 # -- computing elements ------------------------------------------------

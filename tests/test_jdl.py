@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import importlib.resources
+import pickle
 import random
 
 import pytest
@@ -76,6 +78,20 @@ def test_data_driven_fixture_lfns():
     assert jd.input_data == ("lfn:demo_1.ntpl",)
     assert jd.input_lfns == ("demo_1.ntpl",)
     assert jd.replica_catalog == "rc_cnaf"
+
+
+def test_a_replaced_description_derives_its_profile_and_inputs_again():
+    """`job_profile` and `input_lfns` are set at construction, so a
+    description replaced with another executable and inputs carries the new
+    ones, the old keeps its own, and a pickled copy keeps them."""
+    jd = parse_jdl(fixture_text("data_driven.jdl"))
+    moved = dataclasses.replace(jd, executable="bin/atlsim.sh",
+                                input_data=("lfn:a.ntpl", "b.ntpl"))
+    assert (moved.job_profile, moved.input_lfns) == ("atlsim", ("a.ntpl", "b.ntpl"))
+    assert (jd.job_profile, jd.input_lfns) == ("cmsim", ("demo_1.ntpl",))
+    copy = pickle.loads(pickle.dumps(moved))
+    assert copy == moved and copy.text() == moved.text()
+    assert (copy.job_profile, copy.input_lfns) == ("atlsim", ("a.ntpl", "b.ntpl"))
 
 
 @pytest.mark.parametrize("missing", ["Executable", "Requirements",

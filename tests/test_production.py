@@ -1,10 +1,12 @@
 import pathlib
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from deskgrid import broker as broker_mod
+from deskgrid import fabric as fabric_mod
 from deskgrid.grid import Grid, default_topology_path
 from deskgrid.jdl import parse_jdl
 from deskgrid.production import (BossDb, JobsStillRunning, MissingUpstream,
@@ -342,6 +344,35 @@ def test_generation_then_simulation_follow_their_data():
         assert row.input_file == f"jpsi_{index}.ntpl"
         assert row.output_file == f"jpsi_{index}_{1999 + index}.fz"
         assert row.events_done == 250
+
+
+def test_a_factory_run_hashes_each_registered_product_once(monkeypatch):
+    """A manifest row hashes its checksum only when read: the run reads each
+    landed product's once, to store and register it, and a log's waits for
+    `get_output`, which still lists its content checksum."""
+    hashed, key_checksum = Counter(), fabric_mod._key_checksum
+
+    def counted(key):
+        hashed[key] += 1
+        return key_checksum(key)
+
+    monkeypatch.setattr(fabric_mod, "_key_checksum", counted)
+    grid, proxy = grid_with_factory()
+    gen = grid.refdb.create_request("jpsi", "CMKIN", 750, 250, "rb_test")
+    run_assignment(grid, proxy, gen.assignment_id)
+    lfns = grid.production.post_summary(gen.assignment_id)["lfns"]
+    assert lfns == ["jpsi_1.ntpl", "jpsi_2.ntpl", "jpsi_3.ntpl"]
+    keys = {lfn: "\x1f".join(("cmkin", "jpsi", lfn[5], "250", lfn)) for lfn in lfns}
+    assert hashed == Counter(keys.values())
+    for lfn, key in keys.items():
+        assert grid.datagrid.rc.meta(lfn) == (12_800_000, key_checksum(key))
+
+    rb = grid.brokers["rb_test"]
+    for index, job_id in enumerate(gen.scheduler_jobs, start=1):
+        marks = {name: f"{fabric_mod.content_checksum('cmkin', 'jpsi', index, 250, name):016x}"
+                 for name in ("std.out", "std.err")}
+        assert rb.get_output(job_id) == [("std.out", 1024 + 16 * 250, marks["std.out"]),
+                                         ("std.err", 512, marks["std.err"])]
 
 
 def test_summary_refuses_while_jobs_are_in_flight():

@@ -146,4 +146,6 @@ def test_fmt_quantity_stable_tokens():
 @example(-(3 * 2**70), 3)        # divisible: an exact int beyond 2**64
 @example(10**17 + 1, 10)         # no double holds it exactly
 def test_fmt_ratio_renders_like_the_fraction(numerator, denominator):
-    assert fmt_ratio(numerator, denominator) == fmt_quantity(Fraction(numerator, denominator))
+    text = fmt_ratio(numerator, denominator)
+    assert text == fmt_quantity(Fraction(numerator, denominator))
+    assert fmt_ratio(numerator, denominator) == text  # a repeated pair, from the memo
