@@ -152,18 +152,22 @@ _ENTRY = itemgetter(2)
 _NO_INPUTS = MappingProxyType({})  # the replicas of every job without inputs, shared
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
+    """The broker's book of one job.  The four containers a job may never
+    fill start as the one shared `()`; the first fill makes a dict (chosen
+    replicas, staged checksums) or a list (registered names, sandbox)."""
+
     job_id: str
     owner: Proxy
     description: jdl.JobDescription
     state: str = SUBMITTED
     pinned_ce: "str | None" = None
     matched_ce: "str | None" = None
-    chosen_replicas: dict = field(default_factory=dict)
-    staged_checksums: dict = field(default_factory=dict)
-    registered_lfns: list = field(default_factory=list)
-    sandbox_out: list = field(default_factory=list)
+    chosen_replicas: "dict | tuple" = ()
+    staged_checksums: "dict | tuple" = ()
+    registered_lfns: "list | tuple" = ()
+    sandbox_out: "list | tuple" = ()
     timestamps: dict = field(default_factory=dict)
     reason: "str | None" = None
 
@@ -302,8 +306,9 @@ class ResourceBroker:
         else:
             record.matched_ce = result.chosen
             close_ses = self.info.ces[result.chosen].close_ses
-            for lfn, reps in replicas.items():
-                record.chosen_replicas[lfn] = next(rep for rep in reps if rep[0] in close_ses)
+            if replicas:  # a job without inputs keeps the shared ()
+                record.chosen_replicas = {lfn: next(rep for rep in reps if rep[0] in close_ses)
+                                          for lfn, reps in replicas.items()}
             self.kernel.line(self.rb_id, MATCHED_LINE, job_id, result.chosen, rank_shown, table)
             self._move(record, MATCHED)
         for observer in self.match_observers:
@@ -448,7 +453,7 @@ class ResourceBroker:
                    f"input-sandbox:{record.job_id}", self._stage_next, record, 0)
 
     def _stage_next(self, record: JobRecord, index: int) -> None:
-        inputs = sorted(record.chosen_replicas.items())
+        inputs = sorted(record.chosen_replicas.items()) if record.chosen_replicas else ()
         ce = self._ce_of(record)
         if index >= len(inputs):
             ce.execute(ce.running[record.job_id])
@@ -459,6 +464,8 @@ class ResourceBroker:
         if physical is None:
             self._finalize(record, DONE_FAILED, "NoSuchPhysicalFile")
             return
+        if not record.staged_checksums:  # the first input staged
+            record.staged_checksums = {}
         record.staged_checksums[lfn] = physical.checksum
         self._send(record, physical.size_bytes, store.site.endpoint, ce.site.endpoint,
                    f"stage:{lfn}", self._stage_next, record, index + 1)
@@ -467,7 +474,7 @@ class ResourceBroker:
         logs = [f for f in outputs if not f.is_data]
         if exit_code != 0:
             self._return_sandbox(record, logs, DONE_FAILED, "ExecFailed")
-        elif self.fabric.profile_for(record.description).registers_output:
+        elif self._ce_of(record).running[record.job_id].profile.registers_output:
             self._store_next(record, next(f for f in outputs if f.is_data), logs)
         else:
             self._return_sandbox(record, outputs, DONE_OK, None)
@@ -501,7 +508,7 @@ class ResourceBroker:
                 store.remove(produced.name)
             self._output_failed(record, produced, sandbox, exc)
             return
-        record.registered_lfns.append(produced.name)
+        record.registered_lfns = [produced.name]  # a job's one data product
         self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
                          store.se_id)
         self._return_sandbox(record, sandbox, DONE_OK, None)

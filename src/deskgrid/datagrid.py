@@ -2,11 +2,11 @@
 
 A storage element sits at one fabric site and is a content store of
 (path, size, checksum) triples with a hard capacity; the catalogue maps
-logical file names to the set of physical copies.  Every replica of a
-logical file shares one size and one checksum, registration verifies
-both against the physical file, and replication to an element that
-already holds a copy is an idempotent no-op.  The `lfn:` URI prefix is
-accepted everywhere and stripped.
+logical file names to their physical copies, kept sorted.  Every replica
+of a logical file shares one size and one checksum, registration
+verifies both against the physical file, and replication to an element
+that already holds a copy is an idempotent no-op.  The `lfn:` URI
+prefix is accepted everywhere and stripped.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ class UnknownSe(DataGridError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhysicalFile:
     size_bytes: int
     checksum: int
@@ -88,9 +88,13 @@ class StorageElement:
 
 
 class ReplicaCatalog:
+    """Each logical name's (size, checksum) and its copies: one tuple of
+    (se_id, path) pairs, sorted when a copy registers, so `lookup` and `dump`
+    sort nothing, and which the collector, unlike a set, stops tracking."""
+
     def __init__(self, catalog_id: str):
         self.catalog_id = catalog_id
-        self._replicas: dict[str, set] = {}
+        self._replicas: dict[str, tuple] = {}
         self._meta: dict[str, tuple] = {}  # lfn -> (size, checksum)
 
     def register(self, lfn: str, store: StorageElement, path: str) -> None:
@@ -105,7 +109,9 @@ class ReplicaCatalog:
                     f"{lfn}: replica at {store.se_id}:{path} disagrees with the catalogue")
         else:
             self._meta[lfn] = (pf.size_bytes, pf.checksum)
-        self._replicas.setdefault(lfn, set()).add((store.se_id, path))
+        copies, copy = self._replicas.get(lfn, ()), (store.se_id, path)
+        if copy not in copies:
+            self._replicas[lfn] = tuple(sorted(copies + (copy,)))
 
     def known(self, lfn: str) -> bool:
         return strip_lfn_prefix(lfn) in self._replicas
@@ -115,7 +121,7 @@ class ReplicaCatalog:
         lfn = strip_lfn_prefix(lfn)
         if lfn not in self._replicas:
             raise UnknownLfn(lfn)
-        return sorted(self._replicas[lfn])
+        return list(self._replicas[lfn])
 
     def meta(self, lfn: str) -> tuple:
         lfn = strip_lfn_prefix(lfn)
@@ -127,7 +133,7 @@ class ReplicaCatalog:
         lines = []
         for lfn in sorted(self._replicas):
             size, checksum = self._meta[lfn]
-            for se_id, path in sorted(self._replicas[lfn]):
+            for se_id, path in self._replicas[lfn]:
                 lines.append(f"{lfn} {se_id} {path} {size} {checksum:016x}")
         return "".join(line + "\n" for line in lines)
 

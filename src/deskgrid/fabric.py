@@ -296,7 +296,7 @@ class Site:
         self.endpoint = f"site:{self.site_id}"
 
 
-@dataclass
+@dataclass(slots=True)
 class FabricJob:
     """The fabric-facing face of one job; the broker fills the callbacks."""
 

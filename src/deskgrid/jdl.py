@@ -513,7 +513,7 @@ def strip_lfn_prefix(name: str) -> str:
     return name[4:] if name.startswith("lfn:") else name
 
 
-@dataclass
+@dataclass(slots=True)
 class JobDescription:
     """Typed view of one description file.
 

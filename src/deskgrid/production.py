@@ -109,7 +109,7 @@ class ProductionRequest:
         return counts
 
 
-@dataclass
+@dataclass(slots=True)
 class BossJobRecord:
     boss_id: int
     scheduler_job_id: str
@@ -296,19 +296,21 @@ class ProductionManager:
                 raise MissingUpstream(
                     f"assignment {assignment_id} wants {request.job_count} inputs, "
                     f"upstream produced {upstream.job_count}")
-        descriptions = [self._job_description(request, n, events)
+        dataset = jdl.Lit(request.dataset)  # one literal each, shared by every job
+        default_se = None if request.default_se is None else jdl.Lit(request.default_se)
+        descriptions = [self._job_description(request, n, events, dataset, default_se)
                         for n, events in enumerate(request.split_events(), start=1)]
         request.descriptions = descriptions
         request.status = REQ_CREATED
         self.kernel.line("factory", CREATED_LINE, assignment_id, len(descriptions))
         return descriptions
 
-    def _job_description(self, request: ProductionRequest, index: int,
-                         events: int) -> jdl.JobDescription:
+    def _job_description(self, request: ProductionRequest, index: int, events: int,
+                         dataset_lit: jdl.Lit, se_lit: "jdl.Lit | None") -> jdl.JobDescription:
         dataset = request.dataset
-        extras = {"Dataset": jdl.Lit(dataset), "JobIndex": jdl.Lit(index)}
-        if request.default_se is not None:
-            extras["DefaultSE"] = jdl.Lit(request.default_se)
+        extras = {"Dataset": dataset_lit, "JobIndex": jdl.Lit(index)}
+        if se_lit is not None:
+            extras["DefaultSE"] = se_lit
         simulation = request.step == STEP_CMSIM
         return jdl.JobDescription(
             executable=request.step.lower(),

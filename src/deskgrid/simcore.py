@@ -19,7 +19,7 @@ untracks at its first pass.  `Kernel.emit` takes any values by keyword and
 stores each through `exact`, which turns every other value into its
 `fmt_quantity` text.  `Kernel.trace` is a read-only `Trace` view that
 builds a `TraceEntry` for each line it is asked for.  Each kind renders its
-lines with one `str.format` template, built once, for both
+lines with one printf-style `%` template, built once, for both
 `TraceEntry.format` and `Kernel.export_trace`, so an export converts no
 value; it renders the time stamp once per run of lines at the same instant.
 """
@@ -40,17 +40,16 @@ class PastTime(Exception):
 
 
 class Kind:
-    """One kind of trace line: its action, its keys in order, and `render`,
-    the bound `str.format` of its template, which takes the time stamp, the
-    actor and the values.  Build kinds with `kind`, which keeps one per
-    (action, keys)."""
+    """One kind of trace line: its action, its keys in order, and its
+    printf-style `template`, which `template % ((stamp, actor) + values)`
+    renders.  Build kinds with `kind`, which keeps one per (action, keys)."""
 
-    __slots__ = ("action", "keys", "render")
+    __slots__ = ("action", "keys", "template")
 
     def __init__(self, action: str, keys: tuple):
         self.action, self.keys = action, keys
-        pairs = " ".join(f"{_escaped(key)}={{}}" for key in keys)
-        self.render = f"{{}}\t{{}}\t{_escaped(action)}\t{pairs}".format
+        pairs = " ".join(f"{_escaped(key)}=%s" for key in keys)
+        self.template = f"%s\t%s\t{_escaped(action)}\t{pairs}"
 
     def __repr__(self) -> str:
         return f"kind({', '.join(map(repr, (self.action, *self.keys)))})"
@@ -60,7 +59,7 @@ class Kind:
 
 
 def _escaped(text: str) -> str:
-    return text.replace("{", "{{").replace("}", "}}")
+    return text.replace("%", "%%")
 
 
 _KINDS: dict[tuple, Kind] = {}  # (action, keys) -> its one Kind; kinds are few
@@ -118,7 +117,7 @@ class TraceEntry(tuple):
 
     def format(self) -> str:
         """The line, without its newline."""
-        return self.kind.render(millis_to_text(self.time_ms), self.actor, *self.values)
+        return self.kind.template % ((millis_to_text(self.time_ms), self.actor) + self.values)
 
 
 class Trace(Sequence):
@@ -267,6 +266,6 @@ class Kernel:
             if time_ms != last_ms:  # instants need not be monotone
                 last_ms = time_ms
                 stamp = millis_to_text(time_ms)
-            lines.append(kind.render(stamp, actor, *values))
+            lines.append(kind.template % ((stamp, actor) + values))
         lines.append("")  # every line ends in a newline; no entries, no text
         return "\n".join(lines)

@@ -94,11 +94,18 @@ def test_lookup_sorted_and_lfn_prefix_transparent():
     grid = make_mini()
     dg = grid.datagrid
     dg.store_of("se_beta").store("p", 10, 5)
+    dg.store_of("se_alpha").store("q", 10, 5)
     dg.store_of("se_alpha").store("p", 10, 5)
-    dg.register("lfn:data", "se_beta", "p")
-    dg.register("data", "se_alpha", "p")
-    assert dg.lookup("data") == [("se_alpha", "p"), ("se_beta", "p")]
-    assert dg.lookup("lfn:data") == dg.lookup("data")
+    # registered out of (se, path) order, and one copy twice
+    for se_id, path in (("se_beta", "p"), ("se_alpha", "q"), ("se_alpha", "p"),
+                        ("se_alpha", "q")):
+        dg.register("lfn:data" if se_id == "se_beta" else "data", se_id, path)
+    copies = [("se_alpha", "p"), ("se_alpha", "q"), ("se_beta", "p")]
+    assert dg.lookup("data") == copies
+    dg.lookup("data").pop()  # each lookup is the caller's own list
+    assert dg.lookup("lfn:data") == dg.lookup("data") == copies
+    assert dg.rc.dump() == "".join(f"data {se_id} {path} 10 {5:016x}\n"
+                                   for se_id, path in copies)
     assert dg.rc.meta("data") == (10, 5)
     with pytest.raises(UnknownLfn):
         dg.lookup("nothing")

@@ -1,13 +1,15 @@
+import gc
 import pathlib
 import re
 from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 
 from deskgrid import broker as broker_mod
 from deskgrid import fabric as fabric_mod
-from deskgrid.grid import Grid, default_topology_path
+from deskgrid.grid import Grid, default_topology_path, load_topology
 from deskgrid.jdl import parse_jdl
 from deskgrid.production import (BossDb, JobsStillRunning, MissingUpstream,
                                  ProductionError, RefDb, UnknownAssignment,
@@ -123,6 +125,10 @@ def test_generated_descriptions_parse_with_factory_bookkeeping():
     assert jd.extra_string("DefaultSE") == "se_beta"
     assert jd.input_sandbox == ("jpsi_2.cards",)
     assert not jd.input_data
+    # the request's own values are one literal each, shared by its jobs
+    first, second = (description.extras for description in descriptions)
+    assert first["Dataset"] is second["Dataset"] and first["DefaultSE"] is second["DefaultSE"]
+    assert first["JobIndex"] != second["JobIndex"]
 
 
 def test_simulation_descriptions_name_their_input_tuples():
@@ -327,17 +333,28 @@ def test_generation_then_simulation_follow_their_data():
     assert gen.status == "COMPLETE"
     ntpl_sites = {lfn: grid.datagrid.lookup(lfn)[0][0] for lfn in summary["lfns"]}
     assert set(ntpl_sites.values()) == {"se_alpha", "se_beta"}  # spread by load
+    rb = grid.brokers["rb_test"]
+    shared = {f.name: f.default for f in fields(broker_mod.JobRecord)}
+    for index, job_id in enumerate(gen.scheduler_jobs, start=1):
+        record = rb.jobs[job_id]
+        # a generation job reads no input: its input books are the shared ()
+        assert record.chosen_replicas is shared["chosen_replicas"] == ()
+        assert record.staged_checksums is shared["staged_checksums"] == ()
+        assert record.registered_lfns == [f"jpsi_{index}.ntpl"]
+        assert [f.name for f in record.sandbox_out] == ["std.out", "std.err"]
 
     sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
     boss_ids = run_assignment(grid, proxy, sim.assignment_id)
     grid.production.post_summary(sim.assignment_id)
     assert sim.status == "COMPLETE"
-    rb = grid.brokers["rb_test"]
     se_of_ce = {"ce_alpha": "se_alpha", "ce_beta": "se_beta"}
     for index, job_id in enumerate(sim.scheduler_jobs, start=1):
-        record = rb.jobs[job_id]
+        record, lfn = rb.jobs[job_id], f"jpsi_{index}.ntpl"
         # each simulation job ran where its input tuple already lived
-        assert se_of_ce[record.matched_ce] == ntpl_sites[f"jpsi_{index}.ntpl"]
+        assert se_of_ce[record.matched_ce] == ntpl_sites[lfn]
+        assert record.chosen_replicas == {lfn: (ntpl_sites[lfn], lfn)}
+        assert record.staged_checksums == {lfn: grid.datagrid.rc.meta(lfn)[1]}
+        assert record.registered_lfns == [f"jpsi_{index}_{1999 + index}.fz"]
     for index, boss_id in enumerate(boss_ids, start=1):
         row = grid.bossdb.get(boss_id)
         assert row.status == "finished" and row.exit_status == 0
@@ -373,6 +390,33 @@ def test_a_factory_run_hashes_each_registered_product_once(monkeypatch):
                  for name in ("std.out", "std.err")}
         assert rb.get_output(job_id) == [("std.out", 1024 + 16 * 250, marks["std.out"]),
                                          ("std.err", 512, marks["std.err"])]
+
+
+class DroppedCells(list):
+    """Trace cells that keep nothing: `+=` leaves the list as it is."""
+
+    def __iadd__(self, cells):
+        return self
+
+
+def test_a_finished_generation_job_leaves_at_most_ten_tracked_objects():
+    """The books of a finished CMKIN job are few objects for the collector
+    to walk: the tracked objects a 300-job request leaves beyond a 100-job
+    one, with the trace dropped, number fewer than 11 per job."""
+    def tracked(jobs: int) -> int:
+        grid = load_topology(default_topology_path())
+        grid.kernel._cells = DroppedCells()
+        proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+        request = grid.refdb.create_request("bulk", "CMKIN", jobs * 250, 250, "rb_pisa")
+        run_assignment(grid, proxy, request.assignment_id)
+        assert grid.production.post_summary(request.assignment_id)["jobs_ok"] == jobs
+        gc.collect()
+        gc.collect()
+        return len(gc.get_objects())
+
+    tracked(100)  # first-use caches fill here, not between the two counts
+    low = tracked(100)
+    assert tracked(300) - low < 11 * 200
 
 
 def test_summary_refuses_while_jobs_are_in_flight():

@@ -163,6 +163,17 @@ def test_the_trace_renders_as_the_reference_does(entries):
     assert text == "".join(e.format() + "\n" for e in entries)
 
 
+def test_template_marks_in_an_action_or_a_key_render_verbatim():
+    """`%`, `{` and `}` in an action, a key, the actor or a value are text,
+    not template marks, in `TraceEntry.format` and in `export_trace` alike."""
+    k = Kernel()
+    k.line("rb%s", kind("100%", "%s", "{0}", "%%}{"), "%d", 5, "{}")
+    k.emit("a", "b%}", **{"%(x)s": "%", "{": 1})
+    lines = ["0.000\trb%s\t100%\t%s=%d {0}=5 %%}{={}", "0.000\ta\tb%}\t%(x)s=% {=1"]
+    assert [entry.format() for entry in k.trace] == lines
+    assert k.export_trace() == "".join(line + "\n" for line in lines)
+
+
 def test_every_line_call_passes_one_value_per_key_of_its_kind():
     """Read from the source, so call sites no test runs are checked too:
     each module-level `NAME = kind(action, *keys)` in `src/` is written
