@@ -501,11 +501,8 @@ class ResourceBroker:
     def _landed(self, record: JobRecord, produced, store, sandbox: list) -> None:
         """Store and register the landed data product, then return the sandbox."""
         try:
-            store.store(produced.name, produced.size_bytes, produced.checksum)
-            self.datagrid.rc.register(produced.name, store, produced.name)
+            self.datagrid.put(store, produced.name, produced.size_bytes, produced.checksum)
         except dg_mod.DataGridError as exc:
-            if isinstance(exc, dg_mod.ChecksumMismatch):  # stored, then refused: take it off
-                store.remove(produced.name)
             self._output_failed(record, produced, sandbox, exc)
             return
         record.registered_lfns = [produced.name]  # a job's one data product

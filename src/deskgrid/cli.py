@@ -239,9 +239,7 @@ def _get_output(grid, base_dir, job, dest):
 def _rc_register(grid, base_dir, lfn, se, size):
     lfn = jdl.strip_lfn_prefix(lfn)
     store = grid.datagrid.store_of(se)
-    mark = fabric_mod.content_checksum("seed", lfn, 0, size, lfn)
-    store.store(lfn, size, mark)
-    grid.datagrid.rc.register(lfn, store, lfn)
+    grid.datagrid.put(store, lfn, size, fabric_mod.content_checksum("seed", lfn, 0, size, lfn))
     return 0, f"seeded {lfn} on {se} ({size} bytes)"
 
 

@@ -161,8 +161,15 @@ class DataGrid:
             raise UnknownSe(se_id)
         return store
 
-    def register(self, lfn: str, se_id: str, path: str) -> None:
-        self.rc.register(lfn, self.store_of(se_id), path)
+    def put(self, store: StorageElement, name: str, size_bytes: int, checksum: int) -> None:
+        """Store `name` on `store` and catalogue it under that name, or, when
+        either refuses it, leave both as they were."""
+        store.store(name, size_bytes, checksum)
+        try:
+            self.rc.register(name, store, name)
+        except ChecksumMismatch:
+            store.remove(name)
+            raise
 
     def replicate(self, lfn: str, to_se: str):
         """Copy one replica of `lfn` onto `to_se` over the fabric links.

@@ -155,18 +155,14 @@ SANDBOX_INPUT_FILE_BYTES = 4 * KB
 SANDBOX_AUX_FILE_BYTES = 8 * KB
 
 
-def data_file_name(jd: JobDescription, profile: WorkloadProfile) -> str:
-    """Name of the data product.
+def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
+    """Name of the data product of `jd`, whose `production_tag()` is `tag`.
 
     Factory jobs follow the fixed catalogue convention: the generator
     writes <dataset>_<n>.ntpl, the detector step writes
     <dataset>_<n>_<seed>.fz.  Sandbox-returning applications use the first
     OutputSandbox entry that is not one of the job's two logs; anything else
     falls back to a name derived from the profile and seed."""
-    return _data_file_name(jd, profile, jd.production_tag())
-
-
-def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
     if tag is not None:
         dataset, index = tag
         if profile.name == "cmsim":

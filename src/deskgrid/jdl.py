@@ -14,7 +14,8 @@ and `Member` are matched case-insensitively; attribute names are not.
 Binary operators from loosest to tightest binding: `||`, `&&`, a single
 comparison (`== != < <= > >=`), then the unary operators `!` and `-`.
 The operator table (`_PREC`, `_COMPARE`, `_UNARY`) declares each of them
-once; the lexer, parser, printer and evaluator all read it.
+once; the lexer, parser and evaluator read it, and so does the canonical
+printer the tests keep as an oracle (`tests/jdl_reference.py`).
 
 Evaluation is three-valued.  Unbound attributes and type mismatches yield
 UNDEFINED, which propagates through every operator with one exception: a
@@ -24,10 +25,10 @@ two values of one kind (two numbers, two strings, two booleans for
 equality; ordering only between numbers); anything else is UNDEFINED.
 
 Reserved attributes are folded into the typed JobDescription; the
-`_RESERVED` table is the one list of them, read and rendered alike.
-Unknown attributes are kept as their parsed expressions, so descriptions
-survive round-trips through tools that do not understand them,
-unchanged in meaning and rendered canonically.
+`_RESERVED` table is the one list of them.  Unknown attributes are kept
+as their parsed expressions, so a description loses nothing the file
+said.  The package reads descriptions and never writes one back out;
+factory jobs are built as typed descriptions, not text.
 """
 from __future__ import annotations
 
@@ -160,7 +161,7 @@ Expr = Union[Lit, ListLit, Attr, Unary, Binary, MemberCall]
 
 
 # --------------------------------------------------------------------------
-# operators: the one table the lexer, parser, printer and evaluator read
+# operators: the one table the lexer, parser and evaluator read
 
 def _numbers(a, b) -> bool:
     return _is_number(a) and _is_number(b)
@@ -181,7 +182,7 @@ _UNARY = {"!": (lambda v: isinstance(v, bool), operator.not_), "-": (_is_number,
 
 #: binary operator -> precedence, loosest first; one level associates to
 #: the left, except that comparisons do not chain
-_CMP_PREC, _UNARY_PREC, _ATOM = 3, 4, 5
+_CMP_PREC, _UNARY_PREC = 3, 4
 _PREC = {"||": 1, "&&": 2, **dict.fromkeys(_COMPARE, _CMP_PREC)}
 
 
@@ -390,52 +391,6 @@ def parse_expr(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# printer
-
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return _PREC[expr.op]
-    if isinstance(expr, Unary):
-        return _UNARY_PREC
-    return _ATOM
-
-
-def expr_text(expr: Expr) -> str:
-    """Canonical rendering; parse(expr_text(e)) is structurally e."""
-    if isinstance(expr, Lit):
-        v = expr.value
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, str):
-            escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return repr(v)
-    if isinstance(expr, ListLit):
-        return "{" + ", ".join(expr_text(i) for i in expr.items) + "}"
-    if isinstance(expr, Attr):
-        return f"other.{expr.name}"
-    if isinstance(expr, MemberCall):
-        return f"Member({expr_text(expr.value)}, {expr_text(expr.items)})"
-    if isinstance(expr, Unary):
-        inner = expr_text(expr.operand)
-        if _prec(expr.operand) < _UNARY_PREC:
-            inner = f"({inner})"
-        return f"{expr.op}{inner}"
-    if isinstance(expr, Binary):
-        mine = _PREC[expr.op]
-        left = expr_text(expr.left)
-        right = expr_text(expr.right)
-        # left-associative chains keep the left child unparenthesized at
-        # equal precedence; comparisons do not chain at all
-        if _prec(expr.left) < mine or _prec(expr.left) == mine == _CMP_PREC:
-            left = f"({left})"
-        if _prec(expr.right) <= mine:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-# --------------------------------------------------------------------------
 # evaluation
 
 def evaluate(expr: Expr, env: Mapping[str, Value] | None = None) -> Value:
@@ -519,9 +474,7 @@ class JobDescription:
 
     One field per `_RESERVED` attribute; those without a default are
     required.  `extras` maps each unknown attribute, in declaration
-    order, to its expression, so files round-trip through this type
-    unchanged in meaning; `text()` renders them canonically like every
-    other attribute.  The derived fields, `job_profile` and `input_lfns`,
+    order, to its expression.  The derived fields, `job_profile` and `input_lfns`,
     are set at construction; a description is never mutated but replaced
     (`production` submits through `dataclasses.replace`), which derives
     them again."""
@@ -569,23 +522,6 @@ class JobDescription:
             return None
         return dataset, index
 
-    def text(self) -> str:
-        """Canonical rendering: reserved attributes in table order, less
-        those that are None or (), then the extras."""
-        lines = [f"{name} = {_render(value)};"
-                 for name, (field_name, _read) in _RESERVED.items()
-                 if (value := getattr(self, field_name)) is not None and value != ()]
-        lines += [f"{name} = {expr_text(expr)};" for name, expr in self.extras.items()]
-        return "\n".join(lines) + "\n"
-
-
-def _render(value) -> str:
-    if isinstance(value, tuple):
-        value = ListLit(tuple(Lit(item) for item in value))
-    elif isinstance(value, (str, int)):
-        value = Lit(value)
-    return expr_text(value)
-
 
 # Readers: (attribute name, expression, its name token) -> field value.
 
@@ -628,7 +564,7 @@ def _want_string_list(name: str, expr: Expr, tok: Token) -> tuple:
     raise JdlError(f"{name} must be a list of strings", tok.line, tok.col)
 
 
-#: reserved attribute -> (JobDescription field, reader), in rendering order;
+#: reserved attribute -> (JobDescription field, reader), in canonical order;
 #: the one list of the attributes a description file reserves
 _RESERVED = {
     "Executable": ("executable", _want_string),

@@ -19,7 +19,6 @@ backwards: a regressive update is logged and ignored.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -98,7 +97,7 @@ class ProductionRequest:
 
     @property
     def job_count(self) -> int:
-        return math.ceil(self.total_events / self.events_per_job)
+        return -(-self.total_events // self.events_per_job)  # exact, unlike a float ceil
 
     def split_events(self) -> list:
         """Per-job event counts; they always sum to total_events."""

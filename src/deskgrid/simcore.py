@@ -122,7 +122,8 @@ class TraceEntry(tuple):
 
 class Trace(Sequence):
     """Read-only view of a kernel's trace, one `TraceEntry` per line, built
-    on read from the line's four cells; slices are lists of entries."""
+    on read from the line's four cells; slices are lists of entries.  Only
+    `Kernel.line` and `Kernel.emit` add lines."""
 
     __slots__ = ("_cells",)
 
@@ -146,11 +147,6 @@ class Trace(Sequence):
         cells = iter(self._cells)
         for row in zip(cells, cells, cells, cells):
             yield _new_row(TraceEntry, row)
-
-    def extend(self, entries) -> None:
-        """Append each entry's four cells, as `Kernel.emit` does."""
-        for entry in entries:
-            self._cells += entry
 
 
 class Kernel:

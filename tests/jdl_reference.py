@@ -6,10 +6,14 @@ evaluator can be checked against an independent reading of the rules.
 `gen_expr`/`gen_env` build random expression trees and machine
 environments from a seeded RNG; value types are kept to shapes whose
 canonical rendering survives the lexer (no exponent floats, negatives
-only via the unary operator).
+only via the unary operator).  `expr_text` and `description_text` are
+that canonical rendering: the printer that turns trees and descriptions
+back into parser input.  The package itself never writes a description
+out, so the printer lives here, reading the package's own operator and
+reserved-attribute tables.
 """
-from deskgrid.jdl import (UNDEFINED, Attr, Binary, Lit, ListLit, MemberCall,
-                          Unary)
+from deskgrid.jdl import (_CMP_PREC, _PREC, _RESERVED, _UNARY_PREC, UNDEFINED, Attr,
+                          Binary, Lit, ListLit, MemberCall, Unary)
 
 UNDEF = object()
 
@@ -167,3 +171,70 @@ def gen_env(rng) -> dict:
             env[name] = tuple(rng.choice(STRING_POOL)
                               for _ in range(rng.randrange(0, 4)))
     return env
+
+
+# --------------------------------------------------------------------------
+# canonical printer
+
+_ATOM = _UNARY_PREC + 1
+
+
+def _prec(expr) -> int:
+    if isinstance(expr, Binary):
+        return _PREC[expr.op]
+    if isinstance(expr, Unary):
+        return _UNARY_PREC
+    return _ATOM
+
+
+def expr_text(expr) -> str:
+    """Canonical rendering; parse(expr_text(e)) is structurally e."""
+    if isinstance(expr, Lit):
+        v = expr.value
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"'
+        return repr(v)
+    if isinstance(expr, ListLit):
+        return "{" + ", ".join(expr_text(i) for i in expr.items) + "}"
+    if isinstance(expr, Attr):
+        return f"other.{expr.name}"
+    if isinstance(expr, MemberCall):
+        return f"Member({expr_text(expr.value)}, {expr_text(expr.items)})"
+    if isinstance(expr, Unary):
+        inner = expr_text(expr.operand)
+        if _prec(expr.operand) < _UNARY_PREC:
+            inner = f"({inner})"
+        return f"{expr.op}{inner}"
+    if isinstance(expr, Binary):
+        mine = _PREC[expr.op]
+        left = expr_text(expr.left)
+        right = expr_text(expr.right)
+        # left-associative chains keep the left child unparenthesized at
+        # equal precedence; comparisons do not chain at all
+        if _prec(expr.left) < mine or _prec(expr.left) == mine == _CMP_PREC:
+            left = f"({left})"
+        if _prec(expr.right) <= mine:
+            right = f"({right})"
+        return f"{left} {expr.op} {right}"
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def description_text(jd) -> str:
+    """Canonical rendering of a `JobDescription`: reserved attributes in
+    table order, less those that are None or (), then the extras."""
+    lines = [f"{name} = {_render(value)};"
+             for name, (field_name, _read) in _RESERVED.items()
+             if (value := getattr(jd, field_name)) is not None and value != ()]
+    lines += [f"{name} = {expr_text(expr)};" for name, expr in jd.extras.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        value = ListLit(tuple(Lit(item) for item in value))
+    elif isinstance(value, (str, int)):
+        value = Lit(value)
+    return expr_text(value)

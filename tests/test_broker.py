@@ -133,7 +133,7 @@ def test_explicit_rank_overrides_the_traversal_time_default(mini, alice):
 def test_data_driven_match_follows_the_replica(mini, alice):
     dg = mini.datagrid
     dg.store_of("se_beta").store("d.ntpl", 1000, 31)
-    dg.register("d.ntpl", "se_beta", "d.ntpl")
+    dg.rc.register("d.ntpl", dg.store_of("se_beta"), "d.ntpl")
     job_id = mini.submit(DATA_JDL, "rb_test")
     mini.kernel.run_until(0)
     record = mini.brokers["rb_test"].jobs[job_id]
@@ -148,8 +148,8 @@ def test_lowest_replica_pair_is_chosen(mini, alice):
     dg = mini.datagrid
     dg.store_of("se_beta").store("b_copy", 1000, 31)
     dg.store_of("se_beta").store("a_copy", 1000, 31)
-    dg.register("d.ntpl", "se_beta", "b_copy")
-    dg.register("d.ntpl", "se_beta", "a_copy")
+    dg.rc.register("d.ntpl", dg.store_of("se_beta"), "b_copy")
+    dg.rc.register("d.ntpl", dg.store_of("se_beta"), "a_copy")
     job_id = mini.submit(DATA_JDL, "rb_test")
     mini.kernel.run_until(0)
     record = mini.brokers["rb_test"].jobs[job_id]
@@ -166,7 +166,7 @@ def test_unknown_input_data_aborts(mini, alice):
 def test_foreign_catalogue_never_matches(mini, alice):
     dg = mini.datagrid
     dg.store_of("se_beta").store("d.ntpl", 1000, 31)
-    dg.register("d.ntpl", "se_beta", "d.ntpl")
+    dg.rc.register("d.ntpl", dg.store_of("se_beta"), "d.ntpl")
     job_id = mini.submit(DATA_JDL.replace("rc_test", "rc_elsewhere"), "rb_test")
     mini.kernel.run_until(0)
     assert mini.brokers["rb_test"].jobs[job_id].state == ABORTED
@@ -177,12 +177,12 @@ def test_a_replica_registered_between_matches_widens_the_next_match(mini, alice)
     matches = watch_matches(mini)
     dg = mini.datagrid
     dg.store_of("se_beta").store("d.ntpl", 1000, 31)
-    dg.register("d.ntpl", "se_beta", "d.ntpl")
+    dg.rc.register("d.ntpl", dg.store_of("se_beta"), "d.ntpl")
     first = mini.submit(DATA_JDL, "rb_test")
     mini.kernel.run_until(0)
     assert candidates_of(matches, first) == ["ce_beta"]
     dg.store_of("se_alpha").store("d.ntpl", 1000, 31)
-    dg.register("d.ntpl", "se_alpha", "d.ntpl")
+    dg.rc.register("d.ntpl", dg.store_of("se_alpha"), "d.ntpl")
     second = mini.submit(DATA_JDL, "rb_test")
     mini.kernel.run_until(0)
     assert candidates_of(matches, second) == ["ce_alpha", "ce_beta"]
@@ -712,14 +712,14 @@ def input_sandbox_unrouted(grid):
 
 def staging_unrouted(grid):
     grid.datagrid.store_of("se_gamma").store("d.ntpl", 1000, 31)
-    grid.datagrid.register("d.ntpl", "se_gamma", "d.ntpl")
+    grid.datagrid.rc.register("d.ntpl", grid.datagrid.store_of("se_gamma"), "d.ntpl")
     return booked(grid, DATA_JDL)
 
 
 def input_lost(grid):
     store = grid.datagrid.store_of("se_beta")
     store.store("d.ntpl", 1000, 31)
-    grid.datagrid.register("d.ntpl", "se_beta", "d.ntpl")
+    grid.datagrid.rc.register("d.ntpl", grid.datagrid.store_of("se_beta"), "d.ntpl")
     store.used_bytes -= store.files.pop("d.ntpl").size_bytes  # the catalogue still lists it
     return booked(grid, DATA_JDL)
 
@@ -737,7 +737,7 @@ def storage_full(grid):
 def output_catalogued_elsewhere(grid):
     """The product's name is already catalogued at se_beta under another size."""
     grid.datagrid.store_of("se_beta").store("cmkin_101.ntpl", 1000, 31)
-    grid.datagrid.register("cmkin_101.ntpl", "se_beta", "cmkin_101.ntpl")
+    grid.datagrid.rc.register("cmkin_101.ntpl", grid.datagrid.store_of("se_beta"), "cmkin_101.ntpl")
     return booked(grid, CMKIN_SMALL, pinned="ce_alpha")
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from deskgrid import cli
 from deskgrid.cli import dispatch, main
+from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.production import BossDb
 from deskgrid.scenario import ScenarioError, parse_scenario
 
@@ -94,6 +95,22 @@ def test_rc_register_refuses_a_negative_size(mini):
     code, _text = dispatch(mini, ["rc", "lookup", "neg.dat"])
     assert code == 1
     assert ok(mini, ["topo", "validate"]) == "ok"
+
+
+def test_a_refused_rc_register_leaves_nothing_on_the_se():
+    """A copy whose size disagrees with the catalogue is refused and not
+    kept, so the right copy can then be registered on the same SE."""
+    grid = load_topology(default_topology_path())
+    ok(grid, ["rc", "register", "x.dat", "se_batavia", "100"])
+    store = grid.datagrid.store_of("se_bloomington")
+    files, used = dict(store.files), store.used_bytes
+    code, text = dispatch(grid, ["rc", "register", "x.dat", "se_bloomington", "200"])
+    assert code == 1 and "disagrees with the catalogue" in text
+    assert (store.files, store.used_bytes) == (files, used)
+    assert grid.validate() == []
+    ok(grid, ["rc", "register", "x.dat", "se_bloomington", "100"])
+    assert ok(grid, ["rc", "lookup", "x.dat"]).splitlines() == [
+        "se_batavia\tx.dat", "se_bloomington\tx.dat"]
 
 
 def test_topo_show_and_validate(mini):

@@ -71,23 +71,23 @@ def test_catalog_register_needs_physical_file():
     grid = make_mini()
     dg = grid.datagrid
     with pytest.raises(NoSuchPhysicalFile):
-        dg.register("ghost.dat", "se_alpha", "ghost.dat")
+        dg.rc.register("ghost.dat", dg.store_of("se_alpha"), "ghost.dat")
     with pytest.raises(UnknownSe):
-        dg.register("x", "se_ghost", "x")
+        dg.rc.register("x", dg.store_of("se_ghost"), "x")
 
 
 def test_catalog_checksum_consistency_across_replicas():
     grid = make_mini()
     dg = grid.datagrid
     dg.store_of("se_alpha").store("d.ntpl", 1000, 77)
-    dg.register("d.ntpl", "se_alpha", "d.ntpl")
+    dg.rc.register("d.ntpl", dg.store_of("se_alpha"), "d.ntpl")
     # a second physical copy must agree byte for byte with the catalogue
     dg.store_of("se_beta").store("d.ntpl", 1000, 78)
     with pytest.raises(ChecksumMismatch):
-        dg.register("d.ntpl", "se_beta", "d.ntpl")
+        dg.rc.register("d.ntpl", dg.store_of("se_beta"), "d.ntpl")
     dg.store_of("se_beta").store("d2.ntpl", 999, 77)
     with pytest.raises(ChecksumMismatch):
-        dg.register("lfn:d.ntpl", "se_beta", "d2.ntpl")
+        dg.rc.register("lfn:d.ntpl", dg.store_of("se_beta"), "d2.ntpl")
 
 
 def test_lookup_sorted_and_lfn_prefix_transparent():
@@ -99,7 +99,7 @@ def test_lookup_sorted_and_lfn_prefix_transparent():
     # registered out of (se, path) order, and one copy twice
     for se_id, path in (("se_beta", "p"), ("se_alpha", "q"), ("se_alpha", "p"),
                         ("se_alpha", "q")):
-        dg.register("lfn:data" if se_id == "se_beta" else "data", se_id, path)
+        dg.rc.register("lfn:data" if se_id == "se_beta" else "data", dg.store_of(se_id), path)
     copies = [("se_alpha", "p"), ("se_alpha", "q"), ("se_beta", "p")]
     assert dg.lookup("data") == copies
     dg.lookup("data").pop()  # each lookup is the caller's own list
@@ -121,7 +121,7 @@ def test_replicate_timing_over_link_plus_destination_lan():
     dg = grid.datagrid
     size = 100 * MB
     dg.store_of("se_alpha").store("big.fz", size, 9)
-    dg.register("big.fz", "se_alpha", "big.fz")
+    dg.rc.register("big.fz", dg.store_of("se_alpha"), "big.fz")
     dg.replicate("big.fz", "se_beta")
     # alpha->beta link: 100 MB / 20 MB/s + 0.1 s latency = 5.1 s
     # beta LAN:         100 MB / 100 MB/s + 0.001 s      = 1.001 s
@@ -145,7 +145,7 @@ def test_general_lan_keys_set_the_lan_leg_of_a_replication(general, lands_ms):
     grid = Grid(parse_topology(text, "<mini>"))
     dg = grid.datagrid
     dg.store_of("se_alpha").store("big.fz", 100 * MB, 9)
-    dg.register("big.fz", "se_alpha", "big.fz")
+    dg.rc.register("big.fz", dg.store_of("se_alpha"), "big.fz")
     dg.replicate("big.fz", "se_beta")
     grid.kernel.run_until(Fraction(lands_ms - 1, 1000))
     assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha"]
@@ -157,7 +157,7 @@ def test_replicate_is_idempotent_and_checks_room_up_front():
     grid = make_mini()
     dg = grid.datagrid
     dg.store_of("se_alpha").store("a", 10, 1)
-    dg.register("a", "se_alpha", "a")
+    dg.rc.register("a", dg.store_of("se_alpha"), "a")
     assert dg.replicate("a", "se_alpha") is None  # already held
     dg.store_of("se_beta").store("filler", 1024 * MB - 5, 2)
     with pytest.raises(SeFull):
@@ -173,7 +173,7 @@ def test_replicate_failure_at_completion_is_traced_not_raised():
         grid = make_mini()
         dg = grid.datagrid
         dg.store_of("se_alpha").store("a", 10, 1)
-        dg.register("a", "se_alpha", "a")
+        dg.rc.register("a", dg.store_of("se_alpha"), "a")
         dg.replicate("a", "se_beta")
         spoil(dg)
         grid.kernel.run_to_completion()
@@ -186,9 +186,9 @@ def test_dump_format():
     grid = make_mini()
     dg = grid.datagrid
     dg.store_of("se_alpha").store("b.ntpl", 11, 0xABC)
-    dg.register("b.ntpl", "se_alpha", "b.ntpl")
+    dg.rc.register("b.ntpl", dg.store_of("se_alpha"), "b.ntpl")
     dg.store_of("se_alpha").store("a.ntpl", 7, 0xDEF)
-    dg.register("a.ntpl", "se_alpha", "a.ntpl")
+    dg.rc.register("a.ntpl", dg.store_of("se_alpha"), "a.ntpl")
     dump = dg.rc.dump()
     assert dump.splitlines() == [
         f"a.ntpl se_alpha a.ntpl 7 {0xDEF:016x}",

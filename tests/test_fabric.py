@@ -19,7 +19,7 @@ from deskgrid.broker import DONE_FAILED, DONE_OK, RUNNING
 from deskgrid.cli import dispatch
 from deskgrid.fabric import (ComputingElement, FabricError, FabricJob, Network, NoRoute,
                              Site, WorkloadProfile, build_outputs, builtin_profiles,
-                             content_checksum, data_file_name)
+                             content_checksum)
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
@@ -93,6 +93,12 @@ def test_checksum_is_deterministic_and_input_sensitive():
 
 
 # -- output manifests --------------------------------------------------
+
+
+def data_file_name(jd, profile) -> str:
+    """The name on the data row of `jd`'s output manifest."""
+    (name,) = [o.name for o in build_outputs(jd, profile) if o.is_data]
+    return name
 
 
 def test_data_file_name_branches():
@@ -952,7 +958,7 @@ def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_poin
         store = grid.datagrid.ses[min(grid.fabric.ces[ce_id].record.close_ses)]
         name = f"horizon_input_{n}.ntpl"
         store.store(name, 10 * KB, n)
-        grid.datagrid.register(name, store.se_id, name)
+        grid.datagrid.rc.register(name, store, name)
         text = (CMKIN_TEXT.format(seed=1000 + n)
                 + f'InputData = {{"lfn:{name}"}};\nReplicaCatalog = "rc_cnaf";\n')
         lost[rb.submit(parse_jdl(text), proxy, pinned_ce=ce_id)] = (store, name)

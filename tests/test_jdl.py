@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from deskgrid import jdl
 from deskgrid.jdl import (UNDEFINED, Attr, Binary, JdlError, JdlSyntaxError,
                           Lit, ListLit, MemberCall, MissingAttribute, Unary,
-                          evaluate, expr_text, parse_expr, parse_jdl,
-                          requirement_satisfied)
+                          evaluate, parse_expr, parse_jdl, requirement_satisfied)
 
 from conftest import seeded_mutations
-from jdl_reference import (ast_equal, gen_env, gen_expr, model_eval,
-                           values_agree)
+from jdl_reference import (ast_equal, description_text, expr_text, gen_env, gen_expr,
+                           model_eval, values_agree)
 
 
 def fixture_text(name: str) -> str:
@@ -90,7 +89,7 @@ def test_a_replaced_description_derives_its_profile_and_inputs_again():
     assert (moved.job_profile, moved.input_lfns) == ("atlsim", ("a.ntpl", "b.ntpl"))
     assert (jd.job_profile, jd.input_lfns) == ("cmsim", ("demo_1.ntpl",))
     copy = pickle.loads(pickle.dumps(moved))
-    assert copy == moved and copy.text() == moved.text()
+    assert copy == moved and description_text(copy) == description_text(moved)
     assert (copy.job_profile, copy.input_lfns) == ("atlsim", ("a.ntpl", "b.ntpl"))
 
 
@@ -270,9 +269,9 @@ def test_member_conjunction_narrows_matches():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_round_trip_is_a_fixpoint(name):
     first = parse_jdl(fixture_text(name))
-    once = first.text()
+    once = description_text(first)
     second = parse_jdl(once)
-    assert second.text() == once
+    assert description_text(second) == once
     assert second.executable == first.executable
     assert second.events == first.events
     assert second.extras == first.extras
@@ -322,7 +321,7 @@ def test_rank_expression_evaluates_against_published_figures():
 
 # -- extras ---------------------------------------------------------------
 
-#: sha256 of `parse_jdl(f).text()` per shipped description, as rendered
+#: sha256 of `description_text(parse_jdl(f))` per shipped description, as rendered
 #: when extras were kept as text only
 TEXT_DIGESTS = {
     "atlas_100.jdl": "45d2cfdd5a143dc58d24f39ebbf33ae957d2f199449b59c87f506275ba529d1d",
@@ -354,7 +353,7 @@ def factory_description(grid):
 
 
 def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
-    jd = parse_jdl(factory_description(mini).text())
+    jd = parse_jdl(description_text(factory_description(mini)))
     assert jd.production_tag() == ("jpsi", 2)
     assert jd.extra_string("DefaultSE") == "se_beta"
     assert jd.extra_int("Dataset") is None and jd.extra_string("JobIndex") is None
@@ -362,7 +361,7 @@ def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
 
 
 def test_hand_built_extras_read_without_parsing(mini, counted_parse_expr):
-    parsed = parse_jdl(factory_description(mini).text())
+    parsed = parse_jdl(description_text(factory_description(mini)))
     built = jdl.JobDescription(
         executable="cmkin", virtual_organisation="testvo", requirements=Lit(True),
         extras={"Dataset": Lit("jpsi"), "JobIndex": Lit(2),
@@ -372,7 +371,7 @@ def test_hand_built_extras_read_without_parsing(mini, counted_parse_expr):
     assert built.extra_string("DefaultSE") == "se_beta"
     built.extras["JobIndex"] = Lit(3)
     assert built.production_tag() == ("jpsi", 3)
-    assert 'JobIndex = 3;' in built.text()
+    assert 'JobIndex = 3;' in description_text(built)
     assert counted_parse_expr == []
 
 
@@ -406,14 +405,14 @@ def test_descriptions_with_generated_extras_round_trip(seed):
         rank=gen_expr(rng) if rng.random() < 0.5 else None,
         events=rng.randrange(1, 10**6), job_seed=rng.randrange(-10, 10**6),
         extras={name: gen_expr(rng) for name in names})
-    again = parse_jdl(jd.text())
-    assert again == jd, jd.text()
+    again = parse_jdl(description_text(jd))
+    assert again == jd, description_text(jd)
     assert list(again.extras) == names
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
 def test_text_rendering_is_unchanged(name):
-    rendered = parse_jdl(fixture_text(name)).text()
+    rendered = description_text(parse_jdl(fixture_text(name)))
     assert hashlib.sha256(rendered.encode()).hexdigest() == TEXT_DIGESTS[name]
 
 
@@ -442,7 +441,7 @@ def _jdl_outcome(text: str) -> str:
         jd = parse_jdl(text)
     except JdlError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr(jd) + jd.text()
+    return repr(jd) + description_text(jd)
 
 
 #: sha256 of the outcomes below, joined by "\n\0"

@@ -152,7 +152,7 @@ def test_the_kept_path_equals_a_full_rescan_at_every_match():
         store = grid.datagrid.ses[min(grid.fabric.ces[rng.choice(visible)].record.close_ses)]
         name = f"kept_input_{n}.ntpl"
         store.store(name, 10 * KB, n)
-        grid.datagrid.register(name, store.se_id, name)
+        grid.datagrid.rc.register(name, store, name)
         submit(rng.choice((pisa, milano)), operator,
                extra=f'InputData = {{"lfn:{name}"}};\nReplicaCatalog = "rc_cnaf";\n')
 

@@ -18,6 +18,8 @@ from deskgrid.production import (BossDb, JobsStillRunning, MissingUpstream,
 from deskgrid.topology import parse_topology
 
 from conftest import OPERATOR, make_mini
+from jdl_reference import description_text
+from test_cli import ok
 
 
 def grid_with_factory():
@@ -48,6 +50,21 @@ def test_split_fills_jobs_and_puts_the_remainder_last():
     tiny = refdb.create_request("eta", "CMKIN", 100, 250, "rb_test")
     assert tiny.split_events() == [100]
     assert sum(ragged.split_events()) == 2100
+
+
+def test_the_job_count_is_exact_where_a_float_quotient_rounds():
+    """2**53 + 1 events at 2**53 a job are two jobs, though the two numbers
+    divide to 1.0 in floats."""
+    grid, _proxy = grid_with_factory()
+    per_job = 2**53
+    text = ok(grid, ["refdb", "request", "--dataset", "big", "--step", "CMKIN",
+                     "--events", str(per_job + 1), "--per-job", str(per_job),
+                     "--rb", "rb_test"])
+    assert text.endswith("jobs=2")
+    assert ok(grid, ["impala", "declare", "1"]).endswith("jobs=2")
+    assert ok(grid, ["impala", "create", "1"]).endswith("jobs=2")
+    assert "\tjobs=2\t" in ok(grid, ["refdb", "dump"])
+    assert grid.refdb.get(1).split_events() == [per_job, 1]
 
 
 def test_job_seeds_count_up_from_the_base():
@@ -118,7 +135,7 @@ def test_generated_descriptions_parse_with_factory_bookkeeping():
     grid.production.declare(request.assignment_id)
     descriptions = grid.production.create(request.assignment_id)
     assert len(descriptions) == 2
-    jd = parse_jdl(descriptions[1].text())
+    jd = parse_jdl(description_text(descriptions[1]))
     assert jd.job_profile == "cmkin"
     assert jd.production_tag() == ("jpsi", 2)
     assert jd.job_seed == 2001 and jd.events == 250
@@ -139,7 +156,7 @@ def test_simulation_descriptions_name_their_input_tuples():
     sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
     grid.production.declare(sim.assignment_id)
     descriptions = grid.production.create(sim.assignment_id)
-    jd = parse_jdl(descriptions[0].text())
+    jd = parse_jdl(description_text(descriptions[0]))
     assert jd.input_data == ("lfn:jpsi_1.ntpl",)
     assert jd.replica_catalog == "rc_test"
 
@@ -191,7 +208,7 @@ def test_built_descriptions_equal_the_files_the_factory_used_to_write():
     for step, files in FACTORY_FILES.items():
         assert built[step] == [parse_jdl(text) for text in files]
         for jd in built[step]:
-            assert parse_jdl(jd.text()) == jd
+            assert parse_jdl(description_text(jd)) == jd
 
 
 def test_a_factory_job_declares_the_vo_of_the_proxy_that_submits_it():

@@ -115,3 +115,75 @@ def test_a_scenario_started_later_moves_every_instant_and_nothing_else(name, del
     for books_of in (lambda g: g.bossdb.dump(), lambda g: g.datagrid.rc.dump(),
                      lambda g: g.refdb.dump()):
         assert books_of(later_grid) == books_of(grid)
+
+
+#: additions to the shipped topology that no job of `production.scn` can
+#: see: (the line they follow, the added lines)
+INVISIBLE_ADDITIONS = {
+    "globus-only element at a new site": ("flavor = GLUE\n", """
+[site hidden]
+region = US
+accept_vos = datatag ivdgl
+
+[ce ce_hidden]
+site = hidden
+lrms = CONDOR
+flavors = GLOBUS_ONLY
+wn_count = 4
+cpu_mhz = 3000
+tags = CMS
+close_ses = se_bologna
+"""),
+    "member of a VO no job's owner uses": ("/O=grid/OU=ivdgl/CN=Dana Whitfield\n",
+                                           "/O=grid/OU=ivdgl/CN=Nadia Okafor\n"),
+    "link between two sites no transfer joins": ("flavor = GLUE\n", """
+[link site:bologna site:karlsruhe]
+bandwidth = 1 MB/s
+latency = 0.5
+"""),
+}
+
+
+def naming_jobs(grid, job_ids: set) -> list:
+    """The trace lines, as exported, one of whose values is a job id of
+    `job_ids` or ends in `:<job id>`, as a transfer's `what` does."""
+    return [entry.format() for entry in grid.kernel.trace
+            if any(str(value).rpartition(":")[2] in job_ids for value in entry.values)]
+
+
+@pytest.fixture(scope="module")
+def production_base():
+    path = importlib.resources.files("deskgrid").joinpath("data", "scenarios", "production.scn")
+    code, grid = scenario_run(path)
+    assert code == 0
+    return path, grid
+
+
+@pytest.mark.parametrize("addition", sorted(INVISIBLE_ADDITIONS))
+def test_an_addition_no_job_can_see_changes_nothing_about_the_jobs(addition, production_base):
+    """An element of a flavor no broker reads, a new member of a VO the
+    jobs do not run under, or a link between two sites no transfer of the
+    run joins leaves every line about an existing job, and the books, as
+    they were."""
+    path, base = production_base
+    records = [record for _rb, record in base.all_jobs()]
+    jobs = {record.job_id for record in records}
+    assert jobs and {record.owner.vo_name for record in records} == {"datatag"}
+    joined = {frozenset((entry.detail["frm"], entry.detail["to"]))
+              for entry in base.kernel.trace if entry.action == "transfer-complete"}
+    assert frozenset(("site:bologna", "site:karlsruhe")) not in joined
+    assert {"site:bologna", "site:karlsruhe"} <= set().union(*joined)  # both sites work
+
+    after, added = INVISIBLE_ADDITIONS[addition]
+    text = pathlib.Path(default_topology_path()).read_text()
+    assert text.count(after) == 1
+    text = text.replace(after, after + added)
+    grid = Grid(parse_topology(text, "worldgrid-plus"))
+    code, _text = dispatch(grid, ["exec", str(path)])
+    assert code == 0
+    grid.kernel.run_to_completion()
+    assert {record.job_id for _rb, record in grid.all_jobs()} == jobs
+    assert naming_jobs(grid, jobs) == naming_jobs(base, jobs)
+    assert grid.bossdb.dump() == base.bossdb.dump()
+    assert grid.datagrid.rc.dump() == base.datagrid.rc.dump()
+    assert grid.validate() == []
