@@ -286,14 +286,14 @@ def _refdb_dump(grid, base_dir):
 
 @command("impala declare AID")
 def _impala_declare(grid, base_dir, aid):
-    jobs = grid.production.declare(aid)["jobs"]
-    return 0, f"assignment {aid} declared jobs={len(jobs)}"
+    grid.production.declare(aid)
+    return 0, f"assignment {aid} declared jobs={grid.refdb.get(aid).job_count}"
 
 
 @command("impala create AID")
 def _impala_create(grid, base_dir, aid):
-    descriptions = grid.production.create(aid)
-    return 0, f"assignment {aid} created jobs={len(descriptions)}"
+    grid.production.create(aid)
+    return 0, f"assignment {aid} created jobs={grid.refdb.get(aid).job_count}"
 
 
 @command("impala submit AID")

@@ -155,19 +155,25 @@ SANDBOX_INPUT_FILE_BYTES = 4 * KB
 SANDBOX_AUX_FILE_BYTES = 8 * KB
 
 
+def factory_product_name(profile: WorkloadProfile, dataset: str, index: int,
+                         seed: int) -> str:
+    """Name of the data product of factory job `index` of `dataset`, run as
+    `profile` with `seed`: the detector step writes <dataset>_<n>_<seed>.<ext>,
+    any other step <dataset>_<n>.<ext>, with the profile's extension."""
+    if profile.name == "cmsim":
+        return f"{dataset}_{index}_{seed}.{profile.data_extension}"
+    return f"{dataset}_{index}.{profile.data_extension}"
+
+
 def _data_file_name(jd: JobDescription, profile: WorkloadProfile, tag) -> str:
     """Name of the data product of `jd`, whose `production_tag()` is `tag`.
 
-    Factory jobs follow the fixed catalogue convention: the generator
-    writes <dataset>_<n>.ntpl, the detector step writes
-    <dataset>_<n>_<seed>.fz.  Sandbox-returning applications use the first
-    OutputSandbox entry that is not one of the job's two logs; anything else
-    falls back to a name derived from the profile and seed."""
+    Factory jobs follow the catalogue convention of `factory_product_name`.
+    Sandbox-returning applications use the first OutputSandbox entry that
+    is not one of the job's two logs; anything else falls back to a name
+    derived from the profile and seed."""
     if tag is not None:
-        dataset, index = tag
-        if profile.name == "cmsim":
-            return f"{dataset}_{index}_{jd.job_seed}.{profile.data_extension}"
-        return f"{dataset}_{index}.{profile.data_extension}"
+        return factory_product_name(profile, *tag, jd.job_seed)
     listed = [name for name in jd.output_sandbox if name not in (jd.std_output, jd.std_error)]
     if not profile.registers_output and listed:
         return listed[0]
@@ -347,14 +353,6 @@ class FabricJob:
             return math.inf
         return self.start_ms + (2000 * p * k + q * events) // (2 * q * events)
 
-    @property
-    def cpu_total_s(self) -> Fraction:
-        """Exact view of the CPU pair, for readers outside the event path."""
-        return Fraction(self.cpu_units, self.cpu_per_s)
-
-    def remaining_cpu_s(self) -> Fraction:
-        return self.cpu_total_s * Fraction(self.events_left(), self.description.events)
-
 
 ENQUEUE_DENIED_LINE = kind("enqueue-denied", "job", "reason")
 ENQUEUED_LINE = kind("enqueued", "job", "depth")
@@ -508,15 +506,13 @@ class ComputingElement:
         return (self.queued_units + self.running_units,
                 self.cpu_den * self.record.cpu_mhz * self.record.wn_count)
 
-    @property
-    def queued_cpu_s(self) -> Fraction:
-        return Fraction(self.queued_units, self.cpu_den * self.record.cpu_mhz)
-
     def ett_components(self) -> tuple:
         """Running jobs' remaining CPU seconds and the queue's backlog, as
         Fractions; a view for readers outside the match path."""
-        running = [job.remaining_cpu_s() for job in self.running.values()]
-        return running, [self.queued_cpu_s]
+        running = [Fraction(job.cpu_units * job.events_left(),
+                            job.cpu_per_s * job.description.events)
+                   for job in self.running.values()]
+        return running, [Fraction(self.queued_units, self.cpu_den * self.record.cpu_mhz)]
 
 
 class Fabric:

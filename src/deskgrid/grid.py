@@ -47,10 +47,8 @@ class Grid:
         self.current_proxy: "vomgmt.Proxy | None" = None
         self._job_seq = 0
         self._build(config)
-        default_vo = config.vos[0].name if config.vos else ""
         self.production = prod_mod.ProductionManager(
-            self.kernel, self.refdb, self.bossdb, self.brokers, self.datagrid,
-            self.fabric, default_vo)
+            self.kernel, self.refdb, self.bossdb, self.brokers, self.datagrid, self.fabric)
         for ce in self.fabric.ces.values():
             ce.monitor_hook = self.production.on_monitor_tick
         for rb in self.brokers.values():

@@ -475,9 +475,8 @@ class JobDescription:
     One field per `_RESERVED` attribute; those without a default are
     required.  `extras` maps each unknown attribute, in declaration
     order, to its expression.  The derived fields, `job_profile` and `input_lfns`,
-    are set at construction; a description is never mutated but replaced
-    (`production` submits through `dataclasses.replace`), which derives
-    them again."""
+    are set at construction; a description is never mutated, so they stay
+    true."""
 
     executable: str
     virtual_organisation: str

@@ -3,11 +3,12 @@
 A production request asks for N events of one step (CMKIN generation or
 CMSIM detector simulation) split into ceil(N / events_per_job) jobs, the
 last one carrying the remainder.  The factory walks each assignment
-through declare -> create -> submit: create builds one typed job
-description per job (generation jobs carry no input data; simulation jobs
-each name their generator ntuple and the replica catalogue), submit hands
-them to a resource broker all-or-nothing under the caller's proxy and
-opens one bookkeeping record per job.
+through declare -> create -> submit, the first two of which check the
+request and log it.  Submit builds one typed job description per job under
+the VO of the caller's proxy (generation jobs carry no input data;
+simulation jobs each name their generator's product, as the fabric names
+it, and the replica catalogue), hands them to a resource broker
+all-or-nothing and opens one bookkeeping record per job.
 
 Bookkeeping follows the journal model: while a job runs, events_done is
 the count at its last monitor point, worked out from the fabric when the
@@ -19,11 +20,12 @@ backwards: a regressive update is logged and ignored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 from . import broker as broker_mod
+from . import fabric as fabric_mod
 from . import jdl
 from .simcore import kind
 from .vomgmt import Proxy
@@ -90,7 +92,6 @@ class ProductionRequest:
     rb_id: str
     default_se: "str | None" = None
     status: str = REQ_NEW
-    descriptions: list = field(default_factory=list)  # jdl.JobDescription
     scheduler_jobs: list = field(default_factory=list)  # broker job ids
     boss_ids: list = field(default_factory=list)
     summary: "dict | None" = None
@@ -258,34 +259,24 @@ class ProductionManager:
     bookkeeping database in step with the running jobs."""
 
     def __init__(self, kernel, refdb: RefDb, boss: BossDb, brokers: dict,
-                 datagrid, fabric, default_vo: str):
+                 datagrid, fabric):
         self.kernel = kernel
         self.refdb = refdb
         self.boss = boss
         self.brokers = brokers
         self.datagrid = datagrid
         self.fabric = fabric
-        self.default_vo = default_vo
 
     # -- assignment steps ---------------------------------------------
 
-    def declare(self, assignment_id: int) -> dict:
+    def declare(self, assignment_id: int) -> None:
         request = self.refdb.get(assignment_id)
         if request.status != REQ_NEW:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
         request.status = REQ_DECLARED
-        seeds = [job_seed_for(n) for n in range(1, request.job_count + 1)]
-        workspace = {
-            "assignment": assignment_id,
-            "dataset": request.dataset,
-            "step": request.step,
-            "jobs": [{"index": n, "events": events, "seed": seed}
-                     for n, (events, seed) in enumerate(zip(request.split_events(), seeds), start=1)],
-        }
         self.kernel.line("factory", DECLARED_LINE, assignment_id, request.job_count)
-        return workspace
 
-    def create(self, assignment_id: int) -> list:
+    def create(self, assignment_id: int) -> None:
         request = self.refdb.get(assignment_id)
         if request.status != REQ_DECLARED:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
@@ -295,36 +286,36 @@ class ProductionManager:
                 raise MissingUpstream(
                     f"assignment {assignment_id} wants {request.job_count} inputs, "
                     f"upstream produced {upstream.job_count}")
-        dataset = jdl.Lit(request.dataset)  # one literal each, shared by every job
-        default_se = None if request.default_se is None else jdl.Lit(request.default_se)
-        descriptions = [self._job_description(request, n, events, dataset, default_se)
-                        for n, events in enumerate(request.split_events(), start=1)]
-        request.descriptions = descriptions
         request.status = REQ_CREATED
-        self.kernel.line("factory", CREATED_LINE, assignment_id, len(descriptions))
-        return descriptions
+        self.kernel.line("factory", CREATED_LINE, assignment_id, request.job_count)
 
     def _job_description(self, request: ProductionRequest, index: int, events: int,
-                         dataset_lit: jdl.Lit, se_lit: "jdl.Lit | None") -> jdl.JobDescription:
-        dataset = request.dataset
+                         vo: str, dataset_lit: jdl.Lit,
+                         se_lit: "jdl.Lit | None") -> jdl.JobDescription:
+        dataset, seed = request.dataset, job_seed_for(index)
         extras = {"Dataset": dataset_lit, "JobIndex": jdl.Lit(index)}
         if se_lit is not None:
             extras["DefaultSE"] = se_lit
-        simulation = request.step == STEP_CMSIM
+        input_data, catalog = (), None
+        if request.step == STEP_CMSIM:  # the generator's product of the same index
+            generator = self.fabric.profiles[STEP_CMKIN.lower()]
+            product = fabric_mod.factory_product_name(generator, dataset, index, seed)
+            input_data = (f"lfn:{product}",)
+            catalog = self.datagrid.rc.catalog_id
         return jdl.JobDescription(
             executable=request.step.lower(),
-            virtual_organisation=self.default_vo,
+            virtual_organisation=vo,
             requirements=JOB_REQUIREMENTS,
             input_sandbox=(f"{dataset}_{index}.cards",),
-            input_data=(f"lfn:{dataset}_{index}.ntpl",) if simulation else (),
-            replica_catalog=self.datagrid.rc.catalog_id if simulation else None,
+            input_data=input_data,
+            replica_catalog=catalog,
             events=events,
-            job_seed=job_seed_for(index),
+            job_seed=seed,
             extras=extras)
 
     def submit(self, assignment_id: int, proxy: Proxy) -> list:
-        """Submit every job of the assignment; refuses as a whole when the
-        proxy is not valid now.  Each job declares the proxy's VO."""
+        """Build and submit every job of the assignment; refuses as a whole
+        when the proxy is not valid now.  Each job declares the proxy's VO."""
         request = self.refdb.get(assignment_id)
         if request.status != REQ_CREATED:
             raise WrongState(f"assignment {assignment_id} is {request.status}")
@@ -333,16 +324,15 @@ class ProductionManager:
         rb = self.brokers.get(request.rb_id)
         if rb is None:
             raise ProductionError(f"unknown resource broker {request.rb_id!r}")
-        job_type = request.step.lower()
-        for index, description in enumerate(request.descriptions, start=1):
-            if description.virtual_organisation != proxy.vo_name:
-                description = request.descriptions[index - 1] = replace(
-                    description, virtual_organisation=proxy.vo_name)
+        dataset = jdl.Lit(request.dataset)  # one literal each, shared by every job
+        default_se = None if request.default_se is None else jdl.Lit(request.default_se)
+        for index, events in enumerate(request.split_events(), start=1):
+            description = self._job_description(request, index, events, proxy.vo_name,
+                                                dataset, default_se)
             job_id = rb.submit(description, proxy)
-            input_file = (f"{request.dataset}_{index}.ntpl"
-                          if request.step == STEP_CMSIM else "-")
-            record = self.boss.open_record(job_id, job_type, request.dataset,
-                                           description.events, input_file=input_file)
+            inputs = description.input_lfns
+            record = self.boss.open_record(job_id, description.executable, request.dataset,
+                                           events, input_file=inputs[0] if inputs else "-")
             request.scheduler_jobs.append(job_id)
             request.boss_ids.append(record.boss_id)
         request.status = REQ_SUBMITTED

@@ -31,6 +31,20 @@ from conftest import CMKIN_SMALL, OPERATOR, watch_matches
 
 PROFILES = builtin_profiles()
 
+
+# Exact Fraction views of the integer CPU books, for the assertions below
+
+def cpu_total_s(job: FabricJob) -> Fraction:
+    return Fraction(job.cpu_units, job.cpu_per_s)
+
+
+def remaining_cpu_s(job: FabricJob) -> Fraction:
+    return cpu_total_s(job) * Fraction(job.events_left(), job.description.events)
+
+
+def queued_cpu_s(ce: ComputingElement) -> Fraction:
+    return Fraction(ce.queued_units, ce.cpu_den * ce.record.cpu_mhz)
+
 CMKIN_TEXT = (
     'Executable = "cmkin";\n'
     'Requirements = Member("CMS", other.RunTimeEnvironment);\n'
@@ -584,9 +598,9 @@ def test_a_billion_events_cost_one_event():
     ce.enqueue(job)
     ce.execute(job)
     assert kernel.pending_count() <= 2
-    kernel.run_until(job.cpu_total_s / 4)
+    kernel.run_until(cpu_total_s(job) / 4)
     assert job.monitor_count() == 10**9 // 4
-    assert job.remaining_cpu_s() == job.cpu_total_s * Fraction(3, 4)
+    assert remaining_cpu_s(job) == cpu_total_s(job) * Fraction(3, 4)
     t0 = time.perf_counter()
     delivered = kernel.run_to_completion()
     assert delivered == 1 and time.perf_counter() - t0 < 0.5
@@ -682,7 +696,7 @@ def test_remaining_cpu_and_ett_components():
     ce.execute(j1)
     j1.events_done = 50
     running, queued = ce.ett_components()
-    assert j1.remaining_cpu_s() == 100  # 125 s total, a fifth done
+    assert remaining_cpu_s(j1) == 100  # 125 s total, a fifth done
     assert sorted(running) == [100, 125]
     assert queued == [125]
 
@@ -694,11 +708,11 @@ def test_queued_backlog_follows_enqueue_and_both_dispatch_outcomes():
     j3, _ = make_job("j3", proxy, events=50)
     for job in (j1, j2, j3):
         ce.enqueue(job)
-    assert ce.queued_cpu_s == 125 + 25  # j1 started at once
+    assert queued_cpu_s(ce) == 125 + 25  # j1 started at once
     ce.execute(j1)
     kernel.run_until(500)  # past the proxy lifetime
     ce.finish(j1)  # j2 and j3 leave the queue refused
-    assert ce.queued_cpu_s == 0 and not ce.queue
+    assert queued_cpu_s(ce) == 0 and not ce.queue
 
 
 def test_validate_reports_a_drifted_queued_backlog(mini):
@@ -750,8 +764,8 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
 
     def rescanned_ett(ce_id):
         ce = grid.fabric.ces[ce_id]
-        backlog = (sum((j.remaining_cpu_s() for j in ce.running.values()), Fraction(0))
-                   + sum((j.cpu_total_s for j in ce.queue), Fraction(0)))
+        backlog = (sum((remaining_cpu_s(j) for j in ce.running.values()), Fraction(0))
+                   + sum((cpu_total_s(j) for j in ce.queue), Fraction(0)))
         return backlog / ce.record.wn_count
 
     def oracle(record, result):
@@ -808,7 +822,7 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
     assert "AuthorizationDenied(ProxyExpired)" in reasons
     failed = [r for _rb, r in grid.all_jobs() if r.outcome() == DONE_FAILED]
     assert failed
-    assert all(ce.queued_cpu_s == 0 for ce in grid.fabric.ces.values())
+    assert all(queued_cpu_s(ce) == 0 for ce in grid.fabric.ces.values())
 
 
 def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
@@ -825,8 +839,8 @@ def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
     matches, problems, mixed = [], [], []
 
     def rescanned_ett(ce):
-        backlog = (sum((j.remaining_cpu_s() for j in ce.running.values()), Fraction(0))
-                   + sum((j.cpu_total_s for j in ce.queue), Fraction(0)))
+        backlog = (sum((remaining_cpu_s(j) for j in ce.running.values()), Fraction(0))
+                   + sum((cpu_total_s(j) for j in ce.queue), Fraction(0)))
         return backlog / ce.record.wn_count
 
     def oracle(record, result):

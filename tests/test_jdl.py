@@ -345,23 +345,26 @@ def counted_parse_expr(monkeypatch):
     return calls
 
 
-def factory_description(grid):
+def factory_description(grid, proxy):
+    """The description the second job of a factory request was submitted with."""
     request = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
                                         default_se="se_beta")
     grid.production.declare(request.assignment_id)
-    return grid.production.create(request.assignment_id)[1]
+    grid.production.create(request.assignment_id)
+    grid.production.submit(request.assignment_id, proxy)
+    return grid.brokers["rb_test"].jobs[request.scheduler_jobs[1]].description
 
 
-def test_parsed_extras_answer_without_reparsing(mini, counted_parse_expr):
-    jd = parse_jdl(description_text(factory_description(mini)))
+def test_parsed_extras_answer_without_reparsing(mini, alice, counted_parse_expr):
+    jd = parse_jdl(description_text(factory_description(mini, alice)))
     assert jd.production_tag() == ("jpsi", 2)
     assert jd.extra_string("DefaultSE") == "se_beta"
     assert jd.extra_int("Dataset") is None and jd.extra_string("JobIndex") is None
     assert counted_parse_expr == []
 
 
-def test_hand_built_extras_read_without_parsing(mini, counted_parse_expr):
-    parsed = parse_jdl(description_text(factory_description(mini)))
+def test_hand_built_extras_read_without_parsing(mini, alice, counted_parse_expr):
+    parsed = parse_jdl(description_text(factory_description(mini, alice)))
     built = jdl.JobDescription(
         executable="cmkin", virtual_organisation="testvo", requirements=Lit(True),
         extras={"Dataset": Lit("jpsi"), "JobIndex": Lit(2),

@@ -28,6 +28,12 @@ def grid_with_factory():
     return grid, proxy
 
 
+def submitted_descriptions(grid, request) -> list:
+    """The description each job of `request` was submitted with."""
+    jobs = grid.brokers[request.rb_id].jobs
+    return [jobs[job_id].description for job_id in request.scheduler_jobs]
+
+
 def run_assignment(grid, proxy, aid):
     grid.production.declare(aid)
     grid.production.create(aid)
@@ -69,11 +75,13 @@ def test_the_job_count_is_exact_where_a_float_quotient_rounds():
 
 def test_job_seeds_count_up_from_the_base():
     assert [job_seed_for(n) for n in (1, 2, 3)] == [2000, 2001, 2002]
-    grid, _proxy = grid_with_factory()
+    grid, proxy = grid_with_factory()
     for dataset in ("jpsi", "other"):  # seeds restart per assignment
         request = grid.refdb.create_request(dataset, "CMKIN", 500, 250, "rb_test")
-        workspace = grid.production.declare(request.assignment_id)
-        assert [job["seed"] for job in workspace["jobs"]] == [2000, 2001]
+        grid.production.declare(request.assignment_id)
+        grid.production.create(request.assignment_id)
+        grid.production.submit(request.assignment_id, proxy)
+        assert [jd.job_seed for jd in submitted_descriptions(grid, request)] == [2000, 2001]
 
 
 def test_request_validation():
@@ -101,20 +109,22 @@ def test_simulation_requires_a_complete_generation_upstream():
 
 def test_assignment_state_machine_is_strict():
     grid, proxy = grid_with_factory()
-    aid = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test").assignment_id
+    request = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test")
+    aid = request.assignment_id
     with pytest.raises(WrongState):
         grid.production.post_summary(aid)
     with pytest.raises(WrongState):
         grid.production.create(aid)
     with pytest.raises(WrongState):
         grid.production.submit(aid, proxy)
-    workspace = grid.production.declare(aid)
-    assert [j["seed"] for j in workspace["jobs"]] == [2000, 2001]
+    grid.production.declare(aid)
     with pytest.raises(WrongState):
         grid.production.declare(aid)
     grid.production.create(aid)
     with pytest.raises(WrongState):
         grid.production.create(aid)
+    grid.production.submit(aid, proxy)
+    assert [jd.job_seed for jd in submitted_descriptions(grid, request)] == [2000, 2001]
 
 
 def test_simulation_cannot_outnumber_its_inputs():
@@ -133,7 +143,9 @@ def test_generated_descriptions_parse_with_factory_bookkeeping():
     request = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
                                         default_se="se_beta")
     grid.production.declare(request.assignment_id)
-    descriptions = grid.production.create(request.assignment_id)
+    grid.production.create(request.assignment_id)
+    grid.production.submit(request.assignment_id, proxy)
+    descriptions = submitted_descriptions(grid, request)
     assert len(descriptions) == 2
     jd = parse_jdl(description_text(descriptions[1]))
     assert jd.job_profile == "cmkin"
@@ -155,8 +167,9 @@ def test_simulation_descriptions_name_their_input_tuples():
     grid.production.post_summary(gen.assignment_id)
     sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
     grid.production.declare(sim.assignment_id)
-    descriptions = grid.production.create(sim.assignment_id)
-    jd = parse_jdl(description_text(descriptions[0]))
+    grid.production.create(sim.assignment_id)
+    grid.production.submit(sim.assignment_id, proxy)
+    jd = parse_jdl(description_text(submitted_descriptions(grid, sim)[0]))
     assert jd.input_data == ("lfn:jpsi_1.ntpl",)
     assert jd.replica_catalog == "rc_test"
 
@@ -197,14 +210,14 @@ def test_built_descriptions_equal_the_files_the_factory_used_to_write():
     grid, proxy = grid_with_factory()
     gen = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_test",
                                     default_se="se_beta")
-    grid.production.declare(gen.assignment_id)
-    built = {"CMKIN": grid.production.create(gen.assignment_id)}
-    grid.production.submit(gen.assignment_id, proxy)
-    grid.kernel.run_to_completion()
+    run_assignment(grid, proxy, gen.assignment_id)
     grid.production.post_summary(gen.assignment_id)
     sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_test")
     grid.production.declare(sim.assignment_id)
-    built["CMSIM"] = grid.production.create(sim.assignment_id)
+    grid.production.create(sim.assignment_id)
+    grid.production.submit(sim.assignment_id, proxy)
+    built = {"CMKIN": submitted_descriptions(grid, gen),
+             "CMSIM": submitted_descriptions(grid, sim)}
     for step, files in FACTORY_FILES.items():
         assert built[step] == [parse_jdl(text) for text in files]
         for jd in built[step]:
@@ -212,27 +225,46 @@ def test_built_descriptions_equal_the_files_the_factory_used_to_write():
 
 
 def test_a_factory_job_declares_the_vo_of_the_proxy_that_submits_it():
-    """With [vo ivdgl] ahead of [vo datatag] in the shipped topology, the
-    factory builds its descriptions for ivdgl; a datatag proxy submits
-    them, and every job declares datatag."""
+    """With [vo ivdgl] ahead of [vo datatag] in the shipped topology, a
+    datatag proxy submits a request, and every job declares datatag: the
+    order of the VOs plays no part."""
     head, *sections = re.split(r"(?m)^(?=\[)", pathlib.Path(default_topology_path()).read_text())
     datatag, ivdgl = (sections.index(next(s for s in sections if s.startswith(f"[vo {vo}]")))
                       for vo in ("datatag", "ivdgl"))
     sections[datatag], sections[ivdgl] = sections[ivdgl], sections[datatag]
     grid = Grid(parse_topology(head + "".join(sections), "<ivdgl first>"))
-    assert grid.production.default_vo == "ivdgl"
     proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
     request = grid.refdb.create_request("vo", "CMKIN", 8 * 250, 250, "rb_pisa")
     grid.production.declare(request.assignment_id)
-    built = grid.production.create(request.assignment_id)
-    assert {jd.virtual_organisation for jd in built} == {"ivdgl"}
+    grid.production.create(request.assignment_id)
     grid.production.submit(request.assignment_id, proxy)
     grid.kernel.run_to_completion()
     records = [grid.brokers["rb_pisa"].jobs[job_id] for job_id in request.scheduler_jobs]
     assert [record.description.virtual_organisation for record in records] == ["datatag"] * 8
-    assert [jd.virtual_organisation for jd in request.descriptions] == ["datatag"] * 8
     assert all(record.state == broker_mod.DONE_OK for record in records)
     assert grid.validate() == []
+
+
+def test_a_simulation_job_reads_the_product_its_generator_registered():
+    """With the cmkin profile writing `.root`, the generator registers
+    jpsi_1.root and jpsi_2.root; the simulation request asks for those
+    names, books them as its input files and completes."""
+    text = pathlib.Path(default_topology_path()).read_text()
+    grid = Grid(parse_topology(text + "\n[profile cmkin]\ndata_extension = root\n",
+                               "<cmkin writes root>"))
+    proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0, lifetime_s=1_000_000)
+    gen = grid.refdb.create_request("jpsi", "CMKIN", 500, 250, "rb_pisa")
+    run_assignment(grid, proxy, gen.assignment_id)
+    assert grid.production.post_summary(gen.assignment_id)["lfns"] == ["jpsi_1.root",
+                                                                      "jpsi_2.root"]
+    sim = grid.refdb.create_request("jpsi", "CMSIM", 500, 250, "rb_pisa")
+    run_assignment(grid, proxy, sim.assignment_id)
+    assert grid.production.post_summary(sim.assignment_id)["jobs_ok"] == 2
+    assert sim.status == "COMPLETE"
+    assert [jd.input_data for jd in submitted_descriptions(grid, sim)] == [
+        ("lfn:jpsi_1.root",), ("lfn:jpsi_2.root",)]
+    rows = grid.bossdb.dump(grid.bossdb.query(job_type="cmsim")).splitlines()[1:]
+    assert [row.split("\t")[3] for row in rows] == ["jpsi_1.root", "jpsi_2.root"]
 
 
 def test_submit_is_all_or_nothing_on_proxy_validity():
@@ -434,6 +466,23 @@ def test_a_finished_generation_job_leaves_at_most_ten_tracked_objects():
     tracked(100)  # first-use caches fill here, not between the two counts
     low = tracked(100)
     assert tracked(300) - low < 11 * 200
+
+
+def test_declare_and_create_leave_nothing_per_job():
+    """A created request holds its split, not its jobs: declare and create
+    of a 1,100-job request leave fewer than 0.5 tracked objects a job."""
+    def tracked() -> int:
+        gc.collect()
+        gc.collect()
+        return len(gc.get_objects())
+
+    grid = load_topology(default_topology_path())
+    grid.kernel._cells = DroppedCells()
+    request = grid.refdb.create_request("bulk", "CMKIN", 1100 * 250, 250, "rb_pisa")
+    before = tracked()
+    grid.production.declare(request.assignment_id)
+    grid.production.create(request.assignment_id)
+    assert tracked() - before < 0.5 * 1100
 
 
 def test_summary_refuses_while_jobs_are_in_flight():

@@ -10,10 +10,13 @@ coverage package), with `tests/test_bench.py` left out, then prints one
 them with no reached statement between.  A simple statement counts as
 reached when any of its lines runs, a compound one (`if`, `def`, `try`,
 ...) when its header does; statements that compile to no code, such as
-docstrings, are not counted.  A run listed in `ALLOWED` is printed with
-its reason; the script exits non-zero when the suite fails, when a run is
+docstrings, are not counted.  `ALLOWED` names a run by its key: the
+qualified name of the function (or class, or module) holding its first
+statement, then the text of its statements, so an edit elsewhere in the
+file leaves the key as it is.  A run listed there is printed with its
+reason; the script exits non-zero when the suite fails, when a run is
 unreached that `ALLOWED` does not list, or when a listed run is reached
-(or has moved).  It takes about a minute and is not itself collected as a
+(or its statements have changed).  It takes about a minute and is not itself collected as a
 test.
 
 `--shipped` traces the program's own traffic instead of the suite: each
@@ -43,12 +46,15 @@ from collections import Counter, defaultdict
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "deskgrid"
 
-#: unreached runs that stay so, as printed, each with the reason; at most 8
+#: unreached runs that stay so, by key (see `run_key`), each with the
+#: reason; at most 8
 ALLOWED = {
-    "src/deskgrid/cli.py:393-395": "`_say` on a closed pipe; `test_cli.py` reaches it "
-                                   "only in a child process, which the tracer does not follow",
-    "src/deskgrid/cli.py:418": "the `python -m deskgrid.cli` entry line; reached only in "
-                               "a child process",
+    "cli._say: devnull = os.open(os.devnull, os.O_WRONLY); "
+    "os.dup2(devnull, stream.fileno()); os.close(devnull)":
+        "`_say` on a closed pipe; `test_cli.py` reaches it only in a child process, "
+        "which the tracer does not follow",
+    "cli: sys.exit(main())": "the `python -m deskgrid.cli` entry line; reached only in "
+                             "a child process",
 }
 assert len(ALLOWED) <= 8
 
@@ -70,20 +76,32 @@ def code_lines(code) -> set:
 
 
 def statements(path: pathlib.Path) -> list:
-    """(first, last, lines) of each statement of `path` that compiles to
-    code, in line order; `lines` are the ones that make it reached."""
+    """(first, last, lines, scope, text) of each statement of `path` that
+    compiles to code, in line order; `lines` are the ones that make it
+    reached, `scope` is the qualified name of what holds it (the module's
+    own name at the top level) and `text` its lines, stripped and joined."""
     source = path.read_text()
+    source_lines = source.splitlines()
     compiled = code_lines(compile(source, str(path), "exec"))
     found = []
-    for node in ast.walk(ast.parse(source, str(path))):
-        if not isinstance(node, ast.stmt):
-            continue
-        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
-        body = getattr(node, "body", None)
-        last = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
-        lines = compiled.intersection(range(first, last + 1))
-        if lines:
-            found.append((first, last, lines))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.stmt):
+                first = min([child.lineno]
+                            + [d.lineno for d in getattr(child, "decorator_list", ())])
+                body = getattr(child, "body", None)
+                last = max(child.lineno, body[0].lineno - 1) if body else child.end_lineno
+                lines = compiled.intersection(range(first, last + 1))
+                if lines:
+                    text = " ".join(line.strip() for line in source_lines[first - 1:last])
+                    found.append((first, last, lines, scope, text))
+                if hasattr(child, "name"):  # a def or a class
+                    inner = f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source, str(path)), path.stem)
     return sorted(found, key=lambda stmt: stmt[:2])
 
 
@@ -154,23 +172,30 @@ def run_shipped() -> int:
     return len(failed)
 
 
+def run_key(run: list) -> str:
+    """The key of a run of statements: the scope of its first, then the
+    text of each."""
+    return f"{run[0][3]}: " + "; ".join(stmt[4] for stmt in run)
+
+
 def unreached(ran: dict) -> list:
-    """(`file:first-last`, statements) of each run of statements whose
-    lines never ran."""
+    """(`file:first-last`, statements, key) of each run of statements
+    whose lines never ran."""
     out = []
 
     def close(path, run):
-        span = str(run[0]) if run[0] == run[1] else f"{run[0]}-{run[1]}"
-        out.append((f"{path.relative_to(ROOT)}:{span}", run[2]))
+        first, last = run[0][0], run[-1][1]
+        span = str(first) if first == last else f"{first}-{last}"
+        out.append((f"{path.relative_to(ROOT)}:{span}", len(run), run_key(run)))
 
     for path in sorted(SRC.glob("*.py")):
-        hit, run = ran.get(str(path), set()), None
-        for first, last, lines in statements(path):
-            if not lines & hit:
-                run = (run[0], last, run[2] + 1) if run else (first, last, 1)
+        hit, run = ran.get(str(path), set()), []
+        for stmt in statements(path):
+            if not stmt[2] & hit:
+                run.append(stmt)
             elif run:
                 close(path, run)
-                run = None
+                run = []
         if run:
             close(path, run)
     return out
@@ -179,7 +204,7 @@ def unreached(ran: dict) -> list:
 def census(found: list) -> str:
     """Unreached statements per module, most first."""
     per_module = Counter()
-    for run, count in found:
+    for run, count, _key in found:
         per_module[pathlib.Path(run.split(":")[0]).stem] += count
     return ", ".join(f"{module} {count}" for module, count in per_module.most_common())
 
@@ -188,19 +213,20 @@ def main(argv: list) -> int:
     if argv == ["--shipped"]:
         code, ran = run_traced(run_shipped)
         found = unreached(ran)
-        for run, _count in found:
+        for run, _count, _key in found:
             print(run)
-        print(f"{sum(count for _run, count in found)} statements in {len(found)} runs of "
+        print(f"{sum(count for _run, count, _key in found)} statements in {len(found)} runs of "
               f"{SRC.relative_to(ROOT)} no shipped run reaches: {census(found)}")
         return code
     code, ran = run_traced(lambda: run_suite(argv))
-    found = [run for run, _count in unreached(ran)]
-    for run in found:
-        print(f"{run}\tallowed: {ALLOWED[run]}" if run in ALLOWED else run)
-    new = [run for run in found if run not in ALLOWED]
-    stale = [run for run in ALLOWED if run not in found]
-    for run in stale:
-        print(f"{run}\tallowed, but reached or moved")
+    found = unreached(ran)
+    for run, _count, key in found:
+        print(f"{run}\tallowed: {ALLOWED[key]}" if key in ALLOWED else run)
+    keys = {key for _run, _count, key in found}
+    new = [key for key in keys if key not in ALLOWED]
+    stale = [key for key in ALLOWED if key not in keys]
+    for key in stale:
+        print(f"{key}\tallowed, but reached or moved")
     print(f"{len(found)} unreached runs of statements in {SRC.relative_to(ROOT)}, "
           f"{len(new)} not allowed; {len(stale)} allowed runs not found")
     return code or int(bool(new or stale))
