@@ -13,14 +13,14 @@ node.  Aborts happen only before RUNNING (no match, or refused through
 moves one transfer per leg: the input sandbox, each input, its one data
 product to a storage element, and the output sandbox, held once it lands.
 No route fails the job, except on the output leg, which still returns the
-logs.  Match-making
-happens in the same simulated instant as the submission event: candidates
-of the broker's own schema flavor are filtered by VO authorization, the
-job's requirement expression and -- for data-driven jobs -- the presence
-of every input file on a storage element close to the element; the
-survivor with the highest rank wins (default rank is minus the estimated
-traversal time, compared exactly as integer pairs), ties on rank go to the
-smallest element id, and replica ties to the smallest (se, path).
+logs.  Match-making happens in the same simulated instant as the
+submission event: candidates of the broker's own schema flavor are
+filtered by VO authorization, the job's requirement expression and -- for
+data-driven jobs -- the presence of every input file on a storage element
+close to the element; the survivor with the highest rank wins (default
+rank is minus the estimated traversal time, compared exactly as integer
+pairs), ties on rank go to the smallest element id, and replica ties to
+the smallest (se, path).
 
 What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
@@ -29,25 +29,16 @@ same for every match is kept: the admissible set of a (VO, owner,
 requirement, pin) -- the ids of the elements of the broker's flavor the VO
 may use, whose site maps the owner and whose advertised attributes satisfy
 the requirement -- until the index's or the VO manager's `generation`
-moves (a publish, a mapfile sync).  A requirement that does not read the
-ETT is tested once per element, when its set is built.  The broker keeps
-one default-rank order, of every element it has read, as rows of
-(ETT * D/d, element id, table entry), D being the lcm of every ETT
-denominator it has read.  A read whose d does not divide D makes D
-lcm(D, d) and multiplies every key of the order by the same factor, which
-keeps it sorted.  Before a match the broker re-reads only the elements
-that reported a move or whose horizon the clock has reached (a heap of
-(horizon, id), under the element's own `now >= horizon` rule), and moves
-each in the order by bisection.  A default-rank match keeps the rows of
-its set's ids, filters them by the replicas and joins their entries into
-the table; only an explicit `Rank` or a requirement that reads the ETT is
-evaluated per element of the set.
+moves (a publish, a mapfile sync); a published record with no element is
+left out.  A requirement that does not read the ETT is tested once per
+element, when its set is built.  The broker reads the fabric's one
+default-rank order: a default-rank match keeps the rows of its set's ids,
+filters them by the replicas and joins their entries into the table; only
+an explicit `Rank` or a requirement that reads the ETT is evaluated per
+element of the set.
 """
 from __future__ import annotations
 
-import heapq
-import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -59,7 +50,7 @@ from . import datagrid as dg_mod
 from . import fabric as fabric_mod
 from . import jdl
 from .simcore import kind
-from .units import fmt_quantity, fmt_ratio
+from .units import fmt_quantity
 from .vomgmt import Proxy
 
 SUBMITTED = "SUBMITTED"
@@ -126,8 +117,8 @@ class MatchResult:
     value (None when the rank evaluated to something unusable, which sorts
     below every ranked element), in choice order.  `ranked` holds (element
     id, rank value) pairs, or under the default rank the rows of the
-    broker's order the match kept, (ETT * `denominator`/d, element id,
-    table entry), `denominator` being the broker's D at that match;
+    fabric's order the match kept, (ETT * `denominator`/d, element id,
+    table entry), `denominator` being the fabric's D at that match;
     `table` reads those as minus the ETT times `denominator`, as ints, and
     `candidates` as exact Fractions."""
 
@@ -194,22 +185,10 @@ class ResourceBroker:
         self.jobs: dict[str, JobRecord] = {}
         self.transition_observers: list = []
         self.match_observers: list = []
-        # ce_id -> (ETT numerator, denominator) as last read; ce_id -> the
-        # element's horizon at that read (None once due); a heap of
-        # (horizon, ce_id); and the ids of the elements that reported a move
-        # since, each element holding this very set among its watchers
-        self._entries: dict = {}
-        self._horizons: dict = {}
-        self._due: list = []
-        self._moved: set = set()
-        # (vo, owner, requirement, pin) -> (whether the requirement reads
-        # the ETT, the ids it admits), for one generation of the index and
-        # the mapfiles; D, the lcm of every ETT denominator read; and the
-        # default-rank order of every element read, keyed over D
+        # (vo, owner, requirement, pin) -> (whether the requirement reads the ETT,
+        # the ids it admits), for one generation of the index and the mapfiles
         self._kept: dict = {}
         self._generation = None
-        self._denominator = 1
-        self._order: list = []
 
     # -- state machine -------------------------------------------------
 
@@ -268,7 +247,7 @@ class ResourceBroker:
             reads_ett, members = self._admissible(description.virtual_organisation,
                                                   record.owner.user_dn, requirements,
                                                   record.pinned_ce)
-            order = [row for row in self._order if row[1] in members]
+            order = [row for row in self.fabric.order if row[1] in members]
             ces = self.info.ces
             for reps in replicas.values():  # close to a replica of every input
                 held = {se_id for se_id, _path in reps}
@@ -278,7 +257,7 @@ class ResourceBroker:
             if reads_ett:  # the requirement reads the ETT: tested now
                 order = [row for row in order if jdl.requirement_satisfied(
                     requirements, self._match_env(row[1]))]
-            result = MatchResult(order, order[0][1] if order else None, self._denominator)
+            result = MatchResult(order, order[0][1] if order else None, self.fabric.denominator)
             rank_shown = order[0][2][len(result.chosen) + 1:] if order else None
             table = "|".join(map(_ENTRY, order))
         else:
@@ -316,7 +295,7 @@ class ResourceBroker:
         return result
 
     def _match_env(self, ce_id: str) -> dict:
-        ce, (n, d) = self.info.ces[ce_id], self._entries[ce_id]
+        ce, (n, d) = self.info.ces[ce_id], self.fabric.entries[ce_id]
         return {
             "RunTimeEnvironment": ce.run_time_environment,
             "LRMSType": ce.lrms,
@@ -325,80 +304,32 @@ class ResourceBroker:
             "CloseSE": ce.close_ses,
         }
 
-    # -- kept admissible sets and ETT entries ----------------------------
+    # -- kept admissible sets -------------------------------------------
 
     def _admissible(self, vo: str, user_dn: str, requirements, pinned) -> tuple:
         """(reads_ett, ids) kept for (vo, user_dn, requirements, pinned),
         built on first use in this generation of the index and the mapfiles,
-        with the order brought up to date.  A requirement that reads the ETT
-        is left out of the build; each match tests it itself."""
+        with the fabric's order brought up to date.  A requirement that
+        reads the ETT is left out of the build; each match tests it itself."""
         generation = (self.info.generation, self.vo.generation)
         if generation != self._generation:
             self._generation = generation
             self._kept.clear()
-        self._refresh()
+        self.fabric.refresh()
         key = (vo, user_dn, requirements, pinned)
         if key in self._kept:
             return self._kept[key]
         reads_ett = jdl.reads_attribute(requirements, "EstimatedTraversalTime")
         members = set()
         for ce in self.info.query(self.flavor, vo):
-            if pinned is not None and ce.ce_id != pinned:
-                continue
+            if pinned not in (None, ce.ce_id) or ce.ce_id not in self.fabric.ces:
+                continue  # not the pinned element, or published without an element
             if not self.vo.maps(ce.site_id, user_dn):
                 continue
-            if ce.ce_id not in self._entries:
-                self._read(ce.ce_id)
             if reads_ett or jdl.requirement_satisfied(requirements, self._match_env(ce.ce_id)):
                 members.add(ce.ce_id)
         self._kept[key] = (reads_ett, members)
         return reads_ett, members
-
-    def _refresh(self) -> None:
-        """Re-read every element that reported a move or whose horizon the
-        clock has reached."""
-        now, due, horizons, moved = self.kernel.now_ms, self._due, self._horizons, self._moved
-        while due and due[0][0] <= now:
-            at, ce_id = heapq.heappop(due)
-            if horizons[ce_id] == at:  # else it was read since, with another horizon
-                horizons[ce_id] = None
-                moved.add(ce_id)
-        for ce_id in moved:
-            self._read(ce_id)
-        moved.clear()
-
-    def _read(self, ce_id: str) -> None:
-        """Read the element's ETT; a changed pair is rendered and moved in
-        the order, after the order is scaled to a D the new denominator
-        divides.  The first read starts watching the element's moves."""
-        ce = self.fabric.ces[ce_id]
-        old = self._entries.get(ce_id)
-        if old is None:
-            ce.watchers.append(self._moved)
-        n, d = ce.ett()
-        if ce.horizon_ms != self._horizons.get(ce_id):
-            self._horizons[ce_id] = ce.horizon_ms
-            if ce.horizon_ms != math.inf:
-                heapq.heappush(self._due, (ce.horizon_ms, ce_id))
-        if old == (n, d):
-            return
-        self._entries[ce_id] = (n, d)
-        order, denominator = self._order, self._denominator
-        if denominator % d:
-            self._denominator = math.lcm(denominator, d)
-            scale, denominator = self._denominator // denominator, self._denominator
-            order[:] = [(key * scale, other, entry) for key, other, entry in order]
-        if old is not None:
-            del order[bisect_left(order, (old[0] * (denominator // old[1]), ce_id))]
-        insort(order, (n * (denominator // d), ce_id, f"{ce_id}:{fmt_ratio(-n, d)}"))
-
-    def drifted(self) -> list:
-        """Ids of elements whose kept ETT differs from a fresh read although
-        they reported no move and the clock is short of their horizon."""
-        now = self.kernel.now_ms
-        return [ce_id for ce_id, (n, d) in self._entries.items()
-                if ce_id not in self._moved and now < self._horizons[ce_id]
-                and (n, d) != self.fabric.ces[ce_id].ett()]
 
     def _resolve_inputs(self, description) -> "dict | None":
         """Each input name's sorted replicas, read once per match; None when

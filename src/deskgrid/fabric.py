@@ -20,8 +20,7 @@ running jobs, each holding the index of its worker node, and a heap of
 free node indices, so the lowest free node takes the next job.  It refuses
 a job whose owner it does not authorize, when queued or when dispatched,
 through the job's `on_auth_denied` callback.  It owns its estimated
-traversal time, `ett()`, which the broker reads directly; nothing copies
-the load.
+traversal time, `ett()`; nothing copies the load.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
@@ -32,8 +31,16 @@ term, since no monitor point lies between; a read at or past it rescans.
 Dispatch, the start and end of execution, the release of a node and a
 change of CPU unit drop the term, so the next read rescans.  Each of them,
 and every change of the queue's backlog, is a move of the ETT, which the
-element reports to every watching broker by adding its id to that
-broker's set of moved elements.
+element reports to the fabric by adding its id to the fabric's one set of
+moved elements, which an element joins when added.
+
+The fabric keeps the one default-rank order every broker reads: rows of
+(ETT * D/d, element id, table entry), sorted, over each element's ETT pair
+as last read, D being the lcm of every ETT denominator read; a d that does
+not divide D scales every key by lcm(D, d)/D.  Before each match `refresh`
+re-reads only the moved elements and those whose horizon the clock has
+reached (a heap of (horizon, id), under the element's `now >= horizon`
+rule), and moves each row by bisection.
 
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
@@ -48,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -384,7 +392,7 @@ class ComputingElement:
         self.running: dict[str, FabricJob] = {}
         # CPU left in the running jobs, in units, valid while now_ms < horizon
         self.running_units, self.horizon_ms = 0, STALE
-        self.watchers: list = []  # one set of moved element ids per watching broker
+        self.moved: set = set()  # ids of moved elements: the fabric's own, once added
         self.fail_next_execs = 0  # scenario-driven failure injection
 
     # -- queueing ------------------------------------------------------
@@ -472,13 +480,11 @@ class ComputingElement:
     # -- estimated traversal time --------------------------------------
 
     def _moved(self, running: bool = True) -> None:
-        """The ETT moved: every watching broker re-reads it at its next
-        match.  `running` says the running term moved too, so it is dropped
-        and the next read rescans it."""
+        """The ETT moved, and with `running` its running term too, which is
+        dropped so that the next read rescans it."""
         if running:
             self.horizon_ms = STALE
-        for moved in self.watchers:
-            moved.add(self.ce_id)
+        self.moved.add(self.ce_id)
 
     def _units_per_event(self, profile: WorkloadProfile) -> int:
         """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""
@@ -516,7 +522,7 @@ class ComputingElement:
 
 
 class Fabric:
-    """All sites and computing elements plus the profile registry."""
+    """All sites and computing elements, their ETT order, and the profiles."""
 
     def __init__(self, kernel: Kernel, network: Network, vo: vomgmt.VoManager):
         self.kernel = kernel
@@ -525,13 +531,68 @@ class Fabric:
         self.sites: dict[str, Site] = {}
         self.ces: dict[str, ComputingElement] = {}
         self.profiles: dict[str, WorkloadProfile] = builtin_profiles()
+        # ce_id -> ETT (numerator, denominator) as last read; ce_id -> its
+        # horizon at that read (None once due); a heap of (horizon, ce_id);
+        # the ids moved since, a set every element holds; D; the order
+        self.entries: dict = {}
+        self._horizons: dict = {}
+        self._due: list = []
+        self.moved: set = set()
+        self.denominator = 1
+        self.order: list = []
 
     def add_site(self, site: Site) -> None:
         self.sites[site.site_id] = site
 
     def add_ce(self, record) -> None:
-        site = self.sites[record.site_id]
-        self.ces[record.ce_id] = ComputingElement(record, site, self.kernel, self.vo)
+        ce = ComputingElement(record, self.sites[record.site_id], self.kernel, self.vo)
+        ce.moved = self.moved
+        self.ces[ce.ce_id] = ce
+        self.moved.add(ce.ce_id)  # joins the order at the next refresh
+
+    def refresh(self) -> None:
+        """Re-read every element that reported a move or whose horizon the
+        clock has reached."""
+        now, due, horizons, moved = self.kernel.now_ms, self._due, self._horizons, self.moved
+        while due and due[0][0] <= now:
+            at, ce_id = heapq.heappop(due)
+            if horizons[ce_id] == at:  # else it was read since, with another horizon
+                horizons[ce_id] = None
+                moved.add(ce_id)
+        for ce_id in moved:
+            self._read(ce_id)
+        moved.clear()
+
+    def _read(self, ce_id: str) -> None:
+        """Read the element's ETT; a changed pair is rendered and moved in
+        the order, after the order is scaled to a D the new denominator
+        divides."""
+        ce = self.ces[ce_id]
+        old = self.entries.get(ce_id)
+        n, d = ce.ett()
+        if ce.horizon_ms != self._horizons.get(ce_id):
+            self._horizons[ce_id] = ce.horizon_ms
+            if ce.horizon_ms != math.inf:
+                heapq.heappush(self._due, (ce.horizon_ms, ce_id))
+        if old == (n, d):
+            return
+        self.entries[ce_id] = (n, d)
+        order, denominator = self.order, self.denominator
+        if denominator % d:
+            self.denominator = math.lcm(denominator, d)
+            scale, denominator = self.denominator // denominator, self.denominator
+            order[:] = [(key * scale, other, entry) for key, other, entry in order]
+        if old is not None:
+            del order[bisect_left(order, (old[0] * (denominator // old[1]), ce_id))]
+        insort(order, (n * (denominator // d), ce_id, f"{ce_id}:{fmt_ratio(-n, d)}"))
+
+    def drifted(self) -> list:
+        """Ids of elements whose kept ETT differs from a fresh read although
+        they reported no move and the clock is short of their horizon."""
+        now = self.kernel.now_ms
+        return [ce_id for ce_id, (n, d) in self.entries.items()
+                if ce_id not in self.moved and now < self._horizons[ce_id]
+                and (n, d) != self.ces[ce_id].ett()]
 
     def set_profile(self, profile: WorkloadProfile) -> None:
         profile.validate()

@@ -7,11 +7,13 @@ published to the information index, whose ETT view reads them, storage
 elements are placed at their sites in the data grid, and the production
 layer is hooked into broker transitions and job monitors.  Elements are
 the only record of their load, so `validate` has no copy of it to
-compare; it rescans each queue against the element's queued CPU, each
-element's running jobs against its cached running term while that is
-still valid, each broker's kept ETT of an element against a fresh read
-while the element has reported no move and its horizon is not due, and
-each storage element's contents against its used bytes.
+compare.  It checks that each element is published as it is and each
+published record has an element, and rescans each queue against the
+element's queued CPU, each element's running jobs against its cached
+running term while that is still valid, the fabric's kept ETT of an
+element against a fresh read while the element has reported no move and
+its horizon is not due, and each storage element's contents against its
+used bytes.
 """
 from __future__ import annotations
 
@@ -214,8 +216,9 @@ class Grid:
             if (self.kernel.now_ms < ce.horizon_ms
                     and ce.running_units != ce.scan_running()[0]):
                 problems.append(f"{ce_id}: running CPU term drifted")
-        for rb_id, rb in self.brokers.items():
-            problems += [f"{rb_id}: kept ETT of {ce_id} drifted" for ce_id in rb.drifted()]
+        problems += [f"{ce_id}: published without an element"
+                     for ce_id in self.info.ces if ce_id not in self.fabric.ces]
+        problems += [f"{ce_id}: kept ETT drifted" for ce_id in self.fabric.drifted()]
         for se_id, store in self.datagrid.ses.items():
             held = sum(pf.size_bytes for pf in store.files.values())
             if held != store.used_bytes:

@@ -21,7 +21,7 @@ arriving job would see:
 
 computed exactly in integers: each element counts CPU in a unit of its
 own in which every job's CPU is whole, so ETT is an integer pair.  The
-element owns it (`fabric.ComputingElement.ett`) and the broker reads it
+element owns it (`fabric.ComputingElement.ett`) and the fabric reads it
 there.  The running term is summed over the running jobs only, at most one
 per worker node, and rescanned only when a monitor point may have moved
 it; the queued term is maintained by the element itself, added on enqueue

@@ -324,6 +324,8 @@ class ProductionManager:
         rb = self.brokers.get(request.rb_id)
         if rb is None:
             raise ProductionError(f"unknown resource broker {request.rb_id!r}")
+        if request.default_se not in (None, *self.datagrid.ses):
+            raise ProductionError(f"unknown storage element {request.default_se!r}")
         dataset = jdl.Lit(request.dataset)  # one literal each, shared by every job
         default_se = None if request.default_se is None else jdl.Lit(request.default_se)
         for index, events in enumerate(request.split_events(), start=1):

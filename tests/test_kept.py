@@ -1,11 +1,11 @@
-"""The broker's kept admissible sets and its default-rank order.
+"""The brokers' kept admissible sets and the fabric's default-rank order.
 
-A match re-reads only the elements whose ETT moved since its broker last
-read them, and ranks by default from the broker's one order, kept to the
-ids its admissible set holds.  These tests redo matches from scratch and
-compare, check the order against its entries, count ETT reads on a wide
-testbed, and reach each way a kept set is built or dropped and the order
-moved or rescaled."""
+A match re-reads only the elements whose ETT moved since the fabric last
+read them, and ranks by default from the fabric's one order, kept to the
+ids its broker's admissible set holds.  These tests redo matches from
+scratch and compare, check the order against its entries, count ETT reads
+on a wide testbed and across brokers, and reach each way a kept set is
+built or dropped and the order moved or rescaled."""
 import dataclasses
 import pathlib
 import random
@@ -19,6 +19,7 @@ from deskgrid.broker import ABORTED, DONE_OK
 from deskgrid.cli import dispatch
 from deskgrid.fabric import ComputingElement, WorkloadProfile
 from deskgrid.grid import Grid, default_topology_path, load_topology
+from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.topology import parse_topology
 from deskgrid.units import KB, fmt_quantity, fmt_ratio
@@ -197,30 +198,30 @@ def test_the_kept_path_equals_a_full_rescan_at_every_match():
     assert grid.validate() == []
 
 
-def rebuilt_order(rb) -> list:
-    """`rb`'s default-rank order rebuilt from its entries: one row per
-    element read, keyed over its D, sorted."""
-    D = rb._denominator
+def rebuilt_order(fabric) -> list:
+    """The fabric's default-rank order rebuilt from its entries: one row
+    per element, keyed over its D, sorted."""
+    D = fabric.denominator
     return sorted((n * D // d, ce_id, f"{ce_id}:{fmt_ratio(-n, d)}")
-                  for ce_id, (n, d) in rb._entries.items())
+                  for ce_id, (n, d) in fabric.entries.items())
 
 
-def test_each_broker_keeps_one_order_of_every_element_it_has_read():
-    """At every match of a randomized bulk run, both EDG brokers' orders
-    equal their entries rebuilt over their D.  The run mixes production
-    requests on either broker with pinned jobs at 1/3 and 7/100000 s per
-    event, which grow each broker's D while its order holds rows."""
+def test_the_fabric_keeps_one_order_of_every_element():
+    """At every match of a randomized bulk run on both EDG brokers, the
+    fabric's one order equals its entries rebuilt over its D.  The run
+    mixes production requests on either broker with pinned jobs at 1/3 and
+    7/100000 s per event, which grow D while the order holds rows."""
     grid = load_topology(default_topology_path())
+    fabric = grid.fabric
     rng = random.Random(41)
     edg = (grid.brokers["rb_pisa"], grid.brokers["rb_milano"])
-    denominators, matches, problems = {rb.rb_id: set() for rb in edg}, [], []
+    denominators, matches, problems = set(), [], []
 
     def check(record, _result):
         matches.append(record.job_id)
-        for rb in edg:
-            denominators[rb.rb_id].add(rb._denominator)
-            if rb._order != rebuilt_order(rb):
-                problems.append((grid.kernel.now_ms, rb.rb_id))
+        denominators.add(fabric.denominator)
+        if fabric.order != rebuilt_order(fabric):
+            problems.append(grid.kernel.now_ms)
 
     for rb in edg:
         rb.match_observers.append(check)
@@ -247,8 +248,7 @@ def test_each_broker_keeps_one_order_of_every_element_it_has_read():
     grid.kernel.run_to_completion()
 
     assert problems == [] and len(matches) > 100
-    for rb in edg:
-        assert len(rb._order) == len(visible) and len(denominators[rb.rb_id]) >= 4
+    assert len(fabric.order) == len(fabric.ces) and len(denominators) >= 4
     assert grid.validate() == []
 
 
@@ -302,6 +302,47 @@ def test_a_match_on_a_sixteen_fold_testbed_reads_few_elements(monkeypatch):
     assert reads["ett"] <= 2 * reads["match"]
     assert all(record.state == DONE_OK for _rb, record in grid.all_jobs())
     assert grid.validate() == []
+
+
+def test_a_move_is_read_once_however_many_brokers_watch(monkeypatch):
+    """One CMS job through rb_pisa, then one through rb_milano, both at
+    t=0: the first match reads every element once, and the second reads
+    only the element the first job moved, where a copy of the order per
+    broker would read every element rb_milano sees."""
+    grid = load_topology(default_topology_path())
+    reads, per_match, ett = [], [], ComputingElement.ett
+
+    def counted(ce):
+        reads.append(ce.ce_id)
+        return ett(ce)
+
+    def seen(record, _result):
+        per_match.append((record.matched_ce, list(reads)))
+        reads.clear()
+
+    monkeypatch.setattr(ComputingElement, "ett", counted)
+    proxy = grid.vo.create_proxy(OPERATOR, "datatag", 0)
+    text = JOB_TEXT.format(profile="cmkin", requirement=CMS, events=100, seed=1)
+    for rb_id in ("rb_pisa", "rb_milano"):
+        grid.brokers[rb_id].match_observers.append(seen)
+        grid.brokers[rb_id].submit(parse_jdl(text), proxy)
+    grid.kernel.run_until(0)
+    (first, first_reads), (second, second_reads) = per_match
+    assert second_reads == [first] and second is not None
+    assert sorted(first_reads) == sorted(grid.fabric.ces)
+
+
+def test_a_record_published_without_an_element_is_left_out_and_reported(mini, alice):
+    """A record the index accepts for an id the fabric has no element for
+    is left out of every kept set: the job runs on a real element, and
+    `validate` names the record."""
+    mini.info.publish_ce(CERecord("ce_ghost", "alpha", "PBS", ("EDG",), ("CMS",), 4, 3000,
+                                  ("testvo",), ("se_alpha",)))
+    job = mini.submit(CMKIN_SMALL, "rb_test")
+    mini.kernel.run_to_completion()
+    record = mini.brokers["rb_test"].jobs[job]
+    assert (record.state, record.matched_ce) == (DONE_OK, "ce_alpha")
+    assert mini.validate() == ["ce_ghost: published without an element"]
 
 
 def test_matches_on_a_monitor_point_read_it_as_a_rescan_does(mini, alice):
@@ -464,17 +505,18 @@ def test_a_proxy_lapsed_by_its_match_finds_nothing_in_a_kept_set(mini, alice):
 
 
 def test_validate_reports_a_kept_entry_an_element_did_not_report(mini, alice):
-    """rb_test stops watching both elements; a job that rb_glue places on
-    ce_beta then moves beta's ETT unseen by rb_test, until beta reports a
-    move to it again."""
+    """Both elements stop reporting their moves to the fabric; a job that
+    rb_glue places on ce_beta then moves beta's ETT unseen, until the
+    elements report to the fabric again and beta moves."""
     mini.submit(CMKIN_SMALL, "rb_test")
     mini.kernel.run_until(0)
     assert mini.validate() == []
     for ce in mini.fabric.ces.values():
-        ce.watchers.clear()
+        ce.moved = set()
     mini.submit(CMKIN_SMALL, "rb_glue")
     mini.kernel.run_until(0)
-    assert mini.validate() == ["rb_test: kept ETT of ce_beta drifted"]
-    mini.fabric.ces["ce_beta"].watchers.append(mini.brokers["rb_test"]._moved)
+    assert mini.validate() == ["ce_beta: kept ETT drifted"]
+    for ce in mini.fabric.ces.values():
+        ce.moved = mini.fabric.moved
     mini.kernel.run_to_completion()
     assert mini.validate() == []

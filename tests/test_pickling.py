@@ -1,7 +1,8 @@
 """A grid cut mid-run pickles, and its copy finishes the run as the
 original would: nothing on the event heap, in a job's callbacks or in a
-broker's kept state is a closure, so every pending event, transfer, live
-monitor, kept set and broker order travels with the copy."""
+broker's or the fabric's kept state is a closure, so every pending event,
+transfer, live monitor, kept set and the fabric's order travel with the
+copy."""
 import importlib.resources
 import pathlib
 import pickle
@@ -97,24 +98,22 @@ def test_a_replication_in_flight_survives_a_pickle_round_trip():
 
 def test_a_bulk_run_cut_while_brokers_keep_their_sets_finishes_as_the_uninterrupted_run():
     """Cut after the second request's matches: each EDG broker keeps an
-    admissible set and elements reported moved since its last match, one
-    has horizons pending on its heap, and queues are deep.  In the copy,
-    each element's watchers are the very sets of moved ids its brokers
-    read."""
+    admissible set, elements reported moved since the last match, the
+    fabric has horizons pending on its heap, and queues are deep.  In the
+    copy, every element's set of moved ids is the very set the fabric
+    reads."""
     def bulk(cut: bool) -> tuple:
         grid = load_topology(default_topology_path())
         staggered_bulk(grid)
         if cut:
             grid.kernel.run_until(40)
             edg = [grid.brokers["rb_pisa"], grid.brokers["rb_milano"]]
-            assert all(rb._kept and rb._moved for rb in edg)
-            assert any(at > 40_000 for rb in edg for at, _ce_id in rb._due)
+            assert all(rb._kept for rb in edg) and grid.fabric.moved
+            assert any(at > 40_000 for at, _ce_id in grid.fabric._due)
             assert sum(len(ce.queue) for ce in grid.fabric.ces.values()) > 30
             grid = pickle.loads(pickle.dumps(grid))
-            watched = [watcher for ce in grid.fabric.ces.values() for watcher in ce.watchers]
-            assert len(watched) == 26
-            assert {id(w) for w in watched} == {id(grid.brokers[rb_id]._moved)
-                                                for rb_id in ("rb_pisa", "rb_milano")}
+            assert len(grid.fabric.ces) == 17
+            assert all(ce.moved is grid.fabric.moved for ce in grid.fabric.ces.values())
         grid.kernel.run_to_completion()
         assert grid.validate() == []
         return books(grid)
@@ -124,9 +123,10 @@ def test_a_bulk_run_cut_while_brokers_keep_their_sets_finishes_as_the_uninterrup
 
 def test_a_run_cut_just_after_a_brokers_denominator_grew_finishes_as_the_uninterrupted_run():
     """On the mini grid, a job of 1/7 s per event lands on ce_alpha at 1 s
-    and rb_test reads alpha again at the next match, at 2 s: its D grows
-    sevenfold and its order is rescaled.  The grid is cut right there, and
-    the copy keeps D, the kept sets and the order and finishes as the run."""
+    and the fabric reads alpha again at rb_test's next match, at 2 s: D
+    grows sevenfold and the order is rescaled.  The grid is cut right
+    there, and the copy keeps D, rb_test's kept sets and the order and
+    finishes as the run."""
     def run(cut: bool) -> tuple:
         grid = make_mini()
         grid.fabric.set_profile(WorkloadProfile("odd", Fraction(1, 7), Fraction(KB)))
@@ -139,15 +139,15 @@ def test_a_run_cut_just_after_a_brokers_denominator_grew_finishes_as_the_uninter
         rb = grid.brokers["rb_test"]
         if cut:
             grid.kernel.run_until(1.5)
-            assert rb._denominator == 4000
+            assert grid.fabric.denominator == 4000
             grid.kernel.run_until(2)
-            assert rb._denominator == 28000
+            assert grid.fabric.denominator == 28000
             kept = dict(rb._kept)
-            assert rb._order == rebuilt_order(rb)
+            assert grid.fabric.order == rebuilt_order(grid.fabric)
             grid = pickle.loads(pickle.dumps(grid))
             rb = grid.brokers["rb_test"]
-            assert rb._denominator == 28000 and rb._kept == kept
-            assert rb._order == rebuilt_order(rb)
+            assert grid.fabric.denominator == 28000 and rb._kept == kept
+            assert grid.fabric.order == rebuilt_order(grid.fabric)
         grid.kernel.run_to_completion()
         assert grid.validate() == []
         return books(grid)

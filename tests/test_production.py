@@ -9,6 +9,7 @@ import pytest
 
 from deskgrid import broker as broker_mod
 from deskgrid import fabric as fabric_mod
+from deskgrid.cli import dispatch
 from deskgrid.grid import Grid, default_topology_path, load_topology
 from deskgrid.jdl import parse_jdl
 from deskgrid.production import (BossDb, JobsStillRunning, MissingUpstream,
@@ -286,6 +287,23 @@ def test_submit_is_all_or_nothing_on_proxy_validity():
         grid.production.submit(stray.assignment_id, proxy)
     assert stray.status == "CREATED"
     assert not stray.scheduler_jobs and not grid.bossdb.records
+
+
+def test_a_request_naming_an_undeclared_storage_element_submits_nothing():
+    """An unknown --se is refused at submit, as an unknown --rb is, before
+    any job runs only to fail UnknownSe at its end: the request stays
+    CREATED, no job and no BossDb row exist, and the command exits 1."""
+    grid, _proxy = grid_with_factory()
+    ok(grid, ["refdb", "request", "--dataset", "d", "--step", "CMKIN", "--events", "20",
+              "--per-job", "10", "--rb", "rb_test", "--se", "se_nowhere"])
+    ok(grid, ["impala", "declare", "1"])
+    ok(grid, ["impala", "create", "1"])
+    code, text = dispatch(grid, ["impala", "submit", "1"])
+    assert (code, text) == (1, "error: unknown storage element 'se_nowhere'")
+    grid.kernel.run_to_completion()
+    request = grid.refdb.get(1)
+    assert request.status == "CREATED" and not request.scheduler_jobs
+    assert not grid.brokers["rb_test"].jobs and not grid.bossdb.records
 
 
 # -- bookkeeping database ----------------------------------------------
