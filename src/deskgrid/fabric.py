@@ -16,31 +16,30 @@ so reruns anywhere agree byte-for-byte on what they claim to have
 produced; a row hashes its checksum only when it is read.
 
 A computing element is the only record of its load: its FIFO queue, its
-running jobs, each holding the index of its worker node, and a heap of
-free node indices, so the lowest free node takes the next job.  It refuses
-a job whose owner it does not authorize, when queued or when dispatched,
-through the job's `on_auth_denied` callback.  It owns its estimated
-traversal time, `ett()`; nothing copies the load.
+running jobs, each holding the index of its worker node, a heap of the
+released node indices and a range of those no job has used, so the
+lowest free node takes the next job.  It refuses a job whose owner it does
+not authorize, when queued or when dispatched, through the job's
+`on_auth_denied` callback.  Nothing copies its load.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
-The element keeps the CPU its running jobs have left as a cached term
-with a horizon, the first instant at or after the last rescan on which a
-running job has a monitor point.  A read before the horizon reuses the
-term, since no monitor point lies between; a read at or past it rescans.
 Dispatch, the start and end of execution, the release of a node and a
-change of CPU unit drop the term, so the next read rescans.  Each of them,
-and every change of the queue's backlog, is a move of the ETT, which the
-element reports to the fabric by adding its id to the fabric's one set of
-moved elements, which an element joins when added.
+change of CPU unit move the ETT's running term; they, and every change of
+the queue's backlog, are moves of the ETT, which the element reports in
+the fabric's one map of moved elements, id -> whether the running term
+moved, which an element joins when added.
 
 The fabric keeps the one default-rank order every broker reads: rows of
 (ETT * D/d, element id, table entry), sorted, over each element's ETT pair
 as last read, D being the lcm of every ETT denominator read; a d that does
-not divide D scales every key by lcm(D, d)/D.  Before each match `refresh`
-re-reads only the moved elements and those whose horizon the clock has
-reached (a heap of (horizon, id), under the element's `now >= horizon`
-rule), and moves each row by bisection.
+not divide D scales every key by lcm(D, d)/D.  It keeps each element's
+running term as last scanned with its horizon, the first instant at or
+after the scan on which a running job has a monitor point: no point lies
+before it.  Before each match `refresh` re-reads, in the order they moved,
+only the moved elements and those whose horizon the clock has reached (a
+heap of (horizon, id)), rescanning the running term of those whose term
+moved or is due, and moves each row by bisection.
 
 Routes are at most one WAN hop plus the destination LAN: endpoints are
 sites, broker hosts and the user-interface host, and a pair without an
@@ -66,10 +65,6 @@ from . import vomgmt
 from .jdl import JobDescription
 from .simcore import Kernel, kind
 from .units import KB, MB, fmt_ratio, to_millis
-
-
-#: a horizon that every read is at or past: the cached running term is dropped
-STALE = -1
 
 
 class FabricError(Exception):
@@ -382,7 +377,8 @@ class ComputingElement:
         self.kernel = kernel
         self.vo = vo
         self.monitor_hook: "Callable | None" = None  # (job_id, events_done, outbound)
-        self.free_wns = list(range(record.wn_count))  # a heap: the lowest index runs next
+        self.free_wns: list = []  # a heap of released nodes: the lowest index runs next
+        self.unused_wns = range(record.wn_count)  # ... and after them these, from the front
         self.queue: deque = deque()
         # CPU is counted in units of 1/(cpu_den * cpu_mhz) s, cpu_den being
         # the lcm of the per-event CPU denominators of the profiles seen
@@ -390,9 +386,7 @@ class ComputingElement:
         self.cpu_den = 1
         self.queued_units = 0  # CPU of the queued jobs, kept as they come and go
         self.running: dict[str, FabricJob] = {}
-        # CPU left in the running jobs, in units, valid while now_ms < horizon
-        self.running_units, self.horizon_ms = 0, STALE
-        self.moved: set = set()  # ids of moved elements: the fabric's own, once added
+        self.moved: dict = {}  # moved id -> its running term too: the fabric's own, once added
         self.fail_next_execs = 0  # scenario-driven failure injection
 
     # -- queueing ------------------------------------------------------
@@ -418,17 +412,21 @@ class ComputingElement:
         self.try_dispatch()
 
     def try_dispatch(self) -> None:
-        while self.queue and self.free_wns:
+        """Start queued jobs while a node is free; `enqueue` and `finish`, its
+        callers, have reported the queue's move, so a refusal here reports none."""
+        while self.queue and (self.free_wns or self.unused_wns):
             job = self.queue.popleft()
             self.queued_units -= job.description.events * self._units_per_event(job.profile)
             # authorization is re-checked when the job actually starts
             denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
             if denial is not None:
-                self._moved(running=False)
                 self.kernel.line(self.ce_id, DISPATCH_DENIED_LINE, job.job_id, str(denial))
                 job.on_auth_denied(denial)
                 continue
-            job.wn = heapq.heappop(self.free_wns)
+            if self.free_wns:
+                job.wn = heapq.heappop(self.free_wns)
+            else:
+                job.wn, self.unused_wns = self.unused_wns[0], self.unused_wns[1:]
             self.running[job.job_id] = job
             self._moved()
             self.kernel.line(self.ce_id, DISPATCHED_LINE, job.job_id, job.wn)
@@ -480,11 +478,9 @@ class ComputingElement:
     # -- estimated traversal time --------------------------------------
 
     def _moved(self, running: bool = True) -> None:
-        """The ETT moved, and with `running` its running term too, which is
-        dropped so that the next read rescans it."""
-        if running:
-            self.horizon_ms = STALE
-        self.moved.add(self.ce_id)
+        """The ETT moved, and with `running` its running term too, so that
+        the fabric's next read rescans it."""
+        self.moved[self.ce_id] = running or self.moved.get(self.ce_id, False)
 
     def _units_per_event(self, profile: WorkloadProfile) -> int:
         """CPU of one event here, in units: per_event_cpu_1ghz * 1000 / cpu_mhz s."""
@@ -501,15 +497,14 @@ class ComputingElement:
             horizon = min(horizon, job.next_point_ms())
         return units, horizon
 
-    def ett(self) -> tuple:
+    def ett(self, running: "int | None" = None) -> tuple:
         """ETT in seconds as an unreduced pair of ints (units, units per
         second * wn_count): the running jobs' CPU left plus the queue's
-        maintained backlog, over the nodes.  The running term is rescanned
-        only by a read at or past its horizon, so a read on a monitor
-        point's instant always rescans and sees the `delivering_seq` rule."""
-        if self.kernel.now_ms >= self.horizon_ms:
-            self.running_units, self.horizon_ms = self.scan_running()
-        return (self.queued_units + self.running_units,
+        maintained backlog, over the nodes.  The running term is the one
+        the fabric keeps, passed in, or else a fresh scan."""
+        if running is None:
+            running = self.scan_running()[0]
+        return (self.queued_units + running,
                 self.cpu_den * self.record.cpu_mhz * self.record.wn_count)
 
     def ett_components(self) -> tuple:
@@ -532,12 +527,13 @@ class Fabric:
         self.ces: dict[str, ComputingElement] = {}
         self.profiles: dict[str, WorkloadProfile] = builtin_profiles()
         # ce_id -> ETT (numerator, denominator) as last read; ce_id -> its
-        # horizon at that read (None once due); a heap of (horizon, ce_id);
-        # the ids moved since, a set every element holds; D; the order
+        # running term (units, horizon) as last scanned; a heap of (horizon,
+        # ce_id); ce_id -> whether its running term moved, for the ids moved
+        # since, a map every element holds; D; the order
         self.entries: dict = {}
-        self._horizons: dict = {}
+        self._running: dict = {}
         self._due: list = []
-        self.moved: set = set()
+        self.moved: dict = {}
         self.denominator = 1
         self.order: list = []
 
@@ -548,32 +544,33 @@ class Fabric:
         ce = ComputingElement(record, self.sites[record.site_id], self.kernel, self.vo)
         ce.moved = self.moved
         self.ces[ce.ce_id] = ce
-        self.moved.add(ce.ce_id)  # joins the order at the next refresh
+        self.moved[ce.ce_id] = True  # joins the order at the next refresh
 
     def refresh(self) -> None:
         """Re-read every element that reported a move or whose horizon the
-        clock has reached."""
-        now, due, horizons, moved = self.kernel.now_ms, self._due, self._horizons, self.moved
+        clock has reached, rescanning the running term of the latter and of
+        those whose running term moved."""
+        now, due, running, moved = self.kernel.now_ms, self._due, self._running, self.moved
         while due and due[0][0] <= now:
             at, ce_id = heapq.heappop(due)
-            if horizons[ce_id] == at:  # else it was read since, with another horizon
-                horizons[ce_id] = None
-                moved.add(ce_id)
-        for ce_id in moved:
-            self._read(ce_id)
+            if running[ce_id][1] == at:  # else it was rescanned since, with another horizon
+                moved[ce_id] = True
+        for ce_id, rescan in moved.items():
+            self._read(ce_id, rescan)
         moved.clear()
 
-    def _read(self, ce_id: str) -> None:
-        """Read the element's ETT; a changed pair is rendered and moved in
-        the order, after the order is scaled to a D the new denominator
-        divides."""
+    def _read(self, ce_id: str, rescan: bool) -> None:
+        """Read the element's ETT over its kept running term, which `rescan`
+        first scans afresh, its finite horizon joining the due heap; a
+        changed pair is rendered and moved in the order, after the order is
+        scaled to a D the new denominator divides."""
         ce = self.ces[ce_id]
+        if rescan:
+            self._running[ce_id] = term = ce.scan_running()
+            if term[1] != math.inf:
+                heapq.heappush(self._due, (term[1], ce_id))
         old = self.entries.get(ce_id)
-        n, d = ce.ett()
-        if ce.horizon_ms != self._horizons.get(ce_id):
-            self._horizons[ce_id] = ce.horizon_ms
-            if ce.horizon_ms != math.inf:
-                heapq.heappush(self._due, (ce.horizon_ms, ce_id))
+        n, d = ce.ett(self._running[ce_id][0])
         if old == (n, d):
             return
         self.entries[ce_id] = (n, d)
@@ -587,12 +584,17 @@ class Fabric:
         insort(order, (n * (denominator // d), ce_id, f"{ce_id}:{fmt_ratio(-n, d)}"))
 
     def drifted(self) -> list:
-        """Ids of elements whose kept ETT differs from a fresh read although
-        they reported no move and the clock is short of their horizon."""
-        now = self.kernel.now_ms
-        return [ce_id for ce_id, (n, d) in self.entries.items()
-                if ce_id not in self.moved and now < self._horizons[ce_id]
-                and (n, d) != self.ces[ce_id].ett()]
+        """Ids of elements whose kept ETT or running term differs from a
+        fresh scan although they reported no move and the clock is short of
+        their horizon."""
+        now, drifted = self.kernel.now_ms, []
+        for ce_id, pair in self.entries.items():
+            units, horizon = self._running[ce_id]
+            if ce_id not in self.moved and now < horizon:
+                scanned = self.ces[ce_id].scan_running()[0]
+                if units != scanned or pair != self.ces[ce_id].ett(scanned):
+                    drifted.append(ce_id)
+        return drifted
 
     def set_profile(self, profile: WorkloadProfile) -> None:
         profile.validate()

@@ -9,9 +9,8 @@ layer is hooked into broker transitions and job monitors.  Elements are
 the only record of their load, so `validate` has no copy of it to
 compare.  It checks that each element is published as it is and each
 published record has an element, and rescans each queue against the
-element's queued CPU, each element's running jobs against its cached
-running term while that is still valid, the fabric's kept ETT of an
-element against a fresh read while the element has reported no move and
+element's queued CPU, the fabric's kept ETT and running term of an
+element against a fresh scan while the element has reported no move and
 its horizon is not due, and each storage element's contents against its
 used bytes.
 """
@@ -96,6 +95,8 @@ class Grid:
             if ce_cfg.site_id not in self.fabric.sites:
                 raise ConfigError(f"CE {ce_cfg.ce_id} sits at undeclared site "
                                   f"{ce_cfg.site_id}", path, ce_cfg.line)
+            if not ce_cfg.close_ses:  # where its outputs are stored
+                raise ConfigError(f"CE {ce_cfg.ce_id} lists no close SE", path, ce_cfg.line)
             for se_id in ce_cfg.close_ses:
                 if se_id not in self.datagrid.ses:
                     raise ConfigError(f"CE {ce_cfg.ce_id} lists undeclared close SE "
@@ -212,10 +213,6 @@ class Grid:
                             for job in ce.queue)
             if ce.queued_units != rescanned * ce.cpu_den * ce.record.cpu_mhz:
                 problems.append(f"{ce_id}: queued CPU backlog drifted")
-            # a term past its horizon is rescanned by its next read anyway
-            if (self.kernel.now_ms < ce.horizon_ms
-                    and ce.running_units != ce.scan_running()[0]):
-                problems.append(f"{ce_id}: running CPU term drifted")
         problems += [f"{ce_id}: published without an element"
                      for ce_id in self.info.ces if ce_id not in self.fabric.ces]
         problems += [f"{ce_id}: kept ETT drifted" for ce_id in self.fabric.drifted()]

@@ -21,12 +21,12 @@ arriving job would see:
 
 computed exactly in integers: each element counts CPU in a unit of its
 own in which every job's CPU is whole, so ETT is an integer pair.  The
-element owns it (`fabric.ComputingElement.ett`) and the fabric reads it
-there.  The running term is summed over the running jobs only, at most one
-per worker node, and rescanned only when a monitor point may have moved
-it; the queued term is maintained by the element itself, added on enqueue
-and subtracted when a job leaves the queue, so an estimate costs the same
-however deep the queue is.
+element computes it (`fabric.ComputingElement.ett`).  The running term is
+summed over the running jobs only, at most one per worker node; the fabric
+keeps it, and rescans it only when a monitor point or a move of the
+element may have moved it.  The queued term is maintained by the element
+itself, added on enqueue and subtracted when a job leaves the queue, so an
+estimate costs the same however deep the queue is.
 
 The index keeps only an exact Fraction view of it,
 `estimated_traversal_time`, read from the fabric's own element map, which

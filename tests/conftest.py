@@ -1,10 +1,18 @@
+import os
 import random
 from functools import partial
 
 import pytest
+from hypothesis import Phase, settings
 
 from deskgrid.grid import Grid
 from deskgrid.topology import parse_topology
+
+# `tests/mutants.py` runs its tests with this profile: a mutant is killed by
+# the first failing example, so Hypothesis does not shrink it
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
+if os.environ.get("DESKGRID_MUTANTS"):
+    settings.load_profile("mutants")
 
 # Two sites, two computing elements, everything deliberately small enough
 # to predict transfer and runtime figures by hand:

@@ -1,0 +1,111 @@
+"""A catalogue of source mutants, each with the tests that must kill it.
+
+    python tests/mutants.py
+
+Each row of `MUTANTS` names a file under `src/deskgrid`, an exact snippet
+of it, its replacement and the tests that kill the mutant, each of them
+failing on it alone.  The
+script copies `src/` and `tests/` to a temporary directory, then, one
+mutant after another and never in parallel, writes the mutated file there,
+runs the row's tests in one `pytest -x` subprocess and puts the file back.
+A mutant is killed when its tests fail (pytest exit code 1); any other
+outcome, a pass or a crash, lets it survive.  Hypothesis runs under the
+`mutants` profile of `conftest.py`, which skips shrinking, so a killed
+mutant costs about the time to its first failing example.  The script
+prints one line per mutant and exits 1 if any survives.  It uses only the
+standard library, is not itself collected as a test, and takes about
+20 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
+once in its file.
+"""
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+TWIN = "tests/test_twin.py"
+RUNNING_TERM = ("tests/test_fabric.py::"
+                "test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_points")
+DRIFTED_TERM = ("tests/test_fabric.py::"
+                "test_validate_reports_a_drifted_running_term_only_while_it_is_valid")
+
+#: (file, snippet, replacement, tests that kill the mutant)
+MUTANTS = (
+    # each move an element reports to the fabric
+    ("fabric.py", "        self._moved(running=regrown)\n", "", (TWIN,)),
+    ("fabric.py", "            self.running[job.job_id] = job\n            self._moved()\n",
+     "            self.running[job.job_id] = job\n", (TWIN,)),
+    ("fabric.py", "job.kernel, job.start_ms = self.kernel, self.kernel.now_ms\n"
+                  "        self._moved()\n",
+     "job.kernel, job.start_ms = self.kernel, self.kernel.now_ms\n", (TWIN,)),
+    ("fabric.py", "job.events_done = job.description.events\n        self._moved()\n",
+     "job.events_done = job.description.events\n", (TWIN,)),
+    ("fabric.py", "heapq.heappush(self.free_wns, job.wn)\n            self._moved()\n",
+     "heapq.heappush(self.free_wns, job.wn)\n", (TWIN, RUNNING_TERM)),
+    # a running move is not lost to a queue move reported before it
+    ("fabric.py", "self.moved[self.ce_id] = running or self.moved.get(self.ce_id, False)",
+     "self.moved.setdefault(self.ce_id, running)", (TWIN,)),
+    # the fabric's horizon: pushed at each rescan, and rescanned when due
+    ("fabric.py", "                heapq.heappush(self._due, (term[1], ce_id))\n",
+     "                pass\n", (TWIN, RUNNING_TERM)),
+    ("fabric.py", "                moved[ce_id] = True\n",
+     "                moved.setdefault(ce_id, False)\n", (TWIN, RUNNING_TERM)),
+    ("fabric.py", "if units != scanned or pair != self.ces[ce_id].ett(scanned):",
+     "if pair != self.ces[ce_id].ett(scanned):", (DRIFTED_TERM,)),
+    # the broker's kept sets and the network's routes
+    ("broker.py", "            self._generation = generation\n            self._kept.clear()\n",
+     "            self._generation = generation\n", (TWIN,)),
+    ("fabric.py", "self._links[frozenset((a, b))] = (bandwidth, latency)\n"
+                  "        self._routes.clear()\n",
+     "self._links[frozenset((a, b))] = (bandwidth, latency)\n", (TWIN,)),
+)
+
+
+def source(name: str, root: pathlib.Path = ROOT) -> pathlib.Path:
+    return root / "src" / "deskgrid" / name
+
+
+def run(root: pathlib.Path, name: str, snippet: str, replacement: str, tests) -> bool:
+    """Apply one mutant in the copy at `root`, run its tests and restore the
+    file; True when the tests kill it."""
+    path = source(name, root)
+    original = path.read_text()
+    path.write_text(original.replace(snippet, replacement, 1))
+    try:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), DESKGRID_MUTANTS="1",
+                   PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider", *tests], cwd=root, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return done.returncode == 1
+    finally:
+        path.write_text(original)
+
+
+def main() -> int:
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="deskgrid-mutants-") as tmp:
+        root = pathlib.Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        for n, (name, snippet, replacement, tests) in enumerate(MUTANTS, 1):
+            started = time.perf_counter()
+            killed = run(root, name, snippet, replacement, tests)
+            survived += not killed
+            first = snippet.strip().splitlines()[-1]
+            print(f"{n:2} {'killed' if killed else 'SURVIVED'} {time.perf_counter() - started:5.1f}s"
+                  f"  {name}: {first}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

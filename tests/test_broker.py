@@ -798,7 +798,7 @@ def test_every_exit_leaves_the_books_consistent(how, topology, state, reason, fr
     assert (boss.status, boss.exit_status) == ("failed", exit_status)
     for ce in grid.fabric.ces.values():
         assert not ce.running and not ce.queue
-        assert sorted(ce.free_wns) == list(range(ce.record.wn_count))
+        assert sorted([*ce.free_wns, *ce.unused_wns]) == list(range(ce.record.wn_count))
     assert grid.validate() == []
     if manifest is None:
         with pytest.raises(NotDone):

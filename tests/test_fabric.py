@@ -6,6 +6,7 @@ import math
 import pstats
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -20,14 +21,15 @@ from deskgrid.cli import dispatch
 from deskgrid.fabric import (ComputingElement, FabricError, FabricJob, Network, NoRoute,
                              Site, WorkloadProfile, build_outputs, builtin_profiles,
                              content_checksum)
-from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.grid import Grid, default_topology_path, load_topology
 from deskgrid.infosys import CERecord
 from deskgrid.jdl import parse_jdl
 from deskgrid.simcore import Kernel
+from deskgrid.topology import parse_topology
 from deskgrid.units import KB, MB, fmt_quantity, fmt_ratio, to_millis
 from deskgrid.vomgmt import VoManager
 
-from conftest import CMKIN_SMALL, OPERATOR, watch_matches
+from conftest import CMKIN_SMALL, MINI_TOPOLOGY, OPERATOR, watch_matches
 
 PROFILES = builtin_profiles()
 
@@ -456,6 +458,32 @@ def test_the_lowest_free_node_takes_the_next_job():
     assert dispatched_nodes("j6", "j7") == [0, 2]  # a LIFO free list gives 2, 0
 
 
+def test_a_million_nodes_hold_no_memory_until_jobs_take_them():
+    """A node no job has used costs nothing: ce_beta with a million nodes
+    builds in under 1 MB, and its jobs still take the lowest nodes in
+    order, a released one before any unused one."""
+    text = MINI_TOPOLOGY.replace("wn_count = 1\n", "wn_count = 1000000\n")
+    tracemalloc.start()
+    try:
+        grid = Grid(parse_topology(text, "<wide>"))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grid.fabric.ces["ce_beta"].record.wn_count == 1_000_000 and held < MB
+    grid.proxy_init("/C=XX/CN=alice", "testvo")
+
+    def dispatched_nodes(*seeds):
+        job_ids = [grid.submit(CMKIN_SMALL.replace("101", str(seed)), "rb_test",
+                               pinned_ce="ce_beta") for seed in seeds]
+        grid.kernel.run_until(grid.kernel.now())
+        return [e.detail["wn"] for e in grid.kernel.trace
+                if e.action == "dispatched" and e.detail["job"] in job_ids]
+
+    assert dispatched_nodes(1, 2, 3) == [0, 1, 2]
+    grid.kernel.run_to_completion()
+    assert dispatched_nodes(4, 5, 6, 7) == [0, 1, 2, 3]
+
+
 def progress_around(kernel, job, instants) -> list:
     """The job's monitor count 1 ms before, at and 1 ms after each instant
     (seconds), read outside event delivery."""
@@ -724,16 +752,17 @@ def test_validate_reports_a_drifted_queued_backlog(mini):
 def test_validate_reports_a_drifted_running_term_only_while_it_is_valid(mini, alice):
     mini.submit(CMKIN_SMALL, "rb_test", pinned_ce="ce_beta")
     mini.kernel.run_until(1)
-    ce = mini.fabric.ces["ce_beta"]
-    ce.ett()
-    assert ce.running_units > 0 and mini.kernel.now_ms < ce.horizon_ms
-    ce.running_units += 1
-    assert mini.validate() == ["ce_beta: running CPU term drifted"]
-    assert mini.validate() == ["ce_beta: running CPU term drifted"]  # left as found
-    mini.kernel.run_until(Fraction(ce.horizon_ms, 1000))
-    assert mini.validate() == []  # the next read rescans it
-    ce.ett()
-    assert ce.running_units == ce.scan_running()[0]
+    fabric, ce = mini.fabric, mini.fabric.ces["ce_beta"]
+    fabric.refresh()
+    units, horizon = fabric._running["ce_beta"]
+    assert units > 0 and mini.kernel.now_ms < horizon
+    fabric._running["ce_beta"] = (units + 1, horizon)
+    assert mini.validate() == ["ce_beta: kept ETT drifted"]
+    assert mini.validate() == ["ce_beta: kept ETT drifted"]  # left as found
+    mini.kernel.run_until(Fraction(horizon, 1000))
+    assert mini.validate() == []  # the next refresh rescans it
+    fabric.refresh()
+    assert fabric._running["ce_beta"][0] == ce.scan_running()[0]
 
 
 def test_validate_reports_a_published_record_that_disagrees_with_the_element(mini):
@@ -774,7 +803,8 @@ def test_ett_equals_full_rescan_at_every_match_of_a_randomized_bulk_run():
             if grid.info.estimated_traversal_time(ce_id) != rescanned_ett(ce_id):
                 problems.append((record.job_id, ce_id))
         for ce_id, ce in grid.fabric.ces.items():  # free and busy nodes partition them all
-            nodes = sorted([*ce.free_wns, *(job.wn for job in ce.running.values())])
+            nodes = sorted([*ce.free_wns, *ce.unused_wns,
+                            *(job.wn for job in ce.running.values())])
             if nodes != list(range(ce.record.wn_count)):
                 problems.append((record.job_id, ce_id, nodes))
             for job in (*ce.queue, *ce.running.values()):
@@ -886,8 +916,8 @@ def test_ett_stays_exact_when_one_element_mixes_per_event_denominators():
 def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_points(
         monkeypatch):
     """Oracle for the running term's horizon.  At every match, at probes on
-    and 1 ms beside monitor points, and at the end, every element is read
-    as the broker reads it and its cached running term is compared with a
+    and 1 ms beside monitor points, and at the end, the fabric is refreshed
+    as before a match and each running term it keeps is compared with a
     full rescan.  A job's probes on its own points sit on both sides of the
     job-finish seq tie: one is scheduled before its execution starts (the
     point is not reached there), the rest after (it is).  The run mixes
@@ -907,9 +937,9 @@ def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_poin
 
     def compare(where):
         reads[where] += 1
+        grid.fabric.refresh()
         for ce_id, ce in grid.fabric.ces.items():
-            ce.ett()
-            if ce.running_units != ce.scan_running()[0]:
+            if grid.fabric._running[ce_id][0] != ce.scan_running()[0]:
                 problems.append((where, kernel.now_ms, ce_id))
 
     for broker in grid.brokers.values():

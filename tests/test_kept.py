@@ -284,9 +284,9 @@ def test_a_match_on_a_sixteen_fold_testbed_reads_few_elements(monkeypatch):
     assert len(grid.info.query("EDG", "datatag")) == 16 * 13
     reads, ett = Counter(), ComputingElement.ett
 
-    def counted(ce):
+    def counted(ce, running=None):
         reads["ett"] += 1
-        return ett(ce)
+        return ett(ce, running)
 
     monkeypatch.setattr(ComputingElement, "ett", counted)
     rb = grid.brokers["rb_pisa"]
@@ -312,9 +312,9 @@ def test_a_move_is_read_once_however_many_brokers_watch(monkeypatch):
     grid = load_topology(default_topology_path())
     reads, per_match, ett = [], [], ComputingElement.ett
 
-    def counted(ce):
+    def counted(ce, running=None):
         reads.append(ce.ce_id)
-        return ett(ce)
+        return ett(ce, running)
 
     def seen(record, _result):
         per_match.append((record.matched_ce, list(reads)))
@@ -512,7 +512,7 @@ def test_validate_reports_a_kept_entry_an_element_did_not_report(mini, alice):
     mini.kernel.run_until(0)
     assert mini.validate() == []
     for ce in mini.fabric.ces.values():
-        ce.moved = set()
+        ce.moved = {}
     mini.submit(CMKIN_SMALL, "rb_glue")
     mini.kernel.run_until(0)
     assert mini.validate() == ["ce_beta: kept ETT drifted"]

@@ -180,6 +180,14 @@ def test_undeclared_references_are_reported_with_their_line():
     assert "link endpoint site:gamma is not declared" in message
 
 
+def test_an_element_with_no_close_se_is_refused_at_its_header():
+    """Its outputs would have nowhere to go: the first job that registers
+    one would stop the run."""
+    text = MINI_TOPOLOGY.replace("close_ses = se_beta", "close_ses =")
+    header = text.splitlines().index("[ce ce_beta]") + 1
+    assert err(text) == f"<t>:{header}: CE ce_beta lists no close SE"
+
+
 def test_condor_cannot_advertise_the_edg_schema():
     text = MINI_TOPOLOGY.replace("lrms = LSF", "lrms = CONDOR")
     header = text.splitlines().index("[ce ce_beta]") + 1

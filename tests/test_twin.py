@@ -5,16 +5,19 @@ throws its kept ETT order, kept admissible sets, running terms, routes and
 rendered ratios away before each use.  The workloads mix factory requests,
 user jobs pinned or not, with explicit ranks and requirements on the
 traversal time, inputs read from replicas, replications, link changes,
-proxies that lapse while their jobs queue, and one republish."""
+proxies that lapse while their jobs queue, and one republish.  A second
+test adds jobs that leave their node without running, as a job whose input
+copy is lost before it is staged does."""
 import dataclasses
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from deskgrid.broker import RUNNING
 from deskgrid.fabric import WorkloadProfile
 from deskgrid.jdl import parse_jdl
-from deskgrid.units import MB
+from deskgrid.units import KB, MB
 
 from conftest import make_mini
 from twin import make_twin
@@ -60,6 +63,25 @@ def link(grid, n, proxy, params):
         grid.network.add_link("site:alpha", "site:beta", *params)
 
 
+def lost_input(grid, n, proxy, rb_id, events):
+    """A job pinned to ce_alpha whose input copy on se_alpha goes when it is
+    RUNNING, so it leaves its node without running, and at once a job whose
+    match reads every element while the first one's sandbox is in flight."""
+    name, store = f"lost{n}.dat", grid.datagrid.ses["se_alpha"]
+    grid.datagrid.put(store, name, 10 * KB, n)
+    text = (f'Executable = "cmkin";\nRequirements = true;\nVirtualOrganisation = "testvo";\n'
+            f'Events = {events};\nJobSeed = {n + 1};\nInputData = {{"lfn:{name}"}};\n'
+            'ReplicaCatalog = "rc_test";\n')
+    lost = grid.brokers[rb_id].submit(parse_jdl(text), proxy, pinned_ce="ce_alpha")
+
+    def lose(record, _old, new):
+        if record.job_id == lost and new == RUNNING:
+            store.remove(name)  # its catalogue entry stays
+
+    grid.brokers[rb_id].transition_observers.append(lose)
+    job(grid, n, proxy, rb_id, None, 1, 0, "cmkin", events, False, None)
+
+
 # half the jobs too short for a monitor point, so their running term has no horizon
 EVENTS = st.one_of(st.integers(1, 9), st.integers(10, 80))
 STEPS = st.one_of(
@@ -73,13 +95,14 @@ STEPS = st.one_of(
     st.tuples(st.just(replicate), st.sampled_from(("se_alpha", "se_beta"))),
     st.tuples(st.just(link), st.sampled_from(LINKS)),
 )
+LOST = st.tuples(st.just(lost_input), st.sampled_from(BROKERS), EVENTS)
 # ms since the previous step: often within a transfer or a short job
 GAPS = st.one_of(st.integers(0, 400), st.integers(0, 3_000), st.integers(0, 40_000))
 
 
 @st.composite
-def workloads(draw):
-    steps = draw(st.lists(st.tuples(GAPS, STEPS), min_size=1, max_size=10))
+def workloads(draw, steps=STEPS):
+    steps = draw(st.lists(st.tuples(GAPS, steps), min_size=1, max_size=10))
     return steps, draw(st.integers(0, len(steps)))
 
 
@@ -108,5 +131,13 @@ def books(steps, republish_at, twin: bool) -> tuple:
           suppress_health_check=[HealthCheck.too_slow])
 @given(workloads())
 def test_a_workload_runs_the_same_on_the_grid_and_on_its_twin(workload):
+    steps, republish_at = workload
+    assert books(steps, republish_at, twin=False) == books(steps, republish_at, twin=True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(workloads(st.one_of(STEPS, LOST)))
+def test_a_job_that_leaves_its_node_without_running_runs_the_same_on_the_twin(workload):
     steps, republish_at = workload
     assert books(steps, republish_at, twin=False) == books(steps, republish_at, twin=True)

@@ -6,10 +6,10 @@ export and the same BossDb, catalogue and RefDb dumps, byte for byte; any
 difference is a kept value that went stale (differential testing, after
 McKeeman 1998).  The twin uses the invalidations the program already has:
 
-- before each match, every element drops its running term and reports a
-  move, the fabric's order is emptied, so the refresh rebuilds it from
-  fresh reads, each broker's kept admissible sets are dropped, and
-  `fmt_ratio`'s cache is cleared;
+- before each match, every element reports a move of its running term,
+  so the fabric rescans it, the fabric's order is emptied, so the refresh
+  rebuilds it from fresh reads, each broker's kept admissible sets are
+  dropped, and `fmt_ratio`'s cache is cleared;
 - before each transfer, the route memo is dropped.
 """
 from functools import wraps
