@@ -317,8 +317,9 @@ class ResourceBroker:
             self._kept.clear()
         self.fabric.refresh()
         key = (vo, user_dn, requirements, pinned)
-        if key in self._kept:
-            return self._kept[key]
+        kept = self._kept.get(key)
+        if kept is not None:
+            return kept
         reads_ett = jdl.reads_attribute(requirements, "EstimatedTraversalTime")
         members = set()
         for ce in self.info.query(self.flavor, vo):

@@ -213,16 +213,17 @@ TRANSFER_COMPLETE_LINE = kind("transfer-complete", "what", "frm", "to", "bytes",
 
 class Network:
     """Named WAN links, the sites' LAN and optional WAN defaults, each a
-    (bandwidth in bytes/s, latency in s) pair.  A route is resolved once per
-    ordered endpoint pair into an exact integer triple, s bytes taking
-    (a + s*b)/d s, and dropped on any change of links, LAN or default WAN."""
+    (bandwidth in bytes/s, latency in s) pair.  A resolved route is kept per
+    ordered endpoint pair as an exact integer triple, s bytes taking
+    (a + s*b)/d s, and dropped on any change of links, LAN or default WAN;
+    a pair without one keeps nothing and raises NoRoute at each transfer."""
 
     DEFAULT_LAN_BANDWIDTH = Fraction(100 * MB)
     DEFAULT_LAN_LATENCY = Fraction(1, 1000)
 
     def __init__(self, kernel: Kernel):
-        # (frm, to) -> (a, b, d), or None for NoRoute; made first, as setting lan clears it
-        self._routes: dict[tuple, "tuple | None"] = {}
+        # (frm, to) -> (a, b, d); made first, as setting lan clears it
+        self._routes: dict[tuple, tuple] = {}
         self.kernel = kernel
         self._links: dict[frozenset, tuple] = {}
         self.default_wan: "tuple[Fraction, Fraction] | None" = None
@@ -255,20 +256,16 @@ class Network:
         return route
 
     def _route(self, frm: str, to: str) -> tuple:
-        """The ordered pair's (a, b, d), resolved and kept if new; NoRoute if None."""
-        if (frm, to) not in self._routes:
-            self._routes[frm, to] = None  # stays if `hops` raises NoRoute
-            a, b, d = 0, 0, 1
-            for bandwidth, latency in self.hops(frm, to):  # adds latency + s / bandwidth
-                hop_d = latency.denominator * bandwidth.numerator
-                a, b, d = (a * hop_d + latency.numerator * bandwidth.numerator * d,
-                           b * hop_d + bandwidth.denominator * latency.denominator * d,
-                           d * hop_d)
-            g = math.gcd(a, b, d)
-            self._routes[frm, to] = (a // g, b // g, d // g)
-        if self._routes[frm, to] is None:
-            raise NoRoute(f"no route between {frm} and {to}")
-        return self._routes[frm, to]
+        """The ordered pair's (a, b, d), resolved and kept; `hops` raises NoRoute."""
+        a, b, d = 0, 0, 1
+        for bandwidth, latency in self.hops(frm, to):  # adds latency + s / bandwidth
+            hop_d = latency.denominator * bandwidth.numerator
+            a, b, d = (a * hop_d + latency.numerator * bandwidth.numerator * d,
+                       b * hop_d + bandwidth.denominator * latency.denominator * d,
+                       d * hop_d)
+        g = math.gcd(a, b, d)
+        route = self._routes[frm, to] = (a // g, b // g, d // g)
+        return route
 
     def transfer(self, size_bytes: int, frm: str, to: str, *,
                  what: str, on_done: Callable[[], None]) -> int:

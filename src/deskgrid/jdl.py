@@ -16,6 +16,8 @@ comparison (`== != < <= > >=`), then the unary operators `!` and `-`.
 The operator table (`_PREC`, `_COMPARE`, `_UNARY`) declares each of them
 once; the lexer, parser and evaluator read it, and so does the canonical
 printer the tests keep as an oracle (`tests/jdl_reference.py`).
+A tree is plain frozen dataclasses, hashed anew at every use; the parser
+refuses an expression taller than `MAX_DEPTH` levels at the token past it.
 
 Evaluation is three-valued.  Unbound attributes and type mismatches yield
 UNDEFINED, which propagates through every operator with one exception: a
@@ -100,27 +102,6 @@ class Lit:
         return hash((type(self.value), self.value))
 
 
-def _hash_kept(cls):
-    """Keep a composite node's hash on it once computed: a requirement
-    tree keys the broker's kept sets at every match, and the generated
-    `__hash__` walks the whole tree on each call."""
-    tree_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            kept = self.__dict__["_hash"] = tree_hash(self)
-            return kept
-
-    def __getstate__(self):  # a copy in another process salts its strings anew
-        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
-
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
-    return cls
-
-
-@_hash_kept
 @dataclass(frozen=True)
 class ListLit:
     items: tuple
@@ -133,14 +114,12 @@ class Attr:
     name: str
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: "Expr"
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class Binary:
     op: str
@@ -148,7 +127,6 @@ class Binary:
     right: "Expr"
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class MemberCall:
     """Member(value, list): set membership with exact string equality."""
@@ -184,6 +162,13 @@ _UNARY = {"!": (lambda v: isinstance(v, bool), operator.not_), "-": (_is_number,
 #: the left, except that comparisons do not chain
 _CMP_PREC, _UNARY_PREC = 3, 4
 _PREC = {"||": 1, "&&": 2, **dict.fromkeys(_COMPARE, _CMP_PREC)}
+
+#: the most levels an expression may stack, one per operator, parenthesis,
+#: `Member(...)`, list, literal or attribute.  A reader of a tree recurses at
+#: most 6 frames a level (`reads_attribute` on nested lists), so 600 in all
+#: leave 400 of Python's default limit of 1,000 for the stack below it.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 # --------------------------------------------------------------------------
@@ -304,71 +289,74 @@ class _Parser:
                 self.fail(f"expected attribute name, found {name_tok.text!r}")
             self.next()
             self.expect_punct("=")
-            expr = self.parse_expr()
+            expr, _height = self.parse_expr()
             self.expect_punct(";")
             assignments.append((name_tok.text, expr, name_tok))
         return assignments
 
-    def parse_expr(self, floor: int = 1) -> Expr:
+    def parse_expr(self, floor: int = 1, depth: int = 0) -> tuple[Expr, int]:
         """Precedence climbing over the operators binding at least as tightly
         as `floor`, left to right; only a looser operator follows a comparison,
-        so `a < b < c` and `a && b < c < d` both stop at the second `<`."""
-        left = self.parse_unary()
+        so `a < b < c` and `a && b < c < d` both stop at the second `<`.
+        Returns the expression and its height, read `depth` levels down."""
+        left, height = self.parse_unary(depth)
         limit = _UNARY_PREC
         while True:
             tok = self.peek()
             prec = _PREC.get(tok.text, 0) if tok.kind == "PUNCT" else 0
             if not floor <= prec < limit:
-                return left
+                return left, height
             self.next()
-            left = Binary(tok.text, left, self.parse_expr(prec + 1))
+            right, right_height = self.parse_expr(prec + 1, depth)
+            left, height = Binary(tok.text, left, right), max(height, right_height) + 1
+            if depth + height > MAX_DEPTH:  # the chain so far sinks below this operator
+                self.fail(_TOO_DEEP, tok)
             limit = prec if prec == _CMP_PREC else prec + 1
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self, depth: int) -> tuple[Expr, int]:
         tok = self.peek()
+        if depth >= MAX_DEPTH:  # this operand is one more level
+            self.fail(_TOO_DEEP, tok)
         if tok.kind == "PUNCT" and tok.text in _UNARY:
             self.next()
-            return Unary(tok.text, self.parse_unary())
-        return self.parse_primary()
+            operand, height = self.parse_unary(depth + 1)
+            return Unary(tok.text, operand), height + 1
+        return self.parse_primary(depth)
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self, depth: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "STRING":
             self.next()
-            return Lit(tok.text)
+            return Lit(tok.text), 1
         if tok.kind == "NUMBER":
             self.next()
-            if "." in tok.text:
-                return Lit(float(tok.text))
-            return Lit(int(tok.text))
+            return Lit(float(tok.text) if "." in tok.text else int(tok.text)), 1
         if self.accept_punct("("):
-            inner = self.parse_expr()
+            inner, height = self.parse_expr(1, depth + 1)
             self.expect_punct(")")
-            return inner
+            return inner, height + 1
         if self.accept_punct("{"):
             items = []
             if not self.accept_punct("}"):
-                items.append(self.parse_expr())
+                items.append(self.parse_expr(1, depth + 1))
                 while self.accept_punct(","):
-                    items.append(self.parse_expr())
+                    items.append(self.parse_expr(1, depth + 1))
                 self.expect_punct("}")
-            return ListLit(tuple(items))
+            height = max((height for _item, height in items), default=0) + 1
+            return ListLit(tuple(item for item, _height in items)), height
         if tok.kind == "NAME":
             word = tok.text.lower()
-            if word == "true":
+            if word in ("true", "false"):
                 self.next()
-                return Lit(True)
-            if word == "false":
-                self.next()
-                return Lit(False)
+                return Lit(word == "true"), 1
             if word == "member":
                 self.next()
                 self.expect_punct("(")
-                value = self.parse_expr()
+                value, value_height = self.parse_expr(1, depth + 1)
                 self.expect_punct(",")
-                items = self.parse_expr()
+                items, items_height = self.parse_expr(1, depth + 1)
                 self.expect_punct(")")
-                return MemberCall(value, items)
+                return MemberCall(value, items), max(value_height, items_height) + 1
             if word == "other":
                 self.next()
                 self.expect_punct(".")
@@ -376,7 +364,7 @@ class _Parser:
                 if attr.kind != "NAME":
                     self.fail("expected attribute name after 'other.'")
                 self.next()
-                return Attr(attr.text)
+                return Attr(attr.text), 1
             self.fail(f"unknown identifier {tok.text!r}", tok)
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}", tok)
 
@@ -384,7 +372,7 @@ class _Parser:
 def parse_expr(text: str) -> Expr:
     """Parse one bare expression (used by tests and tools)."""
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    expr, _height = parser.parse_expr()
     if parser.peek().kind != "EOF":
         parser.fail("trailing input after expression")
     return expr

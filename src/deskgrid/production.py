@@ -93,7 +93,6 @@ class ProductionRequest:
     default_se: "str | None" = None
     status: str = REQ_NEW
     scheduler_jobs: list = field(default_factory=list)  # broker job ids
-    boss_ids: list = field(default_factory=list)
     summary: "dict | None" = None
 
     @property
@@ -327,6 +326,7 @@ class ProductionManager:
         if request.default_se not in (None, *self.datagrid.ses):
             raise ProductionError(f"unknown storage element {request.default_se!r}")
         dataset = jdl.Lit(request.dataset)  # one literal each, shared by every job
+        boss_ids = []
         default_se = None if request.default_se is None else jdl.Lit(request.default_se)
         for index, events in enumerate(request.split_events(), start=1):
             description = self._job_description(request, index, events, proxy.vo_name,
@@ -336,11 +336,11 @@ class ProductionManager:
             record = self.boss.open_record(job_id, description.executable, request.dataset,
                                            events, input_file=inputs[0] if inputs else "-")
             request.scheduler_jobs.append(job_id)
-            request.boss_ids.append(record.boss_id)
+            boss_ids.append(record.boss_id)
         request.status = REQ_SUBMITTED
         self.kernel.line("factory", SUBMITTED_LINE, assignment_id,
                          len(request.scheduler_jobs), request.rb_id)
-        return list(request.boss_ids)
+        return boss_ids
 
     # -- summaries -----------------------------------------------------
 
@@ -360,7 +360,8 @@ class ProductionManager:
         jobs_ok = sum(1 for r in outcomes if r.outcome() == broker_mod.DONE_OK)
         jobs_failed = len(outcomes) - jobs_ok
         lfns = sorted(lfn for r in outcomes for lfn in r.registered_lfns)
-        events_done = sum(self.boss.records[b].events_done for b in request.boss_ids)
+        events_done = sum(self.boss.by_scheduler[job_id].events_done
+                          for job_id in request.scheduler_jobs)
         summary = {
             "jobs_ok": jobs_ok,
             "jobs_failed": jobs_failed,

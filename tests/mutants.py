@@ -34,6 +34,9 @@ RUNNING_TERM = ("tests/test_fabric.py::"
                 "test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_points")
 DRIFTED_TERM = ("tests/test_fabric.py::"
                 "test_validate_reports_a_drifted_running_term_only_while_it_is_valid")
+ROUTES = "tests/test_fabric.py::test_a_kept_route_follows_every_change_of_links_lan_and_default_wan"
+PAST_THE_BOUND = ("tests/test_jdl.py::"
+                  "test_one_level_past_the_depth_bound_is_refused_at_the_token_that_passes_it")
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -64,6 +67,16 @@ MUTANTS = (
     ("fabric.py", "self._links[frozenset((a, b))] = (bandwidth, latency)\n"
                   "        self._routes.clear()\n",
      "self._links[frozenset((a, b))] = (bandwidth, latency)\n", (TWIN,)),
+    # the twin forgets routes by setting the LAN, which goes through this
+    # clear, so only the route test kills its deletion
+    ("fabric.py", '"default_wan"):  # each is a leg of some routes\n            self._routes.clear()\n',
+     '"default_wan"):  # each is a leg of some routes\n            pass\n', (ROUTES,)),
+    ("fabric.py", "del self._links[frozenset((a, b))]\n        self._routes.clear()\n",
+     "del self._links[frozenset((a, b))]\n", (TWIN, ROUTES)),
+    # the parser's depth bound, on a chain and on nesting
+    ("jdl.py", "if depth + height > MAX_DEPTH:", "if depth + height > MAX_DEPTH + 1:",
+     (PAST_THE_BOUND,)),
+    ("jdl.py", "if depth >= MAX_DEPTH:", "if depth > MAX_DEPTH:", (PAST_THE_BOUND,)),
 )
 
 

@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -10,10 +11,12 @@ import pytest
 from deskgrid import cli
 from deskgrid.cli import dispatch, main
 from deskgrid.grid import default_topology_path, load_topology
+from deskgrid.jdl import MAX_DEPTH
 from deskgrid.production import BossDb
 from deskgrid.scenario import ScenarioError, parse_scenario
 
 from conftest import CMKIN_SMALL, MINI_TOPOLOGY
+from test_jdl import PAST_THE_BOUND, tall
 
 
 def ok(grid, argv, base_dir=None):
@@ -369,6 +372,44 @@ def test_a_missing_description_is_a_failed_submit(tmp_path, capsys):
     missing = tmp_path / "missing.jdl"
     assert main(["--topo", str(good), "submit", str(missing), "--rb", "rb_test"]) == 1
     assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
+def deep_description(shape: str, levels: int) -> str:
+    return (f'Executable = "cmkin";\nVirtualOrganisation = "testvo";\n'
+            f"Requirements = {tall(shape, levels)};\n")
+
+
+def test_requirements_at_the_depth_bound_are_matched_by_a_scenario_and_pickle(mini, tmp_path):
+    """Each shape is submitted twice by `exec` and matched inside a kernel
+    delivery; the second tree, equal to the first, finds its kept set.  The
+    grid holding them all pickles, and its copy finishes as the grid does."""
+    lines = ["at 0 proxy init --user /C=XX/CN=alice --vo testvo"]
+    for shape in PAST_THE_BOUND:
+        (tmp_path / f"{shape}.jdl").write_text(deep_description(shape, MAX_DEPTH))
+        lines += [f"at 0 submit {shape}.jdl --rb rb_test"] * 2
+    (tmp_path / "deep.scn").write_text("\n".join(lines) + "\n")
+    ok(mini, ["exec", str(tmp_path / "deep.scn")])
+    rb = mini.brokers["rb_test"]
+    assert len(rb.jobs) == 12 and all(record.matched_ce for record in rb.jobs.values())
+    assert len(rb._kept) == 6
+    copy = pickle.loads(pickle.dumps(mini))
+    for grid in (mini, copy):
+        ok(grid, ["run"])
+    assert copy.kernel.export_trace() == mini.kernel.export_trace()
+
+
+def test_a_description_one_level_past_the_depth_bound_is_a_failed_submit(tmp_path, capsys):
+    topo = tmp_path / "mini.topo"
+    topo.write_text(MINI_TOPOLOGY)
+    text = deep_description("chain", MAX_DEPTH + 1)
+    (tmp_path / "deep.jdl").write_text(text)
+    (tmp_path / "deep.scn").write_text("at 0 proxy init --user /C=XX/CN=alice --vo testvo\n"
+                                       "at 0 submit deep.jdl --rb rb_test\n")
+    assert main(["--topo", str(topo), "exec", str(tmp_path / "deep.scn")]) == 1
+    requirement = text.splitlines()[2]
+    col = requirement.rindex("&&") + 1
+    assert capsys.readouterr().err.endswith(
+        f"\nerror: line 3, col {col}: expression nests deeper than {MAX_DEPTH} levels\n")
 
 
 def test_main_runs_against_the_shipped_testbed(capsys):

@@ -303,10 +303,10 @@ def test_a_kept_route_follows_every_change_of_links_lan_and_default_wan():
     n = net()
     alpha_rb, alpha_beta = ("site:alpha", "rb:r"), ("site:alpha", "site:beta")
     assert_timed_exactly(n, MB, *alpha_beta)
-    for _ in range(2):  # no route, kept as such
+    for _ in range(2):  # no route, and nothing kept for it
         with pytest.raises(NoRoute):
             n.transfer(MB, *alpha_rb, what="t", on_done=lambda: None)
-    n.default_wan = (Fraction(10 * MB), Fraction(1, 20))  # a kept NoRoute turns into a route
+    n.default_wan = (Fraction(10 * MB), Fraction(1, 20))  # a pair without a route gets one
     assert_timed_exactly(n, MB, *alpha_rb)
     n.add_link(*alpha_rb, Fraction(MB), Fraction(1, 2))  # an explicit link beats the default
     assert_timed_exactly(n, MB, *alpha_rb)

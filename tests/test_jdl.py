@@ -196,6 +196,51 @@ def test_keywords_case_insensitive_attributes_not():
     assert parse_expr("OTHER.x") == Attr("x")
 
 
+def tall(shape: str, levels: int) -> str:
+    """An expression of `shape` exactly `levels` levels tall: one level per
+    operator, parenthesis, `Member(...)`, list, literal or attribute.  Each
+    evaluates to true, the last two by the left arm of `||`."""
+    pairs, odd = divmod(levels - 1, 2)
+    return {
+        "chain": " && ".join(["true"] * levels),
+        "negations": "!" * (levels - 1) + ("false" if odd else "true"),
+        "parentheses": "(" * (levels - 1) + "true" + ")" * (levels - 1),
+        "right-nested": "(" * odd + "true && (" * pairs + "true" + ")" * (pairs + odd),
+        "lists": "true || " + "{" * (levels - 1) + "}" * (levels - 1),
+        "members": "true || " + "Member(" * (levels - 3) + '"a"' + ', {"a"})' * (levels - 3),
+    }[shape]
+
+
+#: shape -> the offset of the token that passes the bound one level past it
+PAST_THE_BOUND = {
+    "chain": lambda text: text.rindex("&&"),   # the last operator sinks the chain
+    "negations": lambda text: text.rindex("!") + 1,
+    "parentheses": lambda text: text.index("t"),
+    "right-nested": lambda text: text.index("&&"),
+    "lists": lambda text: text.index("||"),
+    "members": lambda text: text.index("||"),
+}
+
+
+@pytest.mark.parametrize("shape", PAST_THE_BOUND)
+def test_an_expression_at_the_depth_bound_parses_pickles_prints_and_evaluates(shape):
+    expr = parse_expr(tall(shape, jdl.MAX_DEPTH))
+    assert evaluate(expr) is True and model_eval(expr, {}) is True
+    assert not jdl.reads_attribute(expr, "EstimatedTraversalTime")
+    assert ast_equal(parse_expr(expr_text(expr)), expr)
+    copy = pickle.loads(pickle.dumps(expr))
+    assert copy == expr and hash(copy) == hash(expr)
+
+
+@pytest.mark.parametrize("shape", PAST_THE_BOUND)
+def test_one_level_past_the_depth_bound_is_refused_at_the_token_that_passes_it(shape):
+    text = tall(shape, jdl.MAX_DEPTH + 1)
+    with pytest.raises(JdlSyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == (f"line 1, col {PAST_THE_BOUND[shape](text) + 1}: "
+                              f"expression nests deeper than {jdl.MAX_DEPTH} levels")
+
+
 # -- evaluation ---------------------------------------------------------
 
 def test_three_valued_truth_table():

@@ -11,6 +11,11 @@ McKeeman 1998).  The twin uses the invalidations the program already has:
   rebuilds it from fresh reads, each broker's kept admissible sets are
   dropped, and `fmt_ratio`'s cache is cleared;
 - before each transfer, the route memo is dropped.
+
+The twin drops routes by setting the LAN, through the very clear in
+`Network.__setattr__` that a change of the LAN or default WAN relies on;
+with that clear deleted, real and twin still agree.  The route test of
+`test_fabric.py` is what catches it.
 """
 from functools import wraps
 
