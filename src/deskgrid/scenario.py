@@ -14,8 +14,10 @@ what a command line needs (`split_words`; `quote` writes a word back):
 words break on space and tab; single quotes are literal; inside double
 quotes only `\\"` and `\\\\` are escapes; a backslash outside quotes
 escapes the next character; `#` starts a comment, even inside a word;
-there is no line continuation.  Times are ASCII decimals or ratios
-(`5`, `0.25`, `1/3`).
+there is no line continuation.  A plain line, one without quotes,
+backslash, `#` or line break, is split on its blanks directly.  Times are
+ASCII decimals or ratios (`5`, `0.25`, `1/3`), each run of one time text
+read once.
 """
 from __future__ import annotations
 
@@ -55,6 +57,9 @@ def _unquote_part(match) -> str:
 def split_words(line: str) -> list:
     """The words of one line (no line break in it); a `ValueError` for an
     unclosed quote or a trailing escape, with the text `shlex` gives."""
+    if not ("'" in line or '"' in line or "\\" in line or "#" in line
+            or "\r" in line or "\n" in line):
+        return list(filter(None, line.replace("\t", " ").split(" ")))
     end = _WORDS.match(line).end()
     rest = line[end:]
     if rest[:1] not in ("", "#"):
@@ -76,7 +81,7 @@ def quote(word: str) -> str:
     return "'" + word.replace("'", "'\"'\"'") + "'"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScenarioStep:
     line: int
     at_s: Fraction
@@ -85,7 +90,7 @@ class ScenarioStep:
 
 def parse_scenario(text: str, path: str = "<scenario>") -> list:
     steps = []
-    last = Fraction(0)
+    last, last_text = Fraction(0), None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             words = split_words(raw)
@@ -95,16 +100,17 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
             continue
         if words[0] != "at" or len(words) < 3:
             raise ScenarioError("expected: at <seconds> <command...>", path, lineno)
-        try:
-            at = as_fraction(words[1])
-        except (ValueError, TypeError):
-            raise ScenarioError(f"bad time {words[1]!r}", path, lineno) from None
+        if words[1] != last_text:
+            try:
+                at = as_fraction(words[1])
+            except (ValueError, TypeError):
+                raise ScenarioError(f"bad time {words[1]!r}", path, lineno) from None
+            if at < last and words[2] != "exec":  # an `exec` is reported below
+                raise ScenarioError(f"time {words[1]} goes backwards", path, lineno)
+            last, last_text = at, words[1]
         if words[2] == "exec":
             raise ScenarioError("exec cannot run inside a scenario", path, lineno)
-        if at < last:
-            raise ScenarioError(f"time {words[1]} goes backwards", path, lineno)
-        last = at
-        steps.append(ScenarioStep(lineno, at, tuple(words[2:])))
+        steps.append(ScenarioStep(lineno, last, tuple(words[2:])))
     return steps
 
 

@@ -22,6 +22,10 @@ GB = 1024 * MB
 
 _SIZE_UNITS = {"B": 1, "KB": KB, "MB": MB, "GB": GB}
 _SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*$")
+# A decimal exponent past this bound is refused: `1e10000000` would build a
+# ten-million-digit integer.  Every float repr, `5e-324` to `1.8e308`, fits.
+MAX_EXPONENT = 400
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+(?:_[0-9]+)*)")
 
 
 def as_fraction(value) -> Fraction:
@@ -29,8 +33,9 @@ def as_fraction(value) -> Fraction:
 
     Floats are read through their decimal repr so that 0.1 means 1/10,
     not the nearest binary double.  A string is read as ASCII only: a
-    string holding any other character, or with a zero denominator, is a
-    ValueError, like any other malformed string.
+    string holding any other character, with a zero denominator or with a
+    decimal exponent beyond `MAX_EXPONENT` either way, is a ValueError,
+    like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
@@ -45,6 +50,9 @@ def as_fraction(value) -> Fraction:
             raise ValueError(f"not an ASCII number: {value!r}")
         if value.isdigit():
             return Fraction(int(value))
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

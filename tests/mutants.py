@@ -37,6 +37,11 @@ DRIFTED_TERM = ("tests/test_fabric.py::"
 ROUTES = "tests/test_fabric.py::test_a_kept_route_follows_every_change_of_links_lan_and_default_wan"
 PAST_THE_BOUND = ("tests/test_jdl.py::"
                   "test_one_level_past_the_depth_bound_is_refused_at_the_token_that_passes_it")
+FIXED_WORDS = "tests/test_scenario.py::test_split_words_fixed_cases"
+PLAIN_LINE = "tests/test_scenario.py::test_split_words_reads_a_plain_line_as_shlex_does"
+TIME_ORDER = "tests/test_scenario.py::test_a_repeated_time_text_is_checked_in_order"
+TIME_READ_ONCE = "tests/test_scenario.py::test_each_run_of_one_time_text_is_read_once"
+EXPONENT = "tests/test_units.py::test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound"
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -77,6 +82,17 @@ MUTANTS = (
     ("jdl.py", "if depth + height > MAX_DEPTH:", "if depth + height > MAX_DEPTH + 1:",
      (PAST_THE_BOUND,)),
     ("jdl.py", "if depth >= MAX_DEPTH:", "if depth > MAX_DEPTH:", (PAST_THE_BOUND,)),
+    # a scenario's plain-line split and its times, each run of one text read once
+    ("scenario.py", '"\\\\" in line or "#" in line', '"\\\\" in line', (FIXED_WORDS,)),
+    ("scenario.py", 'list(filter(None, line.replace("\\t", " ").split(" ")))', "line.split()",
+     (FIXED_WORDS, PLAIN_LINE)),
+    ("scenario.py", 'if at < last and words[2] != "exec":',
+     'if at < last and words[1] == last_text and words[2] != "exec":', (TIME_ORDER,)),
+    ("scenario.py", 'if at < last and words[2] != "exec":', "if at < last:", (TIME_ORDER,)),
+    ("scenario.py", "if words[1] != last_text:", "if True:", (TIME_READ_ONCE,)),
+    # the exponent bound, moved by one either way
+    ("units.py", "> MAX_EXPONENT:", "> MAX_EXPONENT + 1:", (EXPONENT,)),
+    ("units.py", "> MAX_EXPONENT:", ">= MAX_EXPONENT:", (EXPONENT,)),
 )
 
 

@@ -65,6 +65,14 @@ def test_a_zero_denominator_is_a_domain_error(mini):
         assert code == 1 and text.startswith("error: ") and "denominator" in text, argv
 
 
+def test_a_huge_exponent_is_a_domain_error_at_once(mini):
+    for argv in (["run", "--until", "1e3000000"],
+                 ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo",
+                  "--lifetime", "1e3000000"]):
+        assert dispatch(mini, argv) == (1, "error: exponent beyond 400 in '1e3000000'"), argv
+    assert mini.kernel.now_ms == 0 and mini.current_proxy is None
+
+
 def test_seconds_are_ascii(mini, tmp_path):
     for argv in (["run", "--until", "١/٣"],
                  ["proxy", "init", "--user", "/C=XX/CN=alice", "--vo", "testvo",

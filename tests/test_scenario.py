@@ -24,6 +24,10 @@ from deskgrid.scenario import parse_scenario, quote, split_words
 # non-ASCII letter and two plain ones.  No `\n` or `\r`: `splitlines`
 # never leaves them in a line.
 ALPHABET = " \t'\"\\#\x0c\x85éab"
+# Characters of a plain line, which `split_words` splits on blanks itself:
+# space and tab, then the ones `str.split` breaks on and `shlex` keeps in a
+# word (line and form feed, file, NEL, no-break and ideographic spaces).
+PLAIN = " \t\x0b\x0c\x1c\x85\xa0\u3000éab"
 
 SHIPPED = importlib.resources.files("deskgrid").joinpath("data", "scenarios")
 
@@ -56,6 +60,14 @@ def test_split_words_reads_a_line_as_shlex_does(line):
     assert outcome(split_words, line) == outcome(reference, line)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=PLAIN, max_size=16))
+@example("a\x0bb")
+@example("\xa0 \u3000\t")
+def test_split_words_reads_a_plain_line_as_shlex_does(line):
+    assert split_words(line) == reference(line)
+
+
 @pytest.mark.parametrize("line, words", [
     ("a#b", ["a"]),
     ("''", [""]),
@@ -65,6 +77,8 @@ def test_split_words_reads_a_line_as_shlex_does(line):
     ("at 0 proxy init --user \"/O=grid/CN=factory operator\" # who",
      ["at", "0", "proxy", "init", "--user", "/O=grid/CN=factory operator"]),
     (" \t# only a comment", []),
+    ("a\xa0b  c", ["a\xa0b", "c"]),
+    ("\u3000a\tb\u3000", ["\u3000a", "b\u3000"]),
 ])
 def test_split_words_fixed_cases(line, words):
     assert split_words(line) == words
@@ -93,6 +107,26 @@ def test_parse_scenario_refuses_a_line_at_its_number(bad, message):
     with pytest.raises(scenario.ScenarioError) as excinfo:
         parse_scenario(f"at 0 report\n\n{bad}\nat 2 report\n", "x.scn")
     assert str(excinfo.value) == f"x.scn:3: {message}"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["at 2 report", "at 2 report", "at 1 report"], "time 1 goes backwards"),
+    (["at 2 report", "at 1 exec x.scn"], "exec cannot run inside a scenario"),
+    (["at 2 report", "at 2 exec x.scn"], "exec cannot run inside a scenario"),
+    (["at 2 report", "at 1e3000000 report"], "bad time '1e3000000'"),
+    (["at 2 report", "at x exec x.scn"], "bad time 'x'"),
+])
+def test_a_repeated_time_text_is_checked_in_order(lines, message):
+    with pytest.raises(scenario.ScenarioError) as excinfo:
+        parse_scenario("\n".join(lines), "x.scn")
+    assert str(excinfo.value) == f"x.scn:{len(lines)}: {message}"
+
+
+def test_equal_times_in_other_texts_are_not_backwards():
+    steps = parse_scenario("at 0.5 report\nat 1/2 run\nat 0.50 report\n")
+    assert [(s.line, s.at_s, s.argv) for s in steps] == [
+        (1, Fraction(1, 2), ("report",)), (2, Fraction(1, 2), ("run",)),
+        (3, Fraction(1, 2), ("report",))]
 
 
 @settings(max_examples=500, deadline=None)
@@ -149,6 +183,26 @@ def test_parse_scenario_gives_the_steps_shlex_gives(monkeypatch):
                for step in ours["generated"] for word in step.argv)
     monkeypatch.setattr(scenario, "split_words", reference)
     assert {name: parse_scenario(text, name) for name, text in texts.items()} == ours
+
+
+def test_each_run_of_one_time_text_is_read_once(monkeypatch):
+    text = generated_scenario(seed=36, lines=1000)
+    times = [line.split()[1] for line in text.splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    runs = 1 + sum(a != b for a, b in zip(times, times[1:]))
+    assert len(times) > 800 and runs < len(times) * 0.8
+    read = []
+    monkeypatch.setattr(scenario, "as_fraction", lambda text: read.append(text) or
+                        Fraction(text))
+    steps = parse_scenario(text)
+    assert len(read) == runs and [s.at_s for s in steps] == [Fraction(t) for t in times]
+
+
+def test_exec_refuses_a_huge_exponent_before_the_clock_moves(mini, tmp_path):
+    scn = tmp_path / "huge.scn"
+    scn.write_text("at 0 report\nat 1e3000000 report\n")
+    assert dispatch(mini, ["exec", str(scn)]) == (2, f"error: {scn}:2: bad time '1e3000000'")
+    assert mini.kernel.now_ms == 0
 
 
 def test_exec_echoes_lines_that_read_back_to_their_steps():

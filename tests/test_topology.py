@@ -120,6 +120,11 @@ def test_value_diagnostics():
         "<t>:3: expected seconds, got '\u0660.\u0660\u0665'")
 
 
+def test_seconds_with_a_huge_exponent_are_refused_at_once():
+    assert err("[general]\ndefault_wan_bandwidth = 10 MB/s\n"
+               "default_wan_latency = 1e3000000\n") == "<t>:3: expected seconds, got '1e3000000'"
+
+
 def test_general_wan_needs_both_halves():
     text = "[general]\ndefault_wan_bandwidth = 10 MB/s\n[site a]\nregion = EU\naccept_vos =\n"
     assert err(text) == "<t>:1: default WAN needs both bandwidth and latency"

@@ -37,6 +37,26 @@ def test_as_fraction_reads_ascii_strings_only():
             as_fraction(text)
 
 
+def test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound():
+    assert as_fraction("1e400") == as_fraction("1E+4_00") == 10**400
+    assert as_fraction("1e-400") == as_fraction(" 1.0e-0400 ") == Fraction(1, 10**400)
+    assert as_fraction("1e3") == 1000
+    # `10**10000000` alone takes seconds to build; the refusal reads the text
+    for text in ("1e401", "1e-401", "1E+401", "1e4_01", "2.5e10000000", "-1e3000000"):
+        with pytest.raises(ValueError, match=r"^exponent beyond 400 in "):
+            as_fraction(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(-1e-300)
+def test_as_fraction_reads_every_float_repr_inside_the_exponent_bound(x):
+    assert as_fraction(repr(x)) == as_fraction(x) == Fraction(repr(x))
+
+
 def test_as_int_reads_ascii_strings_only():
     for text in ("\u0663", "\u0661\u0660", "\u00b2"):
         with pytest.raises(ValueError, match="not an ASCII number"):
