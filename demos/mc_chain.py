@@ -32,7 +32,7 @@ def main():
 
     print("ntuples landed at:")
     for lfn in gen.summary["lfns"]:
-        where = ", ".join(se for se, _path in grid.datagrid.lookup(lfn))
+        where = ", ".join(se for se, _path in grid.datagrid.rc.lookup(lfn))
         print(f"  {lfn:<18} {where}")
     print()
 

@@ -147,7 +147,7 @@ _NO_INPUTS = MappingProxyType({})  # the replicas of every job without inputs, s
 class JobRecord:
     """The broker's book of one job.  The four containers a job may never
     fill start as the one shared `()`; the first fill makes a dict (chosen
-    replicas, staged checksums) or a list (registered names, sandbox)."""
+    replicas, staged checksums), a list (sandbox) or a tuple (registered names)."""
 
     job_id: str
     owner: Proxy
@@ -157,7 +157,7 @@ class JobRecord:
     matched_ce: "str | None" = None
     chosen_replicas: "dict | tuple" = ()
     staged_checksums: "dict | tuple" = ()
-    registered_lfns: "list | tuple" = ()
+    registered_lfns: tuple = ()
     sandbox_out: "list | tuple" = ()
     timestamps: dict = field(default_factory=dict)
     reason: "str | None" = None
@@ -392,14 +392,14 @@ class ResourceBroker:
             return
         lfn, (se_id, path) = inputs[index]
         store = self.datagrid.store_of(se_id)
-        physical = store.get(path)
-        if physical is None:
+        row = store.files.get(path)
+        if row is None:
             self._finalize(record, DONE_FAILED, "NoSuchPhysicalFile")
             return
         if not record.staged_checksums:  # the first input staged
             record.staged_checksums = {}
-        record.staged_checksums[lfn] = physical.checksum
-        self._send(record, physical.size_bytes, store.site.endpoint, ce.site.endpoint,
+        size, record.staged_checksums[lfn] = row
+        self._send(record, size, store.site.endpoint, ce.site.endpoint,
                    f"stage:{lfn}", self._stage_next, record, index + 1)
 
     def _on_exec_complete(self, record: JobRecord, outputs: list, exit_code: int) -> None:
@@ -437,7 +437,7 @@ class ResourceBroker:
         except dg_mod.DataGridError as exc:
             self._output_failed(record, produced, sandbox, exc)
             return
-        record.registered_lfns = [produced.name]  # a job's one data product
+        record.registered_lfns = (produced.name,)  # a job's one data product
         self.kernel.line(self.rb_id, OUTPUT_REGISTERED_LINE, record.job_id, produced.name,
                          store.se_id)
         self._return_sandbox(record, sandbox, DONE_OK, None)

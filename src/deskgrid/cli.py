@@ -245,7 +245,7 @@ def _rc_register(grid, base_dir, lfn, se, size):
 
 @command("rc lookup LFN")
 def _rc_lookup(grid, base_dir, lfn):
-    return 0, "\n".join(f"{se_id}\t{path}" for se_id, path in grid.datagrid.lookup(lfn))
+    return 0, "\n".join(f"{se_id}\t{path}" for se_id, path in grid.datagrid.rc.lookup(lfn))
 
 
 @command("rc replicate LFN SE")

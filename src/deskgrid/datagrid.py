@@ -1,16 +1,15 @@
 """Storage elements and the replica catalogue.
 
-A storage element sits at one fabric site and is a content store of
-(path, size, checksum) triples with a hard capacity; the catalogue maps
-logical file names to their physical copies, kept sorted.  Every replica
-of a logical file shares one size and one checksum, registration
-verifies both against the physical file, and replication to an element
-that already holds a copy is an idempotent no-op.  The `lfn:` URI
-prefix is accepted everywhere and stripped.
+A storage element sits at one fabric site and maps each stored path to
+its row, a plain `(size, checksum)` tuple of ints, under a hard capacity;
+the catalogue maps logical file names to that row and their physical
+copies, kept sorted.  Every replica of a logical file shares one row,
+registration verifies it against the copy's own, and replication to an
+element that already holds a copy is an idempotent no-op.  The `lfn:`
+URI prefix is accepted everywhere and stripped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .fabric import Network, Site
@@ -46,15 +45,10 @@ class UnknownSe(DataGridError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PhysicalFile:
-    size_bytes: int
-    checksum: int
-
-
 class StorageElement:
-    """Content store at one site; used_bytes is always exactly the sum of
-    stored file sizes."""
+    """Content store at one site: `files` maps a path to its `(size,
+    checksum)` row, an exact tuple of ints the collector stops tracking, and
+    used_bytes is always exactly the sum of stored sizes."""
 
     def __init__(self, se_id: str, site: Site, capacity_bytes: int):
         if capacity_bytes < 0:
@@ -63,77 +57,69 @@ class StorageElement:
         self.site = site
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
-        self.files: dict[str, PhysicalFile] = {}  # by path
+        self.files: dict[str, tuple] = {}  # path -> (size, checksum)
 
-    def store(self, path: str, size_bytes: int, checksum: int) -> PhysicalFile:
+    def store(self, path: str, size_bytes: int, checksum: int) -> None:
         if path in self.files:
             raise DuplicatePath(f"{self.se_id} already holds {path}")
         if size_bytes < 0:
             raise DataGridError(f"{self.se_id} cannot store {path} of negative size {size_bytes}")
         if not self.room_for(size_bytes):
             raise SeFull(f"{self.se_id} cannot take {size_bytes} more bytes")
-        pf = PhysicalFile(size_bytes, checksum)
-        self.files[path] = pf
+        self.files[path] = (size_bytes, checksum)
         self.used_bytes += size_bytes
-        return pf
 
     def remove(self, path: str) -> None:
-        self.used_bytes -= self.files.pop(path).size_bytes
-
-    def get(self, path: str) -> "PhysicalFile | None":
-        return self.files.get(path)
+        self.used_bytes -= self.files.pop(path)[0]
 
     def room_for(self, size_bytes: int) -> bool:
         return self.used_bytes + size_bytes <= self.capacity_bytes
 
 
 class ReplicaCatalog:
-    """Each logical name's (size, checksum) and its copies: one tuple of
-    (se_id, path) pairs, sorted when a copy registers, so `lookup` and `dump`
-    sort nothing, and which the collector, unlike a set, stops tracking."""
+    """Each logical name's `(size, checksum)` row, the first copy's own SE
+    row, and its copies: one tuple of (se_id, path) pairs, sorted when a copy
+    registers, so `lookup` and `dump` sort nothing, and which the collector,
+    unlike a set, stops tracking."""
 
     def __init__(self, catalog_id: str):
         self.catalog_id = catalog_id
-        self._replicas: dict[str, tuple] = {}
-        self._meta: dict[str, tuple] = {}  # lfn -> (size, checksum)
+        self._entries: dict[str, tuple] = {}  # lfn -> (row, copies)
 
     def register(self, lfn: str, store: StorageElement, path: str) -> None:
         lfn = strip_lfn_prefix(lfn)
-        pf = store.get(path)
-        if pf is None:
+        row = store.files.get(path)
+        if row is None:
             raise NoSuchPhysicalFile(f"{store.se_id}:{path}")
-        if lfn in self._meta:
-            size, checksum = self._meta[lfn]
-            if (pf.size_bytes, pf.checksum) != (size, checksum):
-                raise ChecksumMismatch(
-                    f"{lfn}: replica at {store.se_id}:{path} disagrees with the catalogue")
-        else:
-            self._meta[lfn] = (pf.size_bytes, pf.checksum)
-        copies, copy = self._replicas.get(lfn, ()), (store.se_id, path)
+        pair, copies = self._entries.get(lfn, (row, ()))
+        if row != pair:
+            raise ChecksumMismatch(
+                f"{lfn}: replica at {store.se_id}:{path} disagrees with the catalogue")
+        copy = (store.se_id, path)
         if copy not in copies:
-            self._replicas[lfn] = tuple(sorted(copies + (copy,)))
+            self._entries[lfn] = (pair, tuple(sorted(copies + (copy,))))
 
     def known(self, lfn: str) -> bool:
-        return strip_lfn_prefix(lfn) in self._replicas
+        return strip_lfn_prefix(lfn) in self._entries
 
     def lookup(self, lfn: str) -> list:
         """All (se_id, path) replicas, sorted; unknown names raise."""
-        lfn = strip_lfn_prefix(lfn)
-        if lfn not in self._replicas:
-            raise UnknownLfn(lfn)
-        return list(self._replicas[lfn])
+        return list(self._entry(lfn)[1])
 
     def meta(self, lfn: str) -> tuple:
+        return self._entry(lfn)[0]
+
+    def _entry(self, lfn: str) -> tuple:
         lfn = strip_lfn_prefix(lfn)
-        if lfn not in self._meta:
+        if lfn not in self._entries:
             raise UnknownLfn(lfn)
-        return self._meta[lfn]
+        return self._entries[lfn]
 
     def dump(self) -> str:
         lines = []
-        for lfn in sorted(self._replicas):
-            size, checksum = self._meta[lfn]
-            for se_id, path in self._replicas[lfn]:
+        for lfn in sorted(self._entries):
+            (size, checksum), copies = self._entries[lfn]
+            for se_id, path in copies:
                 lines.append(f"{lfn} {se_id} {path} {size} {checksum:016x}")
         return "".join(line + "\n" for line in lines)
 
@@ -179,7 +165,7 @@ class DataGrid:
         (se_id, path) order.  Room is checked up front; the store happens
         at transfer completion and a failure there is traced, not raised."""
         lfn = strip_lfn_prefix(lfn)
-        replicas = self.lookup(lfn)
+        replicas = self.rc.lookup(lfn)
         if any(se_id == to_se for se_id, _path in replicas):
             return None
         target = self.store_of(to_se)
@@ -194,19 +180,16 @@ class DataGrid:
 
     def _replicated(self, lfn: str, source: StorageElement, src_path: str,
                     target: StorageElement) -> None:
-        pf = source.get(src_path)
-        if pf is None:
+        row = source.files.get(src_path)
+        if row is None:
             self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, target.se_id,
                              "NoSuchPhysicalFile")
             return
         try:
-            target.store(src_path, pf.size_bytes, pf.checksum)
+            target.store(src_path, *row)
         except (SeFull, DuplicatePath) as exc:
             self.kernel.line(self.rc.catalog_id, REPLICA_FAILED_LINE, lfn, target.se_id,
                              type(exc).__name__)
             return
         self.rc.register(lfn, target, src_path)
         self.kernel.line(self.rc.catalog_id, REPLICA_ADDED_LINE, lfn, target.se_id, src_path)
-
-    def lookup(self, lfn: str) -> list:
-        return self.rc.lookup(lfn)

@@ -217,7 +217,7 @@ class Grid:
                      for ce_id in self.info.ces if ce_id not in self.fabric.ces]
         problems += [f"{ce_id}: kept ETT drifted" for ce_id in self.fabric.drifted()]
         for se_id, store in self.datagrid.ses.items():
-            held = sum(pf.size_bytes for pf in store.files.values())
+            held = sum(size for size, _checksum in store.files.values())
             if held != store.used_bytes:
                 problems.append(f"{se_id}: used bytes out of step with contents")
         return problems

@@ -165,8 +165,8 @@ _PREC = {"||": 1, "&&": 2, **dict.fromkeys(_COMPARE, _CMP_PREC)}
 
 #: the most levels an expression may stack, one per operator, parenthesis,
 #: `Member(...)`, list, literal or attribute.  A reader of a tree recurses at
-#: most 6 frames a level (`reads_attribute` on nested lists), so 600 in all
-#: leave 400 of Python's default limit of 1,000 for the stack below it.
+#: most 4 frames a level (equality, `repr` and pickling of nested lists), so
+#: 400 in all leave 600 of Python's default limit of 1,000 for the stack below.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
@@ -440,13 +440,17 @@ def requirement_satisfied(expr: Expr, env: Mapping[str, Value] | None = None) ->
 
 
 def reads_attribute(expr: Expr, name: str) -> bool:
-    """Whether `expr` refers to other.<name> anywhere."""
-    if isinstance(expr, Attr):
-        return expr.name == name
-    if isinstance(expr, tuple):
-        return any(reads_attribute(item, name) for item in expr)
-    return not isinstance(expr, (Lit, str)) and any(
-        reads_attribute(getattr(expr, f.name), name) for f in fields(expr))
+    """Whether `expr` refers to other.<name> anywhere, found without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif isinstance(node, Attr) and node.name == name:
+            return True
+        elif not isinstance(node, (Lit, Attr, str)):
+            stack.extend(getattr(node, f.name) for f in fields(node))
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 `model_eval` re-implements the documented three-valued semantics from
 scratch (structural match, own UNDEF sentinel) so the production
-evaluator can be checked against an independent reading of the rules.
+evaluator can be checked against an independent reading of the rules;
+`model_reads_attribute` does the same for `reads_attribute`.
 `gen_expr`/`gen_env` build random expression trees and machine
 environments from a seeded RNG; value types are kept to shapes whose
 canonical rendering survives the lexer (no exponent floats, negatives
@@ -12,6 +13,8 @@ back into parser input.  The package itself never writes a description
 out, so the printer lives here, reading the package's own operator and
 reserved-attribute tables.
 """
+from dataclasses import fields
+
 from deskgrid.jdl import (_CMP_PREC, _PREC, _RESERVED, _UNARY_PREC, UNDEFINED, Attr,
                           Binary, Lit, ListLit, MemberCall, Unary)
 
@@ -87,6 +90,17 @@ def model_eval(node, env):
                 return lv > rv
             return lv >= rv
     raise AssertionError(f"unhandled node {node!r}")
+
+
+def model_reads_attribute(expr, name: str) -> bool:
+    """Whether `expr` refers to other.<name> anywhere, by plain recursion:
+    the oracle for the package's walk, which keeps a stack of its own."""
+    if isinstance(expr, Attr):
+        return expr.name == name
+    if isinstance(expr, tuple):
+        return any(model_reads_attribute(item, name) for item in expr)
+    return not isinstance(expr, (Lit, str)) and any(
+        model_reads_attribute(getattr(expr, f.name), name) for f in fields(expr))
 
 
 def values_agree(real, model) -> bool:

@@ -14,7 +14,7 @@ outcome, a pass or a crash, lets it survive.  Hypothesis runs under the
 mutant costs about the time to its first failing example.  The script
 prints one line per mutant and exits 1 if any survives.  It uses only the
 standard library, is not itself collected as a test, and takes about
-20 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
+15 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
 once in its file.
 """
 from __future__ import annotations
@@ -42,6 +42,8 @@ PLAIN_LINE = "tests/test_scenario.py::test_split_words_reads_a_plain_line_as_shl
 TIME_ORDER = "tests/test_scenario.py::test_a_repeated_time_text_is_checked_in_order"
 TIME_READ_ONCE = "tests/test_scenario.py::test_each_run_of_one_time_text_is_read_once"
 EXPONENT = "tests/test_units.py::test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound"
+CHECKSUMS = "tests/test_datagrid.py::test_catalog_checksum_consistency_across_replicas"
+COPIES = "tests/test_datagrid.py::test_lookup_sorted_and_lfn_prefix_transparent"
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -93,6 +95,9 @@ MUTANTS = (
     # the exponent bound, moved by one either way
     ("units.py", "> MAX_EXPONENT:", "> MAX_EXPONENT + 1:", (EXPONENT,)),
     ("units.py", "> MAX_EXPONENT:", ">= MAX_EXPONENT:", (EXPONENT,)),
+    # a replica agrees with the whole catalogued row, and each copy is listed once
+    ("datagrid.py", "if row != pair:", "if row[1] != pair[1]:", (CHECKSUMS,)),
+    ("datagrid.py", "if copy not in copies:", "if True:", (COPIES,)),
 )
 
 

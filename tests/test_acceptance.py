@@ -155,7 +155,7 @@ def test_criterion_03_simulation_follows_its_data(pipeline):
         se_id, _path = record.chosen_replicas[lfn]
         ce = grid.info.ces[record.matched_ce]
         assert se_id in ce.close_ses                      # ran next to its input
-        assert se_id in {s for s, _p in grid.datagrid.lookup(lfn)}
+        assert se_id in {s for s, _p in grid.datagrid.rc.lookup(lfn)}
         _size, catalogue_mark = grid.datagrid.rc.meta(lfn)
         assert record.staged_checksums[lfn] == catalogue_mark
 

@@ -264,8 +264,8 @@ def test_full_lifecycle_and_output_retrieval(mini, alice, tmp_path):
     mini.kernel.run_to_completion()
     record = rb.jobs[job_id]
     assert record.state == DONE_OK
-    assert record.registered_lfns == ["cmkin_101.ntpl"]
-    assert mini.datagrid.lookup("cmkin_101.ntpl") == [("se_alpha", "cmkin_101.ntpl")]
+    assert record.registered_lfns == ("cmkin_101.ntpl",)
+    assert mini.datagrid.rc.lookup("cmkin_101.ntpl") == [("se_alpha", "cmkin_101.ntpl")]
     manifest = rb.get_output(job_id, dest_dir=tmp_path)
     assert [name for name, _s, _c in manifest] == ["std.out", "std.err"]
     text = (tmp_path / f"{job_id}.manifest").read_text()
@@ -345,7 +345,7 @@ def test_default_se_attribute_redirects_the_output(mini, alice):
     mini.kernel.run_to_completion()
     record = mini.brokers["rb_test"].jobs[job_id]
     assert record.state == DONE_OK
-    assert mini.datagrid.lookup("cmkin_101.ntpl")[0][0] == "se_beta"
+    assert mini.datagrid.rc.lookup("cmkin_101.ntpl")[0][0] == "se_beta"
 
 
 def test_observers_see_every_move_and_matches_before_handoff(mini, alice):
@@ -608,7 +608,7 @@ def test_a_bulk_run_rescans_each_running_job_once_per_refresh(mini, alice, monke
     only when an element refreshes its running term, once each, far fewer
     times than matches x candidates x running jobs; whether a requirement
     reads the ETT is decided once per distinct requirement."""
-    calls, refreshed, naive, depth = Counter(), [], [], [0]
+    calls, refreshed, naive = Counter(), [], []
     scan, events_left, reads = (ComputingElement.scan_running, FabricJob.events_left,
                                 jdl.reads_attribute)
 
@@ -620,13 +620,9 @@ def test_a_bulk_run_rescans_each_running_job_once_per_refresh(mini, alice, monke
         calls["events_left"] += 1
         return events_left(job)
 
-    def counted_reads(expr, name):  # it recurses through the module name
-        calls["reads_attribute"] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return reads(expr, name)
-        finally:
-            depth[0] -= 1
+    def counted_reads(expr, name):
+        calls["reads_attribute"] += 1
+        return reads(expr, name)
 
     monkeypatch.setattr(ComputingElement, "scan_running", counted_scan)
     monkeypatch.setattr(FabricJob, "events_left", counted_events_left)
@@ -720,7 +716,7 @@ def input_lost(grid):
     store = grid.datagrid.store_of("se_beta")
     store.store("d.ntpl", 1000, 31)
     grid.datagrid.rc.register("d.ntpl", grid.datagrid.store_of("se_beta"), "d.ntpl")
-    store.used_bytes -= store.files.pop("d.ntpl").size_bytes  # the catalogue still lists it
+    store.used_bytes -= store.files.pop("d.ntpl")[0]  # the catalogue still lists it
     return booked(grid, DATA_JDL)
 
 
@@ -873,7 +869,7 @@ def test_a_product_the_catalogue_refuses_leaves_the_se_as_it_was():
     assert (record.state, record.reason) == (DONE_FAILED, "ChecksumMismatch")
     store = grid.datagrid.store_of("se_alpha")
     assert store.files == {} and store.used_bytes == 0
-    assert grid.datagrid.lookup("cmkin_101.ntpl") == [("se_beta", "cmkin_101.ntpl")]
+    assert grid.datagrid.rc.lookup("cmkin_101.ntpl") == [("se_beta", "cmkin_101.ntpl")]
     lines = job_lines(grid, job_id)
     assert lines["output-failed"].detail["reason"] == "ChecksumMismatch"
     assert lines["output-failed"].time_ms == lines["output-data"].time_ms

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,8 @@ def test_store_tracks_used_bytes_exactly():
     se.store("a", 3 * MB, 1)
     se.store("b", 2 * MB, 2)
     assert se.used_bytes == 5 * MB
-    assert se.get("a").size_bytes == 3 * MB
-    assert se.get("missing") is None
+    assert se.files.get("a")[0] == 3 * MB
+    assert se.files.get("missing") is None
     assert se.room_for(5 * MB)
     assert not se.room_for(5 * MB + 1)
 
@@ -40,7 +41,7 @@ def test_store_refuses_overflow_and_duplicates():
     with pytest.raises(DataGridError):
         se.store("c", -5, 4)
     assert se.used_bytes == 3 * MB  # failures change nothing
-    assert se.get("c") is None
+    assert se.files.get("c") is None
 
 
 def test_a_negative_capacity_is_refused():
@@ -63,7 +64,7 @@ def test_used_bytes_always_sum_of_contents(ops):
             se.store(f"f{key}", size, i)
         except (SeFull, DuplicatePath):
             pass
-        assert se.used_bytes == sum(f.size_bytes for f in se.files.values())
+        assert se.used_bytes == sum(size for size, _checksum in se.files.values())
         assert 0 <= se.used_bytes <= se.capacity_bytes
 
 
@@ -101,14 +102,14 @@ def test_lookup_sorted_and_lfn_prefix_transparent():
                         ("se_alpha", "q")):
         dg.rc.register("lfn:data" if se_id == "se_beta" else "data", dg.store_of(se_id), path)
     copies = [("se_alpha", "p"), ("se_alpha", "q"), ("se_beta", "p")]
-    assert dg.lookup("data") == copies
-    dg.lookup("data").pop()  # each lookup is the caller's own list
-    assert dg.lookup("lfn:data") == dg.lookup("data") == copies
+    assert dg.rc.lookup("data") == copies
+    dg.rc.lookup("data").pop()  # each lookup is the caller's own list
+    assert dg.rc.lookup("lfn:data") == dg.rc.lookup("data") == copies
     assert dg.rc.dump() == "".join(f"data {se_id} {path} 10 {5:016x}\n"
                                    for se_id, path in copies)
     assert dg.rc.meta("data") == (10, 5)
     with pytest.raises(UnknownLfn):
-        dg.lookup("nothing")
+        dg.rc.lookup("nothing")
 
 
 def test_generation_ntuple_size_number():
@@ -127,10 +128,10 @@ def test_replicate_timing_over_link_plus_destination_lan():
     # beta LAN:         100 MB / 100 MB/s + 0.001 s      = 1.001 s
     # lands at exactly 6.101 s
     grid.kernel.run_until(Fraction(6100, 1000))
-    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha"]
+    assert [r[0] for r in dg.rc.lookup("big.fz")] == ["se_alpha"]
     grid.kernel.run_until(Fraction(6101, 1000))
-    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha", "se_beta"]
-    assert dg.store_of("se_beta").get("big.fz").checksum == 9
+    assert [r[0] for r in dg.rc.lookup("big.fz")] == ["se_alpha", "se_beta"]
+    assert dg.store_of("se_beta").files.get("big.fz")[1] == 9
 
 
 @pytest.mark.parametrize("general, lands_ms", [
@@ -148,9 +149,9 @@ def test_general_lan_keys_set_the_lan_leg_of_a_replication(general, lands_ms):
     dg.rc.register("big.fz", dg.store_of("se_alpha"), "big.fz")
     dg.replicate("big.fz", "se_beta")
     grid.kernel.run_until(Fraction(lands_ms - 1, 1000))
-    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha"]
+    assert [r[0] for r in dg.rc.lookup("big.fz")] == ["se_alpha"]
     grid.kernel.run_until(Fraction(lands_ms, 1000))
-    assert [r[0] for r in dg.lookup("big.fz")] == ["se_alpha", "se_beta"]
+    assert [r[0] for r in dg.rc.lookup("big.fz")] == ["se_alpha", "se_beta"]
 
 
 def test_replicate_is_idempotent_and_checks_room_up_front():
@@ -179,7 +180,7 @@ def test_replicate_failure_at_completion_is_traced_not_raised():
         grid.kernel.run_to_completion()
         assert [e.detail for e in grid.kernel.trace if e.action == "replica-failed"] == [
             {"lfn": "a", "to": "se_beta", "reason": reason}]
-        assert dg.lookup("a") == [("se_alpha", "a")]
+        assert dg.rc.lookup("a") == [("se_alpha", "a")]
 
 
 def test_dump_format():
@@ -199,3 +200,19 @@ def test_dump_format():
 def test_the_metadata_of_an_unknown_name_is_refused():
     with pytest.raises(UnknownLfn):
         make_mini().datagrid.rc.meta("lfn:nothing")
+
+
+def test_a_stored_file_has_one_row_that_the_catalogue_shares():
+    """The catalogue holds the first copy's own `(size, checksum)` row, a
+    replica's row equals it, and the collector does not walk a row."""
+    grid = make_mini()
+    dg = grid.datagrid
+    alpha, beta = dg.store_of("se_alpha"), dg.store_of("se_beta")
+    dg.put(alpha, "r.fz", 10 * MB, 9)
+    assert dg.rc.meta("r.fz") is alpha.files["r.fz"]
+    dg.replicate("r.fz", "se_beta")
+    grid.kernel.run_to_completion()
+    assert dg.rc.lookup("r.fz") == [("se_alpha", "r.fz"), ("se_beta", "r.fz")]
+    assert beta.files["r.fz"] == dg.rc.meta("r.fz") == (10 * MB, 9)
+    gc.collect()
+    assert not gc.is_tracked(alpha.files["r.fz"]) and not gc.is_tracked(beta.files["r.fz"])

@@ -1012,7 +1012,7 @@ def test_the_running_term_equals_a_rescan_at_every_match_and_beside_monitor_poin
     def lose_the_replica(record, _old, new):
         if new == RUNNING and record.job_id in lost:
             store, name = lost[record.job_id]
-            store.used_bytes -= store.files.pop(name).size_bytes
+            store.used_bytes -= store.files.pop(name)[0]
 
     rb.transition_observers.append(lose_the_replica)
     for n, at in enumerate(sorted(rng.randint(1500, 2500) for _ in range(6))):

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import importlib.resources
+import inspect
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from deskgrid.jdl import (UNDEFINED, Attr, Binary, JdlError, JdlSyntaxError,
                           Lit, ListLit, MemberCall, MissingAttribute, Unary,
                           evaluate, parse_expr, parse_jdl, requirement_satisfied)
 
-from conftest import seeded_mutations
-from jdl_reference import (ast_equal, description_text, expr_text, gen_env, gen_expr,
-                           model_eval, values_agree)
+from conftest import CMKIN_SMALL, seeded_mutations
+from jdl_reference import (ATTR_POOL, ast_equal, description_text, expr_text, gen_env,
+                           gen_expr, model_eval, model_reads_attribute, values_agree)
 
 
 def fixture_text(name: str) -> str:
@@ -241,6 +243,22 @@ def test_one_level_past_the_depth_bound_is_refused_at_the_token_that_passes_it(s
                               f"expression nests deeper than {jdl.MAX_DEPTH} levels")
 
 
+def test_a_requirement_of_nested_lists_at_the_depth_bound_is_read_in_few_frames():
+    """`reads_attribute` walks a `Requirements` of 98 nested lists around an
+    attribute, 100 levels, under a recursion limit 50 above its caller's."""
+    lists = "{" * (jdl.MAX_DEPTH - 2) + "other.EstimatedTraversalTime" + "}" * (jdl.MAX_DEPTH - 2)
+    requirements = parse_jdl(CMKIN_SMALL.replace(
+        'Member("CMS", other.RunTimeEnvironment)', f"true || {lists}")).requirements
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        read = (jdl.reads_attribute(requirements, "EstimatedTraversalTime"),
+                jdl.reads_attribute(requirements, "FreeCPUs"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert read == (True, False)
+
+
 # -- evaluation ---------------------------------------------------------
 
 def test_three_valued_truth_table():
@@ -358,6 +376,14 @@ def test_evaluator_matches_independent_model(seed):
     assert values_agree(real, model), (expr_text(expr), env, real, model)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reads_attribute_answers_as_the_recursive_walk_does(seed):
+    expr = gen_expr(random.Random(seed))
+    for name in (*ATTR_POOL, "Missing"):
+        assert jdl.reads_attribute(expr, name) == model_reads_attribute(expr, name), name
+
+
 def test_rank_expression_evaluates_against_published_figures():
     jd = parse_jdl(fixture_text("rank_idle.jdl"))
     value = evaluate(jd.rank, {"EstimatedTraversalTime": 62.5})
@@ -434,7 +460,7 @@ def test_factory_jobs_run_to_their_default_se_without_parsing(mini, alice,
     summary = mini.production.post_summary(request.assignment_id)
     assert summary["jobs_ok"] == 2 and summary["lfns"] == ["jpsi_1.ntpl", "jpsi_2.ntpl"]
     for lfn in summary["lfns"]:
-        assert [se for se, _path in mini.datagrid.lookup(lfn)] == ["se_beta"]
+        assert [se for se, _path in mini.datagrid.rc.lookup(lfn)] == ["se_beta"]
     assert counted_parse_expr == []
 
 
