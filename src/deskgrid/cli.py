@@ -136,7 +136,7 @@ def _usage(prefix: str) -> str:
 
 def _flush(grid: Grid) -> None:
     # deliver everything scheduled for the current instant before reporting
-    grid.kernel.run_until(grid.kernel.now())
+    grid.kernel.run_to(grid.kernel.now_ms)
 
 
 def _resolve_input(name: str, base_dir) -> pathlib.Path:

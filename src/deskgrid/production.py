@@ -127,10 +127,13 @@ class BossJobRecord:
 class RefDb:
     """Request registry.  Simulation requests require a COMPLETE generation
     request for the same dataset; completion is judged when a summary is
-    posted, never automatically."""
+    posted, never automatically.  Besides the map by assignment id, each
+    dataset's requests are kept in assignment order, in a list only
+    `create_request` appends to and only `upstream_of` reads."""
 
     def __init__(self):
         self.requests: dict[int, ProductionRequest] = {}
+        self._by_dataset: dict[str, list] = {}
         self._next_id = 1
 
     def create_request(self, dataset: str, step: str, total_events: int,
@@ -146,13 +149,14 @@ class RefDb:
                                     total_events, events_per_job, rb_id,
                                     default_se=default_se)
         self.requests[self._next_id] = request
+        self._by_dataset.setdefault(dataset, []).append(request)
         self._next_id += 1
         return request
 
     def upstream_of(self, dataset: str) -> ProductionRequest:
         """The first COMPLETE generation request for `dataset`."""
-        for r in self.requests.values():  # in assignment order
-            if r.step == STEP_CMKIN and r.dataset == dataset and r.status == REQ_COMPLETE:
+        for r in self._by_dataset.get(dataset, ()):  # in assignment order
+            if r.step == STEP_CMKIN and r.status == REQ_COMPLETE:
                 return r
         raise MissingUpstream(f"no COMPLETE {STEP_CMKIN} request for dataset {dataset!r}")
 
@@ -183,11 +187,14 @@ def _discard(*_args, **_detail) -> None:
 
 
 class BossDb:
-    """Per-job bookkeeping records keyed by an integer id."""
+    """Per-job bookkeeping records keyed by an integer id.  Each dataset's
+    records are also kept in id order, in a list only `open_record`
+    appends to and `query` reads when it is given a dataset."""
 
     def __init__(self, emit=None):
         self.records: dict[int, BossJobRecord] = {}
         self.by_scheduler: dict[str, BossJobRecord] = {}
+        self._by_dataset: dict[str, list] = {}
         self.violations: list = []
         self._emit = emit or _discard
         self._next_id = 1
@@ -198,6 +205,7 @@ class BossDb:
                                dataset, events_declared, input_file=input_file)
         self.records[self._next_id] = record
         self.by_scheduler[scheduler_job_id] = record
+        self._by_dataset.setdefault(dataset, []).append(record)
         self._next_id += 1
         return record
 
@@ -223,12 +231,11 @@ class BossDb:
     def query(self, status: "str | None" = None, job_type: "str | None" = None,
               dataset: "str | None" = None) -> list:
         out = []
-        for r in self.records.values():  # ids only grow: insertion order is id order
+        rows = self.records.values() if dataset is None else self._by_dataset.get(dataset, ())
+        for r in rows:  # ids only grow: insertion order is id order
             if status is not None and r.status != status:
                 continue
             if job_type is not None and r.job_type != job_type:
-                continue
-            if dataset is not None and r.dataset != dataset:
                 continue
             out.append(r)
         return out

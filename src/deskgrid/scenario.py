@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .units import as_fraction
+from .units import as_fraction, to_millis
 
 
 class ScenarioError(Exception):
@@ -115,11 +115,12 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
 
 
 def run_scenario(grid, steps, dispatch, base_dir=None) -> list:
-    """Returns (step, code, text) per executed step; execution stops after
-    the first step that fails."""
+    """Runs the clock to each step's instant, in integer ms, and fires its
+    command.  Returns (step, code, text) per executed step; execution stops
+    after the first step that fails."""
     results = []
     for step in steps:
-        grid.kernel.run_until(step.at_s)
+        grid.kernel.run_to(to_millis(step.at_s))  # rounded as `run_until` rounds
         code, text = dispatch(grid, list(step.argv), base_dir=base_dir)
         results.append((step, code, text))
         if code != 0:

@@ -6,9 +6,9 @@ which is what makes runs reproducible: there is no wall clock, no thread,
 and no iteration over unordered containers anywhere in the hot path
 (`delivering_seq` tells state worked out in closed form where it stands
 in that order).  Time is integer milliseconds: the clock is `now_ms`, a
-plain attribute that only the kernel writes, `schedule` takes an absolute
-ms instant, and seconds (in any exact form) appear only in `run_until`
-and the `now()` view.
+plain attribute that only the kernel writes, `schedule` and `run_to` take
+an absolute ms instant, and seconds (in any exact form) appear only in
+`run_until`, which rounds its target to run to it, and the `now()` view.
 
 The kernel also owns the append-only trace.  Each kind of line is declared
 once, next to its emitter, as `kind(action, *keys)`.  `Kernel.line` holds a
@@ -190,16 +190,22 @@ class Kernel:
     # -- running -------------------------------------------------------
 
     def run_until(self, t) -> int:
-        """Deliver every pending event with fire time <= t (seconds),
-        including any inserted during delivery, then advance the clock to
-        t.  Returns the number of events delivered.
+        """`run_to` the instant `t` seconds rounds to: the seconds form of
+        a run target, for callers that hold seconds."""
+        return self.run_to(to_millis(t))
+
+    def run_to(self, target_ms: int) -> int:
+        """Deliver every pending event with fire time <= target_ms (integer
+        ms), including any inserted during delivery, then advance the clock
+        to target_ms.  Returns the number of events delivered.  A target
+        equal to `now_ms` delivers what is due at this instant; an earlier
+        one raises PastTime.
 
         An exception raised by a payload propagates out of this method and
         out of `run_to_completion`.  The raising event has been consumed
         and is never delivered again; the clock stays at its instant, short
-        of t; `delivering_seq` is None; later events stay queued in
+        of the target; `delivering_seq` is None; later events stay queued in
         (instant, seq) order, and the next run delivers them."""
-        target_ms = to_millis(t)
         if target_ms < self.now_ms:
             raise PastTime(
                 f"cannot run back to {millis_to_text(target_ms)}, "

@@ -14,7 +14,7 @@ outcome, a pass or a crash, lets it survive.  Hypothesis runs under the
 mutant costs about the time to its first failing example.  The script
 prints one line per mutant and exits 1 if any survives.  It uses only the
 standard library, is not itself collected as a test, and takes about
-15 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
+30 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
 once in its file.
 """
 from __future__ import annotations
@@ -44,6 +44,16 @@ TIME_READ_ONCE = "tests/test_scenario.py::test_each_run_of_one_time_text_is_read
 EXPONENT = "tests/test_units.py::test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound"
 CHECKSUMS = "tests/test_datagrid.py::test_catalog_checksum_consistency_across_replicas"
 COPIES = "tests/test_datagrid.py::test_lookup_sorted_and_lfn_prefix_transparent"
+PER_DATASET = "tests/test_production.py::test_per_dataset_reads_equal_a_scan_of_every_row"
+UNSCANNED = ("tests/test_production.py::"
+             "test_per_dataset_reads_do_not_scan_every_request_and_record")
+UPSTREAM = "tests/test_production.py::test_simulation_requires_a_complete_generation_upstream"
+QUERY = "tests/test_production.py::test_query_filters_and_dump_layout"
+RUN_TO_NOW = "tests/test_simcore.py::test_run_to_now_delivers_what_is_due_at_this_instant"
+REPLICA_COMMANDS = "tests/test_cli.py::test_replica_commands_roundtrip"
+HALF_MS = "tests/test_simcore.py::test_a_duration_rounds_the_same_added_to_ms_or_to_seconds"
+HALF_UP = "tests/test_units.py::test_to_millis_rounds_half_up"
+PAIR_HALF_UP = "tests/test_units.py::test_to_millis_of_a_pair_rounds_the_ratio_half_up"
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -98,6 +108,17 @@ MUTANTS = (
     # a replica agrees with the whole catalogued row, and each copy is listed once
     ("datagrid.py", "if row != pair:", "if row[1] != pair[1]:", (CHECKSUMS,)),
     ("datagrid.py", "if copy not in copies:", "if True:", (COPIES,)),
+    # each dataset's rows, appended by their one writer
+    ("production.py", "        self._by_dataset.setdefault(dataset, []).append(request)\n", "",
+     (PER_DATASET, UNSCANNED, UPSTREAM)),
+    ("production.py", "        self._by_dataset.setdefault(dataset, []).append(record)\n", "",
+     (PER_DATASET, UNSCANNED, QUERY)),
+    # a run to the clock's own instant is allowed; every command flushes with one
+    ("simcore.py", "if target_ms < self.now_ms:", "if target_ms <= self.now_ms:",
+     (RUN_TO_NOW, REPLICA_COMMANDS)),
+    # milliseconds round half-up, not half-even
+    ("units.py", "return (2000 * n + per) // (2 * per)", "return round(Fraction(1000 * n, per))",
+     (HALF_MS, HALF_UP, PAIR_HALF_UP)),
 )
 
 

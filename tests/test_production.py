@@ -1,4 +1,5 @@
 import gc
+import itertools
 import pathlib
 import re
 from collections import Counter
@@ -6,6 +7,8 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deskgrid import broker as broker_mod
 from deskgrid import fabric as fabric_mod
@@ -338,6 +341,97 @@ def test_query_filters_and_dump_layout():
                        "\tevents_declared\tevents_done")
     assert dump[1] == "1\tsubmitted\t-\t-\t-\t250\t0"
     assert dump[2] == "2\tsubmitted\t-\tjpsi_1.ntpl\t-\t250\t0"
+
+
+DATASETS = ("jpsi", "psi", "eta")
+REQUEST_STATUSES = ("NEW", "DECLARED", "CREATED", "SUBMITTED", "COMPLETE")
+BOSS_STATUSES = ("submitted", "running", "finished", "failed")
+JOB_TYPES = ("cmkin", "cmsim")
+BOOK_STEPS = st.one_of(
+    st.tuples(st.just("request"), st.sampled_from(DATASETS), st.sampled_from(("CMKIN", "CMSIM"))),
+    st.tuples(st.just("status"), st.integers(0, 40), st.sampled_from(REQUEST_STATUSES)),
+    st.tuples(st.just("record"), st.sampled_from(DATASETS), st.sampled_from(JOB_TYPES)),
+    st.tuples(st.just("boss"), st.integers(0, 40), st.sampled_from(BOSS_STATUSES)),
+)
+
+
+def scanned_upstream(made: list, dataset: str):
+    """The oracle: the first COMPLETE generation request for `dataset`,
+    found by a scan of every request made, or None."""
+    for r in made:
+        if r.step == "CMKIN" and r.dataset == dataset and r.status == "COMPLETE":
+            return r
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(BOOK_STEPS, max_size=40))
+@example([("request", "jpsi", "CMKIN"), ("request", "jpsi", "CMKIN"),
+          ("request", "psi", "CMKIN"),
+          ("status", 1, "COMPLETE"),    # the later request turns COMPLETE first
+          ("request", "jpsi", "CMSIM"),
+          ("status", 0, "COMPLETE"), ("status", 0, "SUBMITTED"),  # and one is set back
+          ("status", 1, "NEW"), ("request", "jpsi", "CMSIM"),
+          ("record", "jpsi", "cmkin"), ("record", "psi", "cmsim"),
+          ("record", "jpsi", "cmsim"), ("boss", 2, "finished"), ("boss", 0, "failed")])
+def test_per_dataset_reads_equal_a_scan_of_every_row(steps):
+    refdb, boss = RefDb(), BossDb()
+    made, opened = [], []  # every request and record, in id order
+    for step in steps:
+        if step[0] == "request":
+            _, dataset, name = step
+            if name == "CMSIM" and scanned_upstream(made, dataset) is None:
+                with pytest.raises(MissingUpstream):
+                    refdb.create_request(dataset, name, 100, 10, "rb_test")
+            else:
+                made.append(refdb.create_request(dataset, name, 100, 10, "rb_test"))
+        elif step[0] == "status" and made:
+            made[step[1] % len(made)].status = step[2]
+        elif step[0] == "record":
+            opened.append(boss.open_record(f"j{len(opened)}", step[2], step[1], 10))
+        elif step[0] == "boss" and opened:
+            opened[step[1] % len(opened)].status = step[2]
+        for dataset in DATASETS + ("absent",):
+            expected = scanned_upstream(made, dataset)
+            if expected is None:
+                with pytest.raises(MissingUpstream) as refused:
+                    refdb.upstream_of(dataset)
+                assert str(refused.value) == f"no COMPLETE CMKIN request for dataset {dataset!r}"
+            else:
+                assert refdb.upstream_of(dataset) is expected
+    for status, job_type, dataset in itertools.product(
+            (None,) + BOSS_STATUSES, (None,) + JOB_TYPES, (None,) + DATASETS + ("absent",)):
+        expected = [r.boss_id for r in opened
+                    if status in (None, r.status) and job_type in (None, r.job_type)
+                    and dataset in (None, r.dataset)]
+        assert [r.boss_id for r in boss.query(status, job_type, dataset)] == expected
+
+
+class Unscannable(dict):
+    """A map of rows that refuses to be scanned whole."""
+
+    def values(self):
+        raise AssertionError("a per-dataset read scanned every row")
+
+
+def test_per_dataset_reads_do_not_scan_every_request_and_record():
+    refdb, boss = RefDb(), BossDb()
+    gen = refdb.create_request("jpsi", "CMKIN", 100, 10, "rb_test")
+    refdb.create_request("psi", "CMKIN", 100, 10, "rb_test")
+    boss.open_record("j1", "cmkin", "jpsi", 10)
+    boss.open_record("j2", "cmkin", "psi", 10)
+    refdb.requests = Unscannable(refdb.requests)
+    boss.records = Unscannable(boss.records)
+    gen.status = "COMPLETE"
+    assert refdb.upstream_of("jpsi") is gen
+    sim = refdb.create_request("jpsi", "CMSIM", 100, 10, "rb_test")
+    with pytest.raises(MissingUpstream):
+        refdb.upstream_of("psi")
+    boss.open_record("j3", "cmsim", "jpsi", 10)
+    assert refdb.get(sim.assignment_id) is sim
+    assert [r.boss_id for r in boss.query(dataset="jpsi")] == [1, 3]
+    assert [r.boss_id for r in boss.query("submitted", "cmsim", "jpsi")] == [3]
+    assert boss.query(dataset="eta") == []
 
 
 def test_monitor_ticks_feed_the_record_only_from_connected_sites():

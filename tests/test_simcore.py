@@ -105,6 +105,58 @@ def test_past_scheduling_and_past_targets_refused():
         k.run_until(1)
 
 
+def replayed(targets, times, advance) -> list:
+    """What a kernel holding events at `times` (each scheduling one more at
+    its own instant) does when `advance` is called with each target in
+    turn: per target, the events it delivered, its count or its PastTime
+    text, and the clock after it."""
+    k = Kernel()
+    log = []
+    for i, t in enumerate(times):
+        k.schedule("e", lambda i=i: (log.append(i),
+                                      k.schedule("now", lambda: log.append(-i), k.now_ms)), t)
+    seen = []
+    for target in targets:
+        start = len(log)
+        try:
+            outcome = advance(k, target)
+        except PastTime as exc:
+            outcome = str(exc)
+        seen.append((log[start:], outcome, k.now_ms))
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=20),
+       st.lists(st.integers(min_value=0, max_value=6000), max_size=20))
+def test_run_to_ms_does_what_run_until_does_at_the_same_instant(targets, times):
+    assert (replayed(targets, times, Kernel.run_to)
+            == replayed(targets, times, lambda k, ms: k.run_until(Fraction(ms, 1000))))
+
+
+def test_run_to_now_delivers_what_is_due_at_this_instant():
+    k = Kernel()
+    k.run_to(1000)
+    log = []
+    k.schedule("e", lambda: (log.append("a"),
+                             k.schedule("e", lambda: log.append("b"), k.now_ms)), 1000)
+    k.schedule("e", lambda: log.append("later"), 1001)
+    assert k.run_to(k.now_ms) == 2
+    assert log == ["a", "b"] and k.now_ms == 1000 and k.pending_count() == 1
+    assert k.run_to(k.now_ms) == 0 and k.now_ms == 1000
+
+
+def test_run_to_before_now_is_refused_as_run_until_refuses_it():
+    k = Kernel()
+    k.run_to(2000)
+    with pytest.raises(PastTime) as by_ms:
+        k.run_to(k.now_ms - 1)
+    assert str(by_ms.value) == "cannot run back to 1.999, now is 2.000"
+    with pytest.raises(PastTime) as by_seconds:
+        k.run_until(Fraction(1999, 1000))
+    assert str(by_seconds.value) == str(by_ms.value) and k.now_ms == 2000
+
+
 def test_trace_entry_format():
     k = Kernel()
     k.run_until("0.15")
