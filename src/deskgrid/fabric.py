@@ -112,18 +112,22 @@ class WorkloadProfile:
         return (2 * events * num + den) // (2 * den)
 
 
+_BUILTIN_PROFILES = {
+    "atlsim": WorkloadProfile("atlsim", Fraction(150), Fraction(180 * KB),
+                              data_extension="zebra"),
+    "cmkin": WorkloadProfile("cmkin", Fraction(1, 2), Fraction(50 * KB),
+                             registers_output=True, data_extension="ntpl"),
+    "cmsim": WorkloadProfile("cmsim", Fraction(350), Fraction(9, 5) * MB,
+                             registers_output=True, data_extension="fz"),
+    "custom": WorkloadProfile("custom", Fraction(1), Fraction(KB)),
+}
+
+
 def builtin_profiles() -> dict:
     """The three applications every site has installed, plus the fallback
-    used when a description names something unknown."""
-    return {
-        "atlsim": WorkloadProfile("atlsim", Fraction(150), Fraction(180 * KB),
-                                  data_extension="zebra"),
-        "cmkin": WorkloadProfile("cmkin", Fraction(1, 2), Fraction(50 * KB),
-                                 registers_output=True, data_extension="ntpl"),
-        "cmsim": WorkloadProfile("cmsim", Fraction(350), Fraction(9, 5) * MB,
-                                 registers_output=True, data_extension="fz"),
-        "custom": WorkloadProfile("custom", Fraction(1), Fraction(KB)),
-    }
+    used when a description names something unknown: a new dict of the
+    frozen profiles, built once."""
+    return dict(_BUILTIN_PROFILES)
 
 
 def content_checksum(profile: str, dataset: str, job_index: int, events: int,

@@ -73,6 +73,7 @@ class Grid:
             self.network.lan = (self.network.lan[0], general.lan_latency)
 
         declared_vos = {v.name for v in config.vos}
+        site_vos = {}  # site id -> the VOs it accepts, as its elements publish them
         for site_cfg in config.sites:
             for vo_name in site_cfg.accept_vos:
                 if vo_name not in declared_vos:
@@ -80,7 +81,8 @@ class Grid:
                                       f"undeclared VO {vo_name}", path, site_cfg.line)
             self.fabric.add_site(fabric_mod.Site(
                 site_cfg.site_id, site_cfg.region, site_cfg.outbound))
-            self.vo.register_site(site_cfg.site_id, list(site_cfg.accept_vos))
+            self.vo.register_site(site_cfg.site_id, site_cfg.accept_vos)
+            site_vos[site_cfg.site_id] = tuple(site_cfg.accept_vos)
         self.vo.sync_all()
 
         for se_cfg in config.ses:
@@ -101,7 +103,6 @@ class Grid:
                 if se_id not in self.datagrid.ses:
                     raise ConfigError(f"CE {ce_cfg.ce_id} lists undeclared close SE "
                                       f"{se_id}", path, ce_cfg.line)
-            site_cfg = next(s for s in config.sites if s.site_id == ce_cfg.site_id)
             record = infosys.CERecord(
                 ce_id=ce_cfg.ce_id,
                 site_id=ce_cfg.site_id,
@@ -110,7 +111,7 @@ class Grid:
                 run_time_environment=ce_cfg.tags,
                 wn_count=ce_cfg.wn_count,
                 cpu_mhz=ce_cfg.cpu_mhz,
-                authorized_vos=tuple(site_cfg.accept_vos),
+                authorized_vos=site_vos[ce_cfg.site_id],
                 close_ses=ce_cfg.close_ses,
                 allow_condor_edg=ce_cfg.allow_condor_edg,
             )

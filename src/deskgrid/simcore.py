@@ -8,7 +8,7 @@ and no iteration over unordered containers anywhere in the hot path
 in that order).  Time is integer milliseconds: the clock is `now_ms`, a
 plain attribute that only the kernel writes, `schedule` and `run_to` take
 an absolute ms instant, and seconds (in any exact form) appear only in
-`run_until`, which rounds its target to run to it, and the `now()` view.
+`run_until`, which rounds its target to run to it.
 
 The kernel also owns the append-only trace.  Each kind of line is declared
 once, next to its emitter, as `kind(action, *keys)`.  `Kernel.line` holds a
@@ -28,7 +28,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -160,12 +159,6 @@ class Kernel:
         self._cells: list = []  # four per trace line: instant, actor, Kind, values
         #: seq of the event being delivered; None between deliveries
         self.delivering_seq: "int | None" = None
-
-    # -- clock ---------------------------------------------------------
-
-    def now(self) -> Fraction:
-        """Current simulated time in seconds."""
-        return Fraction(self.now_ms, 1000)
 
     # -- scheduling ----------------------------------------------------
 

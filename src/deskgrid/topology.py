@@ -9,6 +9,12 @@ endpoints.  Every diagnostic carries the file path and a line number: a
 missing key is reported at its section's header, a value that does not
 read at its own line.
 
+The text is read in one pass first, its `splitlines` lines each cut at the
+first `#`, stripped and gathered under the header above, so a malformed
+header anywhere is reported before any key.  Each kind then reads its
+keys in its table's order: a line without `=` or a repeated key first,
+then a missing key or bad value as its key comes, an unknown key last.
+
     [general]             catalogue id, WAN defaults, the sites' LAN
     [vo <name>]           member DNs
     [site <id>]           region = EU|US, accept_vos, outbound
@@ -122,10 +128,14 @@ _ENDPOINT_RE = re.compile(r"^(site:[\w-]+|rb:[\w-]+|ui)$")
 
 
 # Value readers: each takes the text after `=` and raises a plain
-# ValueError, which `_Section.get` reports at the value's line.
+# ValueError, which `parse_topology` reports at the value's line.
 
 def _words(value: str) -> tuple:
     return tuple(value.replace(",", " ").split())
+
+
+def _word_list(value: str) -> list:
+    return list(_words(value))
 
 
 def _bool(value: str) -> bool:
@@ -165,78 +175,60 @@ def _choice(what: str, *options: str):
     return read
 
 
-_REQUIRED = object()  # `_Section.get`'s default: the key must be given
-_KEYED_KINDS = ("general", "site", "ce", "se", "link", "broker", "profile")
+_REQUIRED = object()  # a key the section must give
+_ABSENT = object()  # a [profile] key not given: the base profile's field stays
 
-#: [profile] key -> (WorkloadProfile field, reader), in reading order
-_PROFILE_KEYS = {
-    "per_event_cpu_1ghz": ("per_event_cpu_1ghz", _seconds),
-    "output_per_event": ("output_bytes_per_event", parse_amount),  # may be '1.8 MB'
-    "monitor_every": ("monitor_every_events", _count),
-    "registers_output": ("registers_output", _bool),
-    "data_extension": ("data_extension", str),
+#: kind -> its keys as (key, reader, default when not given), in reading order
+_KEYS = {
+    "general": (("replica_catalog", str, "rc"), ("default_wan_bandwidth", parse_rate, None),
+                ("default_wan_latency", _seconds, None), ("lan_bandwidth", parse_rate, None),
+                ("lan_latency", _seconds, None)),
+    "site": (("region", _choice("region", "EU", "US"), _REQUIRED),
+             ("accept_vos", _word_list, _REQUIRED), ("outbound", _bool, True)),
+    "ce": (("site", str, _REQUIRED), ("lrms", str, _REQUIRED), ("flavors", _words, _REQUIRED),
+           ("wn_count", _count, _REQUIRED), ("cpu_mhz", _count, _REQUIRED),
+           ("tags", _words, ()), ("close_ses", _words, _REQUIRED),
+           ("allow_condor_edg", _bool, False)),
+    "se": (("site", str, _REQUIRED), ("capacity", parse_size, _REQUIRED)),
+    "link": (("bandwidth", parse_rate, _REQUIRED), ("latency", _seconds, _REQUIRED)),
+    "broker": (("flavor", _choice("broker flavor", "EDG", "GLUE"), _REQUIRED),),
+    "profile": (("per_event_cpu_1ghz", _seconds, _ABSENT),
+                ("output_per_event", parse_amount, _ABSENT),  # may be '1.8 MB'
+                ("monitor_every", _count, _ABSENT), ("registers_output", _bool, _ABSENT),
+                ("data_extension", str, _ABSENT)),
 }
+#: the WorkloadProfile field of each [profile] key, in the same order
+_PROFILE_FIELDS = ("per_event_cpu_1ghz", "output_bytes_per_event", "monitor_every_events",
+                   "registers_output", "data_extension")
+#: kind -> (config list, row type): a row of header names, values in key order, header line
+_ROWS = {"site": ("sites", SiteCfg), "ce": ("ces", CeCfg), "se": ("ses", SeCfg),
+         "link": ("links", LinkCfg), "broker": ("brokers", BrokerCfg)}
 
 
-class _Section:
-    """The `key = value` lines of one section, each key read once.
-
-    Every diagnostic names the section by its label and points at the
-    header line, or at the line of the value that failed to read."""
-
-    def __init__(self, label: str, line: int, lines: list, path: str):
-        self.label = label
-        self.line = line
-        self.path = path
-        self.entries = {}  # key -> (value, lineno) of the keys not yet read
-        for lineno, text in lines:
-            if "=" not in text:
-                raise self.error(f"{label}: expected key = value", lineno)
-            key, value = text.split("=", 1)
-            key = key.strip()
-            if key in self.entries:
-                raise self.error(f"{label}: duplicate key {key}", lineno)
-            self.entries[key] = (value.strip(), lineno)
-
-    def error(self, message: str, line: "int | None" = None) -> ConfigError:
-        return ConfigError(message, self.path, self.line if line is None else line)
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def get(self, key: str, read=str, default=_REQUIRED):
-        found = self.entries.pop(key, None)
-        if found is None:
-            if default is _REQUIRED:
-                raise self.error(f"{self.label}: missing key {key}")
-            return default
-        value, lineno = found
-        try:
-            return read(value)
-        except ValueError as exc:
-            raise self.error(str(exc), lineno) from None
-
-    def done(self) -> None:
-        for key, (_value, lineno) in self.entries.items():
-            raise self.error(f"{self.label}: unknown key {key}", lineno)
+def _label(kind: str, names: list) -> str:
+    """The section as its diagnostics name it, built only for one."""
+    return "[" + " ".join([kind, *names]) + "]"
 
 
 def _scan(text: str, path: str) -> list:
     """(kind, header words, header line, [(lineno, text)]) per section."""
-    sections = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    sections, lines = [], None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             m = _SECTION_RE.match(line)
             if not m:
                 raise ConfigError(f"malformed section header {line!r}", path, lineno)
-            sections.append((m.group(1), m.group(2).split(), lineno, []))
-        elif not sections:
+            lines = []
+            sections.append((m[1], m[2].split(), lineno, lines))
+        elif lines is None:
             raise ConfigError("content before the first section", path, lineno)
         else:
-            sections[-1][3].append((lineno, line))
+            lines.append((lineno, line))
     return sections
 
 
@@ -261,62 +253,66 @@ def parse_topology(text: str, path: str = "<topology>") -> TopologyConfig:
             raise ConfigError(f"[{kind}] needs a name", path, header_line)
         elif len(names) > 1:
             raise ConfigError(f"[{kind}] takes exactly one name", path, header_line)
-        label = "[" + " ".join([kind, *names]) + "]"
         identity = (kind, frozenset(names))  # a link's endpoints are unordered
         if identity in seen:
-            raise ConfigError(f"duplicate section {label}", path, header_line)
+            raise ConfigError(f"duplicate section {_label(kind, names)}", path, header_line)
         seen.add(identity)
 
         if kind == "vo":
             members = []
             for lineno, line in lines:
                 if not line.startswith("/"):
-                    raise ConfigError(f"{label}: expected one DN per line", path, lineno)
+                    raise ConfigError(f"{_label(kind, names)}: expected one DN per line",
+                                      path, lineno)
                 if line in members:
-                    raise ConfigError(f"{label}: duplicate member {line}", path, lineno)
+                    raise ConfigError(f"{_label(kind, names)}: duplicate member {line}",
+                                      path, lineno)
                 members.append(line)
             config.vos.append(VoCfg(names[0], members, header_line))
             continue
-        if kind not in _KEYED_KINDS:  # before any of its lines is read
+        keys = _KEYS.get(kind)
+        if keys is None:  # before any of its lines is read
             raise ConfigError(f"unknown section kind [{kind}]", path, header_line)
 
-        s = _Section(label, header_line, lines, path)
+        entries = {}  # key -> (value, lineno) of the keys not yet read
+        for lineno, line in lines:
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"{_label(kind, names)}: expected key = value", path, lineno)
+            key = key.strip()
+            if key in entries:
+                raise ConfigError(f"{_label(kind, names)}: duplicate key {key}", path, lineno)
+            entries[key] = (value.strip(), lineno)
+        if kind == "general" and (("default_wan_bandwidth" in entries)
+                                  != ("default_wan_latency" in entries)):
+            raise ConfigError("default WAN needs both bandwidth and latency", path, header_line)
+        values = []
+        for key, read, default in keys:
+            found = entries.pop(key, None)
+            if found is None:
+                if default is _REQUIRED:
+                    raise ConfigError(f"{_label(kind, names)}: missing key {key}",
+                                      path, header_line)
+                values.append(default)
+                continue
+            try:
+                values.append(read(found[0]))
+            except ValueError as exc:
+                raise ConfigError(str(exc), path, found[1]) from None
+        for key, (_value, lineno) in entries.items():  # the first key left is unknown
+            raise ConfigError(f"{_label(kind, names)}: unknown key {key}", path, lineno)
+
         if kind == "general":
-            g = config.general
-            g.replica_catalog = s.get("replica_catalog", default=g.replica_catalog)
-            if s.has("default_wan_bandwidth") != s.has("default_wan_latency"):
-                raise s.error("default WAN needs both bandwidth and latency")
-            if s.has("default_wan_bandwidth"):
-                g.default_wan = (s.get("default_wan_bandwidth", parse_rate),
-                                 s.get("default_wan_latency", _seconds))
-            g.lan_bandwidth = s.get("lan_bandwidth", parse_rate, None)
-            g.lan_latency = s.get("lan_latency", _seconds, None)
-        elif kind == "site":
-            config.sites.append(SiteCfg(
-                names[0], s.get("region", _choice("region", "EU", "US")),
-                list(s.get("accept_vos", _words)), s.get("outbound", _bool, True),
-                header_line))
-        elif kind == "ce":
-            config.ces.append(CeCfg(
-                names[0], s.get("site"), s.get("lrms"), s.get("flavors", _words),
-                s.get("wn_count", _count), s.get("cpu_mhz", _count),
-                s.get("tags", _words, ()), s.get("close_ses", _words),
-                s.get("allow_condor_edg", _bool, False), header_line))
-        elif kind == "se":
-            config.ses.append(SeCfg(names[0], s.get("site"),
-                                    s.get("capacity", parse_size), header_line))
-        elif kind == "link":
-            config.links.append(LinkCfg(*names, s.get("bandwidth", parse_rate),
-                                        s.get("latency", _seconds), header_line))
-        elif kind == "broker":
-            flavor = s.get("flavor", _choice("broker flavor", "EDG", "GLUE"))
-            config.brokers.append(BrokerCfg(names[0], flavor, header_line))
+            catalog, bandwidth, latency, *lan = values
+            config.general = GeneralCfg(catalog, None if bandwidth is None
+                                        else (bandwidth, latency), *lan)
         elif kind == "profile":
             config.profiles.append(ProfileCfg(names[0], {
-                field_name: s.get(key, read)
-                for key, (field_name, read) in _PROFILE_KEYS.items() if s.has(key)},
-                header_line))
-        s.done()
+                name: value for name, value in zip(_PROFILE_FIELDS, values)
+                if value is not _ABSENT}, header_line))
+        else:
+            attr, row = _ROWS[kind]
+            getattr(config, attr).append(row(*names, *values, header_line))
 
     if not config.sites:
         raise ConfigError("topology declares no sites", path)

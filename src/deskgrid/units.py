@@ -9,6 +9,11 @@ Inside the package a duration is an unreduced integer ratio, n/per
 seconds, and `to_millis(n, per)` rounds it in integers alone.  Sizes are
 read exactly by `parse_amount`, with KB/MB/GB meaning the 1024-based
 units; stored sizes are integer bytes.
+
+Number text is read in integers: a plain ASCII decimal such as `0.05` or
+`1.8` is its digits over a power of ten, the one form sizes and rates take;
+`as_fraction` hands any other text (a sign, spaces, `_`, an exponent, `/`,
+`1.` or `.5`) to `Fraction`, after its exponent bound.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ MB = 1024 * KB
 GB = 1024 * MB
 
 _SIZE_UNITS = {"B": 1, "KB": KB, "MB": MB, "GB": GB}
-_SIZE_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*$")
+_SIZE_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]+))?\s*(B|KB|MB|GB)?\s*$")
 # A decimal exponent past this bound is refused: `1e10000000` would build a
 # ten-million-digit integer.  Every float repr, `5e-324` to `1.8e308`, fits.
 MAX_EXPONENT = 400
@@ -50,6 +55,10 @@ def as_fraction(value) -> Fraction:
             raise ValueError(f"not an ASCII number: {value!r}")
         if value.isdigit():
             return Fraction(int(value))
+        whole, _, part = value.partition(".")
+        if whole.isdigit() and part.isdigit():
+            scale = 10 ** len(part)
+            return Fraction(int(whole) * scale + int(part), scale)
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
@@ -86,31 +95,38 @@ def millis_to_text(ms: int) -> str:
     return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
-def parse_amount(text: str) -> Fraction:
-    """'1.8 MB' / '50 KB' / '1024' -> exact Fraction bytes (binary units)."""
+def _amount(text: str) -> tuple:
+    """'1.8 MB' -> (18 * MB, 10): bytes as an unreduced pair of ints."""
     m = _SIZE_RE.match(text)
     if not m:
         raise ValueError(f"bad size: {text!r}")
-    return Fraction(m.group(1)) * _SIZE_UNITS[m.group(2) or "B"]
+    whole, part, unit = m.groups(default="")
+    scale = 10 ** len(part)
+    return (int(whole) * scale + int(part or 0)) * _SIZE_UNITS[unit or "B"], scale
+
+
+def parse_amount(text: str) -> Fraction:
+    """'1.8 MB' / '50 KB' / '1024' -> exact Fraction bytes (binary units)."""
+    return Fraction(*_amount(text))
 
 
 def parse_size(text: str) -> int:
     """'12 MB' / '50 KB' / '1024' -> integer bytes (binary units)."""
-    amount = parse_amount(text)
-    if amount.denominator != 1:
+    n, scale = _amount(text)
+    if n % scale:
         raise ValueError(f"bad size: {text!r} is not a whole number of bytes")
-    return int(amount)
+    return n // scale
 
 
 def parse_rate(text: str) -> Fraction:
     """'10 MB/s' (or a bare bytes-per-second number) -> Fraction bytes/s."""
     try:
-        rate = parse_amount(text.rstrip().removesuffix("/s"))
+        n, scale = _amount(text.rstrip().removesuffix("/s"))
     except ValueError:
         raise ValueError(f"bad rate: {text!r}") from None
-    if rate <= 0:
+    if not n:
         raise ValueError(f"bad rate: {text!r} must be positive")
-    return rate
+    return Fraction(n, scale)
 
 
 def fmt_quantity(value) -> str:

@@ -14,7 +14,7 @@ outcome, a pass or a crash, lets it survive.  Hypothesis runs under the
 mutant costs about the time to its first failing example.  The script
 prints one line per mutant and exits 1 if any survives.  It uses only the
 standard library, is not itself collected as a test, and takes about
-30 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
+35 s; `test_mutants.py` checks in tier-1 that every snippet occurs exactly
 once in its file.
 """
 from __future__ import annotations
@@ -54,6 +54,10 @@ REPLICA_COMMANDS = "tests/test_cli.py::test_replica_commands_roundtrip"
 HALF_MS = "tests/test_simcore.py::test_a_duration_rounds_the_same_added_to_ms_or_to_seconds"
 HALF_UP = "tests/test_units.py::test_to_millis_rounds_half_up"
 PAIR_HALF_UP = "tests/test_units.py::test_to_millis_of_a_pair_rounds_the_ratio_half_up"
+READERS = "tests/test_units.py::test_number_readers_equal_the_fraction_route"
+EARLIER_FORM = "tests/test_topology.py::test_the_reader_equals_its_earlier_form"
+PLAIN_LABEL = "tests/test_topology.py::test_general_diagnostics_name_the_section_plainly"
+UNKNOWN_KEY = "tests/test_topology.py::test_missing_and_unknown_keys"
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -119,6 +123,18 @@ MUTANTS = (
     # milliseconds round half-up, not half-even
     ("units.py", "return (2000 * n + per) // (2 * per)", "return round(Fraction(1000 * n, per))",
      (HALF_MS, HALF_UP, PAIR_HALF_UP)),
+    # a plain decimal's scale, in seconds and in sizes
+    ("units.py", "            scale = 10 ** len(part)\n", "            scale = 10 ** (len(part) - 1)\n",
+     (READERS, EARLIER_FORM)),
+    ("units.py", "\n    scale = 10 ** len(part)\n", "\n    scale = 10 ** (len(part) - 1)\n",
+     (READERS, EARLIER_FORM)),
+    # a topology line: its comment cut at the '#', its '=' required, its unknown keys refused
+    ("topology.py", 'line = line[:line.index("#")]', 'line = line[:line.index("#") + 1]',
+     (EARLIER_FORM,)),
+    ("topology.py", "            if not eq:\n", "            if False:\n",
+     (PLAIN_LABEL, EARLIER_FORM)),
+    ("topology.py", "in entries.items():  # the first key left is unknown",
+     "in {}.items():  # the first key left is unknown", (UNKNOWN_KEY, EARLIER_FORM)),
 )
 
 

@@ -35,7 +35,7 @@ JobSeed = 7;
 def submitted(grid, jdl=CMKIN_SMALL, pinned=None, rb="rb_test"):
     grid.proxy_init("/C=XX/CN=alice", "testvo")
     job_id = grid.submit(jdl, rb, pinned_ce=pinned)
-    grid.kernel.run_until(grid.kernel.now())
+    grid.kernel.run_to(grid.kernel.now_ms)
     return job_id
 
 
@@ -45,7 +45,7 @@ def test_submit_reaches_running_in_the_same_instant(mini, alice):
     assert rb.jobs[job_id].state == WAITING  # match is queued, not yet run
     mini.kernel.run_until(0)
     record = rb.jobs[job_id]
-    assert record.state == RUNNING and mini.kernel.now() == 0
+    assert record.state == RUNNING and mini.kernel.now_ms == 0
     for state in (SUBMITTED, WAITING, MATCHED, SCHEDULED, RUNNING):
         assert record.timestamps[state] == 0
 
@@ -577,7 +577,7 @@ def test_every_rendered_table_is_the_exact_ranking(mini, alice, seed):
             else:
                 mini.submit(CMKIN_SMALL.replace("Events = 50",
                                                 f"Events = {rng.randint(1, 80)}"), rb)
-        mini.kernel.run_until(mini.kernel.now() + rng.randint(0, 20))
+        mini.kernel.run_to(mini.kernel.now_ms + 1000 * rng.randint(0, 20))
     mini.kernel.run_to_completion()
     assert len(checked) > 80
     assert {ce.cpu_den for ce in mini.fabric.ces.values()} == {14}

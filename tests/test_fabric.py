@@ -335,10 +335,10 @@ def test_transfer_completes_on_schedule_with_trace():
     n = net()
     done = []
     n.transfer(20 * MB, "site:alpha", "site:beta",
-               what="t", on_done=lambda: done.append(n.kernel.now()))
+               what="t", on_done=lambda: done.append(n.kernel.now_ms))
     # link: 20 MB / 20 MB/s + 0.1 s; beta LAN: 20 MB / 100 MB/s + 0.001 s
-    n.kernel.run_until(Fraction(1301, 1000))
-    assert done == [Fraction(1301, 1000)]
+    n.kernel.run_to(1301)
+    assert done == [1301]
     entry = n.kernel.trace[-1]
     assert entry.actor == "net" and entry.action == "transfer-complete"
     assert entry.detail["bytes"] == 20 * MB
@@ -412,7 +412,7 @@ def test_fifo_dispatch_and_work_conservation():
     assert ("done", "j1", 0) in log
     ce.finish(jobs[0])
     # freeing the node starts the next job in the same instant
-    assert kernel.now() == 25 and ("run", "j2") in log
+    assert kernel.now_ms == 25_000 and ("run", "j2") in log
     assert len(ce.queue) == 1 and len(ce.running) == 1
 
 
@@ -475,7 +475,7 @@ def test_a_million_nodes_hold_no_memory_until_jobs_take_them():
     def dispatched_nodes(*seeds):
         job_ids = [grid.submit(CMKIN_SMALL.replace("101", str(seed)), "rb_test",
                                pinned_ce="ce_beta") for seed in seeds]
-        grid.kernel.run_until(grid.kernel.now())
+        grid.kernel.run_to(grid.kernel.now_ms)
         return [e.detail["wn"] for e in grid.kernel.trace
                 if e.action == "dispatched" and e.detail["job"] in job_ids]
 
@@ -498,7 +498,7 @@ def progress_around(kernel, job, instants) -> list:
 def test_monitor_tick_counts():
     kernel, ce, proxy = harness()
     sent = []
-    ce.monitor_hook = lambda job_id, done, outbound: sent.append((kernel.now(), done))
+    ce.monitor_hook = lambda job_id, done, outbound: sent.append((kernel.now_ms, done))
     job, _ = make_job("j1", proxy, events=25)
     ce.enqueue(job)
     ce.execute(job)
@@ -511,7 +511,7 @@ def test_monitor_tick_counts():
                                                                10, 20, 20,
                                                                20, 20, 20]
     kernel.run_to_completion()
-    assert sent == [(runtime, 20)]  # the last point, sent once when execution ends
+    assert sent == [(12_500, 20)]  # the last point, sent once when execution ends
 
 
 def test_monitor_single_tick_for_twenty_events():

@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from deskgrid import units
 from deskgrid.fabric import WorkloadProfile
 from deskgrid.grid import Grid, default_topology_path, load_topology
-from deskgrid.topology import ConfigError, parse_topology
+from deskgrid.topology import ConfigError, parse_topology, parse_topology_file
 
+import topology_reference
 from conftest import MINI_TOPOLOGY, seeded_mutations
 
 
@@ -282,3 +287,168 @@ def test_seeded_mutation_outcomes_are_pinned():
 def test_a_profile_section_with_a_zero_per_event_figure_is_refused():
     message = err(MINI_TOPOLOGY + "\n[profile cmkin]\nper_event_cpu_1ghz = 0\n")
     assert "profile cmkin: per-event figures must be positive" in message
+
+
+# -- the reader against its earlier form ----------------------------------
+
+#: keys of each keyed kind, in the order the format documents them
+KIND_KEYS = {
+    "general": ("replica_catalog", "default_wan_bandwidth", "default_wan_latency",
+                "lan_bandwidth", "lan_latency"),
+    "site": ("region", "accept_vos", "outbound"),
+    "ce": ("site", "lrms", "flavors", "wn_count", "cpu_mhz", "tags", "close_ses",
+           "allow_condor_edg"),
+    "se": ("site", "capacity"),
+    "link": ("bandwidth", "latency"),
+    "broker": ("flavor",),
+    "profile": ("per_event_cpu_1ghz", "output_per_event", "monitor_every",
+                "registers_output", "data_extension"),
+}
+RATES = (("10 MB/s", "1.5 KB /s", "2048", "0.5 GB/s"), ("0 MB/s", "warp", "1. MB/s"))
+SECONDS = (("0.05", "0.001", "1/20", "0", "1.", ".5", "+2"),
+           ("-1", "1e401", "\u0660.\u0660\u0665", "1/0"))
+#: (valid, broken) values of each key
+KEY_VALUES = {
+    "replica_catalog": (("rc", "rc_x"), ()), "default_wan_bandwidth": RATES,
+    "default_wan_latency": SECONDS, "lan_bandwidth": RATES, "lan_latency": SECONDS,
+    "region": (("EU", "US"), ("MARS",)), "accept_vos": (("v", "v w", "v,w", ""), ()),
+    "outbound": (("yes", "false", "0"), ("maybe",)), "site": (("a", "b", "a=b"), ()),
+    "lrms": (("PBS", "LSF", "CONDOR"), ()), "flavors": (("EDG", "EDG GLUE", "GLOBUS_ONLY"), ()),
+    "wn_count": (("1", "3", "+2"), ("0", "many", "\u0662")),
+    "cpu_mhz": (("1000", "1400"), ("-5", "1.5")), "tags": (("CMS", "CMS, ATLAS-3.2.1", ""), ()),
+    "close_ses": (("s", "s t", ""), ()), "allow_condor_edg": (("yes", "off"), ("perhaps",)),
+    "capacity": (("1 GB", "10 GB", "1.5 KB", "00.50 KB"), ("00.10 KB", "0.3 B", "huge", "1.2.")),
+    "bandwidth": RATES, "latency": SECONDS, "flavor": (("EDG", "GLUE"), ("SHINY",)),
+    "per_event_cpu_1ghz": (("1/4", "2", "0.5", "0"), ("1/0",)),
+    "output_per_event": (("1.8 MB", "50 KB", "1536"), (". KB",)),
+    "monitor_every": (("5", "12"), ("0",)), "registers_output": (("yes", "no"), ()),
+    "data_extension": (("digi", ""), ()), "colour": ((), ("blue",)), "": ((), ("x",)),
+}
+#: (valid, broken) names of each kind's header
+NAMES = {"general": ([[]], [["x"]]),
+         "link": ([["site:a", "site:b"], ["site:b", "ui"], ["rb:r", "site:a"], ["site:a", "ui"]],
+                  [["site:a"], ["site:a", "box:b"], ["ui", "ui"], ["site:a", "site:b", "ui"]])}
+ONE_NAME = ([["a"], ["b"], ["c"], ["d"], ["v"]], [[], ["a", "b"]])
+#: how a section of a broken text breaks, if it does
+BREAKS = (None, None, None, "header", "names", "kind", "keys", "value", "line")
+#: what `splitlines` ends a line on, "\n" the most often
+LINE_ENDS = ("\n",) * 6 + ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028")
+#: what `strip` takes off, none the most often
+PADS = ("",) * 6 + (" ", "\t", "\u00a0", "\u2003", "\u3000")
+COMMENTS = ("",) * 6 + (" # note", "#", "# key = value", "# [site x]")
+
+
+@st.composite
+def topology_section(draw, broken: bool, kinds=("site", "ce", "se", "link", "vo", "broker",
+                                                 "profile", "general")) -> list:
+    """The lines of one section of one of `kinds`, its header first; a
+    section of a `broken` text may break in one of the `BREAKS` ways."""
+    breaks = draw(st.sampled_from(BREAKS)) if broken else None
+    kind = "moon" if breaks == "kind" else draw(st.sampled_from(kinds))
+    valid_names, broken_names = NAMES.get(kind, ONE_NAME)
+    names = draw(st.sampled_from(broken_names if breaks == "names" else valid_names))
+    header = "[" + " ".join([kind, *names]) + "]"
+    if breaks == "header":
+        header = draw(st.sampled_from([header[:-1], header.upper(), "[ " + header[1:], "[]"]))
+    if kind == "vo":
+        members = ["/C=XX/CN=a", "/C=XX/CN=b", "/O=grid/CN=c d"]
+        if breaks in ("keys", "value", "line"):
+            members.append("alice")
+        return [header, *draw(st.lists(st.sampled_from(members), max_size=3,
+                                       unique=breaks is None))]
+    keys = KIND_KEYS.get(kind, ("colour",))
+    if breaks == "keys":  # missing, repeated and unknown keys
+        chosen = draw(st.lists(st.sampled_from([*keys, "colour", ""]), max_size=4))
+    else:  # every key once, so that sections read through
+        chosen = draw(st.permutations(keys))
+    breakable = [key for key in chosen if KEY_VALUES[key][1]]
+    bad_key = draw(st.sampled_from(breakable)) if breaks == "value" and breakable else None
+    lines = []
+    for key in chosen:
+        valid, bad = KEY_VALUES[key]
+        value = draw(st.sampled_from(bad if key == bad_key or not valid else valid))
+        lines.append(f"{key} = {value}")
+    if breaks == "line":
+        lines.insert(draw(st.integers(0, len(lines))), "no equals sign")
+    return [header, *lines]
+
+
+@st.composite
+def topology_text(draw) -> str:
+    """A testbed text from the grammar, valid or broken, in any layout."""
+    broken = draw(st.booleans())
+    lines = []
+    if broken and draw(st.sampled_from(BREAKS)) == "line":
+        lines.append(draw(st.sampled_from(["region = EU", "/C=XX/CN=a"])))
+    lines += draw(topology_section(broken, ("site",)))  # a testbed declares one
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(topology_section(broken))
+    text = []
+    for line in lines:
+        if draw(st.sampled_from(COMMENTS)):  # a blank, whitespace-only or comment line first
+            text.append(draw(st.sampled_from(PADS)) + draw(st.sampled_from(COMMENTS)))
+            text.append(draw(st.sampled_from(LINE_ENDS)))
+        text += [draw(st.sampled_from(PADS)), line, draw(st.sampled_from(PADS)),
+                 draw(st.sampled_from(COMMENTS)), draw(st.sampled_from(LINE_ENDS))]
+    return "".join(text)
+
+
+def typed(value):
+    """`value` with the type of every part beside it, so that equal
+    outcomes are equal in type too (a Fraction 2 is not the int 2)."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple((f.name, typed(getattr(value, f.name)))
+                                  for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(typed(part) for part in value)
+    if isinstance(value, dict):
+        return dict, tuple((key, typed(part)) for key, part in value.items())
+    return type(value), value
+
+
+def parse_outcome(parse, text):
+    try:
+        return typed(parse(text, "<t>"))
+    except ConfigError as exc:
+        return str(exc)
+
+
+SITE = "[site a]\nregion = EU\naccept_vos = v\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(topology_text())
+@example(SITE + "[se s]\nsite = a=b # where it sits\ncapacity = 1 GB#x\n")  # '#', '=' in values
+@example("[vo v]\n/C=XX/CN=a#b\n/C=XX/CN=a\n" + SITE)
+@example("[site a]\rregion = EU\x0caccept_vos = v\x1c[broker r]\u2028flavor = EDG\x85")
+@example("[site a]\r\n \t \nregion\u00a0= EU\u3000\n\u2003\naccept_vos = v\n\x0b")
+@example("[site a] # the first site\nregion = EU\naccept_vos =\n[general]#\n")
+@example("[site a]#[site b]\nregion = EU\naccept_vos = v\n")
+@example("region = EU\n" + SITE)
+@example("# a testbed\n\n" + SITE + "[link site:a ui]\nbandwidth = 1 MB/s\nlatency = 0.5\n")
+@example(SITE + "colour\n[se s]\nsite = a\n[site b\n")  # the header is reported first
+@example(SITE + "[se s]\nsite = a\ncapacity = 1 GB\ncolour = blue\nsite = b\n")
+@example("[general]\ndefault_wan_bandwidth = warp\n" + SITE)
+@example("[profile digi]\nmonitor_every = 0\nper_event_cpu_1ghz = 1/4\n" + SITE)
+def test_the_reader_equals_its_earlier_form(text):
+    """Every text, valid or broken, reads to a config equal in every value
+    and type to the one the `_Section` reader built, or fails with the same
+    diagnostic."""
+    assert parse_outcome(parse_topology, text) == \
+        parse_outcome(topology_reference.parse_topology, text)
+
+
+def test_reading_a_testbed_builds_no_fraction_from_text(monkeypatch):
+    """The number readers turn plain decimals into integers before any
+    Fraction is built: no `str` reaches the `Fraction` they call."""
+    arguments = []
+
+    class Watched(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            arguments.append(type(numerator))
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(units, "Fraction", Watched)
+    parse_topology_file(default_topology_path())
+    parse_topology(MINI_TOPOLOGY, "<mini>")
+    assert arguments and str not in arguments

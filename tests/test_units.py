@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deskgrid import units
 from deskgrid.units import (GB, KB, MB, as_fraction, as_int, fmt_quantity, fmt_ratio,
                             millis_to_text, parse_amount, parse_rate,
                             parse_size, to_millis)
+
+import topology_reference
 
 
 def test_as_fraction_reads_floats_by_decimal_repr():
@@ -169,3 +172,51 @@ def test_fmt_ratio_renders_like_the_fraction(numerator, denominator):
     text = fmt_ratio(numerator, denominator)
     assert text == fmt_quantity(Fraction(numerator, denominator))
     assert fmt_ratio(numerator, denominator) == text  # a repeated pair, from the memo
+
+
+# -- the number readers against the `Fraction(text)` route ----------------
+
+NUMBER_PARTS = st.sampled_from(
+    ["", "0", "1", "5", "00", "10", "007", ".", ".", "_", "+", "-", "e", "E", "/", " ", "\t",
+     "\u0661", "\u0665", "\u00a0", "400", "401", "e400", "e-401", "1" * 40, "B", " KB",
+     "MB", " GB", "/s", " /s"])
+
+
+def reader_outcome(read, text):
+    try:
+        value = read(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("name", ["as_fraction", "parse_amount", "parse_size", "parse_rate"])
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(NUMBER_PARTS, max_size=7).map("".join))
+@example(text="1.")
+@example(text=".5")
+@example(text="00.10")
+@example(text="1_000")
+@example(text="1_000.5")
+@example(text="+1.5")
+@example(text=" 1.5 ")
+@example(text="1.5\n")
+@example(text="0." + "0123456789" * 30)
+@example(text="1" * 3000 + "." + "1" * 3000)   # each part, not the two joined, under int's limit
+@example(text="1" * 5000 + ".5")                # a whole part past it: the same error text
+@example(text="\u0661.\u0665")
+@example(text="1.5e400")
+@example(text="1.5e401")
+@example(text="1e-400")
+@example(text="1e-401")
+@example(text="1.8 MB")
+@example(text="0.3 B")
+@example(text="1. KB")
+@example(text=".5 KB")
+@example(text="0.5 GB/s")
+@example(text="0.0 MB/s")
+def test_number_readers_equal_the_fraction_route(name, text):
+    """Each reader returns what the reader that built every value through
+    `Fraction(text)` returns, of the same type, or raises the same error."""
+    assert reader_outcome(getattr(units, name), text) == \
+        reader_outcome(getattr(topology_reference, name), text)
