@@ -372,7 +372,8 @@ def _exec(grid, base_dir, scenario):
     lines, code = [], 0
     for step, code, text in scn_mod.run_scenario(grid, steps, dispatch,
                                                  base_dir=path.parent):
-        lines.append(f"-- at {step.at_s} {' '.join(map(scn_mod.quote, step.argv))}")
+        argv = " ".join(map(scn_mod.quote, step.argv))
+        lines.append(f"-- at {as_fraction(step.at_text)} {argv}")
         if text:
             lines.append(text)
     return code, "\n".join(lines)

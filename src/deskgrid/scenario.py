@@ -17,15 +17,15 @@ escapes the next character; `#` starts a comment, even inside a word;
 there is no line continuation.  A plain line, one without quotes,
 backslash, `#` or line break, is split on its blanks directly.  Times are
 ASCII decimals or ratios (`5`, `0.25`, `1/3`), each run of one time text
-read once.
+read once; a step holds its instant in integer ms and its time text as
+written, which `exec` echoes as exact seconds.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .units import as_fraction, to_millis
+from .units import as_pair, to_millis
 
 
 class ScenarioError(Exception):
@@ -84,13 +84,14 @@ def quote(word: str) -> str:
 @dataclass(slots=True)
 class ScenarioStep:
     line: int
-    at_s: Fraction
+    at_ms: int
+    at_text: str
     argv: tuple
 
 
 def parse_scenario(text: str, path: str = "<scenario>") -> list:
     steps = []
-    last, last_text = Fraction(0), None
+    last_n, last_d, last_text = 0, 1, None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             words = split_words(raw)
@@ -102,15 +103,15 @@ def parse_scenario(text: str, path: str = "<scenario>") -> list:
             raise ScenarioError("expected: at <seconds> <command...>", path, lineno)
         if words[1] != last_text:
             try:
-                at = as_fraction(words[1])
+                n, d = as_pair(words[1])
             except (ValueError, TypeError):
                 raise ScenarioError(f"bad time {words[1]!r}", path, lineno) from None
-            if at < last and words[2] != "exec":  # an `exec` is reported below
+            if n * last_d < last_n * d and words[2] != "exec":  # an `exec` is reported below
                 raise ScenarioError(f"time {words[1]} goes backwards", path, lineno)
-            last, last_text = at, words[1]
+            last_n, last_d, last_text, at_ms = n, d, words[1], to_millis(n, d)
         if words[2] == "exec":
             raise ScenarioError("exec cannot run inside a scenario", path, lineno)
-        steps.append(ScenarioStep(lineno, last, tuple(words[2:])))
+        steps.append(ScenarioStep(lineno, at_ms, last_text, tuple(words[2:])))
     return steps
 
 
@@ -120,7 +121,7 @@ def run_scenario(grid, steps, dispatch, base_dir=None) -> list:
     after the first step that fails."""
     results = []
     for step in steps:
-        grid.kernel.run_to(to_millis(step.at_s))  # rounded as `run_until` rounds
+        grid.kernel.run_to(step.at_ms)
         code, text = dispatch(grid, list(step.argv), base_dir=base_dir)
         results.append((step, code, text))
         if code != 0:

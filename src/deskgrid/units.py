@@ -11,9 +11,11 @@ read exactly by `parse_amount`, with KB/MB/GB meaning the 1024-based
 units; stored sizes are integer bytes.
 
 Number text is read in integers: a plain ASCII decimal such as `0.05` or
-`1.8` is its digits over a power of ten, the one form sizes and rates take;
-`as_fraction` hands any other text (a sign, spaces, `_`, an exponent, `/`,
-`1.` or `.5`) to `Fraction`, after its exponent bound.
+`1.8` is its digits over a power of ten, the one form sizes and rates take.
+Seconds text has one reader with two views, `as_pair`'s exact integer pair
+(which a scenario step rounds once to ms) and `as_fraction`'s Fraction; any
+other text (a sign, spaces, `_`, an exponent, `/`, `1.` or `.5`) goes to
+`Fraction`, after the exponent bound.
 """
 from __future__ import annotations
 
@@ -34,14 +36,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9]+(?:_[0-9]+)*)")
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational view of a seconds-like value.
-
-    Floats are read through their decimal repr so that 0.1 means 1/10,
-    not the nearest binary double.  A string is read as ASCII only: a
-    string holding any other character, with a zero denominator or with a
-    decimal exponent beyond `MAX_EXPONENT` either way, is a ValueError,
-    like any other malformed string.
-    """
+    """Exact rational view of a seconds-like value: a float is read through
+    its decimal repr, so that 0.1 means 1/10, and a string by `as_pair`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -51,22 +47,29 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        if not value.isascii():
-            raise ValueError(f"not an ASCII number: {value!r}")
-        if value.isdigit():
-            return Fraction(int(value))
-        whole, _, part = value.partition(".")
-        if whole.isdigit() and part.isdigit():
-            scale = 10 ** len(part)
-            return Fraction(int(whole) * scale + int(part), scale)
-        exponent = _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        return Fraction(*as_pair(value))
     raise TypeError(f"cannot interpret {value!r} as seconds")
+
+
+def as_pair(text: str) -> tuple:
+    """`text`'s exact seconds as an int pair (n, d), d > 0.  Text holding a
+    non-ASCII character, a zero denominator or a decimal exponent beyond
+    `MAX_EXPONENT` either way is a ValueError, like any malformed text."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    if text.isdigit():
+        return int(text), 1
+    whole, _, part = text.partition(".")
+    if whole.isdigit() and part.isdigit():
+        scale = 10 ** len(part)
+        return int(whole) * scale + int(part), scale
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
+    try:
+        return Fraction(text.strip()).as_integer_ratio()
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def as_int(text: str) -> int:

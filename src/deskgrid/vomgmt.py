@@ -55,7 +55,7 @@ class Proxy:
 class VoManager:
     def __init__(self):
         self._members: dict[str, list[str]] = {}
-        self._site_vos: dict[str, list[str]] = {}
+        self._site_vos: dict[str, tuple] = {}
         self._mapfiles: dict[str, dict[str, str]] = {}
         # counts mapfile syncs: an answer of `maps` holds while this stays the same
         self.generation = 0
@@ -86,7 +86,7 @@ class VoManager:
         for vo in accept_vos:
             if vo not in self._members:
                 raise UnknownVo(vo)
-        self._site_vos[site_id] = list(accept_vos)
+        self._site_vos[site_id] = tuple(accept_vos)
         self._mapfiles.setdefault(site_id, {})
 
     # -- proxies -------------------------------------------------------
@@ -106,24 +106,29 @@ class VoManager:
     # -- mapfiles ------------------------------------------------------
 
     def sync_mapfile(self, site_id: str) -> dict[str, str]:
-        """Rebuild the site's mapfile from the live directories.
-
-        A user in several accepted VOs gets the pool tag of the first
-        accepting VO in the site's declaration order."""
+        """Rebuild the site's mapfile from the live directories."""
         if site_id not in self._site_vos:
             raise UnknownSite(site_id)
-        mapping: dict[str, str] = {}
-        for vo in self._site_vos[site_id]:
-            tag = "." + vo
-            for dn in self._members[vo]:
-                mapping.setdefault(dn, tag)
-        self._mapfiles[site_id] = mapping
+        self._mapfiles[site_id] = mapping = self._mapping(self._site_vos[site_id])
         self.generation += 1
         return dict(mapping)
 
     def sync_all(self) -> None:
-        for site_id in self._site_vos:
-            self.sync_mapfile(site_id)
+        """`sync_mapfile` for every site, with one mapping built per accepted-VO
+        list: sites may share it, as a mapfile is replaced, never changed."""
+        built = {vos: self._mapping(vos) for vos in set(self._site_vos.values())}
+        for site_id, vos in self._site_vos.items():
+            self._mapfiles[site_id] = built[vos]
+        self.generation += len(self._site_vos)
+
+    def _mapping(self, vos: tuple) -> dict[str, str]:
+        """A user in several of `vos` gets the pool tag of the first of them."""
+        mapping: dict[str, str] = {}
+        for vo in vos:
+            tag = "." + vo
+            for dn in self._members[vo]:
+                mapping.setdefault(dn, tag)
+        return mapping
 
     def mapfile(self, site_id: str) -> dict[str, str]:
         if site_id not in self._site_vos:

@@ -41,6 +41,8 @@ FIXED_WORDS = "tests/test_scenario.py::test_split_words_fixed_cases"
 PLAIN_LINE = "tests/test_scenario.py::test_split_words_reads_a_plain_line_as_shlex_does"
 TIME_ORDER = "tests/test_scenario.py::test_a_repeated_time_text_is_checked_in_order"
 TIME_READ_ONCE = "tests/test_scenario.py::test_each_run_of_one_time_text_is_read_once"
+EQUAL_TIMES = "tests/test_scenario.py::test_equal_times_in_other_texts_are_not_backwards"
+TIME_READER = "tests/test_scenario.py::test_steps_equal_the_fraction_reader"
 EXPONENT = "tests/test_units.py::test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound"
 CHECKSUMS = "tests/test_datagrid.py::test_catalog_checksum_consistency_across_replicas"
 COPIES = "tests/test_datagrid.py::test_lookup_sorted_and_lfn_prefix_transparent"
@@ -58,6 +60,9 @@ READERS = "tests/test_units.py::test_number_readers_equal_the_fraction_route"
 EARLIER_FORM = "tests/test_topology.py::test_the_reader_equals_its_earlier_form"
 PLAIN_LABEL = "tests/test_topology.py::test_general_diagnostics_name_the_section_plainly"
 UNKNOWN_KEY = "tests/test_topology.py::test_missing_and_unknown_keys"
+SHIPPED_MAPFILES = ("tests/test_vomgmt.py::"
+                    "test_sync_all_gives_each_shipped_site_the_mapfile_of_its_own_sync")
+DRAWN_MAPFILES = "tests/test_vomgmt.py::test_sync_all_equals_a_sync_per_site_on_drawn_memberships"
 
 #: (file, snippet, replacement, tests that kill the mutant)
 MUTANTS = (
@@ -102,10 +107,16 @@ MUTANTS = (
     ("scenario.py", '"\\\\" in line or "#" in line', '"\\\\" in line', (FIXED_WORDS,)),
     ("scenario.py", 'list(filter(None, line.replace("\\t", " ").split(" ")))', "line.split()",
      (FIXED_WORDS, PLAIN_LINE)),
-    ("scenario.py", 'if at < last and words[2] != "exec":',
-     'if at < last and words[1] == last_text and words[2] != "exec":', (TIME_ORDER,)),
-    ("scenario.py", 'if at < last and words[2] != "exec":', "if at < last:", (TIME_ORDER,)),
+    ("scenario.py", 'if n * last_d < last_n * d and words[2] != "exec":',
+     'if n * last_d < last_n * d and words[1] == last_text and words[2] != "exec":',
+     (TIME_ORDER,)),
+    ("scenario.py", 'if n * last_d < last_n * d and words[2] != "exec":',
+     "if n * last_d < last_n * d:", (TIME_ORDER,)),
     ("scenario.py", "if words[1] != last_text:", "if True:", (TIME_READ_ONCE,)),
+    # an equal time in another text is not backwards; an instant rounds half-up
+    ("scenario.py", "if n * last_d < last_n * d and", "if n * last_d <= last_n * d and",
+     (EQUAL_TIMES, TIME_READER)),
+    ("scenario.py", "to_millis(n, d)", "n * 1000 // d", (TIME_READ_ONCE, TIME_READER)),
     # the exponent bound, moved by one either way
     ("units.py", "> MAX_EXPONENT:", "> MAX_EXPONENT + 1:", (EXPONENT,)),
     ("units.py", "> MAX_EXPONENT:", ">= MAX_EXPONENT:", (EXPONENT,)),
@@ -124,7 +135,7 @@ MUTANTS = (
     ("units.py", "return (2000 * n + per) // (2 * per)", "return round(Fraction(1000 * n, per))",
      (HALF_MS, HALF_UP, PAIR_HALF_UP)),
     # a plain decimal's scale, in seconds and in sizes
-    ("units.py", "            scale = 10 ** len(part)\n", "            scale = 10 ** (len(part) - 1)\n",
+    ("units.py", "        scale = 10 ** len(part)\n", "        scale = 10 ** (len(part) - 1)\n",
      (READERS, EARLIER_FORM)),
     ("units.py", "\n    scale = 10 ** len(part)\n", "\n    scale = 10 ** (len(part) - 1)\n",
      (READERS, EARLIER_FORM)),
@@ -135,6 +146,9 @@ MUTANTS = (
      (PLAIN_LABEL, EARLIER_FORM)),
     ("topology.py", "in entries.items():  # the first key left is unknown",
      "in {}.items():  # the first key left is unknown", (UNKNOWN_KEY, EARLIER_FORM)),
+    # each site gets the mapping built for its own accepted-VO list
+    ("vomgmt.py", "self._mapfiles[site_id] = built[vos]",
+     "self._mapfiles[site_id] = next(iter(built.values()))", (SHIPPED_MAPFILES, DRAWN_MAPFILES)),
 )
 
 

@@ -35,13 +35,13 @@ def production_run(cut_ms=None, at_cut=None) -> tuple:
     pickled copy, which runs the rest.  `at_cut(grid, copy)` sees both."""
     grid = load_topology(default_topology_path())
     for step in parse_scenario(PRODUCTION.read_text(), str(PRODUCTION)):
-        if cut_ms is not None and step.at_s * 1000 > cut_ms:
+        if cut_ms is not None and step.at_ms > cut_ms:
             grid.kernel.run_until(cut_ms / 1000)
             copy = pickle.loads(pickle.dumps(grid))
             if at_cut is not None:
                 at_cut(grid, copy)
             grid, cut_ms = copy, None
-        grid.kernel.run_until(step.at_s)
+        grid.kernel.run_to(step.at_ms)
         code, text = dispatch(grid, list(step.argv), base_dir=PRODUCTION.parent)
         assert code == 0, text
     grid.kernel.run_to_completion()

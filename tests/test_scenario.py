@@ -14,10 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deskgrid import scenario
+from deskgrid import scenario, units
 from deskgrid.cli import dispatch
 from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.scenario import parse_scenario, quote, split_words
+from deskgrid.units import as_fraction, to_millis
+
+import scenario_reference
 
 # Blanks, both quotes, the escape, the comment sign, a form feed and a
 # NEL (word characters to shlex, though `splitlines` breaks on them), a
@@ -124,9 +127,8 @@ def test_a_repeated_time_text_is_checked_in_order(lines, message):
 
 def test_equal_times_in_other_texts_are_not_backwards():
     steps = parse_scenario("at 0.5 report\nat 1/2 run\nat 0.50 report\n")
-    assert [(s.line, s.at_s, s.argv) for s in steps] == [
-        (1, Fraction(1, 2), ("report",)), (2, Fraction(1, 2), ("run",)),
-        (3, Fraction(1, 2), ("report",))]
+    assert [(s.line, s.at_ms, s.argv) for s in steps] == [
+        (1, 500, ("report",)), (2, 500, ("run",)), (3, 500, ("report",))]
 
 
 @settings(max_examples=500, deadline=None)
@@ -192,10 +194,11 @@ def test_each_run_of_one_time_text_is_read_once(monkeypatch):
     runs = 1 + sum(a != b for a, b in zip(times, times[1:]))
     assert len(times) > 800 and runs < len(times) * 0.8
     read = []
-    monkeypatch.setattr(scenario, "as_fraction", lambda text: read.append(text) or
-                        Fraction(text))
+    monkeypatch.setattr(scenario, "as_pair", lambda text: read.append(text) or
+                        units.as_pair(text))
     steps = parse_scenario(text)
-    assert len(read) == runs and [s.at_s for s in steps] == [Fraction(t) for t in times]
+    assert len(read) == runs and \
+        [s.at_ms for s in steps] == [to_millis(Fraction(t)) for t in times]
 
 
 def test_exec_refuses_a_huge_exponent_before_the_clock_moves(mini, tmp_path):
@@ -212,5 +215,85 @@ def test_exec_echoes_lines_that_read_back_to_their_steps():
         code, output = dispatch(grid, ["exec", str(SHIPPED.joinpath(name))])
         assert code == 0, output
         echoed = [line[3:] for line in output.splitlines() if line.startswith("-- ")]
-        assert [(s.at_s, s.argv) for s in parse_scenario("\n".join(echoed))] == \
-            [(s.at_s, s.argv) for s in steps], name
+        assert [(Fraction(s.at_text), s.at_ms, s.argv)
+                for s in parse_scenario("\n".join(echoed))] == \
+            [(Fraction(s.at_text), s.at_ms, s.argv) for s in steps], name
+
+
+# Times as an author may write them, valid or not: plain decimals, ratios
+# (a zero denominator among them), signs, `_`, a bare point either side,
+# exponents at and one past the bound, non-ASCII digits, and decimals
+# whose parts, or the pair of them, pass `int`'s 4,300-digit limit.
+TIMES = st.one_of(
+    st.builds(lambda whole, part: whole + ("." + part if part else ""),
+              st.text("0123456789", min_size=1, max_size=4),
+              st.text("0123456789", max_size=6)),
+    st.builds("{}/{}".format, st.integers(-2, 30), st.integers(0, 7)),
+    st.sampled_from(["+1.5", "-2", "1_000", "1.", ".5", " 1", "1e400", "1e401", "1E-400",
+                     "1e-401", "2.5e+4_00", "1e4_01", "١٢", "１", "²",
+                     "x", "1.2.3", "inf", "9" * 2200 + "." + "9" * 2200, "1" * 4301,
+                     "0." + "1" * 4301]))
+
+
+@st.composite
+def scenario_texts(draw):
+    lines, time = [], "0"
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  # a comment"])))
+            continue
+        time = draw(st.one_of(st.just(time), TIMES))
+        command = draw(st.sampled_from(["report"] * 8 + ["'two words'", "exec x.scn"]))
+        lines.append(f"at {quote(time)} {command}")
+    return "\n".join(lines)
+
+
+def read_steps(text):
+    try:
+        return [(s.line, s.argv, s.at_ms, as_fraction(s.at_text))
+                for s in parse_scenario(text, "x.scn")]
+    except scenario.ScenarioError as exc:
+        return str(exc)
+
+
+def read_reference_steps(text):
+    try:
+        return [(s.line, s.argv, to_millis(s.at_s), s.at_s)
+                for s in scenario_reference.parse_scenario(text, "x.scn")]
+    except scenario.ScenarioError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario_texts())
+@example("at 0.0004 report\nat 0.0003 report")    # both round to 0 ms, and still go back
+@example("at 0.5 report\nat 1/2 run\nat 0.50 report")
+@example("at 1/3 report\nat 0.333 report")
+@example("at -1 report")
+@example("at 2 report\nat 1 exec x.scn")
+@example("at 2/3 report\nat 0.0005 report")      # rounded half-up, not cut
+def test_steps_equal_the_fraction_reader(text):
+    """Every text reads to the lines and words the reader that kept a
+    Fraction per step reads, with `at_ms` its `to_millis(at_s)` and the
+    time text's exact seconds its `at_s`, or fails with the same error."""
+    assert read_steps(text) == read_reference_steps(text)
+
+
+def test_plain_decimal_steps_build_no_fraction_and_run_without_converting(mini, monkeypatch):
+    """Steps hold integer ms from the parse on: reading plain decimals builds
+    no Fraction, and running the steps makes no `to_millis` call."""
+    built, converted = [], []
+
+    class Watched(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            built.append(numerator)
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(units, "Fraction", Watched)
+    texts = [*shipped_texts().values(), "at 0.25 report\nat 1.5 run\nat 1.50 report\n"]
+    steps = [parse_scenario(text) for text in texts]
+    assert sum(map(len, steps)) > 50 and built == []
+    monkeypatch.setattr(scenario, "to_millis",
+                        lambda *args: converted.append(args) or to_millis(*args))
+    results = scenario.run_scenario(mini, steps[-1], lambda grid, argv, base_dir: (0, ""))
+    assert len(results) == 3 and mini.kernel.now_ms == 1500 and converted == []

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from deskgrid.grid import default_topology_path, load_topology
 from deskgrid.vomgmt import (DEFAULT_PROXY_LIFETIME_S, Denial, NotAVoMember,
                              UnknownSite, UnknownVo, VoError, VoManager)
 
@@ -123,3 +126,39 @@ def test_membership_and_mapfile_calls_refuse_unknown_names():
             call("atlantis")
     assert vo.mapfile("beta") == {"/C=XX/CN=alice": ".othervo", "/C=XX/CN=carol": ".othervo",
                                   "/C=XX/CN=bob": ".testvo"}
+
+
+def test_sync_all_gives_each_shipped_site_the_mapfile_of_its_own_sync():
+    grid = load_topology(default_topology_path())
+    vo, sites = grid.vo, sorted(grid.fabric.sites)
+    synced = {site: vo.mapfile(site) for site in sites}
+    assert len({tuple(sorted(m.items())) for m in synced.values()}) > 1
+    generation = vo.generation
+    vo.sync_all()
+    assert vo.generation == generation + len(sites)
+    assert {site: vo.mapfile(site) for site in sites} == synced
+    assert {site: vo.sync_mapfile(site) for site in sites} == synced
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), max_size=5), min_size=1, max_size=4),
+       st.lists(st.lists(st.integers(0, 3), max_size=4), min_size=1, max_size=6))
+@example([[0, 1], [0, 2]], [[0, 1], [1, 0], [0, 1]])  # user 0 in both VOs, opposite orders
+def test_sync_all_equals_a_sync_per_site_on_drawn_memberships(members, sites):
+    """`members[v]` are the users of VO v and `sites[s]` the VOs site s
+    accepts, in order; a user in several of them maps to the first."""
+    vo = VoManager()
+    for v, users in enumerate(members):
+        vo.add_vo(f"vo{v}")
+        for user in users:
+            vo.add_member(f"vo{v}", f"/CN=user{user}")
+    for s, accepted in enumerate(sites):
+        vo.register_site(f"site{s}", [f"vo{v % len(members)}" for v in accepted])
+    vo.sync_all()
+    shared = {f"site{s}": vo.mapfile(f"site{s}") for s in range(len(sites))}
+    assert shared == {site: vo.sync_mapfile(site) for site in shared}
+    vo.sync_all()
+    vo.add_vo("late")
+    vo.register_site("site0", ["late"])  # replaced, not changed in place
+    vo.sync_mapfile("site0")
+    assert {site: vo.mapfile(site) for site in shared} == {**shared, "site0": {}}
