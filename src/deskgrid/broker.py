@@ -7,20 +7,21 @@ Job lifecycle:
                        \\---------+----------+--> ABORTED
     DONE_OK / DONE_FAILED -> CLEARED
 
-A job ends only through `_finalize`, which writes its reason and frees its
-node.  Aborts happen only before RUNNING (no match, or refused through
-`on_auth_denied` at the queue or at dispatch).  A dispatched job's data
-moves one transfer per leg: the input sandbox, each input, its one data
-product to a storage element, and the output sandbox, held once it lands.
-No route fails the job, except on the output leg, which still returns the
-logs.  Match-making happens in the same simulated instant as the
-submission event: candidates of the broker's own schema flavor are
-filtered by VO authorization, the job's requirement expression and -- for
-data-driven jobs -- the presence of every input file on a storage element
-close to the element; the survivor with the highest rank wins (default
-rank is minus the estimated traversal time, compared exactly as integer
-pairs), ties on rank go to the smallest element id, and replica ties to
-the smallest (se, path).
+A job in flight is one slotted record, the `FabricJob` its element queues
+and runs and calls this broker's handlers with.  A job ends only through
+`_finalize`, which writes its reason and frees its node.  Aborts happen
+only before RUNNING (no match, or `_refused` at the queue or at dispatch).
+A dispatched job's data moves one transfer per leg: the input sandbox,
+each input, its one data product to a storage element, and the output
+sandbox, held once it lands.  No route fails the job, except on the output
+leg, which still returns the logs.  Match-making happens in the same
+simulated instant as the submission event: candidates of the broker's own
+schema flavor are filtered by VO authorization, the job's requirement
+expression and -- for data-driven jobs -- the presence of every input file
+on a storage element close to the element; the survivor with the highest
+rank wins (default rank is minus the estimated traversal time, compared
+exactly as integer pairs), ties on rank go to the smallest element id, and
+replica ties to the smallest (se, path).
 
 What is the same for every candidate is done once per match: the owner's
 proxy is checked at that instant, and each input is looked up in the
@@ -144,17 +145,16 @@ _NO_INPUTS = MappingProxyType({})  # the replicas of every job without inputs, s
 
 
 @dataclass(slots=True)
-class JobRecord:
-    """The broker's book of one job.  The four containers a job may never
-    fill start as the one shared `()`; the first fill makes a dict (chosen
-    replicas, staged checksums), a list (sandbox) or a tuple (registered names)."""
+class JobRecord(fabric_mod.FabricJob):
+    """The broker's book of one job, and the job its element queues and runs.
+    The four containers a job may never fill start as the one shared `()`;
+    the first fill makes a dict (chosen replicas, staged checksums), a list
+    (sandbox) or a tuple (registered names)."""
 
-    job_id: str
-    owner: Proxy
-    description: jdl.JobDescription
     state: str = SUBMITTED
     pinned_ce: "str | None" = None
     matched_ce: "str | None" = None
+    ce: "fabric_mod.ComputingElement | None" = None  # the matched element, once scheduled
     chosen_replicas: "dict | tuple" = ()
     staged_checksums: "dict | tuple" = ()
     registered_lfns: tuple = ()
@@ -216,7 +216,7 @@ class ResourceBroker:
         if not proxy.valid_at(self.kernel.now_ms):
             raise ProxyExpired(f"{proxy.user_dn}: proxy expired")
         job_id = self.job_id_source()
-        record = JobRecord(job_id, proxy, description, pinned_ce=pinned_ce)
+        record = JobRecord(job_id, proxy, description, broker=self, pinned_ce=pinned_ce)
         record.timestamps[SUBMITTED] = self.kernel.now_ms
         self.jobs[job_id] = record
         self.kernel.line(self.rb_id, SUBMITTED_LINE, job_id, proxy.user_dn,
@@ -227,14 +227,14 @@ class ResourceBroker:
         return job_id
 
     def _process(self, record: JobRecord) -> None:
-        self.match(record.job_id)
+        self.match(record)
         if record.state == MATCHED:
-            self.run_job(record.job_id)
+            self.run_job(record)
 
     # -- match-making --------------------------------------------------
 
-    def match(self, job_id: str) -> MatchResult:
-        record = self._record(job_id)
+    def match(self, record: JobRecord) -> MatchResult:
+        job_id = record.job_id
         if record.state != WAITING:
             raise BrokerError(f"{job_id}: match requires WAITING, not {record.state}")
         description = record.description
@@ -345,26 +345,15 @@ class ResourceBroker:
 
     # -- orchestration -------------------------------------------------
 
-    def run_job(self, job_id: str) -> None:
+    def run_job(self, record: JobRecord) -> None:
         """Hand a matched job to its computing element and drive it to a
         terminal state through transfers, staging and execution."""
-        record = self._record(job_id)
         if record.state != MATCHED:
-            raise BrokerError(f"{job_id}: run_job requires MATCHED, not {record.state}")
-        fabric_job = fabric_mod.FabricJob(
-            job_id=job_id,
-            proxy=record.owner,
-            description=record.description,
-            profile=self.fabric.profile_for(record.description),
-            on_dispatched=partial(self._on_dispatched, record),
-            on_auth_denied=partial(self._refused, record),
-            on_exec_complete=partial(self._on_exec_complete, record),
-        )
+            raise BrokerError(f"{record.job_id}: run_job requires MATCHED, not {record.state}")
+        record.profile = self.fabric.profile_for(record.description)
+        record.ce = self.fabric.ces[record.matched_ce]
         self._move(record, SCHEDULED)
-        self._ce_of(record).enqueue(fabric_job)
-
-    def _ce_of(self, record: JobRecord):
-        return self.fabric.ces[record.matched_ce]
+        record.ce.enqueue(record)
 
     def _refused(self, record: JobRecord, denial) -> None:
         self._finalize(record, ABORTED, f"AuthorizationDenied({denial})")
@@ -381,14 +370,13 @@ class ResourceBroker:
     def _on_dispatched(self, record: JobRecord) -> None:
         self._move(record, RUNNING)
         size = fabric_mod.SANDBOX_INPUT_FILE_BYTES * len(record.description.input_sandbox)
-        self._send(record, size, self.endpoint, self._ce_of(record).site.endpoint,
+        self._send(record, size, self.endpoint, record.ce.site.endpoint,
                    f"input-sandbox:{record.job_id}", self._stage_next, record, 0)
 
     def _stage_next(self, record: JobRecord, index: int) -> None:
         inputs = sorted(record.chosen_replicas.items()) if record.chosen_replicas else ()
-        ce = self._ce_of(record)
         if index >= len(inputs):
-            ce.execute(ce.running[record.job_id])
+            record.ce.execute(record)
             return
         lfn, (se_id, path) = inputs[index]
         store = self.datagrid.store_of(se_id)
@@ -399,14 +387,14 @@ class ResourceBroker:
         if not record.staged_checksums:  # the first input staged
             record.staged_checksums = {}
         size, record.staged_checksums[lfn] = row
-        self._send(record, size, store.site.endpoint, ce.site.endpoint,
+        self._send(record, size, store.site.endpoint, record.ce.site.endpoint,
                    f"stage:{lfn}", self._stage_next, record, index + 1)
 
     def _on_exec_complete(self, record: JobRecord, outputs: list, exit_code: int) -> None:
         logs = [f for f in outputs if not f.is_data]
         if exit_code != 0:
             self._return_sandbox(record, logs, DONE_FAILED, "ExecFailed")
-        elif self._ce_of(record).running[record.job_id].profile.registers_output:
+        elif record.profile.registers_output:
             self._store_next(record, next(f for f in outputs if f.is_data), logs)
         else:
             self._return_sandbox(record, outputs, DONE_OK, None)
@@ -416,7 +404,7 @@ class ResourceBroker:
         first close SE; an unknown SE or no route still returns the logs, and
         so does an SE without room for it, checked before and after it moves."""
         se_id = record.description.extra_string("DefaultSE")
-        ce = self._ce_of(record)
+        ce = record.ce
         try:
             store = self.datagrid.store_of(min(ce.record.close_ses) if se_id is None else se_id)
             if not store.room_for(produced.size_bytes):
@@ -449,7 +437,7 @@ class ResourceBroker:
 
     def _return_sandbox(self, record: JobRecord, files: list, final_state: str,
                         reason: "str | None") -> None:
-        self._send(record, sum(f.size_bytes for f in files), self._ce_of(record).site.endpoint,
+        self._send(record, sum(f.size_bytes for f in files), record.ce.site.endpoint,
                    self.endpoint, f"output-sandbox:{record.job_id}",
                    self._sandbox_landed, record, files, final_state, reason)
 
@@ -462,9 +450,8 @@ class ResourceBroker:
         """The only way into DONE_OK, DONE_FAILED or ABORTED; frees the job's node."""
         record.reason = reason
         self._move(record, final_state)
-        ce = self.fabric.ces.get(record.matched_ce)  # None: it never reached an element
-        if ce is not None and record.job_id in ce.running:  # a refused job took no node
-            ce.finish(ce.running[record.job_id])
+        if record.wn >= 0:  # it took a node, which it holds until now
+            record.ce.finish(record)
 
     # -- user-facing reads and retrieval -------------------------------
 

@@ -18,9 +18,10 @@ produced; a row hashes its checksum only when it is read.
 A computing element is the only record of its load: its FIFO queue, its
 running jobs, each holding the index of its worker node, a heap of the
 released node indices and a range of those no job has used, so the
-lowest free node takes the next job.  It refuses a job whose owner it does
-not authorize, when queued or when dispatched, through the job's
-`on_auth_denied` callback.  Nothing copies its load.
+lowest free node takes the next job.  A job in flight is one slotted
+record, the broker's own: the element queues, runs and frees it, and calls
+the broker it names when it is dispatched, refused (its owner unauthorized,
+queued or dispatched) or done executing.  Nothing copies its load.
 
 A running job's monitor points, every `monitor_every_events` events, are
 never scheduled: `FabricJob.monitor_count` works out which lie behind now.
@@ -304,15 +305,14 @@ class Site:
 
 @dataclass(slots=True)
 class FabricJob:
-    """The fabric-facing face of one job; the broker fills the callbacks."""
+    """One job as its element queues and runs it; the broker's `JobRecord`
+    is one, and `broker` the object whose handlers the element calls."""
 
     job_id: str
-    proxy: vomgmt.Proxy
+    owner: vomgmt.Proxy
     description: JobDescription
-    profile: WorkloadProfile
-    on_dispatched: Callable[[], None]                # it took a worker node
-    on_auth_denied: Callable[[vomgmt.Denial], None]  # refused at the queue or at dispatch
-    on_exec_complete: Callable[[list, int], None]    # (outputs, exit code)
+    profile: "WorkloadProfile | None" = None  # set when handed to an element
+    broker: object = None
     cpu_units: int = 0                 # its CPU in its element's units and
     cpu_per_s: int = 1                 # ... units per second, set at enqueue
     events_done: int = 0               # every event, once execution has ended
@@ -393,10 +393,10 @@ class ComputingElement:
     # -- queueing ------------------------------------------------------
 
     def enqueue(self, job: FabricJob) -> None:
-        denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
+        denial = self.vo.authorize(self.site.site_id, job.owner, self.kernel.now_ms)
         if denial is not None:
             self.kernel.line(self.ce_id, ENQUEUE_DENIED_LINE, job.job_id, str(denial))
-            job.on_auth_denied(denial)
+            job.broker._refused(job, denial)
             return
         den = job.profile.cpu_pair[1]
         regrown = self.cpu_den % den != 0
@@ -419,10 +419,10 @@ class ComputingElement:
             job = self.queue.popleft()
             self.queued_units -= job.description.events * self._units_per_event(job.profile)
             # authorization is re-checked when the job actually starts
-            denial = self.vo.authorize(self.site.site_id, job.proxy, self.kernel.now_ms)
+            denial = self.vo.authorize(self.site.site_id, job.owner, self.kernel.now_ms)
             if denial is not None:
                 self.kernel.line(self.ce_id, DISPATCH_DENIED_LINE, job.job_id, str(denial))
-                job.on_auth_denied(denial)
+                job.broker._refused(job, denial)
                 continue
             if self.free_wns:
                 job.wn = heapq.heappop(self.free_wns)
@@ -431,7 +431,7 @@ class ComputingElement:
             self.running[job.job_id] = job
             self._moved()
             self.kernel.line(self.ce_id, DISPATCHED_LINE, job.job_id, job.wn)
-            job.on_dispatched()
+            job.broker._on_dispatched(job)
 
     # -- execution -----------------------------------------------------
 
@@ -462,11 +462,7 @@ class ComputingElement:
             exit_code = 1
         outputs = build_outputs(job.description, job.profile)
         self.kernel.line(self.ce_id, EXEC_COMPLETE_LINE, job.job_id, exit_code)
-        job.on_exec_complete(outputs, exit_code)
-
-    def monitor_count(self, job_id: str) -> int:
-        """The running job's events done at its last monitor point."""
-        return self.running[job_id].monitor_count()
+        job.broker._on_exec_complete(job, outputs, exit_code)
 
     def finish(self, job: FabricJob) -> None:
         """Release the worker node once every output leg is over."""

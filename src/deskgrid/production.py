@@ -11,18 +11,17 @@ it, and the replica catalogue), hands them to a resource broker
 all-or-nothing and opens one bookkeeping record per job.
 
 Bookkeeping follows the journal model: while a job runs, events_done is
-the count at its last monitor point, worked out from the fabric when the
-record is read -- but only if the worker node has outbound connectivity;
-when it ends, the final status, exit status and output file are always
-recorded (the journal travels back with the sandbox), and a failed job
-keeps the count of its last monitor point.  events_done never goes
-backwards: a regressive update is logged and ignored.
+the count at its last monitor point, worked out from the broker's record
+of the job when the row is read -- but only if the worker node has
+outbound connectivity; when it ends, the final status, exit status and
+output file are always recorded (the journal travels back with the
+sandbox), and a failed job keeps the count of its last monitor point.
+events_done never goes backwards: a regressive update is logged and
+ignored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 from . import broker as broker_mod
 from . import fabric as fabric_mod
@@ -120,8 +119,9 @@ class BossJobRecord:
     status: str = BOSS_SUBMITTED
     exit_status: "int | None" = None
     events_done: int = 0
-    #: live monitor count while the job runs on a connected worker node
-    monitor: "Callable[[], int] | None" = field(default=None, repr=False, compare=False)
+    #: the broker's record of the job while it runs on a connected worker
+    #: node, whose `monitor_count` is the live count
+    monitor: "fabric_mod.FabricJob | None" = field(default=None, repr=False, compare=False)
 
 
 class RefDb:
@@ -247,7 +247,7 @@ class BossDb:
         lines = [self.HEADER]
         for r in rows:
             exit_status = "-" if r.exit_status is None else str(r.exit_status)
-            events_done = r.events_done if r.monitor is None else r.monitor()
+            events_done = r.events_done if r.monitor is None else r.monitor.monitor_count()
             lines.append(f"{r.boss_id}\t{r.status}\t{exit_status}"
                          f"\t{r.input_file}\t{r.output_file}"
                          f"\t{r.events_declared}\t{events_done}")
@@ -400,7 +400,7 @@ class ProductionManager:
             ce = self.fabric.ces.get(job_record.matched_ce)
             if ce is not None and ce.site.outbound:
                 record.status = BOSS_RUNNING
-                record.monitor = partial(ce.monitor_count, job_record.job_id)
+                record.monitor = job_record
             return
         record.monitor = None
         if new_state == broker_mod.DONE_OK:

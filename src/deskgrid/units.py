@@ -10,12 +10,10 @@ seconds, and `to_millis(n, per)` rounds it in integers alone.  Sizes are
 read exactly by `parse_amount`, with KB/MB/GB meaning the 1024-based
 units; stored sizes are integer bytes.
 
-Number text is read in integers: a plain ASCII decimal such as `0.05` or
-`1.8` is its digits over a power of ten, the one form sizes and rates take.
-Seconds text has one reader with two views, `as_pair`'s exact integer pair
-(which a scenario step rounds once to ms) and `as_fraction`'s Fraction; any
-other text (a sign, spaces, `_`, an exponent, `/`, `1.` or `.5`) goes to
-`Fraction`, after the exponent bound.
+Number text is read in integers: a plain ASCII decimal such as `0.05` is
+its digits over a power of ten, the one form sizes and rates take.  Other
+seconds text (a sign, spaces, `_`, an exponent, `/`, `1.` or `.5`) is read
+by one `Fraction`, after the exponent bound.
 """
 from __future__ import annotations
 
@@ -37,7 +35,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9]+(?:_[0-9]+)*)")
 
 def as_fraction(value) -> Fraction:
     """Exact rational view of a seconds-like value: a float is read through
-    its decimal repr, so that 0.1 means 1/10, and a string by `as_pair`."""
+    its decimal repr, so that 0.1 means 1/10.  Non-ASCII or malformed text, a
+    zero denominator or an exponent beyond `MAX_EXPONENT` is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -46,30 +45,34 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(*as_pair(value))
-    raise TypeError(f"cannot interpret {value!r} as seconds")
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as seconds")
+    if pair := _plain(value):
+        return Fraction(*pair)
+    if not value.isascii():
+        raise ValueError(f"not an ASCII number: {value!r}")
+    exponent = _EXPONENT.search(value)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {value!r}")
+    try:
+        return Fraction(value.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def as_pair(text: str) -> tuple:
-    """`text`'s exact seconds as an int pair (n, d), d > 0.  Text holding a
-    non-ASCII character, a zero denominator or a decimal exponent beyond
-    `MAX_EXPONENT` either way is a ValueError, like any malformed text."""
-    if not text.isascii():
-        raise ValueError(f"not an ASCII number: {text!r}")
-    if text.isdigit():
+    """`text`'s exact seconds as an int pair (n, d), d > 0, or `as_fraction`'s error."""
+    if text.isdigit() and text.isascii():
         return int(text), 1
-    whole, _, part = text.partition(".")
-    if whole.isdigit() and part.isdigit():
+    return _plain(text) or as_fraction(text).as_integer_ratio()
+
+
+def _plain(text: str) -> "tuple | None":
+    """A plain ASCII decimal's digits over a power of ten, (n, d), else None."""
+    whole, dot, part = text.partition(".")
+    if text.isascii() and whole.isdigit() and (part.isdigit() or not dot):
         scale = 10 ** len(part)
-        return int(whole) * scale + int(part), scale
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
-    try:
-        return Fraction(text.strip()).as_integer_ratio()
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        return int(whole) * scale + int(part or 0), scale
 
 
 def as_int(text: str) -> int:
@@ -93,8 +96,7 @@ def to_millis(n, per: int = 1) -> int:
 
 def millis_to_text(ms: int) -> str:
     """Fixed-point rendering (three decimals) used by traces and tables."""
-    sign = "-" if ms < 0 else ""
-    ms = abs(ms)
+    sign, ms = "-" if ms < 0 else "", abs(ms)
     return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
@@ -142,9 +144,7 @@ def fmt_quantity(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return repr(float(value))
+        return str(value.numerator) if value.denominator == 1 else repr(float(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

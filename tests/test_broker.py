@@ -301,9 +301,27 @@ def test_run_job_requires_a_match_first(mini, alice):
     rb = mini.brokers["rb_test"]
     job_id = rb.submit(parse_jdl(CMKIN_SMALL), alice)
     with pytest.raises(BrokerError):
-        rb.run_job(job_id)
+        rb.run_job(rb.jobs[job_id])
     with pytest.raises(UnknownJob):
-        rb.run_job("j999")
+        rb.get_output("j999")
+
+
+def test_a_job_an_element_queues_or_runs_is_its_brokers_record(mini, alice):
+    """A bulk request on the mini grid, after the t=0 matches: each job held
+    in an element's queue or among its running jobs is the broker's own
+    record of it, not a copy, and the running ones are held by their ids."""
+    request = mini.refdb.create_request("jpsi", "CMKIN", 40 * 250, 250, "rb_test")
+    mini.production.declare(request.assignment_id)
+    mini.production.create(request.assignment_id)
+    mini.production.submit(request.assignment_id, alice)
+    mini.kernel.run_to(0)
+    rb = mini.brokers["rb_test"]
+    queued = [job for ce in mini.fabric.ces.values() for job in ce.queue]
+    running = [(job_id, job) for ce in mini.fabric.ces.values()
+               for job_id, job in ce.running.items()]
+    assert len(queued) == 37 and len(running) == 3
+    assert all(job is rb.jobs[job.job_id] for job in queued)
+    assert all(job is rb.jobs[job_id] for job_id, job in running)
 
 
 def test_an_ended_job_is_neither_matched_nor_moved_again(mini, alice):
@@ -313,7 +331,7 @@ def test_an_ended_job_is_neither_matched_nor_moved_again(mini, alice):
     record = rb.jobs[job_id]
     assert record.state == DONE_OK
     with pytest.raises(BrokerError, match="match requires WAITING, not DONE_OK"):
-        rb.match(job_id)
+        rb.match(record)
     with pytest.raises(IllegalTransition, match=f"{job_id}: DONE_OK -> RUNNING"):
         rb._move(record, RUNNING)
     assert record.state == DONE_OK and mini.validate() == []
@@ -593,7 +611,7 @@ def test_a_default_rank_match_builds_no_fraction(mini, alice):
     pending = [rb.submit(parse_jdl(CMKIN_SMALL), alice) for _ in range(3)]
     profile = cProfile.Profile()
     profile.enable()
-    results = [rb.match(job_id) for job_id in pending]
+    results = [rb.match(rb.jobs[job_id]) for job_id in pending]
     profile.disable()
     assert all(len(result.table) == 2 for result in results)
     built = [calls for (path, _line, name), (_cc, calls, *_rest)

@@ -387,15 +387,26 @@ def harness(wn_count=1, cpu_mhz=1000, lifetime_s=43200):
     return kernel, ce, proxy
 
 
+class Recorder:
+    """A broker that only records what the element tells it, in `log`."""
+
+    def __init__(self, log=None):
+        self.log = [] if log is None else log
+
+    def _on_dispatched(self, job):
+        self.log.append(("run", job.job_id))
+
+    def _refused(self, job, denial):
+        self.log.append(("denied", job.job_id, str(denial)))
+
+    def _on_exec_complete(self, job, outputs, code):
+        self.log.append(("done", job.job_id, code))
+
+
 def make_job(job_id, proxy, profile="cmkin", events=50, log=None):
     jd = parse_jdl(jd_text(profile, events=events))
-    rec = [] if log is None else log
-    return FabricJob(
-        job_id, proxy, jd, PROFILES[profile],
-        on_dispatched=lambda: rec.append(("run", job_id)),
-        on_auth_denied=lambda denial: rec.append(("denied", job_id, str(denial))),
-        on_exec_complete=lambda outputs, code: rec.append(("done", job_id, code)),
-    ), rec
+    handler = Recorder(log)
+    return FabricJob(job_id, proxy, jd, PROFILES[profile], handler), handler.log
 
 
 def test_fifo_dispatch_and_work_conservation():
@@ -540,9 +551,7 @@ def test_monitor_count_matches_scheduled_points():
         per_event = Fraction(rng.randint(1, 5000), rng.choice((1000, 7000, 100_000, 10**7)))
         profile = WorkloadProfile("p", per_event, Fraction(KB), monitor_every_events=step)
         jd = parse_jdl(jd_text(events=events))
-        job = FabricJob("j1", proxy, jd, profile, on_dispatched=lambda: None,
-                        on_auth_denied=lambda denial: None,
-                        on_exec_complete=lambda outputs, code: None)
+        job = FabricJob("j1", proxy, jd, profile, Recorder())
         start_ms = rng.randint(0, 50)
         runtime = profile.runtime_s(events, ce.record.cpu_mhz)
         probes = sorted(rng.randint(0, int(runtime * 1000) + 1) for _ in range(12))
@@ -606,7 +615,7 @@ def test_a_monitor_count_read_in_delivery_order_never_falls_and_counts_every_poi
 
     kernel = SimpleNamespace(now_ms=0, delivering_seq=None)
     job = FabricJob("j1", None, SimpleNamespace(events=events),
-                    SimpleNamespace(monitor_every_events=step), None, None, None,
+                    SimpleNamespace(monitor_every_events=step), Recorder(),
                     cpu_units=p, cpu_per_s=q, kernel=kernel, start_ms=start_ms,
                     start_seq=start_seq)
     last = 0

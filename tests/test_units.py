@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,25 @@ def test_as_fraction_refuses_a_decimal_exponent_beyond_the_bound():
     for text in ("1e401", "1e-401", "1E+401", "1e4_01", "2.5e10000000", "-1e3000000"):
         with pytest.raises(ValueError, match=r"^exponent beyond 400 in "):
             as_fraction(text)
+
+
+def fractions_built(read, text) -> int:
+    """`Fraction.__new__` calls made by `read(text)`, profiled."""
+    profile = cProfile.Profile()
+    profile.runcall(read, text)
+    return sum(calls for (path, _line, name), (_cc, calls, *_rest)
+               in pstats.Stats(profile).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+
+
+@pytest.mark.parametrize("text", ["1/3", "+1.5", "1e3", " 7 ", "1_000", "1.", ".5", "0.05", "12"])
+def test_seconds_text_builds_at_most_one_fraction(text):
+    """`as_fraction` builds one Fraction for any text; `as_pair` builds one
+    only for text that is not a plain decimal, and none for a plain one."""
+    plain = text in ("0.05", "12")
+    assert fractions_built(as_fraction, text) == 1
+    assert fractions_built(units.as_pair, text) == (0 if plain else 1)
+    assert Fraction(*units.as_pair(text)) == as_fraction(text) == Fraction(text.strip())
 
 
 @settings(max_examples=300, deadline=None)
