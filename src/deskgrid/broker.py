@@ -153,14 +153,17 @@ class JobRecord(fabric_mod.FabricJob):
 
     state: str = SUBMITTED
     pinned_ce: "str | None" = None
-    matched_ce: "str | None" = None
-    ce: "fabric_mod.ComputingElement | None" = None  # the matched element, once scheduled
+    ce: "fabric_mod.ComputingElement | None" = None  # the matched element
     chosen_replicas: "dict | tuple" = ()
     staged_checksums: "dict | tuple" = ()
     registered_lfns: tuple = ()
     sandbox_out: "list | tuple" = ()
     timestamps: dict = field(default_factory=dict)
     reason: "str | None" = None
+
+    @property
+    def matched_ce(self) -> "str | None":
+        return None if self.ce is None else self.ce.ce_id
 
     def outcome(self) -> str:
         """Final verdict that survives clearing."""
@@ -283,7 +286,7 @@ class ResourceBroker:
             self.kernel.line(self.rb_id, MATCH_FAILED_LINE, job_id, "NoMatchingResources")
             self._finalize(record, ABORTED, "NoMatchingResources")
         else:
-            record.matched_ce = result.chosen
+            record.ce = self.fabric.ces[result.chosen]
             close_ses = self.info.ces[result.chosen].close_ses
             if replicas:  # a job without inputs keeps the shared ()
                 record.chosen_replicas = {lfn: next(rep for rep in reps if rep[0] in close_ses)
@@ -351,7 +354,6 @@ class ResourceBroker:
         if record.state != MATCHED:
             raise BrokerError(f"{record.job_id}: run_job requires MATCHED, not {record.state}")
         record.profile = self.fabric.profile_for(record.description)
-        record.ce = self.fabric.ces[record.matched_ce]
         self._move(record, SCHEDULED)
         record.ce.enqueue(record)
 

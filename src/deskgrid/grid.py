@@ -229,9 +229,8 @@ class Grid:
         by_site: dict[str, dict] = {s: {} for s in self.fabric.sites}
         for _rb, record in self.all_jobs():
             by_state[record.state] = by_state.get(record.state, 0) + 1
-            if record.matched_ce is not None:
-                site_id = self.fabric.ces[record.matched_ce].site.site_id
-                site_states = by_site.setdefault(site_id, {})
+            if record.ce is not None:
+                site_states = by_site.setdefault(record.ce.site.site_id, {})
                 site_states[record.state] = site_states.get(record.state, 0) + 1
         return {"by_state": by_state, "by_site": by_site,
                 "total": sum(by_state.values())}

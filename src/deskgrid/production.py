@@ -11,13 +11,12 @@ it, and the replica catalogue), hands them to a resource broker
 all-or-nothing and opens one bookkeeping record per job.
 
 Bookkeeping follows the journal model: while a job runs, events_done is
-the count at its last monitor point, worked out from the broker's record
-of the job when the row is read -- but only if the worker node has
-outbound connectivity; when it ends, the final status, exit status and
-output file are always recorded (the journal travels back with the
-sandbox), and a failed job keeps the count of its last monitor point.
-events_done never goes backwards: a regressive update is logged and
-ignored.
+the count at its last monitor point, worked out from the job's record
+when the row is read -- but only if the worker node has outbound
+connectivity; when it ends, the final status, exit status and output file
+are always recorded (the journal travels back with the sandbox), and a
+failed job keeps the count of its last monitor point.  events_done never
+goes backwards: a regressive update is logged and ignored.
 """
 from __future__ import annotations
 
@@ -119,8 +118,7 @@ class BossJobRecord:
     status: str = BOSS_SUBMITTED
     exit_status: "int | None" = None
     events_done: int = 0
-    #: the broker's record of the job while it runs on a connected worker
-    #: node, whose `monitor_count` is the live count
+    #: the job's broker record while it runs on a connected worker node: its live count
     monitor: "fabric_mod.FabricJob | None" = field(default=None, repr=False, compare=False)
 
 
@@ -397,8 +395,7 @@ class ProductionManager:
         if record is None:
             return
         if new_state == broker_mod.RUNNING:
-            ce = self.fabric.ces.get(job_record.matched_ce)
-            if ce is not None and ce.site.outbound:
+            if job_record.ce.site.outbound:
                 record.status = BOSS_RUNNING
                 record.monitor = job_record
             return

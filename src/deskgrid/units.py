@@ -10,10 +10,12 @@ seconds, and `to_millis(n, per)` rounds it in integers alone.  Sizes are
 read exactly by `parse_amount`, with KB/MB/GB meaning the 1024-based
 units; stored sizes are integer bytes.
 
-Number text is read in integers: a plain ASCII decimal such as `0.05` is
-its digits over a power of ten, the one form sizes and rates take.  Other
-seconds text (a sign, spaces, `_`, an exponent, `/`, `1.` or `.5`) is read
-by one `Fraction`, after the exponent bound.
+Number text is read in integers: a plain ASCII decimal such as `0.05` or
+`1.8` is its digits over a power of ten, the one form sizes and rates take.
+Seconds text has one reader with two views, `as_pair`'s exact integer pair
+(which a scenario step rounds once to ms) and `as_fraction`'s Fraction; any
+other text (a sign, spaces, `_`, an exponent, `/`, `1.` or `.5`) is read by
+one `Fraction`, after the exponent bound.
 """
 from __future__ import annotations
 
@@ -62,8 +64,6 @@ def as_fraction(value) -> Fraction:
 
 def as_pair(text: str) -> tuple:
     """`text`'s exact seconds as an int pair (n, d), d > 0, or `as_fraction`'s error."""
-    if text.isdigit() and text.isascii():
-        return int(text), 1
     return _plain(text) or as_fraction(text).as_integer_ratio()
 
 
@@ -96,7 +96,8 @@ def to_millis(n, per: int = 1) -> int:
 
 def millis_to_text(ms: int) -> str:
     """Fixed-point rendering (three decimals) used by traces and tables."""
-    sign, ms = "-" if ms < 0 else "", abs(ms)
+    sign = "-" if ms < 0 else ""
+    ms = abs(ms)
     return f"{sign}{ms // 1000}.{ms % 1000:03d}"
 
 
@@ -144,7 +145,9 @@ def fmt_quantity(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else repr(float(value))
+        if value.denominator == 1:
+            return str(value.numerator)
+        return repr(float(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -1,16 +1,16 @@
 """What a CMKIN job costs the package, counted rather than timed.
 
-    python tests/cost.py [--jobs N ...] [--json]
+    python tests/cost.py [--json]
 
-The workload is one CMKIN request of N jobs of 250 events, submitted
-through `rb_pisa` on the shipped testbed and run to completion.  Its
+The workload is one CMKIN request of 250-event jobs, submitted through
+`rb_pisa` on the shipped testbed and run to completion.  Its
 `declare` and `create` are not counted; `submit` and the run are.  Under
 `sys.setprofile`, every `call` event whose code lies in the `deskgrid`
 package is counted, by module and by function.  Code named `<...>`
 (comprehensions, generator expressions) is left out: Python 3.12 inlines
 comprehensions, so counts that held them would not compare across
-versions.  `fmt_ratio`'s memo is cleared first, so a count is the same in
-any process, whatever ran in it before.
+versions.  `fmt_ratio`'s memo is cleared first, so a count, and the bytes
+below, are the same in any process, whatever ran in it before.
 
 These counts repeat exactly on one interpreter, unlike a timer on a shared
 host.  `cost_pins.json` holds the counts at 800 jobs, keyed by Python minor
@@ -18,11 +18,10 @@ version; `test_cost.py` checks each module's count and the total against
 them, and that calls per job do not rise from 200 to 800 jobs.  A change
 that lowers a count lowers its pin.
 
-The script prints calls per job by module at each size (200, 800 and
-3,200 jobs by default).  With `--json` it prints the table per function,
-and also runs 3,200 jobs with no profiler and the trace dropped, for the
-collections per generation (`gc.callbacks`) and the `tracemalloc` peak in
-bytes per job.  It uses only the standard library and is not itself
+The script prints calls per job by module at 200, 800 and 3,200 jobs.
+With `--json` it prints the table per function, and also runs 3,200 jobs
+with no profiler and the trace dropped, for the collections per
+generation (`gc.callbacks`) and the `tracemalloc` peak in bytes per job.  It uses only the standard library and is not itself
 collected as a test.
 """
 from __future__ import annotations
@@ -107,6 +106,7 @@ def memory(jobs: int = MEMORY_JOBS) -> dict:
     """Collections per generation and the `tracemalloc` peak per job over
     `submit` and the run, with no profiler and the trace dropped."""
     grid, submit = prepared(jobs, drop_trace=True)
+    fmt_ratio.cache_clear()
     collections = [0, 0, 0]
 
     def collected(phase, info):
@@ -130,12 +130,11 @@ def memory(jobs: int = MEMORY_JOBS) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, nargs="+", default=list(SIZES))
     parser.add_argument("--json", action="store_true",
                         help="print per-function tables, collections and bytes as JSON")
     args = parser.parse_args(argv)
     runs = []
-    for jobs in args.jobs:
+    for jobs in SIZES:
         table = count_calls(jobs)
         runs.append({"jobs": jobs, "calls": sum(table.values()),
                      "modules": by_module(table),

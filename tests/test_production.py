@@ -440,7 +440,7 @@ def test_monitor_ticks_feed_the_record_only_from_connected_sites():
     grid.production.on_monitor_tick("j1", 50, outbound=False)
     assert record.status == "submitted" and record.events_done == 0
     # a job reports progress only once it runs
-    job = SimpleNamespace(job_id="j1", matched_ce="ce_alpha")
+    job = SimpleNamespace(job_id="j1", ce=grid.fabric.ces["ce_alpha"])
     grid.production.on_job_transition(job, "SCHEDULED", broker_mod.RUNNING)
     grid.production.on_monitor_tick("j1", 50, outbound=True)
     assert record.status == "running" and record.events_done == 50
@@ -452,7 +452,7 @@ def test_transition_hook_maps_scheduler_states_to_boss_states():
     boss = grid.bossdb
     production = grid.production
     ok = boss.open_record("j1", "cmkin", "jpsi", 250)
-    job = SimpleNamespace(job_id="j1", matched_ce="ce_alpha",
+    job = SimpleNamespace(job_id="j1", ce=grid.fabric.ces["ce_alpha"],
                           registered_lfns=["jpsi_1.ntpl"])
     production.on_job_transition(job, "SCHEDULED", broker_mod.RUNNING)
     assert ok.status == "running"
@@ -461,12 +461,12 @@ def test_transition_hook_maps_scheduler_states_to_boss_states():
         "finished", 0, 250, "jpsi_1.ntpl")
 
     failed = boss.open_record("j2", "cmkin", "jpsi", 250)
-    job2 = SimpleNamespace(job_id="j2", matched_ce="ce_alpha", registered_lfns=[])
+    job2 = SimpleNamespace(job_id="j2", ce=grid.fabric.ces["ce_alpha"], registered_lfns=[])
     production.on_job_transition(job2, broker_mod.RUNNING, broker_mod.DONE_FAILED)
     assert (failed.status, failed.exit_status) == ("failed", 1)
 
     aborted = boss.open_record("j3", "cmkin", "jpsi", 250)
-    job3 = SimpleNamespace(job_id="j3", matched_ce=None, registered_lfns=[])
+    job3 = SimpleNamespace(job_id="j3", ce=None, registered_lfns=[])
     production.on_job_transition(job3, "WAITING", broker_mod.ABORTED)
     assert (aborted.status, aborted.exit_status) == ("failed", None)
 
@@ -475,7 +475,7 @@ def test_running_status_respects_site_isolation():
     grid, _proxy = grid_with_factory()
     record = grid.bossdb.open_record("j1", "cmkin", "jpsi", 250)
     grid.fabric.sites["alpha"].outbound = False
-    job = SimpleNamespace(job_id="j1", matched_ce="ce_alpha", registered_lfns=[])
+    job = SimpleNamespace(job_id="j1", ce=grid.fabric.ces["ce_alpha"], registered_lfns=[])
     grid.production.on_job_transition(job, "SCHEDULED", broker_mod.RUNNING)
     assert record.status == "submitted"  # nothing heard back yet
 
